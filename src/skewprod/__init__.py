@@ -20,7 +20,6 @@ from .fiber import (
     CylinderFunction,
     FiberModel,
     PotentialTable,
-    extend_depth,
     holder_norm,
     verify_expanding_axioms,
 )

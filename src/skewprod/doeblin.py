@@ -3,39 +3,29 @@
 Finite stochastic kernels per base symbol, entries pinned inside
 [alpha, 1/alpha], drive a Markov chain in random environment.  The twisted
 iterates compose in the opposite order from the transfer cocycle
-(present factor leftmost), the kernels are Markov at z = 0, and the same
-RPF / limit-theorem pipeline runs on exact laws: Doeblin contraction replaces
-the pairing machinery as the source of exponential convergence.
+(present factor leftmost), and the kernels are Markov at z = 0.  Along one
+environment the chain is a `StepTable`, so the exact laws, the sampler, the
+spectral characteristic function and the annealed runners of `limits` are
+the symbolic model's own: Doeblin contraction replaces the pairing machinery
+as the source of exponential convergence.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .base_env import BaseSymbolChain, OmegaWindow
-from .errors import (
-    ClassifierFailed,
-    DegenerateVariance,
-    DoeblinViolated,
-    LatticeTooLarge,
-    NonPositiveMean,
-    NotLattice,
-    TruncationInsufficient,
-)
+from .errors import DoeblinViolated, NotLattice
+from .gibbs import LatticeDistribution, StepTable
 from .limits import (
     ClassificationReport,
+    PeriodicOperatorFamily,
     _spectral_radius_certified,
     classification_grid,
     lattice_classify,
-    stratified_windows,
-    weighted_ks,
 )
-from .seeding import generator
-
-WINDOW_MARGIN = 80  # Doeblin contraction is one-step; modest warmup suffices
 
 
 @dataclass
@@ -59,11 +49,6 @@ class DoeblinFamily:
     @property
     def n_states(self) -> int:
         return self.kernels.shape[1]
-
-    def u_ints(self, s: int) -> np.ndarray:
-        if self.lattice_h is None:
-            raise NotLattice("family has no declared lattice_h")
-        return np.round(self.u[s] / self.lattice_h).astype(np.int64)
 
 
 def build_doeblin_family(kernels, u, alpha: float, lattice_h: float | None = None,
@@ -96,12 +81,44 @@ def build_doeblin_family(kernels, u, alpha: float, lattice_h: float | None = Non
 
 @dataclass
 class DoeblinSystem:
-    """Configured chain-in-random-environment instance."""
+    """Configured chain-in-random-environment instance.
+
+    Offers the system interface of `limits.SymbolicSystem`, so the annealed
+    runners run on it unchanged.
+    """
 
     chain: BaseSymbolChain
     family: DoeblinFamily
     periodic_cycle: tuple = (0,)
     initial: np.ndarray | None = None  # None: the invariant family nu(0)
+
+    @property
+    def lattice_h(self) -> float | None:
+        return self.family.lattice_h
+
+    def orbit(self, window: OmegaWindow, n: int) -> "DoeblinOrbit":
+        return DoeblinOrbit(window, n, self)
+
+    def step_table(self, orbit: "DoeblinOrbit", n: int) -> StepTable:
+        """S_n = sum_{j<n} u_{omega_j}(xi_j) with the chain run forward.
+
+        The start is xi_0 with increment u_{omega_0}(xi_0); row j moves xi_j
+        to xi_{j+1} by the kernel at omega_j and reads the observable at the
+        target state, so rank-one kernels give state-independent rows.
+        """
+        fam = self.family
+        s = orbit.symbols[:n]
+        shape = (n - 1,) + fam.kernels.shape[1:]
+        return StepTable(n, fam.lattice_h, orbit.marginal[0], fam.u[s[0]],
+                         fam.kernels[s[:-1]],
+                         np.broadcast_to(np.arange(fam.n_states), shape),
+                         np.broadcast_to(fam.u[s[1:], None, :], shape))
+
+    # the chain already runs with the dynamics
+    forward_table = step_table
+
+    def exact_law(self, orbit: "DoeblinOrbit", n: int) -> LatticeDistribution:
+        return self.step_table(orbit, n).law()
 
     def classify(self, grid_points: int = 97, grid_margin: float = 0.25,
                  J: tuple | None = None) -> ClassificationReport:
@@ -119,8 +136,6 @@ class DoeblinSystem:
             rho, res = _spectral_radius_certified(M)
             pf_radii.append(rho)
             max_res = max(max_res, res)
-        from .limits import PeriodicOperatorFamily
-
         pf = PeriodicOperatorFamily(tuple(cyc), n0, np.asarray(grid),
                                     np.asarray(pf_radii), 1.0, max_res)
         return lattice_classify(pf, self.family.lattice_h)
@@ -144,34 +159,52 @@ def compose_reversed(window: OmegaWindow, n: int, z: complex,
 
 
 class DoeblinOrbit:
-    """Invariant measure family and chain marginals along one window."""
+    """Invariant measure family and chain marginals along one window.
+
+    nu[j] and marginal[j] (rows of (n+1, q) arrays) are the laws of the state
+    at time j under the invariant family and under the configured start.
+    """
 
     def __init__(self, window: OmegaWindow, n: int, system: DoeblinSystem,
                  warmup: int = 64):
         self.window = window
         self.system = system
         fam = system.family
-        window.require(-warmup, n)
-        q = fam.n_states
-        nu = np.full(q, 1.0 / q)
-        for j in range(-warmup, 0):
-            nu = nu @ fam.kernels[window.symbol(j)]
-        self.nu = {0: nu / nu.sum()}
+        self.symbols = window.symbols(0, n)
+        kernels = fam.kernels[self.symbols[:n]]
+        nu = np.full(fam.n_states, 1.0 / fam.n_states)
+        for s in window.symbols(-warmup, -1):
+            nu = nu @ fam.kernels[s]
+        self.nu = np.empty((n + 1, fam.n_states))
+        self.nu[0] = nu / nu.sum()
         for j in range(n):
-            nxt = self.nu[j] @ fam.kernels[window.symbol(j)]
+            nxt = self.nu[j] @ kernels[j]
             self.nu[j + 1] = nxt / nxt.sum()
         if system.initial is None:
             self.marginal = self.nu
         else:
+            self.marginal = np.empty_like(self.nu)
             start = np.asarray(system.initial, dtype=float)
-            self.marginal = {0: start / start.sum()}
+            self.marginal[0] = start / start.sum()
             for j in range(n):
-                m = self.marginal[j] @ fam.kernels[window.symbol(j)]
-                self.marginal[j + 1] = m
+                self.marginal[j + 1] = self.marginal[j] @ kernels[j]
 
-    def step_mean(self, j: int) -> float:
-        s = self.window.symbol(j)
-        return float(self.marginal[j] @ self.system.family.u[s])
+    def step_means(self, k: int) -> np.ndarray:
+        """E u_{omega_j}(xi_j) for j < k."""
+        return np.einsum("jx,jx->j", self.marginal[:k], self.system.family.u[self.symbols[:k]])
+
+    def birkhoff_mean(self, k: int) -> float:
+        return float(self.step_means(k).sum())
+
+    def birkhoff_variance(self, k: int) -> float:
+        return self.system.exact_law(self, k).variance()
+
+    def constant_step_mean(self, n_check: int, tol: float = 1e-9):
+        """(is_constant, gamma, max_deviation) of the per-step means along the window."""
+        means = self.step_means(n_check)
+        gamma = float(np.mean(means))
+        max_dev = float(np.max(np.abs(means - gamma)))
+        return max_dev <= tol, gamma, max_dev
 
 
 def doeblin_contraction_coefficient(family: DoeblinFamily) -> float:
@@ -184,431 +217,3 @@ def doeblin_contraction_coefficient(family: DoeblinFamily) -> float:
                 tv = 0.5 * float(np.sum(np.abs(K[x] - K[y])))
                 worst = max(worst, tv)
     return worst
-
-
-def exact_doeblin_law(window: OmegaWindow, n: int, system: DoeblinSystem,
-                      orbit: DoeblinOrbit | None = None,
-                      state_budget: int = 10**7):
-    """Exact joint (state, value) table of (xi_n, S_n), S_n = sum_{j<n} u(xi_j).
-
-    Returns (dist, k0): dist[x, i] = P(xi_n = x, S_n = (k0 + i) h).
-    """
-    fam = system.family
-    if fam.lattice_h is None:
-        raise NotLattice("exact law needs lattice u tables")
-    h = fam.lattice_h
-    if orbit is None:
-        orbit = DoeblinOrbit(window, n, system)
-    q = fam.n_states
-    kints = {s: fam.u_ints(s) for s in range(fam.n_symbols)}
-    lo_b = hi_b = 0
-    lo, hi = 0, 0
-    for j in range(n):
-        k = kints[window.symbol(j)]
-        lo += int(k.min())
-        hi += int(k.max())
-        lo_b = min(lo_b, lo)
-        hi_b = max(hi_b, hi)
-    width = hi_b - lo_b + 1
-    if q * width > state_budget:
-        raise LatticeTooLarge(f"Doeblin DP needs {q * width} states")
-    cur = np.zeros((q, width))
-    origin = -lo_b
-    cur[:, origin] = orbit.marginal[0]
-    cur_lo = cur_hi = origin
-    for j in range(n):
-        s = window.symbol(j)
-        k = kints[s]
-        K = fam.kernels[s]
-        shifted = np.zeros_like(cur)
-        for x in range(q):
-            shifted[x, cur_lo + k[x]: cur_hi + k[x] + 1] = cur[x, cur_lo:cur_hi + 1]
-        cur = np.tensordot(K, shifted, axes=(0, 0))  # sum_x K[x, y] shifted[x, :]
-        cur_lo += int(k.min())
-        cur_hi += int(k.max())
-    return cur, lo_b
-
-
-def doeblin_char_spectral(window: OmegaWindow, n: int, t: float, system: DoeblinSystem,
-                          orbit: DoeblinOrbit | None = None) -> complex:
-    """E e^{itS_n} along one environment: mu^T D_0 K_0 D_1 ... K_{n-2} D_{n-1} 1."""
-    fam = system.family
-    if orbit is None:
-        orbit = DoeblinOrbit(window, n, system)
-    vec = orbit.marginal[0].astype(complex)
-    for j in range(n):
-        s = window.symbol(j)
-        vec = vec * np.exp(1j * t * fam.u[s])
-        if j < n - 1:
-            vec = vec @ fam.kernels[s]
-    return complex(vec.sum())
-
-
-def sample_doeblin_Sn(window: OmegaWindow, n: int, rng, system: DoeblinSystem,
-                      orbit: DoeblinOrbit | None = None, replicates: int = 1) -> np.ndarray:
-    """Chain sampler; rank-one kernels reduce to per-symbol-pair multinomials."""
-    fam = system.family
-    if orbit is None:
-        orbit = DoeblinOrbit(window, n, system)
-    rank_one = all(np.max(np.abs(K - K[0])) < 1e-15 for K in fam.kernels)
-    if rank_one and n > 1:
-        totals = np.zeros(replicates)
-        start = rng.choice(fam.n_states, size=replicates, p=orbit.marginal[0])
-        totals += fam.u[window.symbol(0)][start]
-        classes = {}
-        for j in range(1, n):
-            classes.setdefault((window.symbol(j - 1), window.symbol(j)), []).append(j)
-        for (s_prev, s), positions in classes.items():
-            row = fam.kernels[s_prev][0]
-            counts = rng.multinomial(len(positions), row, size=replicates)
-            totals += counts @ fam.u[s]
-        return totals
-    cum = np.cumsum(fam.kernels, axis=2)
-    cum[:, :, -1] = 1.0
-    states = rng.choice(fam.n_states, size=replicates, p=orbit.marginal[0])
-    totals = np.zeros(replicates)
-    for j in range(n):
-        s = window.symbol(j)
-        totals += fam.u[s][states]
-        if j < n - 1:
-            us = rng.random(replicates)
-            states = (us[:, None] > cum[s][states]).sum(axis=1)
-    return totals
-
-
-def doeblin_variance(window: OmegaWindow, n: int, system: DoeblinSystem,
-                     orbit: DoeblinOrbit | None = None) -> float:
-    dist, k0 = exact_doeblin_law(window, n, system, orbit)
-    h = system.family.lattice_h
-    probs = dist.sum(axis=0)
-    vals = (k0 + np.arange(len(probs))) * h
-    m = float(vals @ probs)
-    return float((vals - m) ** 2 @ probs)
-
-
-def _dvariance_task(args):
-    system, ww, n_list, n_max = args
-    orbit = DoeblinOrbit(ww.window, n_max, system)
-    return np.array([doeblin_variance(ww.window, n, system, orbit) for n in n_list])
-
-
-def doeblin_annealed_variance(system: DoeblinSystem, n_list, omega_samples: int,
-                              seed: int, strata_depth: int = 2, stream: int = 201,
-                              pmap=None):
-    n_list = sorted(int(n) for n in n_list)
-    n_max = n_list[-1]
-    ens = stratified_windows(system.chain, strata_depth, omega_samples,
-                             -WINDOW_MARGIN, n_max + 1, seed, stream)
-    parts = list((pmap or map)(_dvariance_task,
-                               [(system, ww, n_list, n_max) for ww in ens]))
-    total_w = sum(ww.weight for ww in ens)
-    Vbar = np.zeros(len(n_list))
-    for ww, vs in zip(ens, parts):
-        Vbar += ww.weight * vs
-    Vbar /= total_w
-    ns = np.asarray(n_list, dtype=float)
-    if len(n_list) > 1:
-        A = np.stack([np.ones_like(ns), ns], axis=1)
-        coef, *_ = np.linalg.lstsq(A, Vbar, rcond=None)
-        return float(coef[1]), list(Vbar)
-    return float(Vbar[0] / ns[0]), list(Vbar)
-
-
-@dataclass
-class DoeblinCltReport:
-    n_list: list
-    ks: list
-    sigma_sq: float
-    gamma: float
-    threshold: float
-    pooled_samples: int
-    passed: bool
-
-
-def _dclt_task(args):
-    system, ww, wi, n_list, n_max, seed, fiber_replicates = args
-    orbit = DoeblinOrbit(ww.window, n_max, system)
-    out = {}
-    for ni, n in enumerate(n_list):
-        rng = generator(seed, 204, ni, wi)
-        vals = sample_doeblin_Sn(ww.window, n, rng, system, orbit, fiber_replicates)
-        mean_n = sum(orbit.step_mean(j) for j in range(n))
-        out[n] = vals - mean_n
-    return out
-
-
-def doeblin_clt_test(system: DoeblinSystem, n_list, omega_samples: int,
-                     fiber_replicates: int, seed: int, ks_threshold: float = 0.02,
-                     strata_depth: int = 2, variance_n: tuple = (64, 128),
-                     pmap=None) -> DoeblinCltReport:
-    sigma_sq, _ = doeblin_annealed_variance(system, list(variance_n),
-                                            max(8, omega_samples // 8), seed,
-                                            strata_depth, stream=202, pmap=pmap)
-    if sigma_sq <= 1e-10:
-        raise DegenerateVariance(f"Doeblin variance slope {sigma_sq:.3e} degenerate")
-    n_list = sorted(int(n) for n in n_list)
-    n_max = n_list[-1]
-    ens = stratified_windows(system.chain, strata_depth, omega_samples,
-                             -WINDOW_MARGIN, n_max + 1, seed, stream=203)
-    parts = list((pmap or map)(_dclt_task,
-                               [(system, ww, wi, n_list, n_max, seed, fiber_replicates)
-                                for wi, ww in enumerate(ens)]))
-    ks_per_n = []
-    pooled = 0
-    for n in n_list:
-        xs = np.concatenate([p[n] for p in parts]) / math.sqrt(n)
-        ws = np.concatenate([np.full(len(p[n]), ww.weight / len(p[n]))
-                             for ww, p in zip(ens, parts)])
-        pooled = len(xs)
-        ks_per_n.append(weighted_ks(xs, ws, math.sqrt(sigma_sq)))
-    gamma = 0.0  # reported via renewal path when relevant
-    passed = ks_per_n[-1] < ks_threshold
-    return DoeblinCltReport(list(n_list), ks_per_n, sigma_sq, gamma, ks_threshold,
-                            pooled, passed)
-
-
-@dataclass
-class DoeblinLltReport:
-    n_list: list
-    sup_dev: list
-    sigma_sq: float
-    threshold: float
-    classifier: ClassificationReport
-    passed: bool
-
-
-def _dllt_task(args):
-    system, ww, n_list, n_max = args
-    orbit = DoeblinOrbit(ww.window, n_max, system)
-    h = system.family.lattice_h
-    out = {}
-    for n in n_list:
-        dist, k0 = exact_doeblin_law(ww.window, n, system, orbit)
-        probs = dist.sum(axis=0)
-        out[n] = (k0, probs)
-    return out
-
-
-def doeblin_llt_scan(system: DoeblinSystem, n_list, omega_samples: int, seed: int,
-                     a_halfwidth_sigmas: float = 4.0, threshold: float = 0.05,
-                     strata_depth: int = 2, pmap=None) -> DoeblinLltReport:
-    fam = system.family
-    h = fam.lattice_h
-    if h is None:
-        raise ClassifierFailed("Doeblin LLT scan is lattice-only")
-    cls = system.classify()
-    if not cls.passed:
-        raise ClassifierFailed(
-            f"Doeblin aperiodicity classification failed (gap {cls.min_gap:.2e})")
-    sigma_sq, _ = doeblin_annealed_variance(system, [64, 128], max(8, omega_samples // 8),
-                                            seed, strata_depth, stream=210, pmap=pmap)
-    n_list = sorted(int(n) for n in n_list)
-    n_max = n_list[-1]
-    ens = stratified_windows(system.chain, strata_depth, omega_samples,
-                             -WINDOW_MARGIN, n_max + 1, seed, stream=211)
-    parts = list((pmap or map)(_dllt_task,
-                               [(system, ww, n_list, n_max) for ww in ens]))
-    mixtures = {n: {} for n in n_list}
-    total_w = sum(ww.weight for ww in ens)
-    for ww, part in zip(ens, parts):
-        for n in n_list:
-            k0, probs = part[n]
-            mix = mixtures[n]
-            for i, p in enumerate(probs):
-                if p > 0:
-                    v = (k0 + i) * h
-                    mix[v] = mix.get(v, 0.0) + ww.weight * p
-    sups = []
-    for n in n_list:
-        vals = np.array(sorted(mixtures[n]))
-        ps = np.array([mixtures[n][v] for v in vals]) / total_w
-        mean = float(vals @ ps)
-        sd = math.sqrt(sigma_sq * n)
-        sel = np.abs(vals - mean) <= a_halfwidth_sigmas * sd
-        dev = np.abs(math.sqrt(2 * math.pi * sigma_sq * n) * ps[sel]
-                     - h * np.exp(-((vals[sel] - mean) ** 2) / (2 * sigma_sq * n)))
-        sups.append(float(np.max(dev)))
-    passed = sups[-1] < threshold
-    return DoeblinLltReport(list(n_list), sups, sigma_sq, threshold, cls, passed)
-
-
-@dataclass
-class DoeblinRenewalReport:
-    a_list: list
-    U: list
-    gamma: float
-    mu_f: float
-    target: float
-    rel_err_window: float | None
-    negative_side_max: float
-    truncation: int
-    passed: bool
-
-
-def _drenewal_task(args):
-    system, ww, truncation, a_list, fv, h = args
-    fam = system.family
-    orbit = DoeblinOrbit(ww.window, truncation, system)
-    mu_f = float(orbit.marginal[0] @ fv)
-    q = fam.n_states
-    kints = {s: fam.u_ints(s) for s in range(fam.n_symbols)}
-    lo_b = hi_b = 0
-    lo, hi = 0, 0
-    for j in range(truncation):
-        k = kints[ww.window.symbol(j)]
-        lo += int(k.min())
-        hi += int(k.max())
-        lo_b = min(lo_b, lo)
-        hi_b = max(hi_b, hi)
-    width = hi_b - lo_b + 1
-    cur = np.zeros((q, width))
-    cur[:, -lo_b] = orbit.marginal[0]
-    cur_lo = cur_hi = -lo_b
-    U = {a: 0.0 for a in a_list}
-    for n in range(1, truncation + 1):
-        s = ww.window.symbol(n - 1)
-        k = kints[s]
-        K = fam.kernels[s]
-        shifted = np.zeros_like(cur)
-        for x in range(q):
-            shifted[x, cur_lo + k[x]: cur_hi + k[x] + 1] = cur[x, cur_lo:cur_hi + 1]
-        cur = np.tensordot(K, shifted, axes=(0, 0))
-        cur_lo += int(k.min())
-        cur_hi += int(k.max())
-        weighted = fv @ cur  # f attached at the time-n chain state
-        for a in a_list:
-            idx = int(round(a / h)) - lo_b
-            if 0 <= idx < width:
-                U[a] += float(weighted[idx])
-    return mu_f, U
-
-
-def doeblin_renewal_curve(system: DoeblinSystem, a_list, truncation: int,
-                          omega_samples: int, seed: int, f_values=None,
-                          strata_depth: int = 2, rel_tol: float = 0.05,
-                          limit_window: tuple | None = None,
-                          negative_tol: float = 0.01,
-                          pmap=None) -> DoeblinRenewalReport:
-    """Truncated renewal sums with the f-weight attached at step n."""
-    fam = system.family
-    h = fam.lattice_h
-    if h is None:
-        raise ClassifierFailed("Doeblin renewal is lattice-only")
-    cls = system.classify()
-    if not cls.passed:
-        raise ClassifierFailed("Doeblin renewal needs the classifier to pass")
-    fv = np.ones(fam.n_states) if f_values is None else np.asarray(f_values, dtype=float)
-    if np.any(fv <= 0):
-        raise NonPositiveMean("f must be strictly positive")
-    ens = stratified_windows(system.chain, strata_depth, omega_samples,
-                             -WINDOW_MARGIN, truncation + 1, seed, stream=220)
-    # drift from the invariant family
-    probe = DoeblinOrbit(ens[0].window, truncation, system)
-    gammas = [probe.step_mean(j) for j in range(min(truncation, 64))]
-    gamma = float(np.mean(gammas))
-    if max(gammas) - min(gammas) > 1e-8:
-        raise NonPositiveMean("step mean is not constant along the orbit")
-    if gamma <= 0:
-        raise NonPositiveMean(f"renewal needs positive drift, got {gamma:.4f}")
-    sigma_sq, _ = doeblin_annealed_variance(system, [64, 128], 8, seed,
-                                            strata_depth, stream=221)
-    a_max = max(a_list)
-    n_cover = a_max / gamma
-    margin = 6.0 * math.sqrt(max(sigma_sq, 1e-12) * max(n_cover, 1.0)) / gamma + 5.0
-    if truncation < n_cover + margin:
-        raise TruncationInsufficient(
-            f"need N >= {n_cover + margin:.0f} for a <= {a_max}, got {truncation}")
-    tasks = [(system, ww, truncation, list(a_list), fv, h) for ww in ens]
-    parts = list((pmap or map)(_drenewal_task, tasks))
-    total_w = sum(ww.weight for ww in ens)
-    mu_f_vals = [p[0] for p in parts]
-    U = {a: 0.0 for a in a_list}
-    for ww, (_, Upart) in zip(ens, parts):
-        for a in a_list:
-            U[a] += ww.weight * Upart[a]
-    if max(mu_f_vals) - min(mu_f_vals) > 1e-8:
-        raise NonPositiveMean("mu(f) is not constant over environments")
-    mu_f = float(np.mean(mu_f_vals))
-    U = {a: u / total_w for a, u in U.items()}
-    target = mu_f * h / gamma
-    lw = limit_window or (2 * a_max // 3, a_max)
-    in_window = [a for a in a_list if lw[0] <= a <= lw[1]]
-    rel = max(abs(U[a] - target) / target for a in in_window) if in_window else None
-    neg = max((abs(U[a]) for a in a_list if a <= -10), default=0.0)
-    passed = (rel is None or rel < rel_tol) and neg < negative_tol
-    return DoeblinRenewalReport(list(a_list), [U[a] for a in a_list], gamma, mu_f,
-                                target, rel, neg, truncation, passed)
-
-
-def doeblin_rpf_and_limits(system: DoeblinSystem, experiment: str, **kwargs):
-    """Run one limit-theorem pipeline stage on a Doeblin family.
-
-    experiment selects among "clt", "llt", "renewal", "char"; keyword
-    arguments flow to the corresponding runner.  The eigendata of the reversed
-    cocycle is trivial at z = 0 (the kernels are Markov), so the pipeline goes
-    straight to the invariant family and exact laws.
-    """
-    dispatch = {
-        "clt": doeblin_clt_test,
-        "llt": doeblin_llt_scan,
-        "renewal": doeblin_renewal_curve,
-        "char": doeblin_char_identity,
-    }
-    if experiment not in dispatch:
-        raise ValueError(f"experiment must be one of {sorted(dispatch)}")
-    return dispatch[experiment](system, **kwargs)
-
-
-@dataclass
-class DoeblinCharReport:
-    grid: list
-    max_exact_spectral_gap: float
-    mc_within_band: bool
-    passed: bool
-
-
-def _dchar_task(args):
-    system, ww, wi, t_grid, n_list, n_max, seed, mc_replicates = args
-    fam = system.family
-    orbit = DoeblinOrbit(ww.window, n_max, system)
-    out = {}
-    for t in t_grid:
-        for n in n_list:
-            spec = doeblin_char_spectral(ww.window, n, t, system, orbit)
-            dist, k0 = exact_doeblin_law(ww.window, n, system, orbit)
-            probs = dist.sum(axis=0)
-            vals = (k0 + np.arange(len(probs))) * fam.lattice_h
-            four = complex(np.exp(1j * t * vals) @ probs)
-            rng = generator(seed, 231, wi, int(round(t * 4096)), n)
-            draws = sample_doeblin_Sn(ww.window, n, rng, system, orbit, mc_replicates)
-            phases = np.exp(1j * t * draws)
-            out[(float(t), int(n))] = (spec, four, complex(phases.mean()),
-                                       float((np.abs(phases - phases.mean()) ** 2).mean()
-                                             / len(draws)))
-    return out
-
-
-def doeblin_char_identity(system: DoeblinSystem, t_grid, n_list, omega_samples: int,
-                          mc_replicates: int, seed: int, strata_depth: int = 2,
-                          exact_tol: float = 1e-9, pmap=None) -> DoeblinCharReport:
-    """Spectral vs exact-law vs Monte-Carlo characteristic values on a grid."""
-    n_max = max(n_list)
-    ens = stratified_windows(system.chain, strata_depth, omega_samples,
-                             -WINDOW_MARGIN, n_max + 1, seed, stream=230)
-    tasks = [(system, ww, wi, list(t_grid), list(n_list), n_max, seed, mc_replicates)
-             for wi, ww in enumerate(ens)]
-    parts = list((pmap or map)(_dchar_task, tasks))
-    total_w = sum(ww.weight for ww in ens)
-    worst_gap = 0.0
-    mc_ok = True
-    grid = [(float(t), int(n)) for t in t_grid for n in n_list]
-    for key in grid:
-        spec = sum(ww.weight * p[key][0] for ww, p in zip(ens, parts)) / total_w
-        four = sum(ww.weight * p[key][1] for ww, p in zip(ens, parts)) / total_w
-        mc = sum(ww.weight * p[key][2] for ww, p in zip(ens, parts)) / total_w
-        var = sum((ww.weight ** 2) * p[key][3] for ww, p in zip(ens, parts)) / total_w**2
-        worst_gap = max(worst_gap, abs(spec - four))
-        if abs(mc - four) > 4.0 * math.sqrt(var) + 1e-12:
-            mc_ok = False
-    passed = worst_gap < exact_tol and mc_ok
-    return DoeblinCharReport(grid, worst_gap, mc_ok, passed)

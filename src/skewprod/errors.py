@@ -50,7 +50,7 @@ class UnsupportedXi(SkewprodError):
 
 
 class DepthShrink(SkewprodError):
-    """extend_depth cannot reduce the depth of a cylinder function."""
+    """CylinderFunction.extend cannot reduce the depth of a cylinder function."""
 
 
 class MissingSymbol(SkewprodError):
@@ -82,7 +82,11 @@ class GridTouchesExcludedPoint(SkewprodError):
 
 
 class NonPositiveMean(SkewprodError):
-    pass
+    """Renewal needs a positive drift and a strictly positive f."""
+
+
+class NonConstantMean(SkewprodError):
+    """Renewal needs a constant step mean and a constant mu(f) across environments."""
 
 
 class TruncationInsufficient(SkewprodError):
@@ -96,10 +100,3 @@ class DoeblinViolated(SkewprodError):
 class BranchAmbiguity(SkewprodError):
     """Pressure branch tracking needs a finer t-grid."""
 
-
-class JetOverflow(SkewprodError):
-    pass
-
-
-class NumericalFailure(SkewprodError):
-    """Catch-all for numerical breakdowns surfaced to the CLI (exit 3)."""

@@ -56,16 +56,6 @@ def word_index(word, d: int) -> int:
     return i
 
 
-def prepend_index(a: int, w_idx: int, d: int, k: int) -> int:
-    """Index of the depth-(k+1) word a.w given the depth-k index of w."""
-    return a * d**k + w_idx
-
-
-def drop_last_index(w_idx: int, d: int) -> int:
-    """Index of w[:-1] given the index of w (last symbol least significant)."""
-    return w_idx // d
-
-
 @lru_cache(maxsize=64)
 def first_disagreement(d: int, k: int) -> np.ndarray:
     """Matrix FD with FD[i, j] = first index where words i and j differ (k if equal)."""
@@ -187,10 +177,6 @@ class CylinderFunction:
 
     def __repr__(self):
         return f"CylinderFunction(depth={self.depth}, d={self.d})"
-
-
-def extend_depth(g: CylinderFunction, k_new: int) -> CylinderFunction:
-    return g.extend(k_new)
 
 
 def holder_seminorm_values(values: np.ndarray, d: int, depth: int, alpha: float) -> float:

@@ -1,12 +1,15 @@
 """Gibbs measures, exact lattice laws of Birkhoff sums, chains, characteristic functions.
 
-The z = 0 normalized matrices are row-action stochastic, so the dual action
-along the orbit is a Markov chain on fiber cylinders run against the dynamics
-(the trajectory read backwards).  The exact law of the n-step sum is a
-dynamic-programming convolution over (cylinder, lattice value) states driven
-by the per-branch kernels; sampling, spectral characteristic functions and
-the forward (renewal) sweep all consume the same kernels, which is what makes
-the three characteristic-function routes exactly comparable.
+Along one environment, both fiber models reduce to a `StepTable`: a start
+law with per-state start increments, then one row of (probability, target
+state, increment) branches per step.  For the symbolic model the z = 0
+normalized matrices are row-action stochastic, so the dual action along the
+orbit is a Markov chain on fiber cylinders run against the dynamics (the
+trajectory read backwards); the Doeblin model's chain runs forward.  The
+exact lattice law (a dynamic-programming convolution over (state, lattice
+value)), the forward (renewal) sweep, the sampler and the spectral
+characteristic function are written once against the table, which is what
+makes the three characteristic-function routes exactly comparable.
 """
 
 from __future__ import annotations
@@ -105,116 +108,160 @@ class LatticeDistribution:
                 fh.write(f"{v:.17g},{p:.17g}\n")
 
 
-def write_samples_csv(values, path):
-    """Plain-text CSV of sampler output, one float per row."""
-    with open(path, "w") as fh:
-        fh.write("value\n")
-        for v in np.asarray(values, dtype=float):
-            fh.write(f"{v:.17g}\n")
+@dataclass
+class StepTable:
+    """One environment's n-step walk as arrays, rows in processing order.
+
+    The start law puts state w at probability start[w] with the increment
+    start_u[w]; row i then moves state w to targets[i, w, b] with probability
+    probs[i, w, b], adding u[i, w, b].  probs, targets and u have shape
+    (steps, D, B); the first n - steps summands of S_n sit in the start.  h is
+    the lattice span of every increment, None when u is not lattice-valued.
+    """
+
+    n: int
+    h: float | None
+    start: np.ndarray
+    start_u: np.ndarray
+    probs: np.ndarray
+    targets: np.ndarray
+    u: np.ndarray
+
+    def sweep(self, weights=None, state_budget: int = STATE_BUDGET):
+        """Exact lattice DP: yields (m, joint, k0) at the start and after every row.
+
+        joint[w, i] is the mass of state w with S_m at lattice index k0 + i,
+        the start optionally weighted by `weights` (the renewal integrand f at
+        time zero).  joint views the active value range of a buffer the next
+        row overwrites.
+        """
+        if self.h is None:
+            raise NotLattice("exact lattice law needs declared lattice_h")
+        k_start = _lattice_ints(self.start_u, self.h)
+        k_steps = _lattice_ints(self.u, self.h)
+        steps, D, _ = self.probs.shape
+        lows = k_start.min() + np.concatenate([[0], np.cumsum(k_steps.min(axis=(1, 2)))])
+        highs = k_start.max() + np.concatenate([[0], np.cumsum(k_steps.max(axis=(1, 2)))])
+        base = int(lows.min())
+        width = int(highs.max()) - base + 1
+        if D * width > state_budget:
+            raise LatticeTooLarge(
+                f"lattice DP needs {D * width} states, budget {state_budget}")
+        start = self.start if weights is None else self.start * np.asarray(weights, dtype=float)
+        cur = np.zeros((D, width))
+        cur[np.arange(D), k_start - base] = start
+        nxt = np.zeros_like(cur)
+        lo, hi = int(lows[0]) - base, int(highs[0]) - base
+        m = self.n - steps
+        yield m, cur[:, lo:hi + 1], base + lo
+        probs, targets, shifts = self.probs.tolist(), self.targets.tolist(), k_steps.tolist()
+        for i in range(steps):
+            new_lo, new_hi = int(lows[i + 1]) - base, int(highs[i + 1]) - base
+            nxt[:, new_lo:new_hi + 1] = 0.0
+            for w in range(D):
+                row = cur[w, lo:hi + 1]
+                for p, t, k in zip(probs[i][w], targets[i][w], shifts[i][w]):
+                    if p != 0.0:
+                        nxt[t, lo + k: hi + k + 1] += p * row
+            cur, nxt = nxt, cur
+            lo, hi = new_lo, new_hi
+            m += 1
+            yield m, cur[:, lo:hi + 1], base + lo
+
+    def law(self, state_budget: int = STATE_BUDGET) -> LatticeDistribution:
+        """Exact law of S_n (mass 1 up to rounding)."""
+        for _, joint, k0 in self.sweep(state_budget=state_budget):
+            pass
+        return LatticeDistribution(self.h, k0, joint.sum(axis=0), self.n).trim()
+
+    def sample(self, rng, replicates: int = 1) -> np.ndarray:
+        """Unbiased draws of S_n.
+
+        When no step depends on the state (r = 1 fibers, rank-one kernels) the
+        rows are grouped by their step law and each group is drawn as
+        multinomial counts, groups in the order of their last row; otherwise
+        the chain runs row by row, vectorized over replicates.
+        """
+        steps, D, _ = self.probs.shape
+        states = np.zeros(replicates, dtype=np.int64) if D == 1 else \
+            rng.choice(D, size=replicates, p=self.start)
+        totals = self.start_u[states]
+        if np.all(self.probs == self.probs[:, :1]) and np.all(self.u == self.u[:, :1]):
+            laws = np.concatenate([self.probs[::-1, 0], self.u[::-1, 0]], axis=1)
+            _, first, counts = np.unique(laws, axis=0, return_index=True, return_counts=True)
+            for g in np.argsort(first):
+                i = steps - 1 - first[g]
+                draws = rng.multinomial(counts[g], self.probs[i, 0], size=replicates)
+                totals += draws @ self.u[i, 0]
+            return totals
+        cum = np.cumsum(self.probs, axis=2)
+        cum[:, :, -1] = 1.0
+        for i in range(steps):
+            us = rng.random(replicates)
+            branch = (us[:, None] > cum[i, states]).sum(axis=1)
+            totals += self.u[i, states, branch]
+            states = self.targets[i, states, branch]
+        return totals
+
+    def char_function(self, ts) -> np.ndarray:
+        """Spectral E exp(i t S_n) for each t: the twisted rows applied to 1,
+        paired with the start law."""
+        ts = np.asarray(ts, dtype=float).reshape(-1, 1, 1)
+        vec = np.ones((len(ts), self.probs.shape[1]), dtype=complex)
+        for i in range(self.probs.shape[0] - 1, -1, -1):
+            twisted = self.probs[i] * np.exp(1j * ts * self.u[i])
+            vec = np.sum(twisted * vec[:, self.targets[i]], axis=2)
+        return np.sum(self.start * np.exp(1j * ts[:, :, 0] * self.start_u) * vec, axis=1)
 
 
-def _step_tables(orbit: SystemOrbit, n: int, center: float):
-    """Per-step branch probabilities, targets and integer value shifts."""
-    pot = orbit.pot
-    if pot.lattice_h is None:
-        raise NotLattice("exact lattice law needs declared lattice_h")
-    h = pot.lattice_h
-    c_mult = center / h
-    if abs(c_mult - round(c_mult)) > 1e-12:
-        raise NotLattice("center must be an integer multiple of lattice_h")
-    c_int = int(round(c_mult))
-    steps = []
-    for j in range(n):
-        probs, targets, uvals = orbit.branch_kernel(j)
-        ku = np.round(uvals / h).astype(np.int64)
-        if np.max(np.abs(uvals / h - ku)) > 1e-12:
-            raise NotLattice("u values drifted off the lattice")
-        steps.append((probs, targets, ku - c_int))
-    return steps, h
+def _lattice_ints(values: np.ndarray, h: float) -> np.ndarray:
+    k = np.round(values / h).astype(np.int64)
+    if np.max(np.abs(values / h - k), initial=0.0) > 1e-12:
+        raise NotLattice("u values drifted off the lattice")
+    return k
+
+
+def symbolic_step_table(orbit: SystemOrbit, n: int) -> StepTable:
+    """The cylinder chain read backwards: start at the Gibbs weights mu_n,
+    rows j = n-1, ..., 0 with the z = 0 branch kernels."""
+    probs, targets, u = (a[:n][::-1] for a in orbit.kernel_arrays())
+    return StepTable(n, orbit.pot.lattice_h, orbit.mu[n], np.zeros(len(orbit.mu[n])),
+                     probs, targets, u)
+
+
+def symbolic_forward_table(orbit: SystemOrbit, n: int) -> StepTable:
+    """The same sum run with the dynamics: start at mu_0, rows j = 0, ..., n-1.
+
+    Row j is the Bayes reversal of branch kernel j: from cylinder w the
+    trajectory extends by fiber symbol b to (w shifted, b), and the increment
+    reads the depth-r word w.b.  For r = 1 the chain is stateless and the
+    kernels coincide.
+    """
+    probs, targets, u = (a[:n] for a in orbit.kernel_arrays())
+    d, r, D = orbit.model.d, orbit.model.r, orbit.model.space_dim
+    if r > 1:
+        w = np.arange(D)[:, None]
+        w_next = (w * d + np.arange(d)[None, :]) % D
+        a = np.broadcast_to(w // d ** (r - 2), w_next.shape)
+        mu = np.stack([orbit.mu[j] for j in range(n + 1)])
+        mu_now = mu[:n, :, None]
+        fk = probs[:, w_next, a] * mu[1:, w_next]
+        fk = np.divide(fk, mu_now, out=np.zeros_like(fk), where=mu_now > 0)
+        row = fk.sum(axis=2, keepdims=True)
+        row[row == 0] = 1.0
+        probs = fk / row
+        u = u[:, w_next, a]
+        targets = np.broadcast_to(w_next, probs.shape)
+    return StepTable(n, orbit.pot.lattice_h, orbit.mu[0], np.zeros(D), probs, targets, u)
 
 
 def exact_Sn_distribution(window: OmegaWindow, n: int, pot: PotentialTable,
-                          model: FiberModel, center: float = 0.0,
-                          orbit: SystemOrbit | None = None,
+                          model: FiberModel, orbit: SystemOrbit | None = None,
                           state_budget: int = STATE_BUDGET) -> LatticeDistribution:
-    """Exact law of the n-step sum minus n*center under the Gibbs start.
-
-    Backward dynamic programming over (cylinder, lattice value): the chain
-    starts from the Gibbs weights at the n-th shift and extends to the past
-    with the z = 0 branch kernels, accumulating u one step at a time.  Mass
-    stays exactly 1.
-    """
+    """Exact law of the n-step sum under the Gibbs start (the backward step table's DP)."""
     if orbit is None:
         orbit = SystemOrbit(window, 0, n, pot, model)
-    steps, h = _step_tables(orbit, n, center)
-    D = model.space_dim
-    order = list(range(n - 1, -1, -1))
-    glob_lo, glob_hi = _partial_bounds(steps, order)
-    width = glob_hi - glob_lo + 1
-    if D * width > state_budget:
-        raise LatticeTooLarge(
-            f"lattice DP needs {D * width} states, budget {state_budget}")
-    cur = np.zeros((D, width))
-    origin = -glob_lo  # index of lattice value 0
-    cur[:, origin] = orbit.mu[n]
-    lo = hi = origin
-    nxt = np.zeros_like(cur)
-    for j in order:
-        probs, targets, ku = steps[j]
-        step_lo, step_hi = int(ku.min()), int(ku.max())
-        nxt[:, lo + step_lo: hi + step_hi + 1] = 0.0
-        for w in range(D):
-            row = cur[w, lo:hi + 1]
-            for a in range(probs.shape[1]):
-                p = probs[w, a]
-                if p == 0.0:
-                    continue
-                shift = int(ku[w, a])
-                nxt[targets[w, a], lo + shift: hi + shift + 1] += p * row
-        cur, nxt = nxt, cur
-        lo += step_lo
-        hi += step_hi
-    values = cur.sum(axis=0)
-    return LatticeDistribution(h, glob_lo, values, n).trim()
-
-
-def _partial_bounds(steps, order):
-    """Worst-case lattice index range over every prefix of the processing order."""
-    lo = hi = 0
-    glob_lo = glob_hi = 0
-    for j in order:
-        ku = steps[j][2]
-        lo += int(ku.min())
-        hi += int(ku.max())
-        glob_lo = min(glob_lo, lo)
-        glob_hi = max(glob_hi, hi)
-    return glob_lo, glob_hi
-
-
-def exact_joint_distribution(window: OmegaWindow, n: int, pot: PotentialTable,
-                             model: FiberModel, orbit: SystemOrbit | None = None):
-    """Joint (origin cylinder, lattice value) table of the n-step DP (tests)."""
-    if orbit is None:
-        orbit = SystemOrbit(window, 0, n, pot, model)
-    steps, h = _step_tables(orbit, n, 0.0)
-    D = model.space_dim
-    order = list(range(n - 1, -1, -1))
-    glob_lo, glob_hi = _partial_bounds(steps, order)
-    cur = np.zeros((D, glob_hi - glob_lo + 1))
-    cur[:, -glob_lo] = orbit.mu[n]
-    lo = hi = -glob_lo
-    for j in order:
-        probs, targets, ku = steps[j]
-        nxt = np.zeros_like(cur)
-        for w in range(D):
-            row = cur[w, lo:hi + 1]
-            for a in range(probs.shape[1]):
-                shift = int(ku[w, a])
-                nxt[targets[w, a], lo + shift: hi + shift + 1] += probs[w, a] * row
-        cur = nxt
-        lo += int(ku.min())
-        hi += int(ku.max())
-    return cur, glob_lo, h
+    return symbolic_step_table(orbit, n).law(state_budget)
 
 
 def char_function_spectral(window: OmegaWindow, n: int, t: float, pot: PotentialTable,
@@ -222,152 +269,16 @@ def char_function_spectral(window: OmegaWindow, n: int, t: float, pot: Potential
     """Quenched characteristic value: Gibbs weights at shift n against the twisted cocycle."""
     if orbit is None:
         orbit = SystemOrbit(window, 0, n, pot, model)
-    vec = np.ones(model.space_dim, dtype=complex)
-    for j in range(n):
-        vec = orbit.normalized_matrix(j, 1j * t) @ vec
-    return complex(orbit.mu[n] @ vec)
+    return complex(symbolic_step_table(orbit, n).char_function([t])[0])
 
 
 def sample_Sn(window: OmegaWindow, n: int, seed, pot: PotentialTable, model: FiberModel,
               orbit: SystemOrbit | None = None, replicates: int = 1) -> np.ndarray:
-    """Unbiased samples of the n-step sum under the Gibbs start.
-
-    Runs the cylinder chain (trajectory read backwards) with the z = 0 branch
-    kernels, accumulating u values; vectorized over replicates.
-    """
+    """Unbiased samples of the n-step sum under the Gibbs start."""
     rng = seed if isinstance(seed, np.random.Generator) else generator(seed)
     if orbit is None:
         orbit = SystemOrbit(window, 0, n, pot, model)
-    D = model.space_dim
-    states = rng.choice(D, size=replicates, p=orbit.mu[n])
-    totals = np.zeros(replicates)
-    for j in range(n - 1, -1, -1):
-        probs, targets, uvals = orbit.branch_kernel(j)
-        cum = np.cumsum(probs, axis=1)
-        cum[:, -1] = 1.0
-        us = rng.random(replicates)
-        branch = (us[:, None] > cum[states]).sum(axis=1)
-        totals += uvals[states, branch]
-        states = targets[states, branch]
-    return totals
-
-
-def trajectory_cylinder_probs_forward(orbit: SystemOrbit, m: int) -> np.ndarray:
-    """Law of the depth-m cylinder at the window origin, via deep functional descent."""
-    d = orbit.model.d
-    n_words = d**m
-    out = np.empty(n_words)
-    for w in range(n_words):
-        ind = np.zeros(n_words)
-        ind[w] = 1.0
-        out[w] = orbit.mu_deep(0, ind, m)
-    return out
-
-
-def trajectory_cylinder_probs_reversed(orbit: SystemOrbit, m: int) -> np.ndarray:
-    """Same law from the reversed-chain construction (distributional equality check)."""
-    d, r = orbit.model.d, orbit.model.r
-    D = orbit.model.space_dim
-    n_steps = m - (r - 1)
-    if n_steps < 0:
-        raise NotLattice("depth must be at least r-1")
-    n_words = d**m
-    out = np.empty(n_words)
-    for w in range(n_words):
-        # cylinder states along the trajectory: w_j = symbols j..j+r-2
-        idx = lambda j: (w // d ** (m - j - (r - 1))) % D if r > 1 else 0
-        p = orbit.mu[n_steps][idx(n_steps)]
-        for j in range(n_steps - 1, -1, -1):
-            probs, targets, _ = orbit.branch_kernel(j)
-            a = (w // d ** (m - j - 1)) % d  # fiber symbol at coordinate j
-            p *= probs[idx(j + 1), a]
-        out[w] = p
-    return out
-
-
-# ---------------------------------------------------------------------------
-# forward sweep (renewal accumulation)
-
-
-def forward_kernels(orbit: SystemOrbit, j: int):
-    """Bayes-reversed (dynamics-forward) transition kernel at step j.
-
-    fk[w, b]: probability the trajectory extends by fiber symbol b given the
-    current cylinder w; next state is (w shifted, b), the u increment reads
-    the depth-r word w.b.  Rows renormalized against rounding drift.
-    """
-    probs, targets, uvals = orbit.branch_kernel(j)
-    d, D = orbit.model.d, orbit.model.space_dim
-    if orbit.model.r == 1:
-        # stateless chain: forward and backward kernels coincide
-        return probs.copy(), targets.copy(), uvals.copy()
-    mu_j = orbit.mu[j]
-    mu_j1 = orbit.mu[j + 1]
-    fk = np.empty((D, d))
-    nxt = np.empty((D, d), dtype=np.int64)
-    ku = np.empty((D, d))
-    for w in range(D):
-        a = w // (d ** (orbit.model.r - 2))
-        for b in range(d):
-            w_next = (w * d + b) % D
-            fk[w, b] = probs[w_next, a] * mu_j1[w_next] / mu_j[w] if mu_j[w] > 0 else 0.0
-            nxt[w, b] = w_next
-            ku[w, b] = uvals[w_next, a]
-    row = fk.sum(axis=1, keepdims=True)
-    row[row == 0] = 1.0
-    fk /= row
-    return fk, nxt, ku
-
-
-def forward_value_sweep(window: OmegaWindow, n_max: int, pot: PotentialTable,
-                        model: FiberModel, orbit: SystemOrbit | None = None,
-                        f_weights: np.ndarray | None = None,
-                        state_budget: int = STATE_BUDGET):
-    """Generator of (n, value_probs, k0) for n = 1..n_max in one forward sweep.
-
-    The state distribution starts at the origin Gibbs weights (optionally
-    f-weighted, the renewal integrand attaching f at time zero) and extends
-    forward with the Bayes kernels; the yielded arrays are the (sub)probability
-    masses of the n-step sum on lattice indices k0 + i.
-    """
-    if orbit is None:
-        orbit = SystemOrbit(window, 0, n_max, pot, model)
-    if pot.lattice_h is None:
-        raise NotLattice("forward sweep needs lattice tables")
-    h = pot.lattice_h
-    D = model.space_dim
-    kernels = []
-    for j in range(n_max):
-        fk, nxt, ku = forward_kernels(orbit, j)
-        ki = np.round(ku / h).astype(np.int64)
-        if np.max(np.abs(ku / h - ki)) > 1e-12:
-            raise NotLattice("u values drifted off the lattice")
-        kernels.append((fk, nxt, ki))
-    order = list(range(n_max))
-    glob_lo, glob_hi = _partial_bounds(kernels, order)
-    width = glob_hi - glob_lo + 1
-    if D * width > state_budget:
-        raise LatticeTooLarge(f"forward sweep needs {D * width} states")
-    cur = np.zeros((D, width))
-    origin = -glob_lo
-    start = orbit.mu[0] if f_weights is None else orbit.mu[0] * np.asarray(f_weights)
-    cur[:, origin] = start
-    lo = hi = origin
-    for n in range(1, n_max + 1):
-        fk, nxt, ki = kernels[n - 1]
-        new = np.zeros_like(cur)
-        for w in range(D):
-            row = cur[w, lo:hi + 1]
-            for b in range(fk.shape[1]):
-                p = fk[w, b]
-                if p == 0.0:
-                    continue
-                shift = int(ki[w, b])
-                new[nxt[w, b], lo + shift: hi + shift + 1] += p * row
-        cur = new
-        lo += int(ki.min())
-        hi += int(ki.max())
-        yield n, cur.sum(axis=0), glob_lo
+    return symbolic_step_table(orbit, n).sample(rng, replicates)
 
 
 # ---------------------------------------------------------------------------
@@ -412,21 +323,3 @@ def variance_curve(window: OmegaWindow, n_list, pot: PotentialTable, model: Fibe
         sigma_sq = float(vs[0] / ns[0])
     return VarianceReport(n_list, V, V_lat, sigma_sq, float(coef[0]),
                           degenerate=sigma_sq < degenerate_tol)
-
-
-def constant_step_mean(orbit: SystemOrbit, n_check: int, tol: float = 1e-9):
-    """(is_constant, gamma, max_deviation) of the per-step conditional means.
-
-    The lattice limit theorems need the per-step Gibbs mean pinned to a
-    constant; this checks the conditional one-step means along the window.
-    """
-    means = []
-    devs = []
-    for j in range(n_check):
-        stepped = np.real(orbit.deep_apply_normalized(j, orbit.u_at(j), orbit.model.r))
-        m = float(orbit.mu[j + 1] @ stepped)
-        means.append(m)
-        devs.append(float(np.max(np.abs(stepped - m))))
-    gamma = float(np.mean(means))
-    max_dev = max(max(devs), max(abs(m - gamma) for m in means))
-    return max_dev <= tol, gamma, max_dev

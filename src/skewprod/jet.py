@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import JetOverflow
-
 
 class Jet2:
     __slots__ = ("v", "d1", "d2")
@@ -89,12 +87,6 @@ def jet_vecmat(vjet: Jet2, mjet: Jet2) -> Jet2:
                 vjet.d2 @ mjet.v + 2.0 * (vjet.d1 @ mjet.d1) + vjet.v @ mjet.d2)
 
 
-def jet_matvec(mjet: Jet2, vjet: Jet2) -> Jet2:
-    return Jet2(mjet.v @ vjet.v,
-                mjet.d1 @ vjet.v + mjet.v @ vjet.d1,
-                mjet.d2 @ vjet.v + 2.0 * (mjet.d1 @ vjet.d1) + mjet.v @ vjet.d2)
-
-
 def jet_dot(vjet: Jet2, w: np.ndarray) -> Jet2:
     """Jet vector dotted with a constant vector."""
     return Jet2(vjet.v @ w, vjet.d1 @ w, vjet.d2 @ w)
@@ -102,10 +94,3 @@ def jet_dot(vjet: Jet2, w: np.ndarray) -> Jet2:
 
 def jet_sum(vjet: Jet2) -> Jet2:
     return Jet2(np.sum(vjet.v), np.sum(vjet.d1), np.sum(vjet.d2))
-
-
-def check_finite(jet: Jet2):
-    for comp in (jet.v, jet.d1, jet.d2):
-        if not np.all(np.isfinite(comp)):
-            raise JetOverflow("jet component overflowed; rescaling ledger exhausted")
-    return jet

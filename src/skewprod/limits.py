@@ -6,10 +6,13 @@ depth, weighted by their exact probabilities, so estimators stay unbiased and
 bit-reproducible).  The lattice/aperiodicity classifier gates the LLT and
 renewal runs through the twisted operators at one periodic base orbit.
 
-Every runner accepts `pmap`, an ordered map (builtin map by default, a
-process-pool map under the CLI's --workers): per-environment tasks are pure
-functions of (instance, window, derived seed), and reductions run in ensemble
-order, so results are identical for any worker count.
+The runners take any system that builds per-environment step tables (see
+`gibbs.StepTable`): the symbolic skew product below or the Doeblin chain of
+`doeblin.DoeblinSystem`.  Every runner accepts `pmap`, an ordered map
+(builtin map by default, a process-pool map under the CLI's --workers):
+per-environment tasks are pure functions of (instance, window, derived
+seed), and reductions run in ensemble order, so results are identical for
+any worker count.
 """
 
 from __future__ import annotations
@@ -33,15 +36,17 @@ from .errors import (
     ClassifierFailed,
     DegenerateVariance,
     GridTouchesExcludedPoint,
+    NonConstantMean,
     NonPositiveMean,
     TruncationInsufficient,
 )
 from .fiber import FiberModel, PotentialTable, word_table
 from .gibbs import (
-    constant_step_mean,
+    LatticeDistribution,
+    StepTable,
     exact_Sn_distribution,
-    forward_value_sweep,
-    sample_Sn,
+    symbolic_forward_table,
+    symbolic_step_table,
 )
 from .rpf import SystemOrbit, lambda_sequence
 from .seeding import generator
@@ -217,15 +222,35 @@ def lattice_classify(pf: PeriodicOperatorFamily, h: float | None,
 
 @dataclass
 class SymbolicSystem:
-    """A configured instance: base chain, fiber model, potential tables."""
+    """A configured instance: base chain, fiber model, potential tables.
+
+    The runners below use any system with this interface: `chain`,
+    `lattice_h`, `orbit(window, n)` (exact per-environment means, variances
+    and step-mean checks), `classify`, `step_table` / `forward_table` (the
+    n-step sum as a `StepTable`, read backwards or with the dynamics) and
+    `exact_law`.
+    """
 
     chain: BaseSymbolChain
     model: FiberModel
     pot: PotentialTable
     periodic_cycle: tuple = (0,)
 
+    @property
+    def lattice_h(self) -> float | None:
+        return self.pot.lattice_h
+
     def orbit(self, window: OmegaWindow, n: int, **kw) -> SystemOrbit:
         return SystemOrbit(window, 0, n, self.pot, self.model, **kw)
+
+    def step_table(self, orbit: SystemOrbit, n: int) -> StepTable:
+        return symbolic_step_table(orbit, n)
+
+    def forward_table(self, orbit: SystemOrbit, n: int) -> StepTable:
+        return symbolic_forward_table(orbit, n)
+
+    def exact_law(self, orbit: SystemOrbit, n: int) -> LatticeDistribution:
+        return exact_Sn_distribution(orbit.window, n, self.pot, self.model, orbit=orbit)
 
     def classify(self, grid_points: int = 97, grid_margin: float = 0.25,
                  J: tuple | None = None) -> ClassificationReport:
@@ -241,7 +266,7 @@ def _variance_task(args):
     return np.array([orbit.birkhoff_variance(n) for n in n_list])
 
 
-def annealed_variance(system: SymbolicSystem, n_list, omega_samples: int, seed: int,
+def annealed_variance(system, n_list, omega_samples: int, seed: int,
                       strata_depth: int = 2, stream: int = 101, pmap=None):
     """Mean exact V_n over the environment ensemble and its fitted slope.
 
@@ -298,35 +323,18 @@ class CltReport:
     degenerate_max_abs: float | None = None
 
 
-def _fast_sample(system: SymbolicSystem, window: OmegaWindow, n: int,
-                 rng, orbit: SystemOrbit, replicates: int) -> np.ndarray:
-    """Exact S_n sampler; r = 1 aggregates i.i.d. steps by symbol counts."""
-    model, pot = system.model, system.pot
-    if model.space_dim != 1:
-        return sample_Sn(window, n, rng, pot, model, orbit=orbit, replicates=replicates)
-    totals = np.zeros(replicates)
-    keys = {}
-    for j in range(n):
-        keys.setdefault(orbit.factory0.key_at(j), []).append(j)
-    for key, positions in keys.items():
-        probs, _, uvals = orbit.branch_kernel(positions[0])
-        counts = rng.multinomial(len(positions), probs[0], size=replicates)
-        totals += counts @ uvals[0]
-    return totals
-
-
 def _clt_task(args):
     system, ww, wi, n_list, n_max, seed, fiber_replicates = args
     orbit = system.orbit(ww.window, n_max)
     out = {}
     for ni, n in enumerate(n_list):
         rng = generator(seed, 103, ni, wi)
-        vals = _fast_sample(system, ww.window, n, rng, orbit, fiber_replicates)
+        vals = system.step_table(orbit, n).sample(rng, fiber_replicates)
         out[n] = vals - orbit.birkhoff_mean(n)
     return out
 
 
-def clt_test(system: SymbolicSystem, n_list, omega_samples: int, fiber_replicates: int,
+def clt_test(system, n_list, omega_samples: int, fiber_replicates: int,
              seed: int, ks_threshold: float = 0.02, strata_depth: int = 2,
              variance_n: tuple = (64, 128, 256), expect_degenerate: bool = False,
              degenerate_tol: float = 1e-10, pmap=None) -> CltReport:
@@ -368,8 +376,7 @@ def _clt_degenerate_task(args):
     system, ww, wi, n, seed, reps = args
     orbit = system.orbit(ww.window, n)
     rng = generator(seed, 105, wi)
-    vals = _fast_sample(system, ww.window, n, rng, orbit, reps)
-    vals = vals - orbit.birkhoff_mean(n)
+    vals = system.step_table(orbit, n).sample(rng, reps) - orbit.birkhoff_mean(n)
     return float(np.max(np.abs(vals)) / math.sqrt(n))
 
 
@@ -395,7 +402,7 @@ def _mixture_task(args):
     orbit = system.orbit(ww.window, n_max)
     out = {}
     for n in n_list:
-        dist = exact_Sn_distribution(ww.window, n, system.pot, system.model, orbit=orbit)
+        dist = system.exact_law(orbit, n)
         vals = dist.values()
         if center_by_mean:
             vals = (vals - dist.mean()) / scale_map[n]
@@ -467,7 +474,7 @@ class LltReport:
     passed: bool
 
 
-def llt_scan(system: SymbolicSystem, n_list, omega_samples: int, seed: int,
+def llt_scan(system, n_list, omega_samples: int, seed: int,
              a_halfwidth_sigmas: float = 4.0, threshold: float = 0.05,
              strata_depth: int = 2, classifier_grid_points: int = 97,
              grid_margin: float = 0.25, pmap=None) -> LltReport:
@@ -479,7 +486,7 @@ def llt_scan(system: SymbolicSystem, n_list, omega_samples: int, seed: int,
     ClassifierFailed propagates; scans over a run within a_halfwidth_sigmas
     standard deviations, where the statement is sharp.
     """
-    h = system.pot.lattice_h
+    h = system.lattice_h
     if h is None:
         raise ClassifierFailed("LLT scan is lattice-only in v1")
     cls = system.classify(classifier_grid_points, grid_margin)
@@ -532,15 +539,19 @@ class RenewalReport:
 
 
 def _renewal_task(args):
-    system, ww, truncation, a_list, fw, h = args
+    system, ww, truncation, a_list, f_weights, h = args
     orbit = system.orbit(ww.window, truncation)
-    mu_f = float(orbit.mu[0] @ fw)
+    table = system.forward_table(orbit, truncation)
+    fw = np.ones(len(table.start)) if f_weights is None else np.asarray(f_weights, dtype=float)
+    mu_f = float(table.start @ fw)
     U = {a: 0.0 for a in a_list}
     U_abel = {a: 0.0 for a in a_list}
     # Abel cross-check weights the same series by rho^{n-1}, rho = 1 - 1/N
     rho = 1.0 - 1.0 / truncation
-    for n, vals, k0 in forward_value_sweep(ww.window, truncation, system.pot,
-                                           system.model, orbit=orbit, f_weights=fw):
+    for n, joint, k0 in table.sweep(fw):
+        if n == 0:
+            continue
+        vals = joint.sum(axis=0)
         w_abel = rho ** (n - 1)
         for a in a_list:
             k = int(round(a / h)) - k0
@@ -550,7 +561,7 @@ def _renewal_task(args):
     return mu_f, U, U_abel
 
 
-def renewal_curve(system: SymbolicSystem, a_list, truncation: int, omega_samples: int,
+def renewal_curve(system, a_list, truncation: int, omega_samples: int,
                   seed: int, f_weights=None, strata_depth: int = 2,
                   rel_tol: float = 0.05, limit_window: tuple | None = None,
                   classifier_grid_points: int = 97, grid_margin: float = 0.25,
@@ -561,7 +572,7 @@ def renewal_curve(system: SymbolicSystem, a_list, truncation: int, omega_samples
     drift gamma comes from the validated constant step mean; the limit along
     a -> +infinity is mu(f) h / gamma (h mass per lattice point).
     """
-    h = system.pot.lattice_h
+    h = system.lattice_h
     if h is None:
         raise ClassifierFailed("renewal verification is lattice-only in v1")
     cls = system.classify(classifier_grid_points, grid_margin)
@@ -571,9 +582,9 @@ def renewal_curve(system: SymbolicSystem, a_list, truncation: int, omega_samples
                                -WINDOW_MARGIN, truncation + WINDOW_MARGIN + 1,
                                seed, stream=130)
     orbit0 = system.orbit(probe[0].window, min(truncation, 32))
-    ok, gamma, dev = constant_step_mean(orbit0, min(truncation, 32))
+    ok, gamma, dev = orbit0.constant_step_mean(min(truncation, 32))
     if not ok:
-        raise NonPositiveMean(f"step mean not constant (max deviation {dev:.2e})")
+        raise NonConstantMean(f"step mean not constant (max deviation {dev:.2e})")
     if gamma <= 0:
         raise NonPositiveMean(f"renewal needs positive drift, got gamma = {gamma:.4f}")
     sigma_sq, _, _, _ = annealed_variance(system, [64, 128], 8, seed, strata_depth,
@@ -587,16 +598,14 @@ def renewal_curve(system: SymbolicSystem, a_list, truncation: int, omega_samples
     ens = stratified_windows(system.chain, strata_depth, omega_samples,
                              -WINDOW_MARGIN, truncation + WINDOW_MARGIN + 1,
                              seed, stream=132)
-    D = system.model.space_dim
-    fw = np.ones(D) if f_weights is None else np.asarray(f_weights, dtype=float)
-    if np.any(fw <= 0):
+    if f_weights is not None and np.any(np.asarray(f_weights, dtype=float) <= 0):
         raise NonPositiveMean("f must be strictly positive")
-    tasks = [(system, ww, truncation, list(a_list), fw, h) for ww in ens]
+    tasks = [(system, ww, truncation, list(a_list), f_weights, h) for ww in ens]
     partials = _ordered_map(pmap, _renewal_task, tasks)
     total_w = sum(ww.weight for ww in ens)
     mu_f_vals = [p[0] for p in partials]
     if max(mu_f_vals) - min(mu_f_vals) > 1e-8:
-        raise NonPositiveMean("mu(f) is not constant over environments")
+        raise NonConstantMean("mu(f) is not constant over environments")
     mu_f = float(np.mean(mu_f_vals))
     U = {a: 0.0 for a in a_list}
     U_abel = {a: 0.0 for a in a_list}
@@ -642,23 +651,20 @@ def _char_task(args):
     system, ww, wi, t_grid, n_list, n_max, seed, mc_replicates = args
     orbit = system.orbit(ww.window, n_max)
     out = {}
-    for t in t_grid:
-        for n in n_list:
-            from .gibbs import char_function_spectral
-
-            spec = char_function_spectral(ww.window, n, t, system.pot, system.model, orbit)
-            dist = exact_Sn_distribution(ww.window, n, system.pot, system.model,
-                                         orbit=orbit)
-            four = dist.char_function(t)
+    for n in n_list:
+        table = system.step_table(orbit, n)
+        spec = table.char_function(t_grid)
+        dist = system.exact_law(orbit, n)
+        for t, spec_t in zip(t_grid, spec):
             rng = generator(seed, 303, wi, int(round(t * 4096)), n)
-            draws = _fast_sample(system, ww.window, n, rng, orbit, mc_replicates)
+            draws = table.sample(rng, mc_replicates)
             phases = np.exp(1j * t * draws)
-            out[(t, n)] = (spec, four, complex(phases.mean()),
+            out[(t, n)] = (complex(spec_t), dist.char_function(t), complex(phases.mean()),
                            float((np.abs(phases - phases.mean()) ** 2).mean() / len(draws)))
     return out
 
 
-def char_identity(system: SymbolicSystem, t_grid, n_list, omega_samples: int,
+def char_identity(system, t_grid, n_list, omega_samples: int,
                   mc_replicates: int, seed: int, strata_depth: int = 2,
                   exact_tol: float = 1e-9, pmap=None) -> CharIdentityReport:
     """Criterion-level identity check of the three characteristic-function routes.

@@ -178,6 +178,7 @@ class SystemOrbit:
                 raise NonpositiveEigenfunction("Gibbs weights lost positivity")
             self.mu[j] = m / total
         self._kernels = {}
+        self._stacked = None
 
     def _scalar_raw0(self) -> RawOrbitTriplets:
         # r = 1: the function space is one-dimensional, the triplet is closed form
@@ -240,6 +241,26 @@ class SystemOrbit:
         self._kernels[key] = (probs, targets, uvals)
         return self._kernels[key]
 
+    def kernel_arrays(self):
+        """branch_kernel(j) for the factors j_lo..j_hi-1, stacked: (j_hi - j_lo, D, d) arrays."""
+        if self._stacked is None:
+            shape = (self.j_hi - self.j_lo, self.model.space_dim, self.model.d)
+            if self.model.space_dim == 1 and shape[0] > 0:
+                # r = 1 kernels depend only on the symbol key: one kernel per key
+                pair = self.pot.u_next_symbol
+                syms = self.window.symbols(self.j_lo, self.j_hi - 1 + pair)
+                keys = syms[:-1] * self.pot.n_symbols + syms[1:] if pair else syms
+                _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+                kernels = [self.branch_kernel(self.j_lo + int(i)) for i in first]
+                self._stacked = tuple(np.stack(part)[inverse] for part in zip(*kernels))
+            else:
+                self._stacked = (np.empty(shape), np.empty(shape, dtype=np.int64),
+                                 np.empty(shape))
+                for i in range(shape[0]):
+                    for out, part in zip(self._stacked, self.branch_kernel(self.j_lo + i)):
+                        out[i] = part
+        return self._stacked
+
     def normalized_matrix(self, j: int, z: complex = 0.0) -> np.ndarray:
         """Normalized one-step matrix at factor j and parameter z."""
         probs, targets, uvals = self.branch_kernel(j)
@@ -297,6 +318,23 @@ class SystemOrbit:
             stepped = self.deep_apply_normalized(j, self.u_at(j), self.model.r)
             total += float(self.mu[j + 1] @ np.real(stepped))
         return total
+
+    def constant_step_mean(self, n_check: int, tol: float = 1e-9):
+        """(is_constant, gamma, max_deviation) of the per-step conditional means.
+
+        The lattice limit theorems need the per-step Gibbs mean pinned to a
+        constant; this checks the conditional one-step means along the window.
+        """
+        means = []
+        devs = []
+        for j in range(n_check):
+            stepped = np.real(self.deep_apply_normalized(j, self.u_at(j), self.model.r))
+            m = float(self.mu[j + 1] @ stepped)
+            means.append(m)
+            devs.append(float(np.max(np.abs(stepped - m))))
+        gamma = float(np.mean(means))
+        max_dev = max(max(devs), max(abs(m - gamma) for m in means))
+        return max_dev <= tol, gamma, max_dev
 
     def birkhoff_variance(self, k: int) -> float:
         """Exact variance of the k-step sum under mu at the window origin."""
@@ -395,7 +433,7 @@ def solve_rpf(window: OmegaWindow, z: complex, back_len: int, fwd_len: int,
         raw_z = solve_raw_orbit(window, z, 0, 1, pot, model, back_len, fwd_len, tol)
     lam_n, h_n, nu_n = norm_triplet_from_raw(raw_z, orbit0, 0)
     # residuals of the normalized relations at the origin
-    A0 = _normalized_matrix_at(orbit0, 0, z)
+    A0 = orbit0.normalized_matrix(0, z)
     _, h_n1, nu_n1 = norm_triplet_from_raw(raw_z, orbit0, 1)
     d, depth, alpha = model.d, model.r - 1, model.alpha
     eig = holder_norm_vector(A0 @ h_n - lam_n * h_n1, d, depth, alpha) \
@@ -407,10 +445,6 @@ def solve_rpf(window: OmegaWindow, z: complex, back_len: int, fwd_len: int,
     return RpfTriplet(z, lam_n, hfun, nu_n, float(eig), float(dual), float(norm_res),
                       (raw_z.back_used, raw_z.fwd_used),
                       raw_z.lam[0], raw_z.H[0], raw_z.V[0])
-
-
-def _normalized_matrix_at(orbit0: SystemOrbit, j: int, z: complex) -> np.ndarray:
-    return orbit0.normalized_matrix(j, z)
 
 
 # ---------------------------------------------------------------------------

@@ -23,12 +23,6 @@ from .config import (
     canonical_record_bytes,
     config_hash,
 )
-from .doeblin import (
-    doeblin_char_identity,
-    doeblin_clt_test,
-    doeblin_llt_scan,
-    doeblin_renewal_curve,
-)
 from .errors import (
     ClassifierFailed,
     ConfigError,
@@ -66,8 +60,12 @@ def _pool_pmap(executor):
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1,
                    seed_override: int | None = None, strict: bool = False) -> RunResult:
-    """Execute the configured experiment and assemble the result record."""
+    """Execute the configured experiment and assemble the result record.
+
+    The process pool never has more workers than the machine has CPUs.
+    """
     seed = int(seed_override) if seed_override is not None else cfg.seed
+    workers = max(1, min(workers, os.cpu_count() or 1))
     t0 = time.perf_counter()
     executor = None
     try:
@@ -118,225 +116,195 @@ def _dispatch(cfg: ExperimentConfig, seed: int, pmap):
 
     verdict is one of "pass", "fail", "degenerate", "classifier-failure".
     """
-    warnings: list = []
+    if cfg.experiment not in EXPERIMENTS:
+        raise ConfigError(f"experiment: unhandled experiment {cfg.experiment!r}")
     if cfg.kind == "symbolic":
         system = build_symbolic_system(cfg)
     else:
         system = build_doeblin_system(cfg)
-    ex = cfg.experiment
-    omega = cfg.sample("omega_samples")
-    reps = cfg.sample("fiber_replicates")
-    strata = cfg.sample("strata_depth")
+    run, record = EXPERIMENTS[cfg.experiment]
+    try:
+        rep = run(cfg, system, seed, pmap)
+    except ClassifierFailed as exc:
+        return {"classifier_error": str(exc)}, {}, "classifier-failure", [], {}
+    except DegenerateVariance:
+        return {"error": "degenerate variance"}, {}, "degenerate", [], {}
+    return record(cfg, rep)
 
-    if ex == "rpf-audit":
-        n_windows = min(omega, 24)
-        rows = []
-        worst = 0.0
-        fits = []
-        for i in range(n_windows):
-            win = sample_base_path(system.chain, -300, 360, generator(seed, 400, i))
-            trip = solve_rpf(win, 0.0, 64, 64, system.pot, system.model)
-            worst = max(worst, trip.eigen_residual, trip.dual_residual,
-                        trip.normalization_residual)
-            q = CylinderFunction(system.model.r - 1,
-                                 generator(seed, 401, i).standard_normal(
-                                     system.model.space_dim), system.model.d)
-            fit = exp_convergence_probe(win, 0.0, q, list(range(2, 31)),
-                                        system.pot, system.model)
-            fits.append(0.0 if fit.degenerate else fit.c)
-            rows.append({"window": i, "eigen": trip.eigen_residual,
-                         "dual": trip.dual_residual,
-                         "normalization": trip.normalization_residual,
-                         "conv_rate": fits[-1]})
-        ok = worst < cfg.tol("rpf_residual") and all(c < 0.9 for c in fits)
-        stats = {"max_residual": worst, "max_conv_rate": max(fits),
-                 "windows": n_windows}
-        return stats, {"rpf_audit": rows}, "pass" if ok else "fail", warnings, \
-            {"windows": n_windows}
 
-    if ex == "variance":
-        n_list = cfg.grids.get("n_list", [50, 100, 200, 400])
-        sigma_sq, Vbar, tail, ci = annealed_variance(system, n_list, omega, seed,
-                                                     strata, pmap=pmap)
-        degen = sigma_sq < 1e-10
-        rows = [{"n": n, "V_n": v} for n, v in zip(sorted(int(x) for x in n_list), Vbar)]
-        stats = {"sigma_sq": sigma_sq, "sigma_sq_ci": list(ci),
-                 "tail_fractions": tail, "degenerate": degen}
-        return stats, {"variance": rows}, "degenerate" if degen else "pass", \
-            warnings, {"omega_samples": omega}
+def _pass(ok: bool) -> str:
+    return "pass" if ok else "fail"
 
-    if ex == "clt":
-        n_list = cfg.grids.get("n_list", [1000, 4000])
-        try:
-            rep = clt_test(system, n_list, omega, reps, seed,
-                           ks_threshold=cfg.tol("ks"), strata_depth=strata,
-                           expect_degenerate=(cfg.expect == "degenerate"), pmap=pmap)
-        except DegenerateVariance:
-            return {"error": "degenerate variance"}, {}, "degenerate", warnings, {}
-        curves = {"clt": [{"n": n, "ks": k, "threshold": rep.threshold}
-                          for n, k in zip(rep.n_list, rep.ks)]}
-        stats = {"sigma_sq": rep.sigma_sq, "ks": rep.ks,
-                 "pooled_samples": rep.pooled_samples,
-                 "degenerate_max_abs": rep.degenerate_max_abs}
-        if rep.degenerate:
-            verdict = "degenerate" if rep.passed else "fail"
-        else:
-            verdict = "pass" if rep.passed else "fail"
-        return stats, curves, verdict, warnings, {"omega_samples": omega}
 
-    if ex == "berry-esseen":
-        n_list = cfg.grids.get("n_list", [64, 256, 1024])
-        rep = berry_esseen_scan(system, n_list, omega, seed, strata, pmap=pmap)
-        curves = {"berry_esseen": [{"n": n, "sup_dev": s, "scaled": sc}
-                                   for n, s, sc in zip(rep.n_list, rep.sup_dev,
-                                                       rep.scaled)]}
-        stats = {"sigma_sq": rep.sigma_sq, "scaled": rep.scaled, "mode": rep.mode,
-                 "note": "annealed self-normalized scan; diagnostic only"}
-        return stats, curves, "pass" if rep.bounded else "fail", warnings, \
-            {"omega_samples": omega}
+def _run_rpf_audit(cfg, system, seed, pmap):
+    rows = []
+    for i in range(min(cfg.sample("omega_samples"), 24)):
+        win = sample_base_path(system.chain, -300, 360, generator(seed, 400, i))
+        trip = solve_rpf(win, 0.0, 64, 64, system.pot, system.model)
+        q = CylinderFunction(system.model.r - 1,
+                             generator(seed, 401, i).standard_normal(
+                                 system.model.space_dim), system.model.d)
+        fit = exp_convergence_probe(win, 0.0, q, list(range(2, 31)),
+                                    system.pot, system.model)
+        rows.append({"window": i, "eigen": trip.eigen_residual,
+                     "dual": trip.dual_residual,
+                     "normalization": trip.normalization_residual,
+                     "conv_rate": 0.0 if fit.degenerate else fit.c})
+    return rows
 
-    if ex == "llt":
-        n_list = cfg.grids.get("n_list", [500, 1000, 2000])
-        try:
-            rep = llt_scan(system, n_list, omega, seed, threshold=cfg.tol("llt_sup"),
-                           strata_depth=strata, pmap=pmap)
-        except ClassifierFailed as exc:
-            stats = {"classifier_error": str(exc)}
-            return stats, {}, "classifier-failure", warnings, {}
-        except DegenerateVariance:
-            return {"error": "degenerate variance"}, {}, "degenerate", warnings, {}
-        curves = {"llt": [{"n": n, "sup_dev": s, "threshold": rep.threshold}
-                          for n, s in zip(rep.n_list, rep.sup_dev)]}
-        stats = {"sigma_sq": rep.sigma_sq, "sup_dev": rep.sup_dev,
-                 "classifier_min_gap": rep.classifier.min_gap}
-        return stats, curves, "pass" if rep.passed else "fail", warnings, \
-            {"omega_samples": omega}
 
-    if ex == "renewal":
-        a_list = cfg.grids.get("a_list", [-20, -15, -10] + list(range(40, 61)))
-        trunc = int(cfg.renewal.get("truncation", 200))
-        lw = cfg.renewal.get("limit_window")
-        fweights = cfg.renewal.get("f")
-        try:
-            rep = renewal_curve(system, a_list, trunc, omega, seed,
-                                f_weights=fweights, strata_depth=strata,
-                                rel_tol=cfg.tol("renewal_rel"),
-                                limit_window=tuple(lw) if lw else None,
-                                negative_tol=cfg.tol("renewal_negative"), pmap=pmap)
-        except ClassifierFailed as exc:
-            return {"classifier_error": str(exc)}, {}, "classifier-failure", \
-                warnings, {}
-        except DegenerateVariance:
-            return {"error": "degenerate variance"}, {}, "degenerate", warnings, {}
-        curves = {"renewal": [{"a": a, "U": u, "target": rep.target}
-                              for a, u in zip(rep.a_list, rep.U)]}
-        if rep.tail_bound > 1e-3:
-            warnings.append(f"renewal tail bound {rep.tail_bound:.2e} is not small; "
-                            "increase the truncation")
-        stats = {"gamma": rep.gamma, "mu_f": rep.mu_f, "target": rep.target,
-                 "rel_err_window": rep.rel_err_window,
-                 "negative_side_max": rep.negative_side_max,
-                 "tail_bound": rep.tail_bound, "abel_gap": rep.abel_gap}
-        return stats, curves, "pass" if rep.passed else "fail", warnings, \
-            {"omega_samples": omega}
+def _record_rpf_audit(cfg, rows):
+    worst = 0.0
+    for row in rows:
+        worst = max(worst, row["eigen"], row["dual"], row["normalization"])
+    fits = [row["conv_rate"] for row in rows]
+    ok = worst < cfg.tol("rpf_residual") and all(c < 0.9 for c in fits)
+    stats = {"max_residual": worst, "max_conv_rate": max(fits), "windows": len(rows)}
+    return stats, {"rpf_audit": rows}, _pass(ok), [], {"windows": len(rows)}
 
-    if ex == "decay-survey":
-        t_small = cfg.grids.get("t_small", [0.05, 0.1, 0.2])
-        t_large = cfg.grids.get("t_large", [0.8, 1.6, 2.4])
-        n_grid = cfg.grids.get("n_grid", [50, 100, 200])
-        rep = decay_survey(system, t_small, t_large, n_grid, omega, seed,
-                           strata_depth=strata, pmap=pmap)
-        rows = []
-        for n in rep.n_grid:
-            rows.append({"branch": "small_t", "n": n,
-                         "violation_frac": rep.small_violation_frac[n]})
-        for n in rep.n_grid:
-            rows.append({"branch": "large_t", "n": n,
-                         "violation_frac": rep.large_violation_frac[n]})
-        stats = {"d2_fit": rep.d2_fit, "A_fit": rep.A_fit, "u_fit": rep.u_fit,
-                 "B0_fit": rep.B0_fit,
-                 "small_violation_frac": rep.small_violation_frac,
-                 "large_violation_frac": rep.large_violation_frac}
-        ok = rep.small_ok and rep.large_ok
-        return stats, {"decay": rows}, "pass" if ok else "fail", warnings, \
-            {"omega_samples": omega}
 
-    if ex == "char-fn":
-        t_grid = cfg.grids.get("t_grid", [0.1, 0.3, 0.7])
-        n_list = cfg.grids.get("n_list", [4, 8, 16, 32])
-        rep = char_identity(system, t_grid, n_list, omega,
-                            cfg.sample("mc_replicates"), seed, strata,
-                            exact_tol=cfg.tol("char_exact"), pmap=pmap)
-        stats = {"max_exact_spectral_gap": rep.max_exact_spectral_gap,
-                 "mc_within_band": rep.mc_within_band}
-        rows = [{"t": t, "n": n} for t, n in rep.grid]
-        return stats, {"char_grid": rows}, "pass" if rep.passed else "fail", \
-            warnings, {"grid_points": len(rep.grid)}
+def _run_variance(cfg, system, seed, pmap):
+    n_list = cfg.grids.get("n_list", [50, 100, 200, 400])
+    return n_list, annealed_variance(system, n_list, cfg.sample("omega_samples"), seed,
+                                     cfg.sample("strata_depth"), pmap=pmap)
 
-    if ex == "doeblin-clt":
-        n_list = cfg.grids.get("n_list", [1000, 4000])
-        try:
-            rep = doeblin_clt_test(system, n_list, omega, reps, seed,
-                                   ks_threshold=cfg.tol("ks"), strata_depth=strata,
-                                   pmap=pmap)
-        except DegenerateVariance:
-            return {"error": "degenerate variance"}, {}, "degenerate", warnings, {}
-        curves = {"clt": [{"n": n, "ks": k, "threshold": rep.threshold}
-                          for n, k in zip(rep.n_list, rep.ks)]}
-        stats = {"sigma_sq": rep.sigma_sq, "ks": rep.ks}
-        return stats, curves, "pass" if rep.passed else "fail", warnings, \
-            {"omega_samples": omega}
 
-    if ex == "doeblin-llt":
-        n_list = cfg.grids.get("n_list", [500, 1000, 2000])
-        try:
-            rep = doeblin_llt_scan(system, n_list, omega, seed,
-                                   threshold=cfg.tol("llt_sup"),
-                                   strata_depth=strata, pmap=pmap)
-        except ClassifierFailed as exc:
-            return {"classifier_error": str(exc)}, {}, "classifier-failure", \
-                warnings, {}
-        curves = {"llt": [{"n": n, "sup_dev": s, "threshold": rep.threshold}
-                          for n, s in zip(rep.n_list, rep.sup_dev)]}
-        stats = {"sigma_sq": rep.sigma_sq, "sup_dev": rep.sup_dev}
-        return stats, curves, "pass" if rep.passed else "fail", warnings, \
-            {"omega_samples": omega}
+def _record_variance(cfg, rep):
+    n_list, (sigma_sq, Vbar, tail, ci) = rep
+    degen = sigma_sq < 1e-10
+    rows = [{"n": n, "V_n": v} for n, v in zip(sorted(int(x) for x in n_list), Vbar)]
+    stats = {"sigma_sq": sigma_sq, "sigma_sq_ci": list(ci),
+             "tail_fractions": tail, "degenerate": degen}
+    return stats, {"variance": rows}, "degenerate" if degen else "pass", [], \
+        {"omega_samples": cfg.sample("omega_samples")}
 
-    if ex == "doeblin-renewal":
-        a_list = cfg.grids.get("a_list", [-20, -15, -10] + list(range(40, 61)))
-        trunc = int(cfg.renewal.get("truncation", 200))
-        lw = cfg.renewal.get("limit_window")
-        try:
-            rep = doeblin_renewal_curve(system, a_list, trunc, omega, seed,
-                                        f_values=cfg.renewal.get("f"),
-                                        strata_depth=strata,
-                                        rel_tol=cfg.tol("renewal_rel"),
-                                        limit_window=tuple(lw) if lw else None,
-                                        negative_tol=cfg.tol("renewal_negative"),
-                                        pmap=pmap)
-        except ClassifierFailed as exc:
-            return {"classifier_error": str(exc)}, {}, "classifier-failure", \
-                warnings, {}
-        curves = {"renewal": [{"a": a, "U": u, "target": rep.target}
-                              for a, u in zip(rep.a_list, rep.U)]}
-        stats = {"gamma": rep.gamma, "target": rep.target,
-                 "rel_err_window": rep.rel_err_window,
-                 "negative_side_max": rep.negative_side_max}
-        return stats, curves, "pass" if rep.passed else "fail", warnings, \
-            {"omega_samples": omega}
 
-    if ex == "doeblin-char":
-        t_grid = cfg.grids.get("t_grid", [0.1, 0.3, 0.7])
-        n_list = cfg.grids.get("n_list", [4, 8, 16, 32])
-        rep = doeblin_char_identity(system, t_grid, n_list, omega,
-                                    cfg.sample("mc_replicates"), seed, strata,
-                                    exact_tol=cfg.tol("char_exact"), pmap=pmap)
-        stats = {"max_exact_spectral_gap": rep.max_exact_spectral_gap,
-                 "mc_within_band": rep.mc_within_band}
-        return stats, {}, "pass" if rep.passed else "fail", warnings, \
-            {"grid_points": len(rep.grid)}
+def _run_clt(cfg, system, seed, pmap):
+    return clt_test(system, cfg.grids.get("n_list", [1000, 4000]),
+                    cfg.sample("omega_samples"), cfg.sample("fiber_replicates"), seed,
+                    ks_threshold=cfg.tol("ks"), strata_depth=cfg.sample("strata_depth"),
+                    expect_degenerate=(cfg.expect == "degenerate"), pmap=pmap)
 
-    raise ConfigError(f"experiment: unhandled experiment {ex!r}")
+
+def _record_clt(cfg, rep):
+    curves = {"clt": [{"n": n, "ks": k, "threshold": rep.threshold}
+                      for n, k in zip(rep.n_list, rep.ks)]}
+    stats = {"sigma_sq": rep.sigma_sq, "ks": rep.ks,
+             "pooled_samples": rep.pooled_samples,
+             "degenerate_max_abs": rep.degenerate_max_abs}
+    if rep.degenerate:
+        verdict = "degenerate" if rep.passed else "fail"
+    else:
+        verdict = _pass(rep.passed)
+    return stats, curves, verdict, [], {"omega_samples": cfg.sample("omega_samples")}
+
+
+def _run_berry_esseen(cfg, system, seed, pmap):
+    return berry_esseen_scan(system, cfg.grids.get("n_list", [64, 256, 1024]),
+                             cfg.sample("omega_samples"), seed,
+                             cfg.sample("strata_depth"), pmap=pmap)
+
+
+def _record_berry_esseen(cfg, rep):
+    curves = {"berry_esseen": [{"n": n, "sup_dev": s, "scaled": sc}
+                               for n, s, sc in zip(rep.n_list, rep.sup_dev, rep.scaled)]}
+    stats = {"sigma_sq": rep.sigma_sq, "scaled": rep.scaled, "mode": rep.mode,
+             "note": "annealed self-normalized scan; diagnostic only"}
+    return stats, curves, _pass(rep.bounded), [], {"omega_samples": cfg.sample("omega_samples")}
+
+
+def _run_llt(cfg, system, seed, pmap):
+    return llt_scan(system, cfg.grids.get("n_list", [500, 1000, 2000]),
+                    cfg.sample("omega_samples"), seed, threshold=cfg.tol("llt_sup"),
+                    strata_depth=cfg.sample("strata_depth"), pmap=pmap)
+
+
+def _record_llt(cfg, rep):
+    curves = {"llt": [{"n": n, "sup_dev": s, "threshold": rep.threshold}
+                      for n, s in zip(rep.n_list, rep.sup_dev)]}
+    stats = {"sigma_sq": rep.sigma_sq, "sup_dev": rep.sup_dev,
+             "classifier_min_gap": rep.classifier.min_gap}
+    return stats, curves, _pass(rep.passed), [], {"omega_samples": cfg.sample("omega_samples")}
+
+
+def _run_renewal(cfg, system, seed, pmap):
+    lw = cfg.renewal.get("limit_window")
+    return renewal_curve(system, cfg.grids.get("a_list", [-20, -15, -10] + list(range(40, 61))),
+                         int(cfg.renewal.get("truncation", 200)),
+                         cfg.sample("omega_samples"), seed,
+                         f_weights=cfg.renewal.get("f"),
+                         strata_depth=cfg.sample("strata_depth"),
+                         rel_tol=cfg.tol("renewal_rel"),
+                         limit_window=tuple(lw) if lw else None,
+                         negative_tol=cfg.tol("renewal_negative"), pmap=pmap)
+
+
+def _record_renewal(cfg, rep):
+    curves = {"renewal": [{"a": a, "U": u, "target": rep.target}
+                          for a, u in zip(rep.a_list, rep.U)]}
+    stats = {"gamma": rep.gamma, "mu_f": rep.mu_f, "target": rep.target,
+             "rel_err_window": rep.rel_err_window,
+             "negative_side_max": rep.negative_side_max,
+             "tail_bound": rep.tail_bound, "abel_gap": rep.abel_gap}
+    warnings = []
+    if rep.tail_bound > 1e-3:
+        warnings.append(f"renewal tail bound {rep.tail_bound:.2e} is not small; "
+                        "increase the truncation")
+    return stats, curves, _pass(rep.passed), warnings, \
+        {"omega_samples": cfg.sample("omega_samples")}
+
+
+def _run_decay(cfg, system, seed, pmap):
+    return decay_survey(system, cfg.grids.get("t_small", [0.05, 0.1, 0.2]),
+                        cfg.grids.get("t_large", [0.8, 1.6, 2.4]),
+                        cfg.grids.get("n_grid", [50, 100, 200]),
+                        cfg.sample("omega_samples"), seed,
+                        strata_depth=cfg.sample("strata_depth"), pmap=pmap)
+
+
+def _record_decay(cfg, rep):
+    rows = [{"branch": "small_t", "n": n, "violation_frac": rep.small_violation_frac[n]}
+            for n in rep.n_grid]
+    rows += [{"branch": "large_t", "n": n, "violation_frac": rep.large_violation_frac[n]}
+             for n in rep.n_grid]
+    stats = {"d2_fit": rep.d2_fit, "A_fit": rep.A_fit, "u_fit": rep.u_fit,
+             "B0_fit": rep.B0_fit,
+             "small_violation_frac": rep.small_violation_frac,
+             "large_violation_frac": rep.large_violation_frac}
+    return stats, {"decay": rows}, _pass(rep.small_ok and rep.large_ok), [], \
+        {"omega_samples": cfg.sample("omega_samples")}
+
+
+def _run_char(cfg, system, seed, pmap):
+    return char_identity(system, cfg.grids.get("t_grid", [0.1, 0.3, 0.7]),
+                         cfg.grids.get("n_list", [4, 8, 16, 32]),
+                         cfg.sample("omega_samples"), cfg.sample("mc_replicates"), seed,
+                         cfg.sample("strata_depth"), exact_tol=cfg.tol("char_exact"),
+                         pmap=pmap)
+
+
+def _record_char(cfg, rep):
+    stats = {"max_exact_spectral_gap": rep.max_exact_spectral_gap,
+             "mc_within_band": rep.mc_within_band}
+    rows = [{"t": t, "n": n} for t, n in rep.grid]
+    return stats, {"char_grid": rows}, _pass(rep.passed), [], {"grid_points": len(rep.grid)}
+
+
+# experiment name -> (runner, record builder); the Doeblin names run the same
+# runners on a DoeblinSystem
+EXPERIMENTS = {
+    "rpf-audit": (_run_rpf_audit, _record_rpf_audit),
+    "variance": (_run_variance, _record_variance),
+    "clt": (_run_clt, _record_clt),
+    "berry-esseen": (_run_berry_esseen, _record_berry_esseen),
+    "llt": (_run_llt, _record_llt),
+    "renewal": (_run_renewal, _record_renewal),
+    "decay-survey": (_run_decay, _record_decay),
+    "char-fn": (_run_char, _record_char),
+}
+EXPERIMENTS.update({f"doeblin-{name}": EXPERIMENTS[name]
+                    for name in ("clt", "llt", "renewal")})
+EXPERIMENTS["doeblin-char"] = EXPERIMENTS["char-fn"]
 
 
 def write_results(out_dir: str, result: RunResult) -> str:

@@ -9,7 +9,6 @@ entry at (w, a.w[:-1]) is the branch weight of prepending symbol a.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,29 +176,6 @@ def normalize_operator(raw: TransferMatrix, h_in: np.ndarray, h_out: np.ndarray,
     return TransferMatrix(A, raw.z, raw.symbols, "normalized")
 
 
-def deep_apply_raw(s: int, z: complex, pot: PotentialTable, model: FiberModel,
-                   values: np.ndarray, depth: int, s_next: int | None = None):
-    """Apply the raw operator to a depth-K cylinder function, K >= r.
-
-    Output has depth K-1: out[w] = sum_a e^((phi + z u)[(a.w)_{:r}]) F[a.w].
-    """
-    d, r = model.d, model.r
-    if depth < r:
-        raise DepthMismatch(f"deep apply needs depth >= r = {r}, got {depth}")
-    phi = pot.phi_for(s)
-    u = pot.u_for(s, s_next)
-    n_out = d ** (depth - 1)
-    is_c = float(np.imag(z)) != 0.0 or np.iscomplexobj(values)
-    out = np.zeros(n_out, dtype=complex if is_c else float)
-    w_idx = np.arange(n_out, dtype=np.int64)
-    for a in range(d):
-        full = a * n_out + w_idx              # index of a.w at depth `depth`
-        pot_word = full // (d ** (depth - r))   # first r symbols of a.w
-        expo = phi[pot_word] + z * u[pot_word] if z != 0 else phi[pot_word]
-        out += np.exp(expo) * values[full]
-    return out
-
-
 def branch_enumeration_apply(window: OmegaWindow, n: int, z: complex, pot: PotentialTable,
                              model: FiberModel, g: CylinderFunction) -> np.ndarray:
     """Brute-force n-step iterate by summing over all d^n preimage branches.
@@ -295,7 +271,6 @@ class LasotaYorkeReport:
     trials: int
     n: int
     z: complex
-    all_pass_at_Q: bool
 
 
 def lasota_yorke_check(window: OmegaWindow, n: int, z: complex, pot: PotentialTable,
@@ -322,12 +297,4 @@ def lasota_yorke_check(window: OmegaWindow, n: int, z: complex, pot: PotentialTa
         if base > 0:
             needed = max(needed, base / sup_g)
     Q = max(0.0, (needed / (1.0 + z1) - 1.0) / 2.0)
-    return LasotaYorkeReport(Q, trials, n, z, True)
-
-
-def export_matrix_csv(matrix: np.ndarray, path):
-    """Row-major CSV dump with "re,im" cells, for debugging."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in np.atleast_2d(matrix):
-            writer.writerow([f"{c.real:.17g},{c.imag:.17g}" for c in row.astype(complex)])
+    return LasotaYorkeReport(Q, trials, n, z)

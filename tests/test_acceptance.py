@@ -22,10 +22,6 @@ from skewprod.doeblin import (
     DoeblinSystem,
     build_doeblin_family,
     compose_reversed,
-    doeblin_char_identity,
-    doeblin_clt_test,
-    doeblin_llt_scan,
-    doeblin_renewal_curve,
 )
 from skewprod.errors import (
     ClassifierFailed,
@@ -302,28 +298,27 @@ def test_criterion_11_doeblin_pipeline():
     t0 = time.perf_counter()
     sysd = build_doeblin_system(parse_config(preset_config("doeblin-iid")))
     # criterion 5 analogue
-    rep_char = doeblin_char_identity(sysd, [0.1, 0.3, 0.7, 1.2], [4, 8, 16, 32],
-                                     omega_samples=24, mc_replicates=4000, seed=46)
+    rep_char = char_identity(sysd, [0.1, 0.3, 0.7, 1.2], [4, 8, 16, 32],
+                             omega_samples=24, mc_replicates=4000, seed=46)
     # criterion 6 analogue
-    rep_clt = doeblin_clt_test(sysd, [10000], omega_samples=500, fiber_replicates=200,
-                               seed=43, ks_threshold=0.02)
+    rep_clt = clt_test(sysd, [10000], omega_samples=500, fiber_replicates=200,
+                       seed=43, ks_threshold=0.02)
     # criterion 7 analogue (and the span-2 refusal)
-    rep_llt = doeblin_llt_scan(sysd, [2000], omega_samples=512, seed=44, threshold=0.05)
+    rep_llt = llt_scan(sysd, [2000], omega_samples=512, seed=44, threshold=0.05)
     fam_pm = build_doeblin_family(np.array([[[0.5, 0.5], [0.5, 0.5]]] * 2),
                                   np.array([[1.0, -1.0]] * 2), 0.5, lattice_h=1.0)
     refused = False
     try:
-        doeblin_llt_scan(DoeblinSystem(sysd.chain, fam_pm), [200], omega_samples=4,
-                         seed=45)
+        llt_scan(DoeblinSystem(sysd.chain, fam_pm), [200], omega_samples=4, seed=45)
     except ClassifierFailed:
         refused = True
     # criterion 8 analogue
     fam_ren = build_doeblin_family(np.array([[[0.5, 0.5], [0.5, 0.5]]] * 2),
                                    np.array([[1.0, 2.0]] * 2), 0.5, lattice_h=1.0)
-    rep_ren = doeblin_renewal_curve(DoeblinSystem(sysd.chain, fam_ren),
-                                    [-20, -15, -10] + list(range(40, 61)),
-                                    truncation=200, omega_samples=128, seed=45,
-                                    limit_window=(40, 60))
+    rep_ren = renewal_curve(DoeblinSystem(sysd.chain, fam_ren),
+                            [-20, -15, -10] + list(range(40, 61)),
+                            truncation=200, omega_samples=128, seed=45,
+                            limit_window=(40, 60))
     # composition-order hand check at n = 2 with distinct kernels
     fam_mod = build_doeblin_family(
         np.array([[[0.7, 0.3], [0.4, 0.6]], [[0.3, 0.7], [0.6, 0.4]]]),

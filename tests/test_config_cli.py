@@ -99,6 +99,32 @@ def test_workers_do_not_change_record(tmp_path):
     assert canonical_record_bytes(r1.record) == canonical_record_bytes(r2.record)
 
 
+def test_worker_pool_bounded_by_cpu_count(tmp_path, monkeypatch):
+    # a pool that only records its size and maps in-process: no worker starts
+    from skewprod import runner
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingPool)
+    cfg = parse_config(small_renewal_config(tmp_path))
+    monkeypatch.setattr(runner.os, "cpu_count", lambda: 3)
+    result = run_experiment(cfg, workers=10**6)
+    assert sizes == [3] and result.timing["workers"] == 3
+    monkeypatch.setattr(runner.os, "cpu_count", lambda: None)
+    result = run_experiment(cfg, workers=10**6)
+    assert sizes == [3] and result.timing["workers"] == 1
+
+
 def test_seed_override_recorded_and_omega_sensitive(tmp_path):
     cfg = parse_config(small_renewal_config(tmp_path))
     r2 = run_experiment(cfg, seed_override=12345)

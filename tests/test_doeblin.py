@@ -9,16 +9,10 @@ from skewprod.doeblin import (
     DoeblinSystem,
     build_doeblin_family,
     compose_reversed,
-    doeblin_char_identity,
-    doeblin_char_spectral,
-    doeblin_clt_test,
     doeblin_contraction_coefficient,
-    doeblin_llt_scan,
-    doeblin_renewal_curve,
-    exact_doeblin_law,
-    sample_doeblin_Sn,
 )
 from skewprod.errors import ClassifierFailed, DoeblinViolated
+from skewprod.limits import char_identity, clt_test, llt_scan, renewal_curve
 from skewprod.seeding import generator
 
 
@@ -117,11 +111,9 @@ def test_exact_law_iid_binomial():
     sysd = DoeblinSystem(chain, fam)
     win = sample_base_path(chain, -80, 40, 11)
     n = 12
-    dist, k0 = exact_doeblin_law(win, n, sysd)
-    probs = dist.sum(axis=0)
+    law = sysd.exact_law(sysd.orbit(win, n), n)
     for k in range(n + 1):
-        idx = k - k0
-        assert probs[idx] == pytest.approx(math.comb(n, k) / 2**n, abs=1e-13)
+        assert law.prob_at(k) == pytest.approx(math.comb(n, k) / 2**n, abs=1e-13)
 
 
 def test_char_spectral_iid_closed_form():
@@ -129,8 +121,9 @@ def test_char_spectral_iid_closed_form():
     chain = uniform_chain()
     sysd = DoeblinSystem(chain, fam)
     win = sample_base_path(chain, -80, 40, 12)
+    table = sysd.step_table(sysd.orbit(win, 10), 10)
     for t in [0.4, 1.3]:
-        val = doeblin_char_spectral(win, 10, t, sysd)
+        val = table.char_function([t])[0]
         assert val == pytest.approx(np.cos(t) ** 10, abs=1e-12)
 
 
@@ -138,8 +131,8 @@ def test_char_three_routes_agree():
     fam = modulated_family()
     chain = build_markov_base([[0.6, 0.4], [0.2, 0.8]])
     sysd = DoeblinSystem(chain, fam)
-    rep = doeblin_char_identity(sysd, [0.3, 1.1], [6, 12], omega_samples=6,
-                                mc_replicates=4000, seed=13)
+    rep = char_identity(sysd, [0.3, 1.1], [6, 12], omega_samples=6,
+                        mc_replicates=4000, seed=13)
     assert rep.max_exact_spectral_gap < 1e-9
     assert rep.mc_within_band
     assert rep.passed
@@ -152,12 +145,11 @@ def test_sampler_matches_exact_law_mean():
     win = sample_base_path(chain, -80, 60, 14)
     n = 24
     orbit = DoeblinOrbit(win, n, sysd)
-    dist, k0 = exact_doeblin_law(win, n, sysd, orbit)
-    probs = dist.sum(axis=0)
-    vals = k0 + np.arange(len(probs))
-    mean = float(vals @ probs)
-    var = float((vals - mean) ** 2 @ probs)
-    draws = sample_doeblin_Sn(win, n, generator(15), sysd, orbit, replicates=20000)
+    table = sysd.step_table(orbit, n)
+    law = table.law()
+    mean = law.mean()
+    var = law.variance()
+    draws = table.sample(generator(15), replicates=20000)
     assert abs(draws.mean() - mean) < 4 * math.sqrt(var / 20000)
 
 
@@ -166,7 +158,8 @@ def test_rank_one_sampler_fast_path_matches():
     chain = uniform_chain()
     sysd = DoeblinSystem(chain, fam)
     win = sample_base_path(chain, -80, 60, 16)
-    draws = sample_doeblin_Sn(win, 40, generator(17), sysd, replicates=20000)
+    table = sysd.step_table(sysd.orbit(win, 40), 40)
+    draws = table.sample(generator(17), replicates=20000)
     # binomial(40, 1/2): mean 20, var 10
     assert abs(draws.mean() - 20.0) < 4 * math.sqrt(10 / 20000)
 
@@ -175,8 +168,8 @@ def test_doeblin_clt_small():
     fam = iid_family((1.0, -1.0))
     chain = uniform_chain()
     sysd = DoeblinSystem(chain, fam, periodic_cycle=(0,))
-    rep = doeblin_clt_test(sysd, [100, 400], omega_samples=12, fiber_replicates=1500,
-                           seed=18, ks_threshold=0.06)
+    rep = clt_test(sysd, [100, 400], omega_samples=12, fiber_replicates=1500,
+                   seed=18, ks_threshold=0.06)
     assert rep.sigma_sq == pytest.approx(1.0, abs=0.02)
     assert rep.passed
 
@@ -185,12 +178,12 @@ def test_doeblin_llt_small_and_span2_refusal():
     fam = iid_family((0.0, 1.0))
     chain = uniform_chain()
     sysd = DoeblinSystem(chain, fam)
-    rep = doeblin_llt_scan(sysd, [150, 400], omega_samples=10, seed=19, threshold=0.06)
+    rep = llt_scan(sysd, [150, 400], omega_samples=10, seed=19, threshold=0.06)
     assert rep.passed
     fam2 = iid_family((1.0, -1.0))
     sysd2 = DoeblinSystem(chain, fam2)
     with pytest.raises(ClassifierFailed):
-        doeblin_llt_scan(sysd2, [100], omega_samples=4, seed=20)
+        llt_scan(sysd2, [100], omega_samples=4, seed=20)
 
 
 def test_doeblin_renewal_small():
@@ -198,8 +191,8 @@ def test_doeblin_renewal_small():
     chain = uniform_chain()
     sysd = DoeblinSystem(chain, fam)
     a_list = list(range(-12, 0, 4)) + list(range(20, 37, 2))
-    rep = doeblin_renewal_curve(sysd, a_list, truncation=60, omega_samples=8,
-                                seed=21, limit_window=(26, 36))
+    rep = renewal_curve(sysd, a_list, truncation=60, omega_samples=8,
+                        seed=21, limit_window=(26, 36))
     assert rep.gamma == pytest.approx(1.5, abs=1e-9)
     assert rep.target == pytest.approx(2 / 3, abs=1e-9)
     assert rep.rel_err_window < 0.05

@@ -6,7 +6,6 @@ from skewprod.fiber import (
     CylinderFunction,
     FiberModel,
     PotentialTable,
-    extend_depth,
     first_disagreement,
     holder_norm,
     verify_expanding_axioms,
@@ -81,7 +80,7 @@ def test_extend_depth_preserves_norm():
     for _ in range(100):
         depth = int(rng.integers(0, 4))
         g = CylinderFunction(depth, rng.standard_normal(2**depth), 2)
-        ext = extend_depth(g, depth + 2)
+        ext = g.extend(depth + 2)
         assert holder_norm(g) == holder_norm(ext)
 
 

@@ -9,13 +9,10 @@ from skewprod.errors import LatticeTooLarge, NotLattice
 from skewprod.fiber import FiberModel, PotentialTable
 from skewprod.gibbs import (
     char_function_spectral,
-    constant_step_mean,
     exact_Sn_distribution,
-    forward_value_sweep,
     gibbs_measure,
     sample_Sn,
-    trajectory_cylinder_probs_forward,
-    trajectory_cylinder_probs_reversed,
+    symbolic_forward_table,
     variance_curve,
 )
 from skewprod.rpf import SystemOrbit, solve_rpf
@@ -71,6 +68,37 @@ def test_exact_law_binomial_oracle():
         expected = math.comb(n, k) / 2**n
         assert dist.prob_at(n - 2 * k) == pytest.approx(expected, abs=1e-13)
     assert dist.probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def trajectory_cylinder_probs_forward(orbit, m):
+    """Law of the depth-m cylinder at the window origin, via deep functional descent."""
+    n_words = orbit.model.d**m
+    out = np.empty(n_words)
+    for w in range(n_words):
+        ind = np.zeros(n_words)
+        ind[w] = 1.0
+        out[w] = orbit.mu_deep(0, ind, m)
+    return out
+
+
+def trajectory_cylinder_probs_reversed(orbit, m):
+    """Same law from the reversed-chain construction (distributional equality check)."""
+    d, r = orbit.model.d, orbit.model.r
+    D = orbit.model.space_dim
+    n_steps = m - (r - 1)
+    n_words = d**m
+    out = np.empty(n_words)
+    for w in range(n_words):
+        # cylinder states along the trajectory: w_j = symbols j..j+r-2
+        def idx(j):
+            return (w // d ** (m - j - (r - 1))) % D if r > 1 else 0
+        p = orbit.mu[n_steps][idx(n_steps)]
+        for j in range(n_steps - 1, -1, -1):
+            probs, _, _ = orbit.branch_kernel(j)
+            a = (w // d ** (m - j - 1)) % d  # fiber symbol at coordinate j
+            p *= probs[idx(j + 1), a]
+        out[w] = p
+    return out
 
 
 def brute_force_law(win, n, pot, model, orbit):
@@ -171,8 +199,8 @@ def test_forward_sweep_matches_backward_dp():
     win = sample_base_path(chain, -150, 250, 9)
     n_max = 8
     orbit = SystemOrbit(win, 0, n_max, pot, model, tol=1e-11)
-    sweeps = {n: (vals.copy(), k0) for n, vals, k0 in
-              forward_value_sweep(win, n_max, pot, model, orbit=orbit)}
+    sweeps = {n: (joint.sum(axis=0), k0) for n, joint, k0 in
+              symbolic_forward_table(orbit, n_max).sweep()}
     for n in [1, 3, 8]:
         dist = exact_Sn_distribution(win, n, pot, model, orbit=orbit)
         vals, k0 = sweeps[n]
@@ -214,15 +242,27 @@ def test_constant_step_mean_validator():
     chain, model, pot = lattice_instance_two_state()
     win = sample_base_path(chain, -150, 250, 12)
     orbit = SystemOrbit(win, 0, 20, pot, model)
-    ok, gamma, dev = constant_step_mean(orbit, 20)
+    ok, gamma, dev = orbit.constant_step_mean(20)
     assert ok and abs(gamma) < 1e-9
 
     rng = generator(13)
     chain2, model2, pot2 = random_instance(rng, d=2, r=2, n_states=2)
     win2 = sample_base_path(chain2, -150, 250, 13)
     orbit2 = SystemOrbit(win2, 0, 20, pot2, model2)
-    ok2, _, dev2 = constant_step_mean(orbit2, 20)
+    ok2, _, dev2 = orbit2.constant_step_mean(20)
     assert not ok2 and dev2 > 1e-6
+
+
+def test_exact_law_positive_steps_keeps_unit_mass():
+    # every step shifts by 1 or 2, so the lattice window moves right each step
+    chain, model, pot = scalar_instance([1.0, 2.0], lattice_h=1.0)
+    win = sample_base_path(chain, -80, 120, 17)
+    for n in (2, 3, 10):
+        dist = exact_Sn_distribution(win, n, pot, model)
+        assert dist.probs.sum() == pytest.approx(1.0, abs=1e-12)
+        for k in range(n + 1):
+            assert dist.prob_at(n + k) == pytest.approx(math.comb(n, k) / 2**n, abs=1e-13)
+        assert dist.values()[0] == n and dist.values()[-1] == 2 * n
 
 
 def test_lattice_budget_guard():

@@ -178,29 +178,3 @@ def test_pressure_curve_json_export():
 
     json.dumps(doc)
     assert doc["k"] == 4 and len(doc["values"]) == 3
-
-
-def test_doeblin_rpf_and_limits_dispatch():
-    import numpy as np
-
-    from skewprod.base_env import build_markov_base
-    from skewprod.doeblin import DoeblinSystem, build_doeblin_family, doeblin_rpf_and_limits
-
-    chain = build_markov_base([[0.5, 0.5], [0.5, 0.5]])
-    fam = build_doeblin_family(np.array([[[0.5, 0.5], [0.5, 0.5]]] * 2),
-                               np.array([[0.0, 1.0]] * 2), 0.5, lattice_h=1.0)
-    system = DoeblinSystem(chain, fam)
-    rep = doeblin_rpf_and_limits(system, "llt", n_list=[150, 300], omega_samples=8,
-                                 seed=62, threshold=0.06)
-    assert rep.passed
-    with pytest.raises(ValueError):
-        doeblin_rpf_and_limits(system, "bogus")
-
-
-def test_write_samples_csv(tmp_path):
-    from skewprod.gibbs import write_samples_csv
-
-    p = tmp_path / "samples.csv"
-    write_samples_csv([1.5, -2.25, 0.0], p)
-    lines = p.read_text().strip().splitlines()
-    assert lines[0] == "value" and len(lines) == 4

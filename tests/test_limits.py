@@ -7,6 +7,7 @@ from skewprod.errors import (
     ClassifierFailed,
     DegenerateVariance,
     GridTouchesExcludedPoint,
+    NonConstantMean,
     NonPositiveMean,
     TruncationInsufficient,
 )
@@ -213,6 +214,17 @@ def test_renewal_nonconstant_f_rejected():
     with pytest.raises(NonPositiveMean):
         renewal_curve(sysr, [20], truncation=40, omega_samples=4, seed=13,
                       f_weights=[-1.0])
+
+
+def test_renewal_nonconstant_step_mean_named():
+    # aperiodic steps whose mean depends on the base symbol: 3/2 under 0, 2 under 1
+    model = FiberModel(2, 1)
+    chain = build_markov_base([[0.5, 0.5], [0.5, 0.5]])
+    pot = PotentialTable(np.full((2, 2), -np.log(2.0)), np.array([[1.0, 2.0], [1.0, 3.0]]),
+                         model, lattice_h=1.0)
+    with pytest.raises(NonConstantMean, match="step mean not constant"):
+        renewal_curve(SymbolicSystem(chain, model, pot), [20], truncation=60,
+                      omega_samples=4, seed=16)
 
 
 def test_decay_survey_two_state():

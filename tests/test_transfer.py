@@ -10,7 +10,6 @@ from skewprod.transfer import (
     branch_enumeration_apply,
     build_transfer,
     compose_cocycle,
-    export_matrix_csv,
     holder_operator_norm,
     lasota_yorke_check,
     normalize_operator,
@@ -158,16 +157,3 @@ def test_lasota_yorke_fitted_Q_stable():
     assert max(qs) < 100.0
     assert all(q >= 0 for q in qs)
 
-
-def test_csv_export(tmp_path):
-    import csv
-
-    chain, model, pot = scalar_instance([1.0, -1.0])
-    tm = build_transfer(0, 1j, pot, model)
-    path = tmp_path / "m.csv"
-    export_matrix_csv(tm.matrix, path)
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    re_part, im_part = rows[0][0].split(",")
-    assert float(re_part) == pytest.approx(np.cos(1.0))
-    assert float(im_part) == pytest.approx(0.0, abs=1e-15)
