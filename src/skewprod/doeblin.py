@@ -188,6 +188,8 @@ class DoeblinOrbit:
             self.marginal[0] = start / start.sum()
             for j in range(n):
                 self.marginal[j + 1] = self.marginal[j] @ kernels[j]
+        self._kernels = kernels
+        self._variances = None
 
     def step_means(self, k: int) -> np.ndarray:
         """E u_{omega_j}(xi_j) for j < k."""
@@ -197,7 +199,23 @@ class DoeblinOrbit:
         return float(self.step_means(k).sum())
 
     def birkhoff_variance(self, k: int) -> float:
-        return self.system.exact_law(self, k).variance()
+        """Exact Var(S_k) from one cached pass along the window.
+
+        With the centred observables c_l = u_{omega_l} - E u_{omega_l}(xi_l)
+        and the marginals p_l, g_0 = 0 and g_{l+1} = (g_l + p_l c_l) K_l
+        carry the earlier steps' centred mass to time l + 1, and Var(S_k) is
+        the prefix sum of p_l . c_l^2 + 2 g_l . c_l.
+        """
+        if self._variances is None:
+            n = len(self._kernels)
+            centred = self.system.family.u[self.symbols[:n]] - self.step_means(n)[:, None]
+            terms = np.einsum("lx,lx->l", self.marginal[:n], centred ** 2)
+            g = np.zeros(self.marginal.shape[1])
+            for l in range(n):
+                terms[l] += 2.0 * (g @ centred[l])
+                g = (g + self.marginal[l] * centred[l]) @ self._kernels[l]
+            self._variances = np.concatenate([[0.0], np.cumsum(terms)])
+        return float(self._variances[k])
 
     def constant_step_mean(self, n_check: int, tol: float = 1e-9):
         """(is_constant, gamma, max_deviation) of the per-step means along the window."""

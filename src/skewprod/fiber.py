@@ -186,17 +186,22 @@ def holder_seminorm_values(values: np.ndarray, d: int, depth: int, alpha: float)
     index m; their distance can be realized exactly as 2^-m, so the seminorm is
     max |g(w) - g(w')| * 2^(alpha m) over such pairs.
     """
+    return float(holder_seminorm_rows(np.asarray(values)[None], d, depth, alpha)[0])
+
+
+def holder_seminorm_rows(values: np.ndarray, d: int, depth: int, alpha: float) -> np.ndarray:
+    """holder_seminorm_values of every row of a (rows, d^depth) array."""
+    best = np.zeros(len(values))
     if depth <= 2:
-        return 0.0
+        return best
     fd = first_disagreement(d, depth)
     weights = np.where((fd >= 2) & (fd < depth), 2.0 ** (alpha * fd.astype(float)), 0.0)
-    n = len(values)
-    best = 0.0
-    chunk = max(1, 2**22 // max(n, 1))
+    n = values.shape[1]
+    chunk = max(1, 2**22 // max(n * len(values), 1))
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
-        diff = np.abs(values[lo:hi, None] - values[None, :])
-        best = max(best, float(np.max(diff * weights[lo:hi])))
+        diff = np.abs(values[:, lo:hi, None] - values[:, None, :])
+        best = np.maximum(best, np.max(diff * weights[lo:hi], axis=(1, 2)))
     return best
 
 
@@ -215,6 +220,12 @@ def holder_norm_vector(values: np.ndarray, d: int, depth: int, alpha: float = 1.
     """Total ||.||_{alpha,xi} norm of a value vector (helper for residuals)."""
     sup = float(np.max(np.abs(values))) if len(values) else 0.0
     return sup + holder_seminorm_values(np.asarray(values), d, depth, alpha)
+
+
+def holder_norm_rows(values: np.ndarray, d: int, depth: int, alpha: float = 1.0) -> np.ndarray:
+    """holder_norm_vector of every row of a (rows, d^depth) array."""
+    return np.max(np.abs(values), axis=1, initial=0.0) \
+        + holder_seminorm_rows(values, d, depth, alpha)
 
 
 class PotentialTable:

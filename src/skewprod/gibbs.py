@@ -168,9 +168,28 @@ class StepTable:
             m += 1
             yield m, cur[:, lo:hi + 1], base + lo
 
+    def stateless(self) -> bool:
+        """True when no row depends on the state (r = 1 fibers, rank-one kernels)."""
+        return bool(np.all(self.probs == self.probs[:, :1]) and np.all(self.u == self.u[:, :1]))
+
     def law(self, state_budget: int = STATE_BUDGET) -> LatticeDistribution:
-        """Exact law of S_n (mass 1 up to rounding)."""
-        for _, joint, k0 in self.sweep(state_budget=state_budget):
+        """Exact law of S_n (mass 1 up to rounding).
+
+        A stateless table with D > 1 states runs as a one-state table whose
+        first row draws the start state and its increment.
+        """
+        table = self
+        D, B = self.probs.shape[1:]
+        if D > 1 and self.stateless():
+            width = max(B, D)
+            pad = [(0, 0), (0, 0), (0, width - B)]
+            first = np.pad(self.start, (0, width - D))[None, None]
+            first_u = np.pad(self.start_u, (0, width - D), mode="edge")[None, None]
+            table = StepTable(self.n, self.h, np.ones(1), np.zeros(1),
+                              np.concatenate([first, np.pad(self.probs[:, :1], pad)]),
+                              np.zeros((len(self.probs) + 1, 1, width), dtype=np.int64),
+                              np.concatenate([first_u, np.pad(self.u[:, :1], pad, mode="edge")]))
+        for _, joint, k0 in table.sweep(state_budget=state_budget):
             pass
         return LatticeDistribution(self.h, k0, joint.sum(axis=0), self.n).trim()
 
@@ -186,7 +205,7 @@ class StepTable:
         states = np.zeros(replicates, dtype=np.int64) if D == 1 else \
             rng.choice(D, size=replicates, p=self.start)
         totals = self.start_u[states]
-        if np.all(self.probs == self.probs[:, :1]) and np.all(self.u == self.u[:, :1]):
+        if self.stateless():
             laws = np.concatenate([self.probs[::-1, 0], self.u[::-1, 0]], axis=1)
             _, first, counts = np.unique(laws, axis=0, return_index=True, return_counts=True)
             for g in np.argsort(first):
@@ -243,7 +262,7 @@ def symbolic_forward_table(orbit: SystemOrbit, n: int) -> StepTable:
         w = np.arange(D)[:, None]
         w_next = (w * d + np.arange(d)[None, :]) % D
         a = np.broadcast_to(w // d ** (r - 2), w_next.shape)
-        mu = np.stack([orbit.mu[j] for j in range(n + 1)])
+        mu = orbit.mu[:n + 1]
         mu_now = mu[:n, :, None]
         fk = probs[:, w_next, a] * mu[1:, w_next]
         fk = np.divide(fk, mu_now, out=np.zeros_like(fk), where=mu_now > 0)

@@ -411,19 +411,15 @@ def _mixture_task(args):
 
 
 def _accumulate_mixtures(ens, partials, n_list):
-    mixtures = {n: {} for n in n_list}
-    for p in partials:
-        for n in n_list:
-            vals, wp = p[n]
-            mix = mixtures[n]
-            for v, q in zip(vals, wp):
-                mix[v] = mix.get(v, 0.0) + q
+    """Per n, the distinct values of all environments' laws and their pooled
+    weights, added in ensemble order."""
     total_w = sum(ww.weight for ww in ens)
     out = {}
     for n in n_list:
-        xs = np.array(sorted(mixtures[n]))
-        ps = np.array([mixtures[n][v] for v in xs]) / total_w
-        out[n] = (xs, ps)
+        xs, where = np.unique(np.concatenate([p[n][0] for p in partials]),
+                              return_inverse=True)
+        weights = np.concatenate([p[n][1] for p in partials])
+        out[n] = (xs, np.bincount(where, weights=weights, minlength=len(xs)) / total_w)
     return out
 
 

@@ -26,9 +26,21 @@ from .errors import (
     NoConvergence,
     NonpositiveEigenfunction,
 )
-from .fiber import CylinderFunction, FiberModel, PotentialTable, holder_norm_vector
+from .fiber import (
+    CylinderFunction,
+    FiberModel,
+    PotentialTable,
+    holder_norm_rows,
+    holder_norm_vector,
+)
 from .jet import Jet2, jet_dot, jet_sum, jet_vecmat
-from .transfer import MatrixFactory, branch_arrays, assemble_matrix
+from .transfer import (
+    MatrixFactory,
+    assemble_matrix,
+    branch_arrays,
+    key_matrices,
+    symbol_keys,
+)
 
 DEFAULT_BACK = 64
 DEFAULT_FWD = 64
@@ -38,14 +50,19 @@ PRESSURE_BOX = np.log(2.0) + np.pi  # per-step bound on |Pi| inside U_1
 
 @dataclass
 class RawOrbitTriplets:
-    """Raw triplet data at one z along positions j_lo..j_hi of a window."""
+    """Raw triplet data at one z along positions j_lo..j_hi of a window.
+
+    Row i of H and V (shape (j_hi - j_lo + 1, D)) belongs to position
+    j_lo + i, entry i of lam (shape (j_hi - j_lo,)) to the factor between
+    positions j_lo + i and j_lo + i + 1.
+    """
 
     z: complex
     j_lo: int
     j_hi: int
-    H: dict            # j -> eigenfunction direction, nu_j(h_j) = 1
-    V: dict            # j -> dual weights, nu_j(1) = 1
-    lam: dict          # j -> one-step eigenvalue between j and j+1
+    H: np.ndarray      # eigenfunction directions, nu_j(h_j) = 1
+    V: np.ndarray      # dual weights, nu_j(1) = 1
+    lam: np.ndarray    # one-step eigenvalues between j and j+1
     eigen_residual: float
     dual_residual: float
     back_used: int
@@ -60,59 +77,54 @@ def _is_real(z) -> bool:
     return float(np.imag(z)) == 0.0
 
 
-def _solve_raw_once(window: OmegaWindow, z: complex, j_lo: int, j_hi: int,
-                    pot: PotentialTable, model: FiberModel, back: int, fwd: int):
-    factory = MatrixFactory(window, z, pot, model)
+def _solve_raw_once(mats: np.ndarray, keys: np.ndarray, z: complex, j_lo: int, j_hi: int,
+                    model: FiberModel, back: int, fwd: int) -> RawOrbitTriplets:
+    """One truncated solve: keys[i] is the symbol key of position j_lo - back + i."""
+    n = j_hi - j_lo
     D = model.space_dim
-    pair_pad = 1 if pot.u_next_symbol else 0
-    window.require(j_lo - back, j_hi + fwd - 1 + pair_pad)
     ctype = float if _is_real(z) else complex
 
-    H = {}
+    H = np.empty((n + 1, D), dtype=ctype)
     h = np.ones(D, dtype=ctype)
-    for p in range(j_lo - back, j_hi):
-        if p >= j_lo:
-            H[p] = h
-        h = factory.matrix(p) @ h
+    for i in range(back + n):
+        if i >= back:
+            H[i - back] = h
+        h = mats[keys[i]] @ h
         peak = np.max(np.abs(h))
         if peak == 0 or not np.isfinite(peak):
-            raise NoConvergence(f"backward iteration degenerated at position {p}")
+            raise NoConvergence(f"backward iteration degenerated at position {j_lo - back + i}")
         h = h / peak
-    H[j_hi] = h
+    H[n] = h
 
-    V = {}
+    V = np.empty((n + 1, D), dtype=ctype)
     v = np.full(D, 1.0 / D, dtype=ctype)
-    for p in range(j_hi + fwd - 1, j_lo - 1, -1):
-        w = v @ factory.matrix(p)
+    for i in range(back + n + fwd - 1, back - 1, -1):
+        w = v @ mats[keys[i]]
         s = np.sum(w)
         if abs(s) < 1e-280 or not np.isfinite(abs(s)):
-            raise NoConvergence(f"forward functional degenerated at position {p}")
+            raise NoConvergence(f"forward functional degenerated at position {j_lo - back + i}")
         v = w / s
-        if p <= j_hi:
-            V[p] = v
+        if i - back <= n:
+            V[i - back] = v
 
-    # fix normalizations: nu_j(1) = 1 holds by construction; enforce nu_j(h_j) = 1
-    for j in range(j_lo, j_hi + 1):
-        den = V[j] @ H[j]
-        if abs(den) < 1e-280:
-            raise NoConvergence(f"nu(h) ~ 0 at position {j}; z likely outside U")
-        H[j] = H[j] / den
+    # nu_j(1) = 1 holds by construction; enforce nu_j(h_j) = 1
+    den = np.einsum("jv,jv->j", V, H)
+    small = np.flatnonzero(np.abs(den) < 1e-280)
+    if small.size:
+        raise NoConvergence(f"nu(h) ~ 0 at position {j_lo + small[0]}; z likely outside U")
+    H = H / den[:, None]
 
-    lam = {}
-    for j in range(j_lo, j_hi):
-        val = V[j + 1] @ (factory.matrix(j) @ H[j])
-        lam[j] = float(np.real(val)) if ctype is float else complex(val)
-
-    eig_res = 0.0
-    dual_res = 0.0
-    for j in range(j_lo, j_hi):
-        Mj = factory.matrix(j)
-        r1 = Mj @ H[j] - lam[j] * H[j + 1]
-        eig_res = max(eig_res, holder_norm_vector(r1, model.d, model.r - 1, model.alpha)
-                      / max(holder_norm_vector(H[j], model.d, model.r - 1, model.alpha), 1e-300))
-        r2 = V[j + 1] @ Mj - lam[j] * V[j]
-        dual_res = max(dual_res, float(np.max(np.abs(r2))) / max(float(np.max(np.abs(V[j]))), 1e-300))
-    return RawOrbitTriplets(z, j_lo, j_hi, H, V, lam, eig_res, dual_res, back, fwd)
+    M = mats[keys[back:back + n]]
+    MH = np.einsum("jvw,jw->jv", M, H[:-1])
+    lam = np.einsum("jv,jv->j", V[1:], MH)
+    d, depth, alpha = model.d, model.r - 1, model.alpha
+    eig = holder_norm_rows(MH - lam[:, None] * H[1:], d, depth, alpha) \
+        / np.maximum(holder_norm_rows(H[:-1], d, depth, alpha), 1e-300)
+    dual = np.max(np.abs(np.einsum("jv,jvw->jw", V[1:], M) - lam[:, None] * V[:-1]),
+                  axis=1, initial=0.0) \
+        / np.maximum(np.max(np.abs(V[:-1]), axis=1, initial=0.0), 1e-300)
+    return RawOrbitTriplets(z, j_lo, j_hi, H, V, lam, float(np.max(eig, initial=0.0)),
+                            float(np.max(dual, initial=0.0)), back, fwd)
 
 
 def solve_raw_orbit(window: OmegaWindow, z: complex, j_lo: int, j_hi: int,
@@ -130,15 +142,14 @@ def solve_raw_orbit(window: OmegaWindow, z: complex, j_lo: int, j_hi: int,
     b_cap = min(max_trunc, j_lo - window.lo)
     f_cap = min(max_trunc, window.hi - pair_pad - j_hi + 1)
     b, f = min(back, b_cap), min(fwd, f_cap)
+    mats = key_matrices(z, pot, model)
     last = None
     while True:
-        last = _solve_raw_once(window, z, j_lo, j_hi, pot, model, b, f)
+        keys = symbol_keys(window, pot, j_lo - b, j_hi + f)
+        last = _solve_raw_once(mats, keys, z, j_lo, j_hi, model, b, f)
         if last.max_residual < tol:
-            if _is_real(z):
-                for j in range(j_lo, j_hi + 1):
-                    if np.any(np.real(last.H[j]) <= 0):
-                        raise NonpositiveEigenfunction(
-                            "real-parameter eigenfunction lost positivity")
+            if _is_real(z) and np.any(np.real(last.H) <= 0):
+                raise NonpositiveEigenfunction("real-parameter eigenfunction lost positivity")
             return last
         nb, nf = min(2 * b, b_cap), min(2 * f, f_cap)
         if (nb, nf) == (b, f):
@@ -152,10 +163,15 @@ def solve_raw_orbit(window: OmegaWindow, z: complex, j_lo: int, j_hi: int,
 class SystemOrbit:
     """z = 0 triplet data along a window span plus everything derived from it.
 
-    Exposes the Gibbs weights mu_j, the normalized one-step matrices at any z,
-    and the per-branch transition kernels the exact-law and sampling machinery
-    consume.  Positions j run over [j_lo, j_hi]; factor data (kernels, u
-    shifts) exist for j in [j_lo, j_hi - 1].
+    Positions j run over [j_lo, j_hi] and factors over [j_lo, j_hi - 1]; the
+    state is kept in arrays indexed by the offset i = j - j_lo: raw0.H,
+    raw0.V and the Gibbs weights mu have shape (j_hi - j_lo + 1, D), raw0.lam,
+    keys (see `transfer.symbol_keys`) and symbols (the base symbol of each
+    factor) shape (j_hi - j_lo,).  The methods that take a position j take
+    it absolute.  Exposes the normalized one-step matrices at any z, the
+    stacked branch kernels the exact-law and sampling machinery consume, and
+    the exact Birkhoff means and variances of the Gibbs start, all from one
+    cached pass over those kernels.
     """
 
     def __init__(self, window: OmegaWindow, j_lo: int, j_hi: int, pot: PotentialTable,
@@ -165,101 +181,59 @@ class SystemOrbit:
         self.j_lo, self.j_hi = j_lo, j_hi
         self.pot, self.model = pot, model
         self.factory0 = MatrixFactory(window, 0.0, pot, model)
+        self.keys = symbol_keys(window, pot, j_lo, j_hi)
+        self.symbols = self.keys // pot.n_symbols if pot.u_next_symbol else self.keys
         if model.space_dim == 1:
-            self.raw0 = self._scalar_raw0()
+            # r = 1: the function space is one-dimensional, the triplet is closed form
+            n = j_hi - j_lo
+            lam = np.array([np.exp(row).sum() for row in pot.phi])[self.symbols]
+            self.raw0 = RawOrbitTriplets(0.0, j_lo, j_hi, np.ones((n + 1, 1)),
+                                         np.ones((n + 1, 1)), lam, 0.0, 0.0, 0, 0)
         else:
             self.raw0 = solve_raw_orbit(window, 0.0, j_lo, j_hi, pot, model,
                                         back, fwd, tol, max_trunc)
-        self.mu = {}
-        for j in range(j_lo, j_hi + 1):
-            m = np.real(self.raw0.H[j]) * np.real(self.raw0.V[j])
-            total = m.sum()
-            if total <= 0:
-                raise NonpositiveEigenfunction("Gibbs weights lost positivity")
-            self.mu[j] = m / total
-        self._kernels = {}
+        m = np.real(self.raw0.H) * np.real(self.raw0.V)
+        total = m.sum(axis=1, keepdims=True)
+        if np.any(total <= 0):
+            raise NonpositiveEigenfunction("Gibbs weights lost positivity")
+        self.mu = m / total
         self._stacked = None
-
-    def _scalar_raw0(self) -> RawOrbitTriplets:
-        # r = 1: the function space is one-dimensional, the triplet is closed form
-        one = np.ones(1)
-        H = {j: one for j in range(self.j_lo, self.j_hi + 1)}
-        V = dict(H)
-        lam = {}
-        sums = {}
-        for j in range(self.j_lo, self.j_hi):
-            key = self.factory0.key_at(j)
-            if key not in sums:
-                sums[key] = float(np.exp(self.pot.phi_for(key[0])).sum())
-            lam[j] = sums[key]
-        return RawOrbitTriplets(0.0, self.j_lo, self.j_hi, H, V, lam, 0.0, 0.0, 0, 0)
+        self._moments = None
 
     def h0(self, j: int) -> np.ndarray:
-        return np.real(self.raw0.H[j])
+        return np.real(self.raw0.H[j - self.j_lo])
 
     def nu0(self, j: int) -> np.ndarray:
-        return np.real(self.raw0.V[j])
+        return np.real(self.raw0.V[j - self.j_lo])
 
     def lam0(self, j: int) -> float:
-        return float(np.real(self.raw0.lam[j]))
-
-    def symbols_at(self, j: int):
-        s = self.window.symbol(j)
-        s_next = self.window.symbol(j + 1) if self.pot.u_next_symbol else None
-        return s, s_next
-
-    def branch_kernel(self, j: int):
-        """(probs, targets, uvals) of the one-step backward transition at factor j.
-
-        probs[w, a]: probability that the state at level j+1 in cylinder w
-        extends to the past by fiber symbol a; targets[w, a] the resulting
-        level-j cylinder; uvals[w, a] the u-increment of that step.  Rows sum
-        to one exactly (renormalized against rounding drift).
-        """
-        # for r = 1 kernels are symbol-determined; cache by symbol key then
-        key = self.factory0.key_at(j) if self.model.space_dim == 1 else j
-        if key in self._kernels:
-            return self._kernels[key]
-        d, D = self.model.d, self.model.space_dim
-        s, s_next = self.symbols_at(j)
-        phi = self.pot.phi_for(s)
-        u = self.pot.u_for(s, s_next)
-        h_in = self.h0(j)
-        h_out = self.h0(j + 1)
-        lam = self.lam0(j)
-        w_idx = np.arange(D, dtype=np.int64)
-        probs = np.empty((D, d))
-        targets = np.empty((D, d), dtype=np.int64)
-        uvals = np.empty((D, d))
-        for a in range(d):
-            full = a * D + w_idx
-            tgt = full // d
-            probs[:, a] = np.exp(phi[full]) * h_in[tgt] / (lam * h_out[w_idx])
-            targets[:, a] = tgt
-            uvals[:, a] = u[full]
-        probs /= probs.sum(axis=1, keepdims=True)
-        self._kernels[key] = (probs, targets, uvals)
-        return self._kernels[key]
+        return float(np.real(self.raw0.lam[j - self.j_lo]))
 
     def kernel_arrays(self):
-        """branch_kernel(j) for the factors j_lo..j_hi-1, stacked: (j_hi - j_lo, D, d) arrays."""
+        """Branch kernels of the factors j_lo..j_hi-1, stacked as (j_hi - j_lo, D, d) arrays.
+
+        probs[i, w, a]: probability that the state at level j+1 (j = j_lo + i)
+        in cylinder w extends to the past by fiber symbol a; targets[i, w, a]
+        the resulting level-j cylinder; u[i, w, a] the u-increment of that
+        step.  Rows sum to one exactly (renormalized against rounding drift).
+        """
         if self._stacked is None:
-            shape = (self.j_hi - self.j_lo, self.model.space_dim, self.model.d)
-            if self.model.space_dim == 1 and shape[0] > 0:
-                # r = 1 kernels depend only on the symbol key: one kernel per key
-                pair = self.pot.u_next_symbol
-                syms = self.window.symbols(self.j_lo, self.j_hi - 1 + pair)
-                keys = syms[:-1] * self.pot.n_symbols + syms[1:] if pair else syms
-                _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-                kernels = [self.branch_kernel(self.j_lo + int(i)) for i in first]
-                self._stacked = tuple(np.stack(part)[inverse] for part in zip(*kernels))
-            else:
-                self._stacked = (np.empty(shape), np.empty(shape, dtype=np.int64),
-                                 np.empty(shape))
-                for i in range(shape[0]):
-                    for out, part in zip(self._stacked, self.branch_kernel(self.j_lo + i)):
-                        out[i] = part
+            d, D = self.model.d, self.model.space_dim
+            full = np.arange(d)[None, :] * D + np.arange(D)[:, None]  # word a.w at [w, a]
+            tgt = full // d
+            h = np.real(self.raw0.H)
+            lam = np.real(self.raw0.lam)
+            probs = np.exp(self.pot.phi[:, full])[self.symbols] * h[:-1][:, tgt] \
+                / (lam[:, None, None] * h[1:, :, None])
+            probs /= probs.sum(axis=2, keepdims=True)
+            u_rows = self.pot.u.reshape(-1, d ** self.model.r)
+            self._stacked = (probs, np.broadcast_to(tgt, probs.shape),
+                             u_rows[:, full][self.keys])
         return self._stacked
+
+    def branch_kernel(self, j: int):
+        """(probs, targets, uvals) of the one-step backward transition at factor j."""
+        return tuple(part[j - self.j_lo] for part in self.kernel_arrays())
 
     def normalized_matrix(self, j: int, z: complex = 0.0) -> np.ndarray:
         """Normalized one-step matrix at factor j and parameter z."""
@@ -276,8 +250,7 @@ class SystemOrbit:
     def deep_apply_normalized(self, j: int, values: np.ndarray, depth: int) -> np.ndarray:
         """Normalized operator applied to a depth-K function, K >= r; output depth K-1."""
         d, r = self.model.d, self.model.r
-        s, s_next = self.symbols_at(j)
-        phi = self.pot.phi_for(s)
+        phi = self.pot.phi[self.symbols[j - self.j_lo]]
         h_in = self.h0(j)
         h_out = self.h0(j + 1)
         lam = self.lam0(j)
@@ -296,28 +269,52 @@ class SystemOrbit:
 
     def mu_deep(self, j: int, values: np.ndarray, depth: int) -> float:
         """mu at position j applied to a depth-K cylinder function (K >= r-1)."""
-        D = self.model.space_dim
         vals = np.asarray(values, dtype=float)
         k = depth
         while k > self.model.r - 1:
             vals = np.real(self.deep_apply_normalized(j, vals, k))
             k -= 1
             j += 1
-        return float(self.mu[j] @ vals)
+        return float(self.mu[j - self.j_lo] @ vals)
 
-    # -- quadrature -------------------------------------------------------
+    # -- exact moments ----------------------------------------------------
 
-    def u_at(self, j: int) -> np.ndarray:
-        s, s_next = self.symbols_at(j)
-        return self.pot.u_for(s, s_next)
+    def _moment_pass(self):
+        """(mean prefix sums, variance prefix sums, step means, stepped u), cached.
+
+        Step i's mean is m_i = mu_{i+1}(A_i u_i) with (A_i u_i)[w] =
+        sum_a probs u.  With the centred increments c_i = u_i - m_i the
+        variance of the k-step sum is the prefix sum of mu_{i+1}(A_i c_i^2)
+        plus twice the cross terms mu_{i+1}(A_i(c_i G_i)), where G_0 = 0 and
+        G_{i+1} = A_i(G_i + c_i) carries the earlier centred steps to level
+        i+1.  For D = 1 the steps are independent given the environment, so
+        the cross terms vanish.
+        """
+        if self._moments is None:
+            probs, targets, u = self.kernel_arrays()
+            n, D = probs.shape[:2]
+            mu_next = self.mu[1:]
+            stepped = np.sum(probs * u, axis=2)
+            means = np.einsum("iw,iw->i", mu_next, stepped)
+            centred = u - means[:, None, None]
+            terms = np.einsum("iw,iwa->i", mu_next, probs * centred ** 2)
+            if D > 1:
+                G = np.zeros(D)
+                G_at = np.empty((n, D))
+                weighted = probs * centred
+                drift = weighted.sum(axis=2)
+                for i in range(n):
+                    G_at[i] = G
+                    G = np.sum(probs[i] * G[targets[i]], axis=1) + drift[i]
+                G_next = G_at[np.arange(n)[:, None, None], targets]
+                terms += 2.0 * np.einsum("iw,iwa->i", mu_next, weighted * G_next)
+            self._moments = (np.concatenate([[0.0], np.cumsum(means)]),
+                             np.concatenate([[0.0], np.cumsum(terms)]), means, stepped)
+        return self._moments
 
     def birkhoff_mean(self, k: int) -> float:
-        """Exact mu-mean of the k-step sum: sum_j mu_{j+1}(applied step mean)."""
-        total = 0.0
-        for j in range(k):
-            stepped = self.deep_apply_normalized(j, self.u_at(j), self.model.r)
-            total += float(self.mu[j + 1] @ np.real(stepped))
-        return total
+        """Exact mu-mean of the k-step sum: sum_{i<k} mu_{i+1}(A_i u_i)."""
+        return float(self._moment_pass()[0][k])
 
     def constant_step_mean(self, n_check: int, tol: float = 1e-9):
         """(is_constant, gamma, max_deviation) of the per-step conditional means.
@@ -325,57 +322,29 @@ class SystemOrbit:
         The lattice limit theorems need the per-step Gibbs mean pinned to a
         constant; this checks the conditional one-step means along the window.
         """
-        means = []
-        devs = []
-        for j in range(n_check):
-            stepped = np.real(self.deep_apply_normalized(j, self.u_at(j), self.model.r))
-            m = float(self.mu[j + 1] @ stepped)
-            means.append(m)
-            devs.append(float(np.max(np.abs(stepped - m))))
+        _, _, means, stepped = self._moment_pass()
+        means, stepped = means[:n_check], stepped[:n_check]
         gamma = float(np.mean(means))
-        max_dev = max(max(devs), max(abs(m - gamma) for m in means))
+        max_dev = max(float(np.max(np.abs(stepped - means[:, None]))),
+                      float(np.max(np.abs(means - gamma))))
         return max_dev <= tol, gamma, max_dev
 
     def birkhoff_variance(self, k: int) -> float:
         """Exact variance of the k-step sum under mu at the window origin."""
-        r = self.model.r
-        if self.model.space_dim == 1:
-            # steps are independent given the environment
-            total = 0.0
-            for j in range(k):
-                probs, _, uvals = self.branch_kernel(j)
-                m = float(probs[0] @ uvals[0])
-                total += float(probs[0] @ (uvals[0] - m) ** 2)
-            return total
-        means = np.empty(k)
-        second = 0.0
-        for j in range(k):
-            uj = self.u_at(j)
-            stepped = np.real(self.deep_apply_normalized(j, uj, r))
-            means[j] = float(self.mu[j + 1] @ stepped)
-            diag = np.real(self.deep_apply_normalized(j, uj * uj, r))
-            second += float(self.mu[j + 1] @ diag)
-            F = stepped
-            for l in range(j + 1, k):
-                ul = self.u_at(l)
-                F_ext = np.repeat(F, self.model.d)  # depth r-1 -> depth r: F[y_{:r-1}]
-                cross = np.real(self.deep_apply_normalized(l, ul * F_ext, r))
-                second += 2.0 * float(self.mu[l + 1] @ cross)
-                F = self.normalized_matrix(l) @ F
-        mean = means.sum()
-        return second - mean * mean
+        return float(self._moment_pass()[1][k])
 
 
 def norm_triplet_from_raw(raw_z: RawOrbitTriplets, orbit0: SystemOrbit, j: int):
     """Gauge transform to the normalized triplet at position j."""
     h0 = orbit0.h0(j)
-    a_j = raw_z.V[j] @ h0
-    a_j1 = raw_z.V[j + 1] @ orbit0.h0(j + 1) if j + 1 <= raw_z.j_hi else None
-    h_norm = a_j * raw_z.H[j] / h0
-    nu_norm = h0 * raw_z.V[j] / a_j
+    i = j - raw_z.j_lo
+    a_j = raw_z.V[i] @ h0
+    h_norm = a_j * raw_z.H[i] / h0
+    nu_norm = h0 * raw_z.V[i] / a_j
     lam_norm = None
-    if a_j1 is not None and j in raw_z.lam:
-        lam_norm = raw_z.lam[j] * a_j / (a_j1 * orbit0.lam0(j))
+    if j < raw_z.j_hi:
+        a_j1 = raw_z.V[i + 1] @ orbit0.h0(j + 1)
+        lam_norm = raw_z.lam[i] * a_j / (a_j1 * orbit0.lam0(j))
     return lam_norm, h_norm, nu_norm
 
 

@@ -86,11 +86,33 @@ def build_transfer(s: int, z: complex, pot: PotentialTable, model: FiberModel,
     return TransferMatrix(M, z, sym, "raw")
 
 
-class MatrixFactory:
-    """Cache of raw per-symbol matrices at a fixed z.
+def symbol_keys(window: OmegaWindow, pot: PotentialTable, lo: int, hi: int) -> np.ndarray:
+    """Symbol key of every factor position lo..hi-1, as one int array.
 
-    Only |S| (or |S|^2 in pair mode) distinct factors exist at each z; windows
-    reuse the cache through position lookups.
+    The key is s_j, or s_j * |S| + s_{j+1} when u reads the next symbol; it
+    indexes `key_matrices` and the rows of `pot.u` reshaped to (keys, d^r).
+    """
+    pair = pot.u_next_symbol
+    syms = window.symbols(lo, hi - 1 + pair)
+    if syms.size and int(syms.max()) >= pot.n_symbols:
+        pot.check_symbol(int(syms.max()))
+    return syms[:-1] * pot.n_symbols + syms[1:] if pair else syms
+
+
+def key_matrices(z: complex, pot: PotentialTable, model: FiberModel) -> np.ndarray:
+    """Raw transfer matrices of every symbol key at parameter z: shape (keys, D, D)."""
+    S = pot.n_symbols
+    if pot.u_next_symbol:
+        return np.stack([build_transfer(s, z, pot, model, t).matrix
+                         for s in range(S) for t in range(S)])
+    return np.stack([build_transfer(s, z, pot, model).matrix for s in range(S)])
+
+
+class MatrixFactory:
+    """Raw per-symbol-key matrices at a fixed z, looked up by window position.
+
+    Only |S| (or |S|^2 in pair mode) distinct factors exist at each z
+    (`key_matrices`); windows reuse them through position lookups.
     """
 
     def __init__(self, window: OmegaWindow, z: complex, pot: PotentialTable, model: FiberModel):
@@ -98,7 +120,7 @@ class MatrixFactory:
         self.z = z
         self.pot = pot
         self.model = model
-        self._cache: dict = {}
+        self.mats = key_matrices(z, pot, model)
 
     def key_at(self, j: int):
         s = self.window.symbol(j)
@@ -107,11 +129,7 @@ class MatrixFactory:
         return (s,)
 
     def matrix(self, j: int) -> np.ndarray:
-        key = self.key_at(j)
-        if key not in self._cache:
-            s_next = key[1] if len(key) == 2 else None
-            self._cache[key] = build_transfer(key[0], self.z, self.pot, self.model, s_next).matrix
-        return self._cache[key]
+        return self.mats[symbol_keys(self.window, self.pot, j, j + 1)[0]]
 
     def required_hi(self, n: int) -> int:
         """Highest window index consumed by an n-step cocycle starting at 0."""

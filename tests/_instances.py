@@ -3,6 +3,7 @@
 import numpy as np
 
 from skewprod.base_env import build_markov_base, sample_base_path
+from skewprod.doeblin import DoeblinSystem, build_doeblin_family
 from skewprod.fiber import FiberModel, PotentialTable
 
 
@@ -49,3 +50,14 @@ def scalar_instance(u_values, phi_log_weights=None, n_states=2, lattice_h=None):
 
 def window_for(chain, rng_seed, back, fwd):
     return sample_base_path(chain, -back, fwd, rng_seed)
+
+
+def random_doeblin(rng, q, n_symbols, h=1.0, initial=False):
+    K = rng.uniform(0.2, 1.0, size=(n_symbols, q, q))
+    K /= K.sum(axis=2, keepdims=True)
+    u = h * rng.integers(-2, 3, size=(n_symbols, q)).astype(float)
+    fam = build_doeblin_family(K, u, alpha=float(K.min()), lattice_h=h)
+    Q = rng.uniform(0.2, 1.0, size=(n_symbols, n_symbols))
+    chain = build_markov_base(Q / Q.sum(axis=1, keepdims=True))
+    init = rng.uniform(0.1, 1.0, size=q) if initial else None
+    return DoeblinSystem(chain, fam, initial=init)

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from _instances import random_doeblin
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,17 +15,6 @@ from skewprod.limits import SymbolicSystem
 from skewprod.seeding import generator
 
 T_GRID = [0.3, 1.1, 2.5]
-
-
-def random_doeblin(rng, q, n_symbols, h=1.0, initial=False):
-    K = rng.uniform(0.2, 1.0, size=(n_symbols, q, q))
-    K /= K.sum(axis=2, keepdims=True)
-    u = h * rng.integers(-2, 3, size=(n_symbols, q)).astype(float)
-    fam = build_doeblin_family(K, u, alpha=float(K.min()), lattice_h=h)
-    Q = rng.uniform(0.2, 1.0, size=(n_symbols, n_symbols))
-    chain = build_markov_base(Q / Q.sum(axis=1, keepdims=True))
-    init = rng.uniform(0.1, 1.0, size=q) if initial else None
-    return DoeblinSystem(chain, fam, initial=init)
 
 
 def doeblin_path_law(system, window, n, orbit):

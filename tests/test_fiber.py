@@ -8,6 +8,8 @@ from skewprod.fiber import (
     PotentialTable,
     first_disagreement,
     holder_norm,
+    holder_norm_rows,
+    holder_norm_vector,
     verify_expanding_axioms,
     word_index,
     word_table,
@@ -142,3 +144,13 @@ def test_potential_pair_mode_shapes():
     pot = PotentialTable(np.zeros((2, 2)), u_pair, model, u_next_symbol=True)
     assert pot.u_for(0, 1)[0] == 1.0
     assert pot.u_for(0, 0)[0] == 0.0
+
+
+@pytest.mark.parametrize("d,depth", [(2, 1), (2, 3), (3, 3), (2, 4)])
+def test_holder_norm_rows_matches_per_vector(d, depth):
+    rng = np.random.default_rng(d * 10 + depth)
+    rows = rng.standard_normal((7, d**depth)) + 1j * rng.standard_normal((7, d**depth))
+    norms = holder_norm_rows(rows, d, depth, alpha=0.7)
+    assert norms.shape == (7,)
+    for row, norm in zip(rows, norms):
+        assert norm == holder_norm_vector(row, d, depth, alpha=0.7)
