@@ -9,6 +9,7 @@ build_markov_base rejects matrices with zero entries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,15 +169,41 @@ def sample_conditioned_paths(chain: BaseSymbolChain, prefix: np.ndarray, lo: int
     n = hi - lo + 1
     out = np.empty((count, n), dtype=np.int64)
     out[:, -lo: -lo + k] = np.asarray(prefix, dtype=np.int64)[None, :]
-    cum_f = _cum_rows(chain.transition)
-    cum_b = _cum_rows(chain.reverse_kernel())
-    for i in range(-lo + k, n):  # forward of the prefix
-        us = rng.random(count)
-        out[:, i] = (us[:, None] > cum_f[out[:, i - 1]]).sum(axis=1)
-    for i in range(-lo - 1, -1, -1):  # backward of index 0
-        us = rng.random(count)
-        out[:, i] = (us[:, None] > cum_b[out[:, i + 1]]).sum(axis=1)
+    # forward of the prefix, then backward of index 0, uniforms in that order
+    us_f = rng.random((n - (-lo + k), count))
+    us_b = rng.random((-lo, count))
+    out[:, -lo + k:] = _walk(_cum_rows(chain.transition), out[:, -lo + k - 1], us_f)
+    out[:, :-lo] = _walk(_cum_rows(chain.reverse_kernel()), out[:, -lo], us_b)[:, ::-1]
     return out
+
+
+def _walk(cum: np.ndarray, first: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """States after each step of `count` chains started at `first`, shape
+    (count, steps): step i moves every chain by inverse-cdf sampling with the
+    uniforms us[i] (shape (steps, count)).
+
+    Step i is a map of the state, maps[i, c, x].  The steps are cut into
+    about sqrt(steps) blocks; all blocks compose their maps' prefixes at
+    once, then the start state is carried from block to block, so the
+    Python loops run O(sqrt(steps)) times over O(steps) work in total.
+    """
+    steps, count = us.shape
+    m = len(cum)
+    size = max(1, math.isqrt(steps))
+    blocks = -(-steps // size)
+    maps = np.empty((blocks * size, count, m), dtype=np.intp)
+    maps[:steps] = (us[:, :, None, None] > cum[:, :-1]).sum(axis=3)  # cum[:, -1] is 1 > us
+    maps[steps:] = np.arange(m)  # identity maps pad the last block
+    maps = maps.reshape(blocks, size, count, m)
+    for k in range(1, size):  # maps[:, k] becomes the block's first k + 1 steps
+        maps[:, k] = np.take_along_axis(maps[:, k], maps[:, k - 1], axis=2)
+    starts = np.empty((blocks, count), dtype=np.intp)
+    state = np.asarray(first, dtype=np.intp)
+    for j in range(blocks):
+        starts[j] = state
+        state = np.take_along_axis(maps[j, -1], state[:, None], axis=1)[:, 0]
+    states = np.take_along_axis(maps, starts[:, None, :, None], axis=3)
+    return states.reshape(blocks * size, count)[:steps].T
 
 
 @dataclass(frozen=True)
@@ -279,12 +306,9 @@ def audit_mixing(chain: BaseSymbolChain, pattern: dict, n_list, samples: int, se
 
 def _sample_paths_matrix(chain: BaseSymbolChain, length: int, count: int,
                          rng: np.random.Generator) -> np.ndarray:
-    """`count` independent stationary paths of `length` symbols, vectorized per step."""
+    """`count` independent stationary paths of `length` symbols."""
     m = chain.n_states
     out = np.empty((count, length), dtype=np.int64)
     out[:, 0] = rng.choice(m, size=count, p=chain.stationary)
-    cum = _cum_rows(chain.transition)
-    for i in range(1, length):
-        us = rng.random(count)
-        out[:, i] = (us[:, None] > cum[out[:, i - 1]]).sum(axis=1)
+    out[:, 1:] = _walk(_cum_rows(chain.transition), out[:, 0], rng.random((length - 1, count)))
     return out

@@ -12,6 +12,7 @@ as the source of exponential convergence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,19 +176,18 @@ class DoeblinOrbit:
         nu = np.full(fam.n_states, 1.0 / fam.n_states)
         for s in window.symbols(-warmup, -1):
             nu = nu @ fam.kernels[s]
+        prods = _prefix_products(kernels)
         self.nu = np.empty((n + 1, fam.n_states))
         self.nu[0] = nu / nu.sum()
-        for j in range(n):
-            nxt = self.nu[j] @ kernels[j]
-            self.nu[j + 1] = nxt / nxt.sum()
+        self.nu[1:] = self.nu[0] @ prods
+        self.nu[1:] /= self.nu[1:].sum(axis=1, keepdims=True)
         if system.initial is None:
             self.marginal = self.nu
         else:
             self.marginal = np.empty_like(self.nu)
             start = np.asarray(system.initial, dtype=float)
             self.marginal[0] = start / start.sum()
-            for j in range(n):
-                self.marginal[j + 1] = self.marginal[j] @ kernels[j]
+            self.marginal[1:] = self.marginal[0] @ prods
         self._kernels = kernels
         self._variances = None
 
@@ -223,6 +223,31 @@ class DoeblinOrbit:
         gamma = float(np.mean(means))
         max_dev = float(np.max(np.abs(means - gamma)))
         return max_dev <= tol, gamma, max_dev
+
+
+def _prefix_products(mats: np.ndarray) -> np.ndarray:
+    """P_j = mats[0] @ ... @ mats[j] for every j, shape (n, q, q).
+
+    The n factors are cut into about sqrt(n) blocks; all blocks form their
+    prefix products at once, then each block is left-multiplied by the
+    product of the blocks before it, so the Python loops run O(sqrt(n))
+    times over O(n) small products in total.
+    """
+    n, q = len(mats), mats.shape[1]
+    size = max(1, math.isqrt(n))
+    blocks = -(-n // size)
+    prods = np.empty((blocks * size, q, q))
+    prods[:n] = mats
+    prods[n:] = np.eye(q)  # identities pad the last block
+    prods = prods.reshape(blocks, size, q, q)
+    for k in range(1, size):
+        prods[:, k] = prods[:, k - 1] @ prods[:, k]
+    before = np.empty((blocks, 1, q, q))
+    acc = np.eye(q)
+    for j in range(blocks):
+        before[j, 0] = acc
+        acc = acc @ prods[j, -1]
+    return (before @ prods).reshape(blocks * size, q, q)[:n]
 
 
 def doeblin_contraction_coefficient(family: DoeblinFamily) -> float:

@@ -25,6 +25,7 @@ from .rpf import RpfTriplet, SystemOrbit
 from .seeding import generator
 
 STATE_BUDGET = 10**7
+BLOCK_ROWS = 16  # DP rows composed into one polynomial matrix between yields
 
 
 @dataclass
@@ -127,53 +128,81 @@ class StepTable:
     targets: np.ndarray
     u: np.ndarray
 
-    def sweep(self, weights=None, state_budget: int = STATE_BUDGET):
-        """Exact lattice DP: yields (m, joint, k0) at the start and after every row.
+    def sweep(self, weights=None, at=None, state_budget: int = STATE_BUDGET):
+        """Exact lattice DP: yields (m, joint, k0) at each prefix length m in `at`.
 
         joint[w, i] is the mass of state w with S_m at lattice index k0 + i,
         the start optionally weighted by `weights` (the renewal integrand f at
-        time zero).  joint views the active value range of a buffer the next
-        row overwrites.
+        time zero).  `at=None` yields at the start and after every row.
+
+        Row i is a polynomial matrix C[i, s, v, w]: the mass moving from state
+        v to state w with shift kmin_i + s.  Between consecutive yields the
+        rows are grouped into blocks of up to BLOCK_ROWS; every block's
+        product is composed in one batch across blocks, then applied to the
+        joint by direct convolution.  Every term is nonnegative, so the law's
+        far tails keep their relative accuracy, which an FFT would lose to
+        the rounding of the largest mass.
         """
         if self.h is None:
             raise NotLattice("exact lattice law needs declared lattice_h")
         k_start = _lattice_ints(self.start_u, self.h)
         k_steps = _lattice_ints(self.u, self.h)
         steps, D, _ = self.probs.shape
-        lows = k_start.min() + np.concatenate([[0], np.cumsum(k_steps.min(axis=(1, 2)))])
-        highs = k_start.max() + np.concatenate([[0], np.cumsum(k_steps.max(axis=(1, 2)))])
-        base = int(lows.min())
-        width = int(highs.max()) - base + 1
+        kmin, kmax = k_steps.min(axis=(1, 2)), k_steps.max(axis=(1, 2))
+        lows = k_start.min() + np.concatenate([[0], np.cumsum(kmin)])
+        highs = k_start.max() + np.concatenate([[0], np.cumsum(kmax)])
+        width = int(highs.max()) - int(lows.min()) + 1
         if D * width > state_budget:
             raise LatticeTooLarge(
                 f"lattice DP needs {D * width} states, budget {state_budget}")
+        m0 = self.n - steps
+        ms = range(m0, self.n + 1) if at is None else sorted({int(m) for m in at})
+        if ms and not m0 <= ms[0] <= ms[-1] <= self.n:
+            raise ValueError(f"prefix lengths must lie in [{m0}, {self.n}], got {list(ms)}")
         start = self.start if weights is None else self.start * np.asarray(weights, dtype=float)
-        cur = np.zeros((D, width))
-        cur[np.arange(D), k_start - base] = start
-        nxt = np.zeros_like(cur)
-        lo, hi = int(lows[0]) - base, int(highs[0]) - base
-        m = self.n - steps
-        yield m, cur[:, lo:hi + 1], base + lo
-        probs, targets, shifts = self.probs.tolist(), self.targets.tolist(), k_steps.tolist()
-        for i in range(steps):
-            new_lo, new_hi = int(lows[i + 1]) - base, int(highs[i + 1]) - base
-            nxt[:, new_lo:new_hi + 1] = 0.0
-            for w in range(D):
-                row = cur[w, lo:hi + 1]
-                for p, t, k in zip(probs[i][w], targets[i][w], shifts[i][w]):
-                    if p != 0.0:
-                        nxt[t, lo + k: hi + k + 1] += p * row
-            cur, nxt = nxt, cur
-            lo, hi = new_lo, new_hi
-            m += 1
-            yield m, cur[:, lo:hi + 1], base + lo
+        joint = np.zeros((D, int(highs[0] - lows[0]) + 1))
+        joint[np.arange(D), k_start - lows[0]] = start
+        k0 = int(lows[0])
+        # blocks of rows [b0, b1), each ending at the next yield or BLOCK_ROWS later
+        bounds, last = [], 0
+        for r in (m - m0 for m in ms):
+            bounds += [(b, min(b + BLOCK_ROWS, r)) for b in range(last, r, BLOCK_ROWS)]
+            last = r
+        yield_rows = {m - m0 for m in ms}
+        if ms and ms[0] == m0:
+            yield m0, joint, k0
+        if not bounds:
+            return
+        # rows as polynomial matrices; row `steps` is the identity that pads short blocks
+        span = kmax - kmin
+        C = np.zeros((steps + 1, int(span.max(initial=0)) + 1, D, D))
+        rows = np.arange(steps)[:, None, None]
+        np.add.at(C, (rows, k_steps - kmin[:, None, None], np.arange(D)[:, None], self.targets),
+                  self.probs)
+        C[steps, 0] = np.eye(D)
+        span, kmin = np.append(span, 0), np.append(kmin, 0)
+        idx = np.full((len(bounds), max(b1 - b0 for b0, b1 in bounds)), steps)
+        for row, (b0, b1) in zip(idx, bounds):
+            row[:b1 - b0] = np.arange(b0, b1)
+        poly = _compose_blocks(C, idx)
+        block_span, block_kmin = span[idx].sum(axis=1), kmin[idx].sum(axis=1)
+        for b, (_, b1) in enumerate(bounds):
+            nxt = np.zeros((D, joint.shape[1] + int(block_span[b])))
+            coef = poly[b, :block_span[b] + 1]
+            for v in range(D):
+                for w in range(D):
+                    nxt[w] += np.convolve(joint[v], coef[:, v, w])
+            joint, k0 = nxt, k0 + int(block_kmin[b])
+            if b1 in yield_rows:
+                yield m0 + b1, joint, k0
 
     def stateless(self) -> bool:
         """True when no row depends on the state (r = 1 fibers, rank-one kernels)."""
         return bool(np.all(self.probs == self.probs[:, :1]) and np.all(self.u == self.u[:, :1]))
 
-    def law(self, state_budget: int = STATE_BUDGET) -> LatticeDistribution:
-        """Exact law of S_n (mass 1 up to rounding).
+    def laws(self, ns, state_budget: int = STATE_BUDGET) -> list:
+        """Exact laws of S_m for each prefix length m in ns, from one sweep
+        (mass 1 up to rounding).
 
         A stateless table with D > 1 states runs as a one-state table whose
         first row draws the start state and its increment.
@@ -189,9 +218,13 @@ class StepTable:
                               np.concatenate([first, np.pad(self.probs[:, :1], pad)]),
                               np.zeros((len(self.probs) + 1, 1, width), dtype=np.int64),
                               np.concatenate([first_u, np.pad(self.u[:, :1], pad, mode="edge")]))
-        for _, joint, k0 in table.sweep(state_budget=state_budget):
-            pass
-        return LatticeDistribution(self.h, k0, joint.sum(axis=0), self.n).trim()
+        out = {m: LatticeDistribution(self.h, k0, joint.sum(axis=0), m).trim()
+               for m, joint, k0 in table.sweep(at=ns, state_budget=state_budget)}
+        return [out[int(m)] for m in ns]
+
+    def law(self, state_budget: int = STATE_BUDGET) -> LatticeDistribution:
+        """Exact law of S_n: the last entry of `laws`."""
+        return self.laws([self.n], state_budget)[-1]
 
     def sample(self, rng, replicates: int = 1) -> np.ndarray:
         """Unbiased draws of S_n.
@@ -231,6 +264,21 @@ class StepTable:
             twisted = self.probs[i] * np.exp(1j * ts * self.u[i])
             vec = np.sum(twisted * vec[:, self.targets[i]], axis=2)
         return np.sum(self.start * np.exp(1j * ts[:, :, 0] * self.start_u) * vec, axis=1)
+
+
+def _compose_blocks(C: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Product of the polynomial matrices C[idx[b, 0]], C[idx[b, 1]], ... for
+    every block b at once: (blocks, length, D, D), shifts from the block's
+    summed kmin."""
+    poly = C[idx[:, 0]]
+    S = C.shape[1]
+    for k in range(1, idx.shape[1]):
+        Ck = C[idx[:, k]]
+        nxt = np.zeros((len(idx), poly.shape[1] + S - 1) + C.shape[2:])
+        for s in range(S):
+            nxt[:, s:s + poly.shape[1]] += poly @ Ck[:, None, s]
+        poly = nxt
+    return poly
 
 
 def _lattice_ints(values: np.ndarray, h: float) -> np.ndarray:
@@ -331,8 +379,7 @@ def variance_curve(window: OmegaWindow, n_list, pot: PotentialTable, model: Fibe
     V = [orbit.birkhoff_variance(n) for n in n_list]
     V_lat = None
     if pot.lattice_h is not None:
-        V_lat = [exact_Sn_distribution(window, n, pot, model, orbit=orbit).variance()
-                 for n in n_list]
+        V_lat = [d.variance() for d in symbolic_forward_table(orbit, n_list[-1]).laws(n_list)]
     ns = np.asarray(n_list, dtype=float)
     vs = np.asarray(V)
     A = np.stack([np.ones_like(ns), ns], axis=1)

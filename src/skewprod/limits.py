@@ -401,8 +401,7 @@ def _mixture_task(args):
     system, ww, n_list, n_max, center_by_mean, scale_map = args
     orbit = system.orbit(ww.window, n_max)
     out = {}
-    for n in n_list:
-        dist = system.exact_law(orbit, n)
+    for n, dist in zip(n_list, system.forward_table(orbit, n_max).laws(n_list)):
         vals = dist.values()
         if center_by_mean:
             vals = (vals - dist.mean()) / scale_map[n]
@@ -647,10 +646,9 @@ def _char_task(args):
     system, ww, wi, t_grid, n_list, n_max, seed, mc_replicates = args
     orbit = system.orbit(ww.window, n_max)
     out = {}
-    for n in n_list:
+    for n, dist in zip(n_list, system.forward_table(orbit, n_max).laws(n_list)):
         table = system.step_table(orbit, n)
         spec = table.char_function(t_grid)
-        dist = system.exact_law(orbit, n)
         for t, spec_t in zip(t_grid, spec):
             rng = generator(seed, 303, wi, int(round(t * 4096)), n)
             draws = table.sample(rng, mc_replicates)

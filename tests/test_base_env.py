@@ -148,3 +148,37 @@ def test_conditioned_paths_fix_prefix():
     assert np.all(paths[:, 2] == 1)
     assert np.all(paths[:, 3] == 0)
     assert paths.min() >= 0 and paths.max() <= 1
+
+
+def per_position_conditioned_paths(chain, prefix, lo, hi, count, rng):
+    """The per-position sampling loop: forward of the prefix, then backward of 0."""
+    k = len(prefix)
+    n = hi - lo + 1
+    out = np.empty((count, n), dtype=np.int64)
+    out[:, -lo: -lo + k] = np.asarray(prefix, dtype=np.int64)[None, :]
+    cum_f = np.cumsum(chain.transition, axis=1)
+    cum_b = np.cumsum(chain.reverse_kernel(), axis=1)
+    cum_f[:, -1] = cum_b[:, -1] = 1.0
+    for i in range(-lo + k, n):
+        us = rng.random(count)
+        out[:, i] = (us[:, None] > cum_f[out[:, i - 1]]).sum(axis=1)
+    for i in range(-lo - 1, -1, -1):
+        us = rng.random(count)
+        out[:, i] = (us[:, None] > cum_b[out[:, i + 1]]).sum(axis=1)
+    return out
+
+
+@pytest.mark.parametrize("Q", [
+    [[0.7, 0.3], [0.4, 0.6]],
+    [[0.2, 0.5, 0.3], [0.1, 0.1, 0.8], [0.3, 0.3, 0.4]],
+])
+@pytest.mark.parametrize("seed", [0, 1, 7, 20260808])
+def test_conditioned_paths_match_per_position_loop(Q, seed):
+    chain = build_markov_base(Q)
+    m = chain.n_states
+    windows = [([1, 0], -300, 700, 8), ([0], 0, 0, 3), ([1], 0, 50, 5),
+               ([0, 1], -40, 1, 4), ([1, 1, 0], -2, 2, 1), ([2 % m], -1, 3, 6)]
+    for prefix, lo, hi, count in windows:
+        got = sample_conditioned_paths(chain, np.array(prefix), lo, hi, count, generator(seed))
+        want = per_position_conditioned_paths(chain, prefix, lo, hi, count, generator(seed))
+        assert got.tobytes() == want.tobytes()

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from _instances import random_doeblin
+
 from skewprod.base_env import build_markov_base, sample_base_path
 from skewprod.doeblin import (
     DoeblinOrbit,
@@ -198,3 +200,25 @@ def test_doeblin_renewal_small():
     assert rep.rel_err_window < 0.05
     assert rep.negative_side_max == 0.0
     assert rep.passed
+
+
+@pytest.mark.parametrize("initial", [False, True])
+def test_orbit_scan_matches_per_step_marginals(initial):
+    system = random_doeblin(generator(41, int(initial)), q=3, n_symbols=3, initial=initial)
+    fam = system.family
+    assert np.max(np.abs(fam.kernels - fam.kernels[:, :1])) > 0.05
+    window = sample_base_path(system.chain, -80, 600, 42)
+    for n in (0, 1, 2, 7, 500):
+        orbit = system.orbit(window, n)
+        nu = np.full(3, 1.0 / 3.0)
+        for s in window.symbols(-64, -1):
+            nu = nu @ fam.kernels[s]
+        nus = [nu / nu.sum()]
+        start = nus[0] if system.initial is None else system.initial / system.initial.sum()
+        marginals = [start]
+        for s in window.symbols(0, n)[:n]:
+            nxt = nus[-1] @ fam.kernels[s]
+            nus.append(nxt / nxt.sum())
+            marginals.append(marginals[-1] @ fam.kernels[s])
+        np.testing.assert_allclose(orbit.nu, nus, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(orbit.marginal, marginals, rtol=1e-13, atol=0)

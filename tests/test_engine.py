@@ -1,5 +1,6 @@
 """The shared step-table engine on both fiber models: oracles and invariants."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 
 from skewprod.base_env import build_markov_base, sample_base_path
 from skewprod.doeblin import DoeblinSystem, build_doeblin_family
+from skewprod.errors import LatticeTooLarge
 from skewprod.fiber import FiberModel, PotentialTable
+from skewprod.gibbs import BLOCK_ROWS, StepTable
 from skewprod.limits import SymbolicSystem
 from skewprod.seeding import generator
 
@@ -56,11 +59,11 @@ def test_doeblin_law_matches_path_enumeration(initial):
 
 
 @st.composite
-def instances(draw):
+def instances(draw, max_n=8):
     seed = draw(st.integers(0, 2**31 - 1))
     rng = generator(seed)
     h = draw(st.sampled_from([1.0, 0.5]))
-    n = draw(st.integers(1, 8))
+    n = draw(st.integers(1, max_n))
     n_symbols = draw(st.integers(1, 3))
     Q = rng.uniform(0.2, 1.0, size=(n_symbols, n_symbols))
     chain = build_markov_base(Q / Q.sum(axis=1, keepdims=True), allow_deterministic=True)
@@ -68,15 +71,16 @@ def instances(draw):
         q = draw(st.integers(2, 3))
         K = rng.uniform(0.2, 1.0, size=(n_symbols, q, q))
         K /= K.sum(axis=2, keepdims=True)
-        lo = draw(st.integers(-2, 2))
+        lo = draw(st.integers(-5, 2))
         u = h * rng.integers(lo, lo + 4, size=(n_symbols, q)).astype(float)
         fam = build_doeblin_family(K, u, alpha=float(K.min()), lattice_h=h)
         return DoeblinSystem(chain, fam), n, seed
     d, r = draw(st.integers(2, 3)), draw(st.integers(1, 3))
     model = FiberModel(d, r)
     phi = 0.6 * rng.standard_normal((n_symbols, d**r))
-    # lo >= 1 gives all-positive tables, whose lattice window moves every step
-    lo = draw(st.integers(-2, 2))
+    # lo >= 1 gives all-positive tables and lo <= -4 all-negative ones, whose
+    # lattice window moves every step
+    lo = draw(st.integers(-5, 2))
     u = h * rng.integers(lo, lo + 4, size=(n_symbols, d**r)).astype(float)
     pot = PotentialTable(phi, u, model, lattice_h=h)
     return SymbolicSystem(chain, model, pot), n, seed
@@ -106,3 +110,93 @@ def test_engine_invariants(instance):
     spectral = table.char_function(T_GRID)
     for t, val in zip(T_GRID, spectral):
         assert abs(val - law.char_function(t)) < 1e-12
+
+
+def row_by_row_sweep(table, weights=None):
+    """Reference lattice DP, one row at a time: {m: (joint, k0)} for every
+    prefix length m, on the same value range as `StepTable.sweep`."""
+    k_start = np.round(table.start_u / table.h).astype(np.int64)
+    shifts = np.round(table.u / table.h).astype(np.int64)
+    steps, D, B = table.probs.shape
+    start = table.start if weights is None else table.start * weights
+    k0 = int(k_start.min())
+    joint = np.zeros((D, int(k_start.max()) - k0 + 1))
+    joint[np.arange(D), k_start - k0] = start
+    m = table.n - steps
+    out = {m: (joint, k0)}
+    for i in range(steps):
+        lo, hi = int(shifts[i].min()), int(shifts[i].max())
+        nxt = np.zeros((D, joint.shape[1] + hi - lo))
+        for w in range(D):
+            for b in range(B):
+                p = table.probs[i, w, b]
+                if p != 0.0:
+                    k = shifts[i, w, b] - lo
+                    nxt[table.targets[i, w, b], k:k + joint.shape[1]] += p * joint[w]
+        joint, k0 = nxt, k0 + lo
+        m += 1
+        out[m] = (joint, k0)
+    return out
+
+
+@settings(max_examples=80)
+@given(instances(max_n=3 * BLOCK_ROWS), st.data())
+def test_blocked_sweep_matches_row_by_row(instance, data):
+    system, n, seed = instance
+    window = sample_base_path(system.chain, -300, 300, seed)
+    if isinstance(system, SymbolicSystem):
+        orbit = system.orbit(window, n, tol=1e-11)
+    else:
+        orbit = system.orbit(window, n)
+    build = data.draw(st.sampled_from([system.step_table, system.forward_table]))
+    table = build(orbit, n)
+    rng = generator(seed, 1)
+    steps, D, _ = table.probs.shape
+    if data.draw(st.booleans()):
+        # zero-probability branches: drop some, keeping each row's largest
+        probs = np.where(rng.random(table.probs.shape) < 0.3, 0.0, table.probs)
+        keep = np.argmax(table.probs, axis=2)[..., None]
+        np.put_along_axis(probs, keep, np.take_along_axis(table.probs, keep, axis=2), axis=2)
+        table = dataclasses.replace(table, probs=probs / probs.sum(axis=2, keepdims=True))
+    weights = rng.uniform(0.5, 2.0, size=D) if data.draw(st.booleans()) else None
+    ns = data.draw(st.lists(st.integers(n - steps, n), min_size=1, max_size=4))
+    reference = row_by_row_sweep(table, weights)
+    for at in (ns, None):
+        swept = list(table.sweep(weights, at=at))
+        assert [m for m, _, _ in swept] == sorted(set(ns) if at else reference)
+        for m, joint, k0 in swept:
+            want, want_k0 = reference[m]
+            assert k0 == want_k0 and joint.shape == want.shape
+            assert np.max(np.abs(joint - want)) <= 1e-15
+    plain = reference if weights is None else row_by_row_sweep(table)
+    for m, law in zip(ns, table.laws(ns)):
+        assert law.n == m
+        want, want_k0 = plain[m]
+        want = want.sum(axis=0)
+        support = set(range(law.k0, law.k0 + len(law.probs))) | set(
+            range(want_k0, want_k0 + len(want)))
+        for k in support:
+            w = want[k - want_k0] if 0 <= k - want_k0 < len(want) else 0.0
+            assert abs(law.prob_at(k * law.h) - w) <= 1e-15
+    assert table.law().probs.tobytes() == table.laws([n])[0].probs.tobytes()
+
+
+def test_lattice_budget_checked_before_allocation():
+    # two shifts 2**50 apart: the DP range alone would take petabytes, so any
+    # allocation before the budget check fails with MemoryError instead
+    table = StepTable(3, 1.0, np.ones(1), np.zeros(1), np.full((3, 1, 2), 0.5),
+                      np.zeros((3, 1, 2), dtype=np.int64),
+                      np.broadcast_to([0.0, 2.0**50], (3, 1, 2)))
+    with pytest.raises(LatticeTooLarge):
+        table.law()
+    with pytest.raises(LatticeTooLarge):
+        next(table.sweep(at=[0]))
+
+
+def test_sweep_rejects_prefix_lengths_outside_table():
+    table = StepTable(5, 1.0, np.ones(1), np.zeros(1), np.full((3, 1, 2), 0.5),
+                      np.zeros((3, 1, 2), dtype=np.int64), np.broadcast_to([0.0, 1.0], (3, 1, 2)))
+    assert [m for m, _, _ in table.sweep(at=[2, 5])] == [2, 5]
+    for bad in ([1], [6]):
+        with pytest.raises(ValueError):
+            next(table.sweep(at=bad))
