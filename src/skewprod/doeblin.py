@@ -3,21 +3,22 @@
 Finite stochastic kernels per base symbol, entries pinned inside
 [alpha, 1/alpha], drive a Markov chain in random environment.  The twisted
 iterates compose in the opposite order from the transfer cocycle
-(present factor leftmost), and the kernels are Markov at z = 0.  Along one
-environment the chain is a `StepTable`, so the exact laws, the sampler, the
-spectral characteristic function and the annealed runners of `limits` are
-the symbolic model's own: Doeblin contraction replaces the pairing machinery
-as the source of exponential convergence.
+(present factor leftmost), and the kernels are Markov at z = 0.  Those
+iterates, the orbit's invariant family and marginals and its exact variance
+recursion are all read from the shared scan `transfer.prefix_products`.
+Along one environment the chain is a `StepTable`, so the exact laws, the
+sampler, the spectral characteristic function and the annealed runners of
+`limits` are the symbolic model's own: Doeblin contraction replaces the
+pairing machinery as the source of exponential convergence.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .base_env import BaseSymbolChain, OmegaWindow
+from .base_env import BaseSymbolChain, OmegaWindow, periodic_point
 from .errors import DoeblinViolated, NotLattice
 from .gibbs import LatticeDistribution, StepTable
 from .limits import (
@@ -27,6 +28,7 @@ from .limits import (
     classification_grid,
     lattice_classify,
 )
+from .transfer import full_product, prefix_products, unscale
 
 
 @dataclass
@@ -124,39 +126,29 @@ class DoeblinSystem:
     def classify(self, grid_points: int = 97, grid_margin: float = 0.25,
                  J: tuple | None = None) -> ClassificationReport:
         grid = classification_grid(self.family.lattice_h, grid_points, grid_margin, J)
-        pf_radii = []
-        max_res = 0.0
-        cyc = self.periodic_cycle
-        n0 = len(cyc)
-        for t in grid:
-            M = np.eye(self.family.n_states, dtype=complex)
-            for i in range(n0):
-                s, s_next = cyc[i], cyc[(i + 1) % n0]
-                D = np.diag(np.exp(1j * float(t) * self.family.u[s_next]))
-                M = M @ (self.family.kernels[s] @ D)
-            rho, res = _spectral_radius_certified(M)
-            pf_radii.append(rho)
-            max_res = max(max_res, res)
-        pf = PeriodicOperatorFamily(tuple(cyc), n0, np.asarray(grid),
-                                    np.asarray(pf_radii), 1.0, max_res)
+        n0 = len(self.periodic_cycle)
+        win = periodic_point(self.chain, self.periodic_cycle).window(0, n0)
+        prods = compose_reversed(win, n0, 1j * np.asarray(grid, dtype=float), self.family)
+        rho, res = zip(*(_spectral_radius_certified(M) for M in prods))
+        pf = PeriodicOperatorFamily(tuple(self.periodic_cycle), n0, np.asarray(grid),
+                                    np.asarray(rho), 1.0, max(res))
         return lattice_classify(pf, self.family.lattice_h)
 
 
-def compose_reversed(window: OmegaWindow, n: int, z: complex,
-                     family: DoeblinFamily) -> np.ndarray:
+def compose_reversed(window: OmegaWindow, n: int, z, family: DoeblinFamily) -> np.ndarray:
     """n-th order iterate with the present factor leftmost.
 
     Factor j is the kernel at symbol omega_j right-multiplied by the twist
-    diagonal of the next symbol's observable.
+    diagonal of the next symbol's observable.  z is one parameter, or a 1-D
+    array of them whose iterates come from one scan, stacked as (len(z), q, q).
     """
-    window.require(0, n)
-    q = family.n_states
-    M = np.eye(q, dtype=complex if float(np.imag(z)) != 0 else float)
-    for j in range(n):
-        s, s_next = window.symbol(j), window.symbol(j + 1)
-        D = np.diag(np.exp(z * family.u[s_next])) if z != 0 else np.eye(q)
-        M = M @ (family.kernels[s] @ D)
-    return M
+    zs = np.atleast_1d(z)
+    if not np.any(np.imag(zs)):
+        zs = np.real(zs)
+    syms = window.symbols(0, n)
+    twist = np.exp(zs[:, None, None] * family.u[syms[1:], None, None, :])
+    prods = unscale(*full_product(family.kernels[syms[:-1], None] * twist))
+    return prods if np.ndim(z) else prods[0]
 
 
 class DoeblinOrbit:
@@ -173,21 +165,19 @@ class DoeblinOrbit:
         fam = system.family
         self.symbols = window.symbols(0, n)
         kernels = fam.kernels[self.symbols[:n]]
-        nu = np.full(fam.n_states, 1.0 / fam.n_states)
-        for s in window.symbols(-warmup, -1):
-            nu = nu @ fam.kernels[s]
-        prods = _prefix_products(kernels)
-        self.nu = np.empty((n + 1, fam.n_states))
-        self.nu[0] = nu / nu.sum()
-        self.nu[1:] = self.nu[0] @ prods
-        self.nu[1:] /= self.nu[1:].sum(axis=1, keepdims=True)
+        # nu[j] is the uniform law pushed through the warmup kernels and the
+        # first j window kernels: one scan, led by an identity for j = 0
+        factors = np.concatenate([np.eye(fam.n_states)[None],
+                                  fam.kernels[window.symbols(-warmup, -1)], kernels])
+        pushed = prefix_products(factors)[0][warmup:].sum(axis=1)
+        self.nu = pushed / pushed.sum(axis=1, keepdims=True)
         if system.initial is None:
             self.marginal = self.nu
         else:
             self.marginal = np.empty_like(self.nu)
             start = np.asarray(system.initial, dtype=float)
             self.marginal[0] = start / start.sum()
-            self.marginal[1:] = self.marginal[0] @ prods
+            self.marginal[1:] = self.marginal[0] @ unscale(*prefix_products(kernels))
         self._kernels = kernels
         self._variances = None
 
@@ -204,16 +194,20 @@ class DoeblinOrbit:
         With the centred observables c_l = u_{omega_l} - E u_{omega_l}(xi_l)
         and the marginals p_l, g_0 = 0 and g_{l+1} = (g_l + p_l c_l) K_l
         carry the earlier steps' centred mass to time l + 1, and Var(S_k) is
-        the prefix sum of p_l . c_l^2 + 2 g_l . c_l.
+        the prefix sum of p_l . c_l^2 + 2 g_l . c_l.  The affine recursion
+        is one scan: [g_{l+1}, 1] = [g_l, 1] [[K_l, 0], [p_l c_l K_l, 1]].
         """
         if self._variances is None:
-            n = len(self._kernels)
+            n, q = self._kernels.shape[:2]
             centred = self.system.family.u[self.symbols[:n]] - self.step_means(n)[:, None]
             terms = np.einsum("lx,lx->l", self.marginal[:n], centred ** 2)
-            g = np.zeros(self.marginal.shape[1])
-            for l in range(n):
-                terms[l] += 2.0 * (g @ centred[l])
-                g = (g + self.marginal[l] * centred[l]) @ self._kernels[l]
+            aug = np.zeros((n, q + 1, q + 1))
+            aug[:, :q, :q] = self._kernels
+            aug[:, q, :q] = np.einsum("lx,lxy->ly", self.marginal[:n] * centred, self._kernels)
+            aug[:, q, q] = 1.0
+            g = np.zeros((n, q))
+            g[1:] = unscale(*prefix_products(aug))[:-1, q, :q]
+            terms += 2.0 * np.einsum("lx,lx->l", g, centred)
             self._variances = np.concatenate([[0.0], np.cumsum(terms)])
         return float(self._variances[k])
 
@@ -225,38 +219,7 @@ class DoeblinOrbit:
         return max_dev <= tol, gamma, max_dev
 
 
-def _prefix_products(mats: np.ndarray) -> np.ndarray:
-    """P_j = mats[0] @ ... @ mats[j] for every j, shape (n, q, q).
-
-    The n factors are cut into about sqrt(n) blocks; all blocks form their
-    prefix products at once, then each block is left-multiplied by the
-    product of the blocks before it, so the Python loops run O(sqrt(n))
-    times over O(n) small products in total.
-    """
-    n, q = len(mats), mats.shape[1]
-    size = max(1, math.isqrt(n))
-    blocks = -(-n // size)
-    prods = np.empty((blocks * size, q, q))
-    prods[:n] = mats
-    prods[n:] = np.eye(q)  # identities pad the last block
-    prods = prods.reshape(blocks, size, q, q)
-    for k in range(1, size):
-        prods[:, k] = prods[:, k - 1] @ prods[:, k]
-    before = np.empty((blocks, 1, q, q))
-    acc = np.eye(q)
-    for j in range(blocks):
-        before[j, 0] = acc
-        acc = acc @ prods[j, -1]
-    return (before @ prods).reshape(blocks * size, q, q)[:n]
-
-
 def doeblin_contraction_coefficient(family: DoeblinFamily) -> float:
     """Worst-case one-step total-variation contraction factor across kernels."""
-    worst = 0.0
-    for K in family.kernels:
-        q = K.shape[0]
-        for x in range(q):
-            for y in range(q):
-                tv = 0.5 * float(np.sum(np.abs(K[x] - K[y])))
-                worst = max(worst, tv)
-    return worst
+    K = family.kernels
+    return float(0.5 * np.abs(K[:, :, None] - K[:, None, :]).sum(axis=-1).max())

@@ -279,11 +279,6 @@ class PotentialTable:
             return self.u[s, s_next]
         return self.u[s]
 
-    def u_lattice_ints(self, s: int, s_next: int | None = None) -> np.ndarray:
-        if self.lattice_h is None:
-            raise NotLattice("potential table has no declared lattice_h")
-        return np.round(self.u_for(s, s_next) / self.lattice_h).astype(np.int64)
-
     def holder_constants(self, alpha: float = 1.0):
         """(max_s v(phi_s), max_s v(u_s)) over depth-r cylinder functions."""
         d, r = self.model.d, self.model.r

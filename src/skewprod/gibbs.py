@@ -23,6 +23,7 @@ from .errors import LatticeTooLarge, NonPositive, NotLattice
 from .fiber import FiberModel, PotentialTable
 from .rpf import RpfTriplet, SystemOrbit
 from .seeding import generator
+from .transfer import branch_matrices, full_product, unscale
 
 STATE_BUDGET = 10**7
 BLOCK_ROWS = 16  # DP rows composed into one polynomial matrix between yields
@@ -256,14 +257,14 @@ class StepTable:
         return totals
 
     def char_function(self, ts) -> np.ndarray:
-        """Spectral E exp(i t S_n) for each t: the twisted rows applied to 1,
-        paired with the start law."""
-        ts = np.asarray(ts, dtype=float).reshape(-1, 1, 1)
-        vec = np.ones((len(ts), self.probs.shape[1]), dtype=complex)
-        for i in range(self.probs.shape[0] - 1, -1, -1):
-            twisted = self.probs[i] * np.exp(1j * ts * self.u[i])
-            vec = np.sum(twisted * vec[:, self.targets[i]], axis=2)
-        return np.sum(self.start * np.exp(1j * ts[:, :, 0] * self.start_u) * vec, axis=1)
+        """Spectral E exp(i t S_n) for each t: the product of the twisted
+        rows (one scan, t the batch axis) applied to 1, paired with the
+        start law."""
+        ts = np.asarray(ts, dtype=float)
+        twisted = self.probs[:, None] * np.exp(1j * ts[:, None, None] * self.u[:, None])
+        prods, expo = full_product(branch_matrices(twisted, self.targets, len(self.start)))
+        start = self.start * np.exp(1j * ts[:, None] * self.start_u)
+        return np.einsum("tw,twc->t", start, unscale(prods, expo))
 
 
 def _compose_blocks(C: np.ndarray, idx: np.ndarray) -> np.ndarray:

@@ -50,7 +50,14 @@ from .gibbs import (
 )
 from .rpf import SystemOrbit, lambda_sequence
 from .seeding import generator
-from .transfer import compose_cocycle, holder_operator_norm
+from .transfer import (
+    full_product,
+    holder_operator_norm,
+    key_matrices,
+    prefix_products,
+    symbol_keys,
+    unscale,
+)
 
 WINDOW_MARGIN = 272  # room for truncation doubling beyond the span a runner needs
 
@@ -151,20 +158,20 @@ def _spectral_radius_certified(M: np.ndarray):
 
 def periodic_operator_family(pp: PeriodicBasePoint, t_grid, pot: PotentialTable,
                              model: FiberModel) -> PeriodicOperatorFamily:
-    """Twisted operators of one full periodic cycle, normalized so rho(0) = 1."""
+    """Twisted operators of one full periodic cycle, normalized so rho(0) = 1.
+
+    One scan with t (0 first, then the grid) as the batch axis.
+    """
     n0 = pp.period
     win = pp.window(0, n0 + 1)
-    rho0, res0 = _spectral_radius_certified(
-        compose_cocycle(win, n0, 0.0, pot, model).full())
-    radii = []
-    max_res = res0
-    for t in t_grid:
-        prod = compose_cocycle(win, n0, 1j * float(t), pot, model)
-        rho, res = _spectral_radius_certified(prod.full())
-        radii.append(rho / rho0)
-        max_res = max(max_res, res)
-    return PeriodicOperatorFamily(pp.cycle, n0, np.asarray(t_grid, dtype=float),
-                                  np.asarray(radii), rho0, max_res)
+    ts = np.asarray(t_grid, dtype=float)
+    keys = symbol_keys(win, pot, 0, n0)
+    factors = np.stack([key_matrices(1j * t, pot, model)[keys]
+                        for t in np.concatenate([[0.0], ts])], axis=1)
+    prods, expo = full_product(factors.swapaxes(-1, -2))
+    rho, res = zip(*(_spectral_radius_certified(M.T) for M in unscale(prods, expo)))
+    return PeriodicOperatorFamily(pp.cycle, n0, ts, np.asarray(rho[1:]) / rho[0],
+                                  rho[0], max(res))
 
 
 @dataclass
@@ -727,25 +734,18 @@ def _decay_large_task(args):
     orbit = system.orbit(ww.window, n_max)
     # the decay statement controls the sup over the compact set J with one
     # rate, so the surveyed quantity is the grid-sup per (environment, n)
-    sup_rows = {n: -math.inf for n in n_grid}
-    for t in t_large:
-        prod = np.eye(system.model.space_dim, dtype=complex)
-        log_scale = 0.0
-        mi = 0
-        for j in range(n_max):
-            prod = orbit.normalized_matrix(j, 1j * float(t)) @ prod
-            peak = np.max(np.abs(prod))
-            if peak > 0:
-                prod /= peak
-                log_scale += math.log(peak)
-            if mi < len(n_grid) and j + 1 == n_grid[mi]:
-                rep = holder_operator_norm(prod, system.model, system.pot,
-                                           j + 1, 1j * float(t),
-                                           system.model.alpha, log_scale)
-                val = math.log2(max(rep.surrogate, 1e-300))
-                sup_rows[j + 1] = max(sup_rows[j + 1], val)
-                mi += 1
-    return [(n, sup_rows[n]) for n in n_grid]
+    ts = np.asarray(t_large, dtype=float)
+    prods, expo = prefix_products(orbit.normalized_matrices(1j * ts).swapaxes(-1, -2))
+    rows = []
+    for n in n_grid:
+        sup = -math.inf
+        for i, t in enumerate(ts):
+            rep = holder_operator_norm(prods[n - 1, i].T, system.model, system.pot, n,
+                                       1j * float(t), system.model.alpha,
+                                       float(expo[n - 1, i]) * math.log(2.0))
+            sup = max(sup, math.log2(max(rep.surrogate, 1e-300)))
+        rows.append((n, sup))
+    return rows
 
 
 def decay_survey(system: SymbolicSystem, t_small, t_large, n_grid, omega_samples: int,

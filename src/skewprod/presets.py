@@ -7,6 +7,8 @@ import math
 LN2 = math.log(2.0)
 
 _UNIFORM2 = [[0.5, 0.5], [0.5, 0.5]]
+# matrix-llt fiber chain: e^phi(a.w) = W[w, a], u by word index a * 2 + w
+_MATRIX_W = [[0.6, 0.4], [0.3, 0.7]]
 
 PRESETS = {
     "scalar-iid": {
@@ -69,6 +71,28 @@ PRESETS = {
                       "n_grid": [50, 100, 200]},
             "samples": {"omega_samples": 200, "fiber_replicates": 250},
             "tolerances": {"ks": 0.04},
+        },
+    },
+    "matrix-llt": {
+        "description": "depth-2 fiber (2x2 transfer matrices) over a two-state base: "
+                       "truncated RPF solve, D = 2 exact laws and the lattice LLT",
+        "criteria": ["7 (LLT bound, matrix case)"],
+        "config": {
+            "name": "matrix-llt",
+            "kind": "symbolic",
+            "experiment": "llt",
+            "seed": 20260808,
+            "base": {"transition": [[0.7, 0.3], [0.4, 0.6]]},
+            "fiber": {"alphabet_size": 2, "depth": 2},
+            "potentials": {
+                "phi": [[math.log(_MATRIX_W[i % 2][i // 2]) for i in range(4)]] * 2,
+                "u": [[0.0, 0.0, 1.0, 2.0]] * 2,
+                "lattice_h": 1.0,
+            },
+            "periodic_cycle": [0, 1],
+            "grids": {"n_list": [500, 1000, 2000]},
+            "samples": {"omega_samples": 8, "strata_depth": 2},
+            "tolerances": {"llt_sup": 0.05},
         },
     },
     "coboundary-degenerate": {

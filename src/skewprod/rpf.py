@@ -1,12 +1,15 @@
 """Random RPF triplets along base orbits, pressure and its derivatives at 0.
 
 The raw triplet (lambda, h, nu) at parameter z is computed from truncated
-orbit iterations: eigenfunction directions by a backward sweep (products of
-factors from the past applied to the constant function) and dual functionals
-by a forward sweep (the reference functional pulled back from the future).
-Truncation lengths double automatically until the eigen-relation residuals
-drop below tolerance; failure to converge signals z outside the admissible
-neighborhood and is surfaced, never hidden.
+orbit products, each read from the blocked scan `transfer.prefix_products`:
+eigenfunction directions from the products of the factors from the past
+applied to the constant function, dual functionals from the reference
+functional pulled back through the factors from the future.  Truncation
+lengths double automatically until the eigen-relation residuals drop below
+tolerance; failure to converge signals z outside the admissible
+neighborhood and is surfaced, never hidden.  The pressure derivatives at 0
+come from the same scan over block Toeplitz factors that carry the Taylor
+coefficients of the matrix products.
 
 Normalized quantities (the triplet of the operator family fixing constants at
 z = 0) are obtained from the raw ones by the gauge transform
@@ -33,13 +36,14 @@ from .fiber import (
     holder_norm_rows,
     holder_norm_vector,
 )
-from .jet import Jet2, jet_dot, jet_sum, jet_vecmat
 from .transfer import (
-    MatrixFactory,
     assemble_matrix,
     branch_arrays,
+    branch_matrices,
     key_matrices,
+    prefix_products,
     symbol_keys,
+    unscale,
 )
 
 DEFAULT_BACK = 64
@@ -73,39 +77,36 @@ class RawOrbitTriplets:
         return max(self.eigen_residual, self.dual_residual)
 
 
-def _is_real(z) -> bool:
-    return float(np.imag(z)) == 0.0
-
-
 def _solve_raw_once(mats: np.ndarray, keys: np.ndarray, z: complex, j_lo: int, j_hi: int,
                     model: FiberModel, back: int, fwd: int) -> RawOrbitTriplets:
-    """One truncated solve: keys[i] is the symbol key of position j_lo - back + i."""
+    """One truncated solve: keys[i] is the symbol key of position j_lo - back + i.
+
+    At j = j_lo + i, H[i] is the direction of M_{j-1} ... M_{j_lo-back} 1
+    (one scan over the transposed factors from the past) and V[i] that of
+    1 M_{j_hi+fwd-1} ... M_j (one scan over the factors from the future,
+    taken backwards).
+    """
     n = j_hi - j_lo
     D = model.space_dim
-    ctype = float if _is_real(z) else complex
+    factors = mats[keys]
 
-    H = np.empty((n + 1, D), dtype=ctype)
-    h = np.ones(D, dtype=ctype)
-    for i in range(back + n):
-        if i >= back:
-            H[i - back] = h
-        h = mats[keys[i]] @ h
-        peak = np.max(np.abs(h))
-        if peak == 0 or not np.isfinite(peak):
-            raise NoConvergence(f"backward iteration degenerated at position {j_lo - back + i}")
-        h = h / peak
-    H[n] = h
+    prods, _ = prefix_products(factors[:back + n].swapaxes(1, 2))
+    h = np.concatenate([np.ones((1, D), dtype=factors.dtype), prods.sum(axis=1)])
+    peak = np.max(np.abs(h), axis=1)
+    bad = np.flatnonzero(~np.isfinite(peak) | (peak == 0))
+    if bad.size:
+        raise NoConvergence(
+            f"backward iteration degenerated at position {j_lo - back + bad[0] - 1}")
+    H = h[back:] / peak[back:, None]
 
-    V = np.empty((n + 1, D), dtype=ctype)
-    v = np.full(D, 1.0 / D, dtype=ctype)
-    for i in range(back + n + fwd - 1, back - 1, -1):
-        w = v @ mats[keys[i]]
-        s = np.sum(w)
-        if abs(s) < 1e-280 or not np.isfinite(abs(s)):
-            raise NoConvergence(f"forward functional degenerated at position {j_lo - back + i}")
-        v = w / s
-        if i - back <= n:
-            V[i - back] = v
+    prods, _ = prefix_products(factors[back:][::-1])
+    v = np.concatenate([np.ones((1, D), dtype=factors.dtype), prods.sum(axis=1)])
+    total = v.sum(axis=1)
+    bad = np.flatnonzero(~np.isfinite(total) | (np.abs(total) < 1e-280))
+    if bad.size:
+        raise NoConvergence(
+            f"forward functional degenerated at position {j_hi + fwd - bad[0]}")
+    V = (v / total[:, None])[fwd:][::-1]
 
     # nu_j(1) = 1 holds by construction; enforce nu_j(h_j) = 1
     den = np.einsum("jv,jv->j", V, H)
@@ -114,7 +115,7 @@ def _solve_raw_once(mats: np.ndarray, keys: np.ndarray, z: complex, j_lo: int, j
         raise NoConvergence(f"nu(h) ~ 0 at position {j_lo + small[0]}; z likely outside U")
     H = H / den[:, None]
 
-    M = mats[keys[back:back + n]]
+    M = factors[back:back + n]
     MH = np.einsum("jvw,jw->jv", M, H[:-1])
     lam = np.einsum("jv,jv->j", V[1:], MH)
     d, depth, alpha = model.d, model.r - 1, model.alpha
@@ -148,7 +149,7 @@ def solve_raw_orbit(window: OmegaWindow, z: complex, j_lo: int, j_hi: int,
         keys = symbol_keys(window, pot, j_lo - b, j_hi + f)
         last = _solve_raw_once(mats, keys, z, j_lo, j_hi, model, b, f)
         if last.max_residual < tol:
-            if _is_real(z) and np.any(np.real(last.H) <= 0):
+            if np.isrealobj(last.H) and np.any(last.H <= 0):
                 raise NonpositiveEigenfunction("real-parameter eigenfunction lost positivity")
             return last
         nb, nf = min(2 * b, b_cap), min(2 * f, f_cap)
@@ -180,7 +181,6 @@ class SystemOrbit:
         self.window = window
         self.j_lo, self.j_hi = j_lo, j_hi
         self.pot, self.model = pot, model
-        self.factory0 = MatrixFactory(window, 0.0, pot, model)
         self.keys = symbol_keys(window, pot, j_lo, j_hi)
         self.symbols = self.keys // pot.n_symbols if pot.u_next_symbol else self.keys
         if model.space_dim == 1:
@@ -235,17 +235,19 @@ class SystemOrbit:
         """(probs, targets, uvals) of the one-step backward transition at factor j."""
         return tuple(part[j - self.j_lo] for part in self.kernel_arrays())
 
+    def normalized_matrices(self, zs) -> np.ndarray:
+        """Normalized one-step matrices of every factor at every z in zs,
+        stacked as (j_hi - j_lo, len(zs), D, D)."""
+        probs, targets, uvals = self.kernel_arrays()
+        zs = np.asarray(zs)
+        if not np.any(np.imag(zs)):
+            zs = np.real(zs).astype(float)
+        weights = probs[:, None] * np.exp(zs[:, None, None] * uvals[:, None])
+        return branch_matrices(weights, targets, self.model.space_dim)
+
     def normalized_matrix(self, j: int, z: complex = 0.0) -> np.ndarray:
         """Normalized one-step matrix at factor j and parameter z."""
-        probs, targets, uvals = self.branch_kernel(j)
-        D = self.model.space_dim
-        if float(np.imag(z)) == 0.0:
-            z = float(np.real(z))
-        weights = probs * (np.exp(z * uvals) if z != 0 else 1.0)
-        M = np.zeros((D, D), dtype=float if isinstance(z, float) else complex)
-        rows = np.broadcast_to(np.arange(D)[:, None], targets.shape)
-        np.add.at(M, (rows, targets), weights)
-        return M
+        return self.normalized_matrices([z])[j - self.j_lo, 0]
 
     def deep_apply_normalized(self, j: int, values: np.ndarray, depth: int) -> np.ndarray:
         """Normalized operator applied to a depth-K function, K >= r; output depth K-1."""
@@ -299,13 +301,16 @@ class SystemOrbit:
             centred = u - means[:, None, None]
             terms = np.einsum("iw,iwa->i", mu_next, probs * centred ** 2)
             if D > 1:
-                G = np.zeros(D)
-                G_at = np.empty((n, D))
+                # [G_{i+1}; 1] = [[A_i, drift_i], [0, 1]] [G_i; 1], one scan
+                # over the transposed augmented factors
                 weighted = probs * centred
-                drift = weighted.sum(axis=2)
-                for i in range(n):
-                    G_at[i] = G
-                    G = np.sum(probs[i] * G[targets[i]], axis=1) + drift[i]
+                aug = np.zeros((n, D + 1, D + 1))
+                aug[:, :D, :D] = self.normalized_matrices([0.0])[:, 0]
+                aug[:, :D, D] = weighted.sum(axis=2)
+                aug[:, D, D] = 1.0
+                prods, expo = prefix_products(aug.swapaxes(1, 2))
+                G_at = np.zeros((n, D))
+                G_at[1:] = unscale(prods, expo)[:-1, D, :D]
                 G_next = G_at[np.arange(n)[:, None, None], targets]
                 terms += 2.0 * np.einsum("iw,iwa->i", mu_next, weighted * G_next)
             self._moments = (np.concatenate([[0.0], np.cumsum(means)]),
@@ -445,19 +450,14 @@ def exp_convergence_probe(window: OmegaWindow, z: complex, q: CylinderFunction,
     d, depth, alpha = model.d, model.r - 1, model.alpha
     qv = q.extend(depth).values
     _, _, nu_n0 = norm_triplet_from_raw(raw_z, orbit0, 0)
-    nu_q = nu_n0 @ qv
+    lam_prods = np.cumprod(_normalized_lambdas(raw_z, orbit0))
+    # (A_{n-1} ... A_0) q from one scan over the transposed normalized matrices
+    prods, expo = prefix_products(orbit0.normalized_matrices([z])[:, 0].swapaxes(1, 2))
     e_n = []
-    vec = qv.astype(float if _is_real(z) else complex)
-    lam_prod = 1.0
-    wanted = set(int(n) for n in n_list)
-    for n in range(1, n_max + 1):
-        lam_n, _, _ = norm_triplet_from_raw(raw_z, orbit0, n - 1)
-        vec = orbit0.normalized_matrix(n - 1, z) @ vec
-        lam_prod = lam_prod * lam_n
-        if n in wanted:
-            _, h_end, _ = norm_triplet_from_raw(raw_z, orbit0, n)
-            diff = vec / lam_prod - nu_q * h_end
-            e_n.append(float(holder_norm_vector(diff, d, depth, alpha)))
+    for n in sorted(n_list):
+        _, h_end, _ = norm_triplet_from_raw(raw_z, orbit0, n)
+        diff = qv @ unscale(prods[n - 1], expo[n - 1]) / lam_prods[n - 1] - (nu_n0 @ qv) * h_end
+        e_n.append(float(holder_norm_vector(diff, d, depth, alpha)))
     ns = np.asarray(sorted(n_list), dtype=float)
     es = np.asarray(e_n)
     keep = es > noise_floor
@@ -477,38 +477,24 @@ def exp_convergence_probe(window: OmegaWindow, z: complex, q: CylinderFunction,
 # pressure along the imaginary axis and derivatives at 0
 
 
+def _normalized_lambdas(raw: RawOrbitTriplets, orbit0: SystemOrbit) -> np.ndarray:
+    """Normalized one-step eigenvalues along raw's span: the raw ones times
+    the gauge factors a_j / (a_{j+1} lambda0_j), a_j = nu_j(z)(h0_j)."""
+    i = raw.j_lo - orbit0.j_lo
+    n = raw.j_hi - raw.j_lo
+    a = np.einsum("jv,jv->j", raw.V, np.real(orbit0.raw0.H[i:i + n + 1]))
+    return raw.lam * a[:-1] / (a[1:] * np.real(orbit0.raw0.lam[i:i + n]))
+
+
 def lambda_sequence(window: OmegaWindow, z: complex, k: int, orbit0: SystemOrbit,
                     fwd: int = DEFAULT_FWD) -> np.ndarray:
     """Normalized one-step eigenvalues lambda~_j(z), j = 0..k-1, along the orbit.
 
-    Runs the forward dual recursion at z once; the per-step normalizing sums
-    are the raw eigenvalues, and the gauge factors a_j = nu_j(z)(h0_j) convert
-    to the normalized cocycle.
+    The raw eigenvalues and dual vectors come from `solve_raw_orbit` at z,
+    with its truncation doubling and residual check.
     """
-    factory = MatrixFactory(window, z, orbit0.pot, orbit0.model)
-    pair_pad = 1 if orbit0.pot.u_next_symbol else 0
-    window.require(0, k + fwd - 1 + pair_pad)
-    D = orbit0.model.space_dim
-    v = np.full(D, 1.0 / D, dtype=complex)
-    raw_lam = np.empty(k, dtype=complex)
-    a = np.empty(k + 1, dtype=complex)
-    vs = {}
-    for p in range(k + fwd - 1, -1, -1):
-        w = v @ factory.matrix(p)
-        s = np.sum(w)
-        if abs(s) < 1e-280:
-            raise NoConvergence(f"dual recursion degenerated at position {p} for z={z}")
-        v = w / s
-        if p < k:
-            raw_lam[p] = s
-        if p <= k:
-            vs[p] = v
-    for j in range(k + 1):
-        a[j] = vs[j] @ orbit0.h0(j)
-    lam_norm = np.empty(k, dtype=complex)
-    for j in range(k):
-        lam_norm[j] = raw_lam[j] * a[j] / (a[j + 1] * orbit0.lam0(j))
-    return lam_norm
+    return _normalized_lambdas(
+        solve_raw_orbit(window, z, 0, k, orbit0.pot, orbit0.model, fwd=fwd), orbit0)
 
 
 @dataclass
@@ -549,8 +535,7 @@ def pressure_curve(window: OmegaWindow, k: int, t_grid, pot: PotentialTable,
         orbit0 = SystemOrbit(window, 0, k, pot, model, fwd=fwd)
     lam_grid = np.empty((len(ts), k), dtype=complex)
     for i, t in enumerate(ts):
-        lam_grid[i] = lambda_sequence(window, 1j * t, k, orbit0, fwd=fwd) if t != 0 \
-            else lambda_sequence(window, 0.0, k, orbit0, fwd=fwd)
+        lam_grid[i] = lambda_sequence(window, 1j * t, k, orbit0, fwd=fwd)
     logs = np.empty_like(lam_grid)
     windings = np.zeros(k)
     logs[0] = np.log(lam_grid[0])  # at t=0 the normalized factors are ~1, so log ~ 0
@@ -571,54 +556,53 @@ def pressure_curve(window: OmegaWindow, k: int, t_grid, pot: PotentialTable,
     return PressureCurve(k, ts, values, windings, box)
 
 
+def _taylor_factors(pot: PotentialTable, model: FiberModel) -> np.ndarray:
+    """Second-order Taylor data of every symbol key's raw matrix at z = 0.
+
+    With M(z) = A0 + z A1 + z^2 A2 + ..., A1 = L(w u) and A2 = L(w u^2) / 2,
+    the key's factor is the block upper-triangular Toeplitz matrix
+    [[A0, A1, A2], [0, A0, A1], [0, 0, A0]]; products of such factors carry
+    the Taylor coefficients of the matrix product in their top block row.
+    Shape (keys, 3D, 3D), keys indexed as in `symbol_keys`.
+    """
+    S, D = pot.n_symbols, model.space_dim
+    Z = np.zeros((D, D))
+    out = []
+    for key in range(S * S if pot.u_next_symbol else S):
+        s, t = divmod(key, S) if pot.u_next_symbol else (key, None)
+        w, tg = branch_arrays(s, 0.0, pot, model, t)
+        u = pot.u_for(s, t).reshape(model.d, D)
+        A0, A1, A2 = (assemble_matrix(c, tg, D) for c in (w, w * u, w * u * u / 2.0))
+        out.append(np.block([[A0, A1, A2], [Z, A0, A1], [Z, Z, A0]]))
+    return np.stack(out)
+
+
 def pressure_derivatives(window: OmegaWindow, k: int, pot: PotentialTable,
                          model: FiberModel, fwd: int = DEFAULT_FWD,
                          orbit0: SystemOrbit | None = None):
-    """(Pi'(0), Pi''(0)) by second-order jets through the dual recursion.
+    """(Pi'(0), Pi''(0)) from one Toeplitz scan over the dual recursion.
 
-    Jets ride the forward functional recursion and the gauge factors, so the
-    derivatives are exact up to the (geometrically small) truncation error;
-    finite differences stay available as an independent cross-check.
+    The normalized eigenvalues telescope: with the forward functionals
+    l_p(z) = 1 M_{k+fwd-1}(z) ... M_p(z),
+        Pi_k(z) = log l_0(z) h0_0 - log l_k(z) h0_k - sum_j log lambda0_j,
+    so both derivatives are log-derivatives of two scalars, exact up to
+    the (geometrically small) truncation error.  Their Taylor coefficients
+    are read from one scan over the keys' Toeplitz factors (see
+    `_taylor_factors`), taken backwards from position k + fwd - 1.
     """
     if orbit0 is None:
         orbit0 = SystemOrbit(window, 0, k, pot, model, fwd=fwd)
-    pair_pad = 1 if pot.u_next_symbol else 0
-    window.require(0, k + fwd - 1 + pair_pad)
     D = model.space_dim
-    mjets = {}
-
-    def mjet(j):
-        key = orbit0.factory0.key_at(j)
-        if key not in mjets:
-            s_next = key[1] if len(key) == 2 else None
-            w, tg = branch_arrays(key[0], 0.0, pot, model, s_next)
-            u = pot.u_for(key[0], s_next)
-            uvals = np.stack([u[a * D + np.arange(D)] for a in range(model.d)])
-            M0 = assemble_matrix(w, tg, D)
-            M1 = assemble_matrix(w * uvals, tg, D)
-            M2 = assemble_matrix(w * uvals * uvals, tg, D)
-            mjets[key] = Jet2(M0, M1, M2)
-        return mjets[key]
-
-    v = Jet2(np.full(D, 1.0 / D), np.zeros(D), np.zeros(D))
-    lam_jets = {}
-    a_jets = {}
-    for p in range(k + fwd - 1, -1, -1):
-        w = jet_vecmat(v, mjet(p))
-        s = jet_sum(w)
-        v = w / s
-        if p < k:
-            lam_jets[p] = s
-        if p <= k:
-            a_jets[p] = jet_dot(v, orbit0.h0(p))
-    d1 = 0.0
-    d2 = 0.0
-    for j in range(k):
-        lam_norm = lam_jets[j] * a_jets[j] / (a_jets[j + 1] * lam_jets[j].v)
-        lg = lam_norm.log()
-        d1 += lg.d1
-        d2 += lg.d2
-    return float(d1), float(d2)
+    keys = symbol_keys(window, pot, 0, k + fwd)
+    factors = _taylor_factors(pot, model)[keys[::-1]]
+    # a leading identity makes prods[fwd] the product down to position k
+    prods, _ = prefix_products(np.concatenate([np.eye(3 * D)[None], factors]))
+    derivs = []
+    for i, j in ((k + fwd, 0), (fwd, k)):
+        f0, f1, f2 = prods[i, :D].sum(axis=0).reshape(3, D) @ orbit0.h0(j)
+        derivs.append((f1 / f0, 2.0 * f2 / f0 - (f1 / f0) ** 2))
+    (a1, a2), (b1, b2) = derivs
+    return float(a1 - b1), float(a2 - b2)
 
 
 def admissible_band(window: OmegaWindow, pot: PotentialTable, model: FiberModel,

@@ -5,10 +5,16 @@ cylinder functions to depth-(r-1) cylinder functions, so at every base symbol
 it is an exact d^(r-1) x d^(r-1) matrix.  Rows are indexed by the output word
 (the fiber cylinder one level up the orbit), columns by the input word; the
 entry at (w, a.w[:-1]) is the branch weight of prepending symbol a.
+
+`prefix_products` is the package's one matrix-product code: every cocycle,
+orbit sweep, twisted product and affine moment recursion reads its products
+from that blocked scan.  Transfer cocycles compose right to left (the factor
+at the window origin acts first), so they scan the transposed factors.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,28 +57,92 @@ def branch_arrays(s: int, z: complex, pot: PotentialTable, model: FiberModel,
 
 
 def assemble_matrix(weights: np.ndarray, targets: np.ndarray, D: int) -> np.ndarray:
-    """Matrix M[w_out, w_in] from per-branch (weights, targets) arrays."""
-    M = np.zeros((D, D), dtype=weights.dtype)
-    rows = np.broadcast_to(np.arange(D), targets.shape)
-    np.add.at(M, (rows, targets), weights)
-    return M
+    """Matrix M[w_out, w_in] from per-branch (weights, targets) arrays of shape (d, D)."""
+    return branch_matrices(weights.T[None], targets.T[None], D)[0]
+
+
+def branch_matrices(weights: np.ndarray, targets: np.ndarray, D: int) -> np.ndarray:
+    """Stacked matrices from per-branch step data: out[i, ..., w, c] sums
+    weights[i, ..., w, b] over the branches b with targets[i, w, b] = c.
+
+    weights has shape (n, *batch, D, B) and targets (n, D, B); the batch
+    axes (a t-grid, say) share the targets of their row.
+    """
+    onehot = (targets[..., None] == np.arange(D)).astype(weights.dtype)
+    return np.einsum("i...wb,iwbc->i...wc", weights, onehot)
+
+
+def _normalize(P: np.ndarray) -> np.ndarray:
+    """Divide each matrix of P, in place, by the power of two that puts its
+    infinity norm (largest absolute row sum) in (1/2, 1]; return the
+    exponents.  The division is exact, and it leaves stochastic matrices
+    (up to rounding in their row sums) as they are."""
+    q = P.shape[-1]
+    # row sums with the row axis first, so the max runs across whole arrays
+    rows = np.abs(P).reshape(-1, q, q).swapaxes(0, 1) @ np.ones(q)
+    m, e = np.frexp(rows.max(axis=0).reshape(P.shape[:-2]))
+    e = np.maximum(e - (m == 0.5), -1021)  # 2**-e stays finite below normal range
+    P *= np.ldexp(1.0, -e)[..., None, None]
+    return e
+
+
+def unscale(P: np.ndarray, expo: np.ndarray) -> np.ndarray:
+    """P * 2**expo, exact: the true products from a scan's output."""
+    return P * np.ldexp(1.0, expo)[..., None, None]
+
+
+def prefix_products(factors: np.ndarray):
+    """Every prefix P_j = F_0 @ F_1 @ ... @ F_j of stacked factors.
+
+    factors has shape (n, *batch, q, q), real or complex; the product runs
+    over the first axis, separately for every batch index.  Returns
+    (prods, expo) with prods[j] * 2**expo[j] the true P_j (see `unscale`);
+    expo has shape (n, *batch).
+
+    The n factors are cut into blocks of about sqrt(n); all blocks form
+    their prefix products at once, then every block after the first is
+    left-multiplied by the product of the blocks before it, read from the
+    same scan over the block totals, so the Python loops run O(sqrt(n))
+    times in all.  Every factor is first divided by a power of two (see
+    `_normalize`): the infinity norm is submultiplicative, so no product
+    overflows, and the mantissas stay those of the unscaled product.
+    """
+    factors = np.asarray(factors)
+    n, shape = len(factors), factors.shape[1:]
+    if n == 0:
+        return factors.copy(), np.zeros(factors.shape[:-2], dtype=np.int64)
+    size = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
+    blocks = -(-n // size)
+    prods = np.empty((blocks * size,) + shape, dtype=factors.dtype)
+    prods[:n] = factors
+    prods[n:] = np.eye(shape[-1])  # identities pad the last block
+    prods = prods.reshape((blocks, size) + shape)
+    expo = np.cumsum(_normalize(prods), axis=1, dtype=np.int64)
+    for k in range(1, size):
+        prods[:, k] = prods[:, k - 1] @ prods[:, k]
+    if blocks > 1:
+        before, before_expo = prefix_products(prods[:-1, -1])
+        prods[1:] = before[:, None] @ prods[1:]
+        expo[1:] += (before_expo + np.cumsum(expo[:-1, -1], axis=0))[:, None]
+    return (prods.reshape((blocks * size,) + shape)[:n],
+            expo.reshape((blocks * size,) + shape[:-2])[:n])
+
+
+def full_product(factors: np.ndarray):
+    """(F_0 @ ... @ F_{n-1}, exponent) from the scan; the identity when n = 0."""
+    eye = np.broadcast_to(np.eye(factors.shape[-1], dtype=factors.dtype), (1,) + factors.shape[1:])
+    prods, expo = prefix_products(np.concatenate([eye, factors]))
+    return prods[-1], expo[-1]
 
 
 @dataclass
 class TransferMatrix:
-    """One operator factor: dim, matrix, parameter z, consumed base symbol(s), kind."""
+    """One operator factor: matrix, parameter z, consumed base symbol(s), kind."""
 
     matrix: np.ndarray
     z: complex
     symbols: tuple
     kind: str = "raw"  # "raw" (L) or "normalized" (A)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        return self.matrix @ values
 
 
 def build_transfer(s: int, z: complex, pot: PotentialTable, model: FiberModel,
@@ -117,39 +187,23 @@ class MatrixFactory:
 
     def __init__(self, window: OmegaWindow, z: complex, pot: PotentialTable, model: FiberModel):
         self.window = window
-        self.z = z
         self.pot = pot
-        self.model = model
         self.mats = key_matrices(z, pot, model)
-
-    def key_at(self, j: int):
-        s = self.window.symbol(j)
-        if self.pot.u_next_symbol:
-            return (s, self.window.symbol(j + 1))
-        return (s,)
 
     def matrix(self, j: int) -> np.ndarray:
         return self.mats[symbol_keys(self.window, self.pot, j, j + 1)[0]]
 
-    def required_hi(self, n: int) -> int:
-        """Highest window index consumed by an n-step cocycle starting at 0."""
-        return n - 1 + (1 if self.pot.u_next_symbol else 0)
-
 
 @dataclass
 class CocycleProduct:
-    """Ordered product of transfer factors with an overflow-rescaling ledger.
+    """Ordered product of transfer factors with its scale ledger.
 
     `matrix * exp(log_scale)` is the true product; factors are composed
     right-to-left, the factor at the window origin acting first.
     """
 
-    n: int
     matrix: np.ndarray
     log_scale: float
-    z: complex
-    base_symbols: tuple
-    kind: str = "raw"
 
     def full(self) -> np.ndarray:
         return self.matrix * np.exp(self.log_scale)
@@ -159,23 +213,13 @@ class CocycleProduct:
 
 
 def compose_cocycle(window: OmegaWindow, n: int, z: complex, pot: PotentialTable,
-                    model: FiberModel, rescale_threshold: float = 1e100) -> CocycleProduct:
+                    model: FiberModel) -> CocycleProduct:
     """n-step raw cocycle product over window indices 0..n-1."""
-    factory = MatrixFactory(window, z, pot, model)
     if n < 0:
         raise InsufficientWindow("cocycle length must be >= 0")
-    window.require(0, max(factory.required_hi(n), 0))
-    D = model.space_dim
-    P = np.eye(D, dtype=float if float(np.imag(z)) == 0.0 else complex)
-    log_scale = 0.0
-    for j in range(n):
-        P = factory.matrix(j) @ P
-        peak = np.max(np.abs(P))
-        if peak > rescale_threshold or (peak != 0 and peak < 1.0 / rescale_threshold):
-            P = P / peak
-            log_scale += np.log(peak)
-    syms = tuple(int(s) for s in window.symbols(0, n - 1)) if n > 0 else ()
-    return CocycleProduct(n, P, log_scale, z, syms, "raw")
+    factors = key_matrices(z, pot, model)[symbol_keys(window, pot, 0, n)]
+    P, expo = full_product(factors.swapaxes(1, 2))
+    return CocycleProduct(P.T, float(expo) * math.log(2.0))
 
 
 def normalize_operator(raw: TransferMatrix, h_in: np.ndarray, h_out: np.ndarray,

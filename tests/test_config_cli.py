@@ -20,7 +20,7 @@ def test_every_preset_validates():
 
 def test_catalog_contains_required_presets():
     required = {"scalar-iid", "two-state-base-lattice", "coboundary-degenerate",
-                "span-2-counterexample", "doeblin-iid", "renewal-gamma-3-2"}
+                "span-2-counterexample", "doeblin-iid", "renewal-gamma-3-2", "matrix-llt"}
     assert required <= set(PRESETS)
 
 
@@ -220,3 +220,16 @@ def test_cli_rerun_byte_identical_results(tmp_path):
     c1 = (out1 / "curves" / "renewal.csv").read_bytes()
     c2 = (out2 / "curves" / "renewal.csv").read_bytes()
     assert c1 == c2
+
+
+def test_cli_matrix_preset_passes_at_any_worker_count(tmp_path):
+    # the depth-2 preset runs the matrix path (space_dim 2) end to end
+    records = []
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        proc = run_cli(["run", "matrix-llt", "--workers", str(workers), "--out", str(out)],
+                       cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert "PASS" in proc.stdout
+        records.append(record_bytes_from_file(str(out / "results.json")))
+    assert records[0] == records[1]

@@ -2,20 +2,21 @@ import numpy as np
 import pytest
 from _instances import random_instance, scalar_instance
 
-from skewprod.base_env import sample_base_path
-from skewprod.errors import BranchAmbiguity
-from skewprod.fiber import CylinderFunction
-from skewprod.jet import Jet2
+from skewprod.base_env import build_markov_base, sample_base_path
+from skewprod.errors import BranchAmbiguity, NoConvergence
+from skewprod.fiber import CylinderFunction, FiberModel, PotentialTable
 from skewprod.rpf import (
     SystemOrbit,
     admissible_band,
     exp_convergence_probe,
+    lambda_sequence,
     pressure_curve,
     pressure_derivatives,
     solve_raw_orbit,
     solve_rpf,
 )
 from skewprod.seeding import generator
+from skewprod.transfer import MatrixFactory
 
 
 def make_window(chain, seed=1, back=300, fwd=400):
@@ -98,8 +99,9 @@ def test_duality_residual_on_basis():
     win = make_window(chain, seed=8)
     orbit = SystemOrbit(win, 0, 4, pot, model, tol=1e-10)
     raw = orbit.raw0
+    factory = MatrixFactory(win, 0.0, pot, model)
     for j in range(0, 3):
-        M = orbit.factory0.matrix(j)
+        M = factory.matrix(j)
         for w in range(model.space_dim):
             e = np.zeros(model.space_dim)
             e[w] = 1.0
@@ -211,24 +213,35 @@ def test_jet_first_derivative_matches_finite_differences():
     assert errs[1] < errs[0] * 0.3 + 1e-9  # O(delta^2) convergence
 
 
-def test_jet_ring_laws():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        a = Jet2(rng.standard_normal(), rng.standard_normal(), rng.standard_normal())
-        b = Jet2(rng.standard_normal(), rng.standard_normal(), rng.standard_normal())
-        ab = a * b
-        assert ab.d1 == pytest.approx(a.v * b.d1 + a.d1 * b.v)
-        assert ab.d2 == pytest.approx(a.d2 * b.v + 2 * a.d1 * b.d1 + a.v * b.d2)
-        back = ab / b
-        assert back.v == pytest.approx(a.v)
-        assert back.d1 == pytest.approx(a.d1)
-        assert back.d2 == pytest.approx(a.d2, rel=1e-9, abs=1e-9)
-        le = (a * a).log() if a.v > 0 else None
-        if le is not None:
-            direct = a.log() * 2.0
-            assert le.v == pytest.approx(direct.v)
-            assert le.d1 == pytest.approx(direct.d1)
-            assert le.d2 == pytest.approx(direct.d2, rel=1e-9, abs=1e-9)
+def test_second_derivative_matches_finite_differences():
+    rng = generator(48)
+    chain, model, pot = random_instance(rng, d=2, r=2, n_states=2)
+    win = make_window(chain, seed=13)
+    k = 5
+    orbit = SystemOrbit(win, 0, k + 80, pot, model)
+    d1, d2 = pressure_derivatives(win, k, pot, model, orbit0=orbit)
+    errs = []
+    for delta in [0.02, 0.01]:
+        curve = pressure_curve(win, k, [0.0, delta], pot, model, orbit0=orbit)
+        # Re Pi(it) = -t^2/2 Pi''(0) + O(t^4)
+        fd = -2.0 * np.real(curve.values[1]) / delta**2
+        errs.append(abs(fd - d2))
+    assert errs[1] < errs[0] * 0.3 + 1e-7  # O(delta^2) convergence
+    assert errs[1] < 1e-3 * max(1.0, abs(d2))
+
+
+def test_lambda_sequence_raises_where_the_solver_does():
+    # u = 1 exactly on the fiber words ending in 1: at t = pi the twisted
+    # factor 0.5 [[1, 1], [-1, -1]] squares to zero, so the backward sweep dies
+    chain = build_markov_base([[0.5, 0.5], [0.5, 0.5]])
+    model = FiberModel(2, 2)
+    pot = PotentialTable(np.full((2, 4), -np.log(2.0)), [[0.0, 1.0, 0.0, 1.0]] * 2, model)
+    win = make_window(chain)
+    orbit = SystemOrbit(win, 0, 20, pot, model)
+    with pytest.raises(NoConvergence):
+        solve_raw_orbit(win, 1j * np.pi, 0, 20, pot, model)
+    with pytest.raises(NoConvergence):
+        lambda_sequence(win, 1j * np.pi, 20, orbit)
 
 
 def test_no_convergence_far_from_axis():
