@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .base_env import (
     BaseSymbolChain,
@@ -102,6 +101,25 @@ def stratified_windows(chain: BaseSymbolChain, strata_depth: int, total: int,
             win = OmegaWindow(lo, hi, paths[k], m)
             out.append(WeightedWindow(p_s / per, win, si, k))
     return out
+
+
+_SQRT_HALF = math.sqrt(0.5)
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def ndtr(x):
+    """Standard normal CDF, 0.5 * erfc(-x / sqrt(2)), elementwise in float64.
+
+    A float or 0-d input gives a numpy float64, an array input an array of
+    the same shape; NaN stays NaN.  Multiplying by sqrt(1/2) rather than
+    dividing by sqrt(2) rounds the way scipy.special.ndtr does.
+    """
+    return 0.5 * np.asarray(_erfc(np.multiply(x, -_SQRT_HALF)), dtype=np.float64)[()]
+
+
+def normal_sf(z: float) -> float:
+    """Upper normal tail 1 - Phi(z), with no cancellation for large z."""
+    return 0.5 * math.erfc(z * _SQRT_HALF)
 
 
 def normal_cdf(x):
@@ -535,7 +553,7 @@ class RenewalReport:
     rel_err_window: float | None
     negative_side_max: float
     truncation: int
-    tail_bound: float
+    tail_bound: float  # a Gaussian estimate, not a bound (ROADMAP item 5)
     passed: bool
     abel_gap: float = 0.0  # max |U - U_rho| at rho = 1 - 1/N (cross-check)
 
@@ -570,9 +588,10 @@ def renewal_curve(system, a_list, truncation: int, omega_samples: int,
                   negative_tol: float = 0.01, pmap=None) -> RenewalReport:
     """Truncated renewal sums U(a) = sum_{n <= N} E[f 1(S_n = a)] on the lattice.
 
-    Direct summation with a certified Gaussian tail estimate; the positive
-    drift gamma comes from the validated constant step mean; the limit along
-    a -> +infinity is mu(f) h / gamma (h mass per lattice point).
+    Direct summation; the positive drift gamma comes from the validated
+    constant step mean; the limit along a -> +infinity is mu(f) h / gamma
+    (h mass per lattice point).  The reported `tail_bound` is a Gaussian
+    estimate of the mass beyond N, not a bound (ROADMAP item 5).
     """
     h = system.lattice_h
     if h is None:
@@ -619,12 +638,12 @@ def renewal_curve(system, a_list, truncation: int, omega_samples: int,
     U_abel = {a: u / total_w for a, u in U_abel.items()}
     abel_gap = max(abs(U[a] - U_abel[a]) for a in a_list)
     target = mu_f * h / gamma
-    # certified tail: contributions from n > N to a <= a_max are bounded by the
-    # gaussian deviation probabilities of S_n reaching back below a_max
+    # estimated tail, not a bound: contributions from n > N to a <= a_max,
+    # approximated by the gaussian probabilities of S_n reaching back below a_max
     tail = 0.0
     for n in range(truncation + 1, truncation + 2000):
         z = (n * gamma - a_max) / math.sqrt(max(sigma_sq, 1e-12) * n)
-        p = float(1.0 - ndtr(z))
+        p = normal_sf(z)
         tail += p
         if p < 1e-16:
             break

@@ -11,7 +11,6 @@ import csv
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import __version__
@@ -70,6 +69,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
     executor = None
     try:
         if workers > 1:
+            # imported here: it loads multiprocessing, which one worker never uses
+            from concurrent.futures import ProcessPoolExecutor
+
             executor = ProcessPoolExecutor(max_workers=workers)
             pmap = _pool_pmap(executor)
         else:

@@ -9,13 +9,15 @@ order in which tasks run or on how they are chunked across workers.
 
 from __future__ import annotations
 
-import numpy as np
+# numpy loads numpy.random on first attribute access; every run draws
+# windows, so importing it here keeps that cost in start-up
+from numpy.random import PCG64, Generator, SeedSequence
 
 
-def seed_sequence(master_seed: int, *path: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(entropy=int(master_seed), spawn_key=tuple(int(p) for p in path))
+def seed_sequence(master_seed: int, *path: int) -> SeedSequence:
+    return SeedSequence(entropy=int(master_seed), spawn_key=tuple(int(p) for p in path))
 
 
-def generator(master_seed: int, *path: int) -> np.random.Generator:
+def generator(master_seed: int, *path: int) -> Generator:
     """Independent PCG64 stream for task `path` under `master_seed`."""
-    return np.random.Generator(np.random.PCG64(seed_sequence(master_seed, *path)))
+    return Generator(PCG64(seed_sequence(master_seed, *path)))

@@ -90,12 +90,16 @@ def test_rerun_reproduces_record_bytes(tmp_path):
     assert record_bytes_from_file(p1) == record_bytes_from_file(p2)
 
 
-def test_workers_do_not_change_record(tmp_path):
+def test_workers_do_not_change_record(tmp_path, monkeypatch):
+    from skewprod import runner
+    from skewprod.config import canonical_record_bytes
+
+    # two CPUs whatever the machine, so the second run starts a real pool
+    monkeypatch.setattr(runner.os, "cpu_count", lambda: 2)
     cfg = parse_config(small_renewal_config(tmp_path))
     r1 = run_experiment(cfg, workers=1)
     r2 = run_experiment(cfg, workers=4)
-    from skewprod.config import canonical_record_bytes
-
+    assert r2.timing["workers"] == 2
     assert canonical_record_bytes(r1.record) == canonical_record_bytes(r2.record)
 
 
@@ -115,7 +119,7 @@ def test_worker_pool_bounded_by_cpu_count(tmp_path, monkeypatch):
         def shutdown(self):
             pass
 
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     cfg = parse_config(small_renewal_config(tmp_path))
     monkeypatch.setattr(runner.os, "cpu_count", lambda: 3)
     result = run_experiment(cfg, workers=10**6)
@@ -168,12 +172,44 @@ def test_expect_classifier_failure_path():
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(skewprod.__file__)))
 
 
-def run_cli(args, cwd):
+def run_child(args, cwd):
+    """Run `python *args` with the imported skewprod first on its path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "skewprod", *args],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, cwd=cwd, env=env)
+
+
+def run_cli(args, cwd):
+    return run_child(["-m", "skewprod", *args], cwd)
+
+
+def test_import_and_one_worker_run_stay_light(tmp_path):
+    # the runtime needs numpy alone: scipy is a test-only oracle, and the
+    # process-pool machinery loads only for --workers > 1.  The runs reach the
+    # KS distance (clt) and the renewal tail, so a lazy scipy import shows too.
+    clt = preset_config("two-state-base-lattice")
+    clt["grids"]["n_list"] = [200]
+    clt["samples"] = {"omega_samples": 32, "fiber_replicates": 128, "strata_depth": 1}
+    runs = ["coboundary-degenerate"]
+    for name, cfg in (("clt", clt), ("renewal", small_renewal_config(tmp_path))):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        runs.append(str(path))
+    script = f"""
+import sys
+import skewprod, skewprod.cli
+def heavy():
+    return [m for m in ("scipy", "concurrent.futures.process") if m in sys.modules]
+assert not heavy(), heavy()
+for i, run in enumerate({runs!r}):
+    code = skewprod.cli.main(["run", run, "--workers", "1", "--out", f"out{{i}}"])
+    assert code == 0, (run, code)
+    assert not heavy(), heavy()
+"""
+    proc = run_child(["-c", script], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_presets_listing(tmp_path):

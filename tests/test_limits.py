@@ -20,6 +20,8 @@ from skewprod.limits import (
     decay_survey,
     lattice_classify,
     llt_scan,
+    ndtr,
+    normal_sf,
     periodic_operator_family,
     renewal_curve,
     stratified_windows,
@@ -84,6 +86,28 @@ def test_weighted_ks_matches_plain_ks():
 
     ref = st.kstest(xs, "norm").statistic
     assert ks == pytest.approx(ref, abs=1e-12)
+
+
+def test_ndtr_matches_scipy():
+    special = pytest.importorskip("scipy.special")
+    x = np.concatenate([np.linspace(-37, 9, 10**5), [-np.inf, np.inf]])
+    got, ref = ndtr(x), special.ndtr(x)
+    assert got.dtype == np.float64 and got.shape == x.shape
+    pos = ref > 0
+    np.testing.assert_allclose(got[pos], ref[pos], rtol=1e-12, atol=0)
+    assert np.array_equal(got[~pos], ref[~pos])
+    assert np.isnan(ndtr(np.nan)) and np.isnan(ndtr(np.array([0.0, np.nan]))[1])
+    assert type(ndtr(0.3)) is np.float64 and type(ndtr(np.array(0.3))) is np.float64
+    assert ndtr(np.zeros((3, 4))).shape == (3, 4)
+
+
+def test_normal_sf_matches_scipy_tail():
+    special = pytest.importorskip("scipy.special")
+    z = np.linspace(0, 37, 1001)
+    got = np.array([normal_sf(v) for v in z])
+    np.testing.assert_allclose(got, special.ndtr(-z), rtol=1e-12, atol=0)
+    # 1 - ndtr(z) cancels to 0 while the tail is still positive
+    assert 1.0 - special.ndtr(9.0) == 0.0 and normal_sf(9.0) > 0.0
 
 
 def test_classifier_span2_counterexample_fails_at_pi():
