@@ -15,6 +15,7 @@ makes the three characteristic-function routes exactly comparable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -81,14 +82,6 @@ class LatticeDistribution:
     def char_function(self, t: float) -> complex:
         return complex(np.exp(1j * t * self.values()) @ self.probs)
 
-    def cdf(self, xs: np.ndarray) -> np.ndarray:
-        cum = np.cumsum(self.probs)
-        idx = np.searchsorted(self.values(), np.asarray(xs), side="right")
-        out = np.zeros(len(np.atleast_1d(xs)))
-        pos = idx > 0
-        out[pos] = cum[idx[pos] - 1]
-        return out
-
     def prob_at(self, value: float) -> float:
         k = int(round(value / self.h)) - self.k0
         if 0 <= k < len(self.probs):
@@ -137,12 +130,14 @@ class StepTable:
         time zero).  `at=None` yields at the start and after every row.
 
         Row i is a polynomial matrix C[i, s, v, w]: the mass moving from state
-        v to state w with shift kmin_i + s.  Between consecutive yields the
-        rows are grouped into blocks of up to BLOCK_ROWS; every block's
-        product is composed in one batch across blocks, then applied to the
-        joint by direct convolution.  Every term is nonnegative, so the law's
-        far tails keep their relative accuracy, which an FFT would lose to
-        the rounding of the largest mass.
+        v to state w with shift kmin_i + s.  The rows between consecutive
+        yields form a segment.  Every segment is cut into blocks of up to
+        BLOCK_ROWS rows, and all blocks' products are composed in one batch;
+        a segment of several blocks multiplies them in a balanced pairwise
+        tree, so the joint is advanced once per segment.  Every product is a
+        direct convolution of nonnegative terms, so the law's far tails keep
+        their relative accuracy, which an FFT would lose to the rounding of
+        the largest mass.
         """
         if self.h is None:
             raise NotLattice("exact lattice law needs declared lattice_h")
@@ -164,16 +159,18 @@ class StepTable:
         joint = np.zeros((D, int(highs[0] - lows[0]) + 1))
         joint[np.arange(D), k_start - lows[0]] = start
         k0 = int(lows[0])
-        # blocks of rows [b0, b1), each ending at the next yield or BLOCK_ROWS later
-        bounds, last = [], 0
-        for r in (m - m0 for m in ms):
-            bounds += [(b, min(b + BLOCK_ROWS, r)) for b in range(last, r, BLOCK_ROWS)]
-            last = r
-        yield_rows = {m - m0 for m in ms}
         if ms and ms[0] == m0:
             yield m0, joint, k0
-        if not bounds:
+        ends = np.asarray(ms[1:] if ms and ms[0] == m0 else ms, dtype=np.int64) - m0
+        if not len(ends):
             return
+        # segment s covers rows [ends[s-1], ends[s]) in blocks [b0, b1) of up to BLOCK_ROWS
+        seg_lo = np.concatenate([[0], ends[:-1]])
+        n_blocks = -(-(ends - seg_lo) // BLOCK_ROWS)
+        first = np.cumsum(n_blocks) - n_blocks
+        seg = np.repeat(np.arange(len(ends)), n_blocks)
+        b0 = seg_lo[seg] + BLOCK_ROWS * (np.arange(len(seg)) - first[seg])
+        b1 = np.minimum(b0 + BLOCK_ROWS, ends[seg])
         # rows as polynomial matrices; row `steps` is the identity that pads short blocks
         span = kmax - kmin
         C = np.zeros((steps + 1, int(span.max(initial=0)) + 1, D, D))
@@ -182,24 +179,36 @@ class StepTable:
                   self.probs)
         C[steps, 0] = np.eye(D)
         span, kmin = np.append(span, 0), np.append(kmin, 0)
-        idx = np.full((len(bounds), max(b1 - b0 for b0, b1 in bounds)), steps)
-        for row, (b0, b1) in zip(idx, bounds):
-            row[:b1 - b0] = np.arange(b0, b1)
-        poly = _compose_blocks(C, idx)
-        block_span, block_kmin = span[idx].sum(axis=1), kmin[idx].sum(axis=1)
-        for b, (_, b1) in enumerate(bounds):
-            nxt = np.zeros((D, joint.shape[1] + int(block_span[b])))
-            coef = poly[b, :block_span[b] + 1]
-            for v in range(D):
-                for w in range(D):
-                    nxt[w] += np.convolve(joint[v], coef[:, v, w])
-            joint, k0 = nxt, k0 + int(block_kmin[b])
-            if b1 in yield_rows:
-                yield m0 + b1, joint, k0
+        idx = b0[:, None] + np.arange(int((b1 - b0).max()))
+        idx[idx >= b1[:, None]] = steps
+        # (block, v, w, shift): each entry's coefficients contiguous for np.convolve
+        poly = np.ascontiguousarray(_compose_blocks(C, idx).transpose(0, 2, 3, 1))
+        block_len = span[idx].sum(axis=1) + 1
+        seg_kmin = np.add.reduceat(kmin[idx].sum(axis=1), first)
+        for s, end in enumerate(ends):
+            b = first[s]
+            coef = poly[b, ..., :block_len[b]] if n_blocks[s] == 1 else _tree_product(
+                [poly[c, ..., :block_len[c]] for c in range(b, b + n_blocks[s])])
+            joint = _poly_product(joint[None], coef)[0]
+            k0 += int(seg_kmin[s])
+            yield m0 + int(end), joint, k0
 
     def stateless(self) -> bool:
         """True when no row depends on the state (r = 1 fibers, rank-one kernels)."""
+        return self._stateless
+
+    # computed once per table, so the arrays must not be changed in place afterwards
+    @cached_property
+    def _stateless(self) -> bool:
         return bool(np.all(self.probs == self.probs[:, :1]) and np.all(self.u == self.u[:, :1]))
+
+    @cached_property
+    def _step_groups(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, counts) of a stateless table: for each distinct step law the
+        last row that has it and how many rows do, latest law first."""
+        laws = np.concatenate([self.probs[::-1, 0], self.u[::-1, 0]], axis=1)
+        first, counts = group_rows(laws)
+        return len(self.probs) - 1 - first, counts
 
     def laws(self, ns, state_budget: int = STATE_BUDGET) -> list:
         """Exact laws of S_m for each prefix length m in ns, from one sweep
@@ -231,20 +240,18 @@ class StepTable:
         """Unbiased draws of S_n.
 
         When no step depends on the state (r = 1 fibers, rank-one kernels) the
-        rows are grouped by their step law and each group is drawn as
-        multinomial counts, groups in the order of their last row; otherwise
-        the chain runs row by row, vectorized over replicates.
+        rows are grouped by their step law (`group_rows`, once per table) and
+        each group is drawn as multinomial counts, groups in the order of
+        their last row; otherwise the chain runs row by row, vectorized over
+        replicates.
         """
         steps, D, _ = self.probs.shape
         states = np.zeros(replicates, dtype=np.int64) if D == 1 else \
             rng.choice(D, size=replicates, p=self.start)
         totals = self.start_u[states]
         if self.stateless():
-            laws = np.concatenate([self.probs[::-1, 0], self.u[::-1, 0]], axis=1)
-            _, first, counts = np.unique(laws, axis=0, return_index=True, return_counts=True)
-            for g in np.argsort(first):
-                i = steps - 1 - first[g]
-                draws = rng.multinomial(counts[g], self.probs[i, 0], size=replicates)
+            for i, count in zip(*self._step_groups):
+                draws = rng.multinomial(count, self.probs[i, 0], size=replicates)
                 totals += draws @ self.u[i, 0]
             return totals
         cum = np.cumsum(self.probs, axis=2)
@@ -280,6 +287,45 @@ def _compose_blocks(C: np.ndarray, idx: np.ndarray) -> np.ndarray:
             nxt[:, s:s + poly.shape[1]] += poly @ Ck[:, None, s]
         poly = nxt
     return poly
+
+
+def group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Groups of equal rows of a 2-D array: the first index and size of each,
+    groups in order of first occurrence.  The same groups as np.unique(rows,
+    axis=0, return_index=True, return_counts=True), without sorting the rows
+    as records: lexsort orders them by their columns, stably, so the first
+    entry of each run of equal rows is its group's first row."""
+    if not len(rows):
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    order = np.lexsort(rows.T)
+    ordered = rows[order]
+    starts = np.flatnonzero(np.concatenate([[True], np.any(ordered[1:] != ordered[:-1], axis=1)]))
+    first = order[starts]
+    counts = np.diff(np.append(starts, len(rows)))
+    by_first = np.argsort(first)
+    return first[by_first], counts[by_first]
+
+
+def _poly_product(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Product of polynomial matrices P (A, D, p) and Q (D, B, q), coefficients
+    along the last axis: (A, B, p + q - 1), each entry summed over D direct
+    convolutions (no FFT)."""
+    out = np.zeros((P.shape[0], Q.shape[1], P.shape[2] + Q.shape[2] - 1))
+    for a in range(P.shape[0]):
+        for b in range(Q.shape[1]):
+            entry = out[a, b]
+            for x in range(Q.shape[0]):
+                entry += np.convolve(P[a, x], Q[x, b])
+    return out
+
+
+def _tree_product(polys: list) -> np.ndarray:
+    """Product of the polynomial matrices in order, multiplied in adjacent
+    pairs level by level, so most of the work lands in a few long convolutions."""
+    while len(polys) > 1:
+        polys = [_poly_product(*polys[i:i + 2]) if i + 1 < len(polys) else polys[i]
+                 for i in range(0, len(polys), 2)]
+    return polys[0]
 
 
 def _lattice_ints(values: np.ndarray, h: float) -> np.ndarray:

@@ -564,21 +564,21 @@ def _renewal_task(args):
     table = system.forward_table(orbit, truncation)
     fw = np.ones(len(table.start)) if f_weights is None else np.asarray(f_weights, dtype=float)
     mu_f = float(table.start @ fw)
-    U = {a: 0.0 for a in a_list}
-    U_abel = {a: 0.0 for a in a_list}
+    # U and U_abel accumulate on the lattice indices lo..hi spanned by a_list
+    ka = np.round(np.asarray(a_list) / h).astype(np.int64)
+    lo, hi = int(ka.min()), int(ka.max()) + 1
+    U = np.zeros(hi - lo)
+    U_abel = np.zeros(hi - lo)
     # Abel cross-check weights the same series by rho^{n-1}, rho = 1 - 1/N
     rho = 1.0 - 1.0 / truncation
     for n, joint, k0 in table.sweep(fw):
-        if n == 0:
+        a0, a1 = max(lo, k0), min(hi, k0 + joint.shape[1])
+        if n == 0 or a0 >= a1:
             continue
-        vals = joint.sum(axis=0)
-        w_abel = rho ** (n - 1)
-        for a in a_list:
-            k = int(round(a / h)) - k0
-            if 0 <= k < len(vals):
-                U[a] += float(vals[k])
-                U_abel[a] += w_abel * float(vals[k])
-    return mu_f, U, U_abel
+        vals = joint[:, a0 - k0:a1 - k0].sum(axis=0)
+        U[a0 - lo:a1 - lo] += vals
+        U_abel[a0 - lo:a1 - lo] += rho ** (n - 1) * vals
+    return mu_f, U[ka - lo], U_abel[ka - lo]
 
 
 def renewal_curve(system, a_list, truncation: int, omega_samples: int,
@@ -628,14 +628,13 @@ def renewal_curve(system, a_list, truncation: int, omega_samples: int,
     if max(mu_f_vals) - min(mu_f_vals) > 1e-8:
         raise NonConstantMean("mu(f) is not constant over environments")
     mu_f = float(np.mean(mu_f_vals))
-    U = {a: 0.0 for a in a_list}
-    U_abel = {a: 0.0 for a in a_list}
+    U = np.zeros(len(a_list))
+    U_abel = np.zeros(len(a_list))
     for ww, (_, Upart, Apart) in zip(ens, partials):
-        for a in a_list:
-            U[a] += ww.weight * Upart[a]
-            U_abel[a] += ww.weight * Apart[a]
-    U = {a: u / total_w for a, u in U.items()}
-    U_abel = {a: u / total_w for a, u in U_abel.items()}
+        U += ww.weight * Upart
+        U_abel += ww.weight * Apart
+    U = dict(zip(a_list, (U / total_w).tolist()))
+    U_abel = dict(zip(a_list, (U_abel / total_w).tolist()))
     abel_gap = max(abs(U[a] - U_abel[a]) for a in a_list)
     target = mu_f * h / gamma
     # estimated tail, not a bound: contributions from n > N to a <= a_max,

@@ -13,7 +13,7 @@ from skewprod.base_env import build_markov_base, sample_base_path
 from skewprod.doeblin import DoeblinSystem, build_doeblin_family
 from skewprod.errors import LatticeTooLarge
 from skewprod.fiber import FiberModel, PotentialTable
-from skewprod.gibbs import BLOCK_ROWS, StepTable
+from skewprod.gibbs import BLOCK_ROWS, StepTable, group_rows
 from skewprod.limits import SymbolicSystem
 from skewprod.seeding import generator
 
@@ -200,3 +200,84 @@ def test_sweep_rejects_prefix_lengths_outside_table():
     for bad in ([1], [6]):
         with pytest.raises(ValueError):
             next(table.sweep(at=bad))
+
+
+def test_long_sweep_matches_row_by_row():
+    # n >= 40 blocks with uneven segments (1, 4, 32, 263 and 399 rows), so
+    # the pairwise segment products run several levels deep
+    n, ns = 44 * BLOCK_ROWS, [0, 1, 5, 37, 300, 301, 44 * BLOCK_ROWS]
+    for D in (1, 2):
+        rng = generator(81, D)
+        probs = rng.uniform(0.05, 1.0, size=(n, D, 3))
+        probs /= probs.sum(axis=2, keepdims=True)
+        u = rng.integers(-2, 3, size=(n, D, 3)).astype(float)
+        table = StepTable(n, 1.0, np.full(D, 1.0 / D), np.arange(D, dtype=float), probs,
+                          rng.integers(0, D, size=(n, D, 3)), u)
+        reference = row_by_row_sweep(table)
+        swept = list(table.sweep(at=ns))
+        assert [m for m, _, _ in swept] == ns
+        for m, joint, k0 in swept:
+            want, want_k0 = reference[m]
+            assert k0 == want_k0 and joint.shape == want.shape
+            err = np.abs(joint - want)
+            assert np.max(err) <= 1e-15
+            big = want > 1e-290
+            assert np.max(err[big] / want[big]) <= 1e-12
+        for law in table.laws(ns):
+            assert abs(law.probs.sum() - 1.0) <= 1e-12
+
+
+def reference_sample(table, rng, replicates=1):
+    """The sampler as it was before `group_rows`: rows grouped by np.unique."""
+    steps, D, _ = table.probs.shape
+    states = np.zeros(replicates, dtype=np.int64) if D == 1 else \
+        rng.choice(D, size=replicates, p=table.start)
+    totals = table.start_u[states]
+    laws = np.concatenate([table.probs[::-1, 0], table.u[::-1, 0]], axis=1)
+    _, first, counts = np.unique(laws, axis=0, return_index=True, return_counts=True)
+    for g in np.argsort(first):
+        i = steps - 1 - first[g]
+        draws = rng.multinomial(counts[g], table.probs[i, 0], size=replicates)
+        totals += draws @ table.u[i, 0]
+    return totals
+
+
+@st.composite
+def stateless_tables(draw):
+    """Stateless tables whose rows repeat a few step laws, among them laws that
+    differ from another only in u, or by one ulp in one probability."""
+    seed = draw(st.integers(0, 2**31 - 1))
+    rng = generator(seed)
+    D, B = draw(st.integers(1, 3)), draw(st.integers(2, 3))
+    probs = rng.dirichlet(np.ones(B), size=draw(st.integers(1, 3)))
+    u = rng.integers(-2, 3, size=probs.shape).astype(float)
+    probs = np.concatenate([probs, probs[:1], probs[:1]])
+    u = np.concatenate([u, u[:1] + np.eye(B)[0], u[:1]])
+    probs[-1, 0] = np.nextafter(probs[-1, 0], 1.0)
+    pick = rng.integers(0, len(probs), size=draw(st.integers(0, 60)))
+    steps = len(pick)
+    start = rng.dirichlet(np.ones(D))
+    table = StepTable(steps, 1.0, start, rng.integers(-1, 2, size=D).astype(float),
+                      np.repeat(probs[pick][:, None], D, axis=1),
+                      rng.integers(0, D, size=(steps, D, B)),
+                      np.repeat(u[pick][:, None], D, axis=1))
+    return table, seed
+
+
+@settings(max_examples=100, deadline=None)
+@given(stateless_tables(), st.integers(1, 50))
+def test_row_groups_match_unique(instance, replicates):
+    table, seed = instance
+    assert table.stateless()
+    rows = np.concatenate([table.probs[::-1, 0], table.u[::-1, 0]], axis=1)
+    first, counts = group_rows(rows)
+    _, want_first, want_counts = np.unique(rows, axis=0, return_index=True, return_counts=True)
+    order = np.argsort(want_first)
+    assert first.tolist() == want_first[order].tolist()
+    assert counts.tolist() == want_counts[order].tolist()
+    got = table.sample(generator(seed, 2), replicates)
+    want = reference_sample(table, generator(seed, 2), replicates)
+    assert got.tobytes() == want.tobytes()
+    # the cached groups serve a second draw the same way
+    assert table.sample(generator(seed, 3), replicates).tobytes() == \
+        reference_sample(table, generator(seed, 3), replicates).tobytes()

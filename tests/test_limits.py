@@ -219,6 +219,14 @@ def test_renewal_gamma_three_halves():
     assert rep.passed
 
 
+def test_renewal_counts_a_repeated_point_once():
+    sysr = system_renewal()
+    kw = dict(truncation=60, omega_samples=12, seed=10, limit_window=(28, 40))
+    once = renewal_curve(sysr, [20, 30, 40], **kw)
+    twice = renewal_curve(sysr, [20, 30, 30, 40], **kw)
+    assert twice.U == [once.U[0], once.U[1], once.U[1], once.U[2]]
+
+
 def test_renewal_deterministic_unit_steps_counting_measure():
     chain, model, pot = scalar_instance([1.0, 1.0], lattice_h=1.0)
     sysu = SymbolicSystem(chain, model, pot)
