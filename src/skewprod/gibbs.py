@@ -7,9 +7,11 @@ normalized matrices are row-action stochastic, so the dual action along the
 orbit is a Markov chain on fiber cylinders run against the dynamics (the
 trajectory read backwards); the Doeblin model's chain runs forward.  The
 exact lattice law (a dynamic-programming convolution over (state, lattice
-value)), the forward (renewal) sweep, the sampler and the spectral
-characteristic function are written once against the table, which is what
-makes the three characteristic-function routes exactly comparable.
+value), or, when no row depends on the state, the start law times powers of
+the table's few distinct step laws), the forward (renewal) sweep, the sampler
+and the spectral characteristic function are written once against the table,
+which is what makes the three characteristic-function routes exactly
+comparable.
 """
 
 from __future__ import annotations
@@ -174,9 +176,12 @@ class StepTable:
         # rows as polynomial matrices; row `steps` is the identity that pads short blocks
         span = kmax - kmin
         C = np.zeros((steps + 1, int(span.max(initial=0)) + 1, D, D))
-        rows = np.arange(steps)[:, None, None]
-        np.add.at(C, (rows, k_steps - kmin[:, None, None], np.arange(D)[:, None], self.targets),
-                  self.probs)
+        rows, states = np.arange(steps)[:, None], np.arange(D)
+        # one branch at a time: within a branch every (row, state) writes its own
+        # entry, and branches that share one add in ascending order, as np.add.at does
+        for b in range(self.probs.shape[2]):
+            C[rows, k_steps[..., b] - kmin[:, None], states, self.targets[..., b]] += \
+                self.probs[..., b]
         C[steps, 0] = np.eye(D)
         span, kmin = np.append(span, 0), np.append(kmin, 0)
         idx = b0[:, None] + np.arange(int((b1 - b0).max()))
@@ -203,33 +208,70 @@ class StepTable:
         return bool(np.all(self.probs == self.probs[:, :1]) and np.all(self.u == self.u[:, :1]))
 
     @cached_property
-    def _step_groups(self) -> tuple[np.ndarray, np.ndarray]:
-        """(rows, counts) of a stateless table: for each distinct step law the
-        last row that has it and how many rows do, latest law first."""
+    def _step_groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rows of a stateless table grouped by step law (probabilities
+        and increments), latest law first: for each group the last row that
+        has its law and how many rows do, and each row's group."""
         laws = np.concatenate([self.probs[::-1, 0], self.u[::-1, 0]], axis=1)
-        first, counts = group_rows(laws)
-        return len(self.probs) - 1 - first, counts
+        first, counts, labels = group_rows(laws)
+        return len(self.probs) - 1 - first, counts, labels[::-1]
 
     def laws(self, ns, state_budget: int = STATE_BUDGET) -> list:
-        """Exact laws of S_m for each prefix length m in ns, from one sweep
-        (mass 1 up to rounding).
+        """Exact laws of S_m for each prefix length m in ns (mass 1 up to rounding).
 
-        A stateless table with D > 1 states runs as a one-state table whose
-        first row draws the start state and its increment.
+        A table whose rows depend on the state runs one `sweep`.  In a
+        stateless table (r = 1 fibers, rank-one kernels) S_m is the start
+        increment plus independent steps, so its law is the start law times
+        the polynomials, on lattice shifts, of its few distinct step laws
+        (`_step_groups`).  Between consecutive requested lengths, the d rows
+        of group g contribute p_g ** d, computed by repeated squaring on one
+        ladder per group and kept by (g, d); a segment multiplies its powers
+        in a pairwise tree and advances the law once.  As in `sweep`, every
+        product is a direct convolution of nonnegative terms, never an FFT.
         """
-        table = self
-        D, B = self.probs.shape[1:]
-        if D > 1 and self.stateless():
-            width = max(B, D)
-            pad = [(0, 0), (0, 0), (0, width - B)]
-            first = np.pad(self.start, (0, width - D))[None, None]
-            first_u = np.pad(self.start_u, (0, width - D), mode="edge")[None, None]
-            table = StepTable(self.n, self.h, np.ones(1), np.zeros(1),
-                              np.concatenate([first, np.pad(self.probs[:, :1], pad)]),
-                              np.zeros((len(self.probs) + 1, 1, width), dtype=np.int64),
-                              np.concatenate([first_u, np.pad(self.u[:, :1], pad, mode="edge")]))
-        out = {m: LatticeDistribution(self.h, k0, joint.sum(axis=0), m).trim()
-               for m, joint, k0 in table.sweep(at=ns, state_budget=state_budget)}
+        if not self.stateless():
+            out = {m: LatticeDistribution(self.h, k0, joint.sum(axis=0), m).trim()
+                   for m, joint, k0 in self.sweep(at=ns, state_budget=state_budget)}
+            return [out[int(m)] for m in ns]
+        if self.h is None:
+            raise NotLattice("exact lattice law needs declared lattice_h")
+        k_start = _lattice_ints(self.start_u, self.h)
+        k_steps = _lattice_ints(self.u[:, 0], self.h)
+        kmin = k_steps.min(axis=1)
+        span = k_steps.max(axis=1) - kmin
+        width = int(k_start.max() - k_start.min() + span.sum()) + 1
+        if width > state_budget:
+            raise LatticeTooLarge(f"lattice law needs {width} states, budget {state_budget}")
+        m0 = self.n - len(self.probs)
+        ms = sorted({int(m) for m in ns})
+        if ms and not m0 <= ms[0] <= ms[-1] <= self.n:
+            raise ValueError(f"prefix lengths must lie in [{m0}, {self.n}], got {ms}")
+        rows, _, labels = self._step_groups
+        # squaring ladders p_g, p_g ** 2, p_g ** 4, ... as 1 x 1 polynomial matrices
+        ladders = [[np.bincount(k_steps[i] - kmin[i], self.probs[i, 0], span[i] + 1)[None, None]]
+                   for i in rows]
+        powers = {}
+
+        def power(g: int, d: int) -> np.ndarray:
+            if (g, d) not in powers:
+                ladder = ladders[g]
+                while d >> len(ladder):
+                    ladder.append(_poly_product(ladder[-1], ladder[-1]))
+                powers[g, d] = _tree_product([ladder[j] for j in range(d.bit_length()) if d >> j & 1])
+            return powers[g, d]
+
+        k0 = int(k_start.min())
+        joint = np.bincount(k_start - k0, self.start)[None]
+        out, done = {}, 0
+        for m in ms:
+            # the groups of the segment's rows and how many rows each has there
+            g, d = np.unique(labels[done:m - m0], return_counts=True)
+            if len(g):
+                coef = _tree_product([power(*gd) for gd in zip(g.tolist(), d.tolist())])
+                joint = _poly_product(joint[None], coef)[0]
+                k0 += int(kmin[rows[g]] @ d)
+            out[m] = LatticeDistribution(self.h, k0, joint[0], m).trim()
+            done = m - m0
         return [out[int(m)] for m in ns]
 
     def law(self, state_budget: int = STATE_BUDGET) -> LatticeDistribution:
@@ -250,7 +292,8 @@ class StepTable:
             rng.choice(D, size=replicates, p=self.start)
         totals = self.start_u[states]
         if self.stateless():
-            for i, count in zip(*self._step_groups):
+            rows, counts, _ = self._step_groups
+            for i, count in zip(rows, counts):
                 draws = rng.multinomial(count, self.probs[i, 0], size=replicates)
                 totals += draws @ self.u[i, 0]
             return totals
@@ -289,21 +332,26 @@ def _compose_blocks(C: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return poly
 
 
-def group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Groups of equal rows of a 2-D array: the first index and size of each,
-    groups in order of first occurrence.  The same groups as np.unique(rows,
-    axis=0, return_index=True, return_counts=True), without sorting the rows
-    as records: lexsort orders them by their columns, stably, so the first
-    entry of each run of equal rows is its group's first row."""
+    groups in order of first occurrence, and each row's group.  The same
+    groups as np.unique(rows, axis=0, return_index=True, return_counts=True),
+    without sorting the rows as records: lexsort orders them by their
+    columns, stably, so the first entry of each run of equal rows is its
+    group's first row."""
     if not len(rows):
-        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+        return (np.zeros(0, dtype=np.intp),) * 3
     order = np.lexsort(rows.T)
     ordered = rows[order]
     starts = np.flatnonzero(np.concatenate([[True], np.any(ordered[1:] != ordered[:-1], axis=1)]))
     first = order[starts]
     counts = np.diff(np.append(starts, len(rows)))
     by_first = np.argsort(first)
-    return first[by_first], counts[by_first]
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(len(by_first))
+    labels = np.empty(len(rows), dtype=np.intp)
+    labels[order] = np.repeat(rank, counts)
+    return first[by_first], counts[by_first], labels
 
 
 def _poly_product(P: np.ndarray, Q: np.ndarray) -> np.ndarray:

@@ -258,12 +258,14 @@ def test_cli_rerun_byte_identical_results(tmp_path):
     assert c1 == c2
 
 
-def test_cli_matrix_preset_passes_at_any_worker_count(tmp_path):
-    # the depth-2 preset runs the matrix path (space_dim 2) end to end
+@pytest.mark.parametrize("preset", ["matrix-llt", "scalar-iid"])
+def test_cli_matrix_preset_passes_at_any_worker_count(tmp_path, preset):
+    # the depth-2 preset runs the matrix path (space_dim 2) end to end, and
+    # scalar-iid the stateless exact laws (grouped step-law powers)
     records = []
     for workers in (1, 2):
         out = tmp_path / f"w{workers}"
-        proc = run_cli(["run", "matrix-llt", "--workers", str(workers), "--out", str(out)],
+        proc = run_cli(["run", preset, "--workers", str(workers), "--out", str(out)],
                        cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert "PASS" in proc.stdout

@@ -200,6 +200,8 @@ def test_sweep_rejects_prefix_lengths_outside_table():
     for bad in ([1], [6]):
         with pytest.raises(ValueError):
             next(table.sweep(at=bad))
+        with pytest.raises(ValueError):
+            table.laws(bad)
 
 
 def test_long_sweep_matches_row_by_row():
@@ -225,6 +227,63 @@ def test_long_sweep_matches_row_by_row():
             assert np.max(err[big] / want[big]) <= 1e-12
         for law in table.laws(ns):
             assert abs(law.probs.sum() - 1.0) <= 1e-12
+
+
+def assert_law_matches(law, reference, m, atol, rtol=None):
+    """law against the row-by-row joint at m, on the union of their supports."""
+    want, want_k0 = reference[m]
+    want = want.sum(axis=0)
+    assert law.n == m
+    lo, hi = min(law.k0, want_k0), max(law.k0 + len(law.probs), want_k0 + len(want))
+    got, ref = np.zeros(hi - lo), np.zeros(hi - lo)
+    got[law.k0 - lo:][:len(law.probs)] = law.probs
+    ref[want_k0 - lo:][:len(want)] = want
+    err = np.abs(got - ref)
+    assert np.max(err) <= atol
+    if rtol is not None:
+        big = ref > 1e-290
+        assert np.max(err[big] / ref[big]) <= rtol
+
+
+def test_sweep_adds_branches_sharing_shift_and_target():
+    # in each row, branches 0 and 1 of state 0 (and 1 and 2 of state 1) move
+    # to the same target with the same shift, so their masses must add
+    n = 3 * BLOCK_ROWS + 5
+    rng = generator(82)
+    probs = rng.uniform(0.1, 1.0, size=(n, 2, 3))
+    probs /= probs.sum(axis=2, keepdims=True)
+    u = rng.integers(-2, 3, size=(n, 2, 3)).astype(float)
+    targets = rng.integers(0, 2, size=(n, 2, 3))
+    u[:, 0, 1], targets[:, 0, 1] = u[:, 0, 0], targets[:, 0, 0]
+    u[:, 1, 2], targets[:, 1, 2] = u[:, 1, 1], targets[:, 1, 1]
+    table = StepTable(n, 1.0, np.array([0.3, 0.7]), np.array([0.0, 1.0]), probs, targets, u)
+    assert not table.stateless()
+    reference = row_by_row_sweep(table)
+    ns = [0, 7, BLOCK_ROWS + 1, n]
+    for (m, joint, k0), law in zip(table.sweep(at=ns), table.laws(ns)):
+        want, want_k0 = reference[m]
+        assert k0 == want_k0 and joint.shape == want.shape
+        assert np.max(np.abs(joint - want)) <= 1e-15
+        assert_law_matches(law, reference, m, atol=1e-15)
+
+
+def test_long_stateless_law_matches_row_by_row():
+    # 4096 rows alternating irregularly between the clt-scalar step laws (fair
+    # +-1 and {-1, +2} at 2/3 : 1/3), so each law's squaring ladder runs 11 deep
+    n, ns = 4096, [0, 1, 3, 1000, 1025, 4096]
+    rng = generator(83)
+    laws = np.array([[0.5, 0.5], [2.0 / 3.0, 1.0 / 3.0]])
+    shifts = np.array([[-1.0, 1.0], [-1.0, 2.0]])
+    pick = rng.integers(0, 2, size=n)
+    table = StepTable(n, 1.0, np.array([0.25, 0.75]), np.array([0.0, 3.0]),
+                      np.repeat(laws[pick][:, None], 2, axis=1),
+                      np.zeros((n, 2, 2), dtype=np.int64),
+                      np.repeat(shifts[pick][:, None], 2, axis=1))
+    assert table.stateless()
+    reference = row_by_row_sweep(table)
+    for m, law in zip(ns, table.laws(ns)):
+        assert_law_matches(law, reference, m, atol=1e-15, rtol=1e-12)
+        assert abs(law.probs.sum() - 1.0) <= 1e-12
 
 
 def reference_sample(table, rng, replicates=1):
@@ -270,14 +329,28 @@ def test_row_groups_match_unique(instance, replicates):
     table, seed = instance
     assert table.stateless()
     rows = np.concatenate([table.probs[::-1, 0], table.u[::-1, 0]], axis=1)
-    first, counts = group_rows(rows)
-    _, want_first, want_counts = np.unique(rows, axis=0, return_index=True, return_counts=True)
+    first, counts, labels = group_rows(rows)
+    _, want_first, want_labels, want_counts = np.unique(
+        rows, axis=0, return_index=True, return_counts=True, return_inverse=True)
     order = np.argsort(want_first)
     assert first.tolist() == want_first[order].tolist()
     assert counts.tolist() == want_counts[order].tolist()
+    assert labels.tolist() == np.argsort(order)[want_labels.ravel()].tolist()
     got = table.sample(generator(seed, 2), replicates)
     want = reference_sample(table, generator(seed, 2), replicates)
     assert got.tobytes() == want.tobytes()
     # the cached groups serve a second draw the same way
     assert table.sample(generator(seed, 3), replicates).tobytes() == \
         reference_sample(table, generator(seed, 3), replicates).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(stateless_tables(), st.data())
+def test_stateless_laws_match_row_by_row(instance, data):
+    table, _ = instance
+    m0 = table.n - len(table.probs)
+    ns = [m0, table.n] + data.draw(st.lists(st.integers(m0, table.n), max_size=4))
+    ns = data.draw(st.permutations(ns))
+    reference = row_by_row_sweep(table)
+    for m, law in zip(ns, table.laws(ns)):
+        assert_law_matches(law, reference, m, atol=1e-15)

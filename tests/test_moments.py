@@ -161,7 +161,9 @@ def test_doeblin_clt_without_lattice():
     assert rep.passed
 
 
-def test_stateless_law_runs_on_one_state():
+def test_stateless_law_with_start_increments_matches_sweep():
+    # q = 3 states with their own start increments and state-free rows: the
+    # grouped law starts from the start increments' law, not from one state
     rng = generator(73)
     q, steps = 3, 40
     row = rng.uniform(0.1, 1.0, size=q)
