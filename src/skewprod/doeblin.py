@@ -24,7 +24,7 @@ from .gibbs import LatticeDistribution, StepTable
 from .limits import (
     ClassificationReport,
     PeriodicOperatorFamily,
-    _spectral_radius_certified,
+    _spectral_radii_certified,
     classification_grid,
     lattice_classify,
 )
@@ -129,9 +129,9 @@ class DoeblinSystem:
         n0 = len(self.periodic_cycle)
         win = periodic_point(self.chain, self.periodic_cycle).window(0, n0)
         prods = compose_reversed(win, n0, 1j * np.asarray(grid, dtype=float), self.family)
-        rho, res = zip(*(_spectral_radius_certified(M) for M in prods))
+        rho, res = _spectral_radii_certified(prods)
         pf = PeriodicOperatorFamily(tuple(self.periodic_cycle), n0, np.asarray(grid),
-                                    np.asarray(rho), 1.0, max(res))
+                                    rho, 1.0, res)
         return lattice_classify(pf, self.family.lattice_h)
 
 

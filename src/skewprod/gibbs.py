@@ -12,6 +12,14 @@ the table's few distinct step laws), the forward (renewal) sweep, the sampler
 and the spectral characteristic function are written once against the table,
 which is what makes the three characteristic-function routes exactly
 comparable.
+
+The DP advances the joint law, a row of D polynomials, left to right through
+blocks of BLOCK_ROWS rows: a row times a D x D polynomial matrix costs D^2
+convolutions where a matrix product costs D^3, so this order is cheaper than
+multiplying blocks together first.  All blocks' polynomial matrices are
+built in one batch by pairwise doubling.  Every product is a direct sum of
+nonnegative terms (np.convolve or matmul), never an FFT, so the law's far
+tails keep their relative accuracy.
 """
 
 from __future__ import annotations
@@ -29,7 +37,8 @@ from .seeding import generator
 from .transfer import branch_matrices, full_product, unscale
 
 STATE_BUDGET = 10**7
-BLOCK_ROWS = 16  # DP rows composed into one polynomial matrix between yields
+BLOCK_ROWS = 128  # DP rows multiplied into one polynomial matrix per joint advance
+GEMM_TAPS = 65  # longest pieces that `_compose_blocks` multiplies by batched matmuls
 
 
 @dataclass
@@ -133,13 +142,21 @@ class StepTable:
 
         Row i is a polynomial matrix C[i, s, v, w]: the mass moving from state
         v to state w with shift kmin_i + s.  The rows between consecutive
-        yields form a segment.  Every segment is cut into blocks of up to
-        BLOCK_ROWS rows, and all blocks' products are composed in one batch;
-        a segment of several blocks multiplies them in a balanced pairwise
-        tree, so the joint is advanced once per segment.  Every product is a
-        direct convolution of nonnegative terms, so the law's far tails keep
-        their relative accuracy, which an FFT would lose to the rounding of
-        the largest mass.
+        yields form a segment, cut into blocks of up to BLOCK_ROWS rows; every
+        block is padded with identity rows to a power-of-two length, and the
+        products of all blocks of one padded length come from one batch of
+        pairwise doubling (`_compose_blocks`).  The joint is then advanced by each block in
+        order, D^2 convolutions of the joint's rows with the block's entries,
+        and yielded at the end of each segment.  Advancing a row vector costs
+        D^2 convolutions per block where multiplying a segment's blocks
+        together would cost D^3, and 128-row blocks make each convolution long
+        (joint width x 257 taps at span 2), where np.convolve does the most
+        work per call.  A block's coefficients past its rows' summed spans
+        are exact zeros and are trimmed, so each joint has the value range
+        of a row-by-row DP.  With at=None every segment is one row, applied
+        directly.  Every product is a direct sum of nonnegative terms, so the
+        law's far tails keep their relative accuracy, which an FFT would
+        lose to the rounding of the largest mass.
         """
         if self.h is None:
             raise NotLattice("exact lattice law needs declared lattice_h")
@@ -184,19 +201,24 @@ class StepTable:
                 self.probs[..., b]
         C[steps, 0] = np.eye(D)
         span, kmin = np.append(span, 0), np.append(kmin, 0)
-        idx = b0[:, None] + np.arange(int((b1 - b0).max()))
-        idx[idx >= b1[:, None]] = steps
-        # (block, v, w, shift): each entry's coefficients contiguous for np.convolve
-        poly = np.ascontiguousarray(_compose_blocks(C, idx).transpose(0, 2, 3, 1))
-        block_len = span[idx].sum(axis=1) + 1
-        seg_kmin = np.add.reduceat(kmin[idx].sum(axis=1), first)
-        for s, end in enumerate(ends):
-            b = first[s]
-            coef = poly[b, ..., :block_len[b]] if n_blocks[s] == 1 else _tree_product(
-                [poly[c, ..., :block_len[c]] for c in range(b, b + n_blocks[s])])
+        # each block padded with identity rows to a power of two, one batch of
+        # doubling per padded length; past its rows' summed spans a block's
+        # coefficients are exact zeros and are trimmed
+        pad = np.left_shift(1, np.frexp(b1 - b0 - 1)[1])  # 2 ** bit_length(rows - 1)
+        blocks = [None] * len(b0)
+        for size in np.unique(pad).tolist():
+            sel = np.flatnonzero(pad == size)
+            idx = b0[sel, None] + np.arange(size)
+            idx[idx >= b1[sel, None]] = steps
+            for b, coef, length, shift in zip(sel.tolist(), _compose_blocks(C, idx),
+                                              span[idx].sum(axis=1) + 1, kmin[idx].sum(axis=1)):
+                blocks[b] = coef[..., :length], int(shift)
+        last = set((first + n_blocks - 1).tolist())
+        for b, (coef, shift) in enumerate(blocks):
             joint = _poly_product(joint[None], coef)[0]
-            k0 += int(seg_kmin[s])
-            yield m0 + int(end), joint, k0
+            k0 += shift
+            if b in last:
+                yield m0 + int(ends[seg[b]]), joint, k0
 
     def stateless(self) -> bool:
         """True when no row depends on the state (r = 1 fibers, rank-one kernels)."""
@@ -319,16 +341,31 @@ class StepTable:
 
 def _compose_blocks(C: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Product of the polynomial matrices C[idx[b, 0]], C[idx[b, 1]], ... for
-    every block b at once: (blocks, length, D, D), shifts from the block's
-    summed kmin."""
-    poly = C[idx[:, 0]]
-    S = C.shape[1]
-    for k in range(1, idx.shape[1]):
-        Ck = C[idx[:, k]]
-        nxt = np.zeros((len(idx), poly.shape[1] + S - 1) + C.shape[2:])
-        for s in range(S):
-            nxt[:, s:s + poly.shape[1]] += poly @ Ck[:, None, s]
-        poly = nxt
+    every block b at once: (blocks, D, D, length), coefficients last, shifts
+    from the block's summed kmin.
+
+    C has shape (rows, taps, D, D) and idx a power-of-two number of columns.
+    Each level of the doubling multiplies adjacent pieces of every block in
+    one batch, so a block of 2^k rows takes k levels.  While the pieces have
+    at most GEMM_TAPS coefficients, a level loops over the right factor's
+    shifts with one batched matmul per shift, the left factor reshaped to
+    (pieces, taps * D, D) so that each piece takes one matrix product per
+    shift, not one per coefficient; longer pieces take one `np.convolve` per
+    entry (`_poly_product`), which is faster once the convolutions are long.
+    """
+    blocks, D = len(idx), C.shape[2]
+    poly = C[idx.ravel()]
+    while len(poly) > blocks and poly.shape[1] <= GEMM_TAPS:
+        left, right = poly[0::2], poly[1::2]
+        pairs, taps = left.shape[:2]
+        lhs = left.reshape(pairs, taps * D, D)
+        poly = np.zeros((pairs, 2 * taps - 1, D, D))
+        for s in range(right.shape[1]):
+            poly[:, s:s + taps] += (lhs @ right[:, s]).reshape(pairs, taps, D, D)
+    # (pieces, v, w, shift): each entry's coefficients contiguous for np.convolve
+    poly = np.ascontiguousarray(poly.transpose(0, 2, 3, 1))
+    while len(poly) > blocks:
+        poly = np.stack([_poly_product(poly[i], poly[i + 1]) for i in range(0, len(poly), 2)])
     return poly
 
 

@@ -166,12 +166,17 @@ class PeriodicOperatorFamily:
     max_eig_residual: float
 
 
-def _spectral_radius_certified(M: np.ndarray):
+def _spectral_radii_certified(M: np.ndarray):
+    """Spectral radius of every matrix of the stack M (n, q, q), from one
+    stacked eig, and the largest eigen-residual |M v - lambda v| / |v| of
+    the eigenvectors that attain them."""
     vals, vecs = np.linalg.eig(M)
-    i = int(np.argmax(np.abs(vals)))
-    v = vecs[:, i]
-    res = float(np.linalg.norm(M @ v - vals[i] * v) / np.linalg.norm(v))
-    return float(np.abs(vals[i])), res
+    top = np.argmax(np.abs(vals), axis=1)
+    lam = np.take_along_axis(vals, top[:, None], axis=1)
+    v = np.take_along_axis(vecs, top[:, None, None], axis=2)[..., 0]
+    res = np.linalg.norm(np.einsum("nij,nj->ni", M, v) - lam * v, axis=1) \
+        / np.linalg.norm(v, axis=1)
+    return np.abs(lam[:, 0]), float(np.max(res))
 
 
 def periodic_operator_family(pp: PeriodicBasePoint, t_grid, pot: PotentialTable,
@@ -184,12 +189,11 @@ def periodic_operator_family(pp: PeriodicBasePoint, t_grid, pot: PotentialTable,
     win = pp.window(0, n0 + 1)
     ts = np.asarray(t_grid, dtype=float)
     keys = symbol_keys(win, pot, 0, n0)
-    factors = np.stack([key_matrices(1j * t, pot, model)[keys]
-                        for t in np.concatenate([[0.0], ts])], axis=1)
-    prods, expo = full_product(factors.swapaxes(-1, -2))
-    rho, res = zip(*(_spectral_radius_certified(M.T) for M in unscale(prods, expo)))
-    return PeriodicOperatorFamily(pp.cycle, n0, ts, np.asarray(rho[1:]) / rho[0],
-                                  rho[0], max(res))
+    mats = np.concatenate([key_matrices(np.zeros(1), pot, model),
+                           key_matrices(1j * ts, pot, model)])
+    prods, expo = full_product(mats[:, keys].swapaxes(0, 1).swapaxes(-1, -2))
+    rho, res = _spectral_radii_certified(unscale(prods, expo).swapaxes(-1, -2))
+    return PeriodicOperatorFamily(pp.cycle, n0, ts, rho[1:] / rho[0], float(rho[0]), res)
 
 
 @dataclass

@@ -40,6 +40,7 @@ from .transfer import (
     assemble_matrix,
     branch_arrays,
     branch_matrices,
+    full_product,
     key_matrices,
     prefix_products,
     symbol_keys,
@@ -58,7 +59,9 @@ class RawOrbitTriplets:
 
     Row i of H and V (shape (j_hi - j_lo + 1, D)) belongs to position
     j_lo + i, entry i of lam (shape (j_hi - j_lo,)) to the factor between
-    positions j_lo + i and j_lo + i + 1.
+    positions j_lo + i and j_lo + i + 1.  truncation_gap is how far the
+    directions of H at j_lo and V at j_hi move when the truncation is halved
+    (see `_solve_raw_once`).
     """
 
     z: complex
@@ -71,10 +74,23 @@ class RawOrbitTriplets:
     dual_residual: float
     back_used: int
     fwd_used: int
+    truncation_gap: float
 
     @property
     def max_residual(self) -> float:
-        return max(self.eigen_residual, self.dual_residual)
+        return max(self.eigen_residual, self.dual_residual, self.truncation_gap)
+
+
+def _direction_change(x: np.ndarray, y: np.ndarray) -> float:
+    """Distance between the unit vectors along x and y, y's phase turned to
+    match x's; infinite when either vector has no direction."""
+    nx, ny = np.linalg.norm(x), np.linalg.norm(y)
+    if not (np.isfinite(nx) and np.isfinite(ny) and nx > 0 and ny > 0):
+        return np.inf
+    x, y = x / nx, y / ny
+    inner = np.vdot(y, x)
+    phase = inner / abs(inner) if inner != 0 else 1.0
+    return float(np.linalg.norm(x - phase * y))
 
 
 def _solve_raw_once(mats: np.ndarray, keys: np.ndarray, z: complex, j_lo: int, j_hi: int,
@@ -85,6 +101,13 @@ def _solve_raw_once(mats: np.ndarray, keys: np.ndarray, z: complex, j_lo: int, j
     (one scan over the transposed factors from the past) and V[i] that of
     1 M_{j_hi+fwd-1} ... M_j (one scan over the factors from the future,
     taken backwards).
+
+    The eigen and dual residuals vanish by construction along the truncated
+    products, so they cannot show a truncation that is too short.  The
+    truncation gap can: the direction change of H at j_lo against the
+    product of the nearest back // 2 factors alone, and of V at j_hi against
+    the nearest fwd // 2, each one more product of factors already stacked.
+    A side with fewer than two factors has no half truncation and adds 0.
     """
     n = j_hi - j_lo
     D = model.space_dim
@@ -108,6 +131,15 @@ def _solve_raw_once(mats: np.ndarray, keys: np.ndarray, z: complex, j_lo: int, j
             f"forward functional degenerated at position {j_hi + fwd - bad[0]}")
     V = (v / total[:, None])[fwd:][::-1]
 
+    # both half truncations in one scan, the shorter padded with identities
+    halves = np.zeros((max(back, fwd) // 2, 2, D, D), dtype=factors.dtype)
+    halves[:] = np.eye(D)
+    halves[:back // 2, 0] = factors[back - back // 2:back].swapaxes(1, 2)
+    halves[:fwd // 2, 1] = factors[back + n:back + n + fwd // 2][::-1]
+    ends = full_product(halves)[0].sum(axis=1)
+    gap = max(_direction_change(h[back], ends[0]) if back >= 2 else 0.0,
+              _direction_change(v[fwd], ends[1]) if fwd >= 2 else 0.0)
+
     # nu_j(1) = 1 holds by construction; enforce nu_j(h_j) = 1
     den = np.einsum("jv,jv->j", V, H)
     small = np.flatnonzero(np.abs(den) < 1e-280)
@@ -125,14 +157,15 @@ def _solve_raw_once(mats: np.ndarray, keys: np.ndarray, z: complex, j_lo: int, j
                   axis=1, initial=0.0) \
         / np.maximum(np.max(np.abs(V[:-1]), axis=1, initial=0.0), 1e-300)
     return RawOrbitTriplets(z, j_lo, j_hi, H, V, lam, float(np.max(eig, initial=0.0)),
-                            float(np.max(dual, initial=0.0)), back, fwd)
+                            float(np.max(dual, initial=0.0)), back, fwd, gap)
 
 
 def solve_raw_orbit(window: OmegaWindow, z: complex, j_lo: int, j_hi: int,
                     pot: PotentialTable, model: FiberModel,
                     back: int = DEFAULT_BACK, fwd: int = DEFAULT_FWD,
                     tol: float = 1e-9, max_trunc: int = MAX_TRUNC) -> RawOrbitTriplets:
-    """Raw triplets along [j_lo, j_hi] with truncation doubling until residuals < tol.
+    """Raw triplets along [j_lo, j_hi], the truncation doubled until the
+    residuals and the truncation gap (`RawOrbitTriplets.max_residual`) are below tol.
 
     Doubling is capped by max_trunc and by the window itself; a residual
     plateau above tolerance raises NoConvergence (expected behaviour for z
@@ -188,7 +221,7 @@ class SystemOrbit:
             n = j_hi - j_lo
             lam = np.array([np.exp(row).sum() for row in pot.phi])[self.symbols]
             self.raw0 = RawOrbitTriplets(0.0, j_lo, j_hi, np.ones((n + 1, 1)),
-                                         np.ones((n + 1, 1)), lam, 0.0, 0.0, 0, 0)
+                                         np.ones((n + 1, 1)), lam, 0.0, 0.0, 0, 0, 0.0)
         else:
             self.raw0 = solve_raw_orbit(window, 0.0, j_lo, j_hi, pot, model,
                                         back, fwd, tol, max_trunc)

@@ -169,13 +169,26 @@ def symbol_keys(window: OmegaWindow, pot: PotentialTable, lo: int, hi: int) -> n
     return syms[:-1] * pot.n_symbols + syms[1:] if pair else syms
 
 
-def key_matrices(z: complex, pot: PotentialTable, model: FiberModel) -> np.ndarray:
-    """Raw transfer matrices of every symbol key at parameter z: shape (keys, D, D)."""
-    S = pot.n_symbols
-    if pot.u_next_symbol:
-        return np.stack([build_transfer(s, z, pot, model, t).matrix
-                         for s in range(S) for t in range(S)])
-    return np.stack([build_transfer(s, z, pot, model).matrix for s in range(S)])
+def key_matrices(z, pot: PotentialTable, model: FiberModel) -> np.ndarray:
+    """Raw transfer matrices of every symbol key at parameter z: shape (keys, D, D),
+    or (len(z), keys, D, D) when z is a 1-D array.
+
+    One exp of phi + z u over every key, depth-r word and z, and one
+    `branch_matrices` call, give the matrices `build_transfer` builds one at
+    a time; a z with zero imaginary part gives real matrices.
+    """
+    d, D = model.d, model.space_dim
+    u = pot.u.reshape(-1, d ** model.r)
+    phi = pot.phi[np.arange(len(u)) // pot.n_symbols] if pot.u_next_symbol else pot.phi
+    zs = np.asarray(z)
+    if not np.any(np.imag(zs)):
+        zs = np.real(zs).astype(float)
+    words = np.arange(d) * D + np.arange(D)[:, None]  # depth-r word a.w at [w, a]
+    lead = (len(u),) + (1,) * zs.ndim + (D, d)
+    weights = np.exp(phi[:, words].reshape(lead)
+                     + zs.reshape((1,) + zs.shape + (1, 1)) * u[:, words].reshape(lead))
+    mats = branch_matrices(weights, np.broadcast_to(words // d, (len(u), D, d)), D)
+    return np.moveaxis(mats, 0, zs.ndim)
 
 
 class MatrixFactory:

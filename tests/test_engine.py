@@ -143,7 +143,7 @@ def row_by_row_sweep(table, weights=None):
 @given(instances(max_n=3 * BLOCK_ROWS), st.data())
 def test_blocked_sweep_matches_row_by_row(instance, data):
     system, n, seed = instance
-    window = sample_base_path(system.chain, -300, 300, seed)
+    window = sample_base_path(system.chain, -300, n + 300, seed)
     if isinstance(system, SymbolicSystem):
         orbit = system.orbit(window, n, tol=1e-11)
     else:
@@ -205,8 +205,9 @@ def test_sweep_rejects_prefix_lengths_outside_table():
 
 
 def test_long_sweep_matches_row_by_row():
-    # n >= 40 blocks with uneven segments (1, 4, 32, 263 and 399 rows), so
-    # the pairwise segment products run several levels deep
+    # 44 blocks' worth of rows in uneven segments (1, 4, 32, 263, 1 and 5331
+    # rows), so the joint is advanced through padded blocks and a long run of
+    # full ones
     n, ns = 44 * BLOCK_ROWS, [0, 1, 5, 37, 300, 301, 44 * BLOCK_ROWS]
     for D in (1, 2):
         rng = generator(81, D)
@@ -227,6 +228,36 @@ def test_long_sweep_matches_row_by_row():
             assert np.max(err[big] / want[big]) <= 1e-12
         for law in table.laws(ns):
             assert abs(law.probs.sum() - 1.0) <= 1e-12
+
+
+def test_sweep_blocks_of_uneven_row_spans_match_row_by_row():
+    # D = 4 rows whose shifts span 0 (one increment per row) or 4, so a block's
+    # polynomial is shorter than its padded length, and prefixes off the block
+    # boundaries: blocks of 1, 126, 2, 128, 128 and 16 rows, the 126 padded
+    # with identity rows to 128, one doubling batch per padded length
+    n = 3 * BLOCK_ROWS + 17
+    ns = [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS + 1, n]
+    rng = generator(84)
+    probs = rng.uniform(0.05, 1.0, size=(n, 4, 3))
+    probs /= probs.sum(axis=2, keepdims=True)
+    offsets = rng.integers(0, 5, size=(n, 4, 3))
+    offsets[:, 0, :2] = [0, 4]
+    flat = rng.random(n) < 0.5
+    u = rng.integers(-2, 3, size=(n, 1, 1)) + np.where(flat[:, None, None], 0, offsets)
+    table = StepTable(n, 1.0, rng.dirichlet(np.ones(4)), rng.integers(-1, 2, size=4).astype(float),
+                      probs, rng.integers(0, 4, size=(n, 4, 3)), u.astype(float))
+    span = table.u.max(axis=(1, 2)) - table.u.min(axis=(1, 2))
+    assert set(span.tolist()) == {0.0, 4.0} and not table.stateless()
+    reference = row_by_row_sweep(table)
+    swept = list(table.sweep(at=ns))
+    assert [m for m, _, _ in swept] == ns
+    for m, joint, k0 in swept:
+        want, want_k0 = reference[m]
+        assert k0 == want_k0 and joint.shape == want.shape
+        err = np.abs(joint - want)
+        assert np.max(err) <= 1e-15
+        big = want > 1e-290
+        assert np.max(err[big] / want[big]) <= 1e-12
 
 
 def assert_law_matches(law, reference, m, atol, rtol=None):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from _instances import scalar_instance
+from _instances import random_doeblin, scalar_instance
 
 from skewprod.base_env import build_markov_base, periodic_point
+from skewprod.doeblin import compose_reversed
 from skewprod.errors import (
     ClassifierFailed,
     DegenerateVariance,
@@ -14,8 +15,10 @@ from skewprod.errors import (
 from skewprod.fiber import FiberModel, PotentialTable
 from skewprod.limits import (
     SymbolicSystem,
+    _spectral_radii_certified,
     annealed_variance,
     berry_esseen_scan,
+    classification_grid,
     clt_test,
     decay_survey,
     lattice_classify,
@@ -28,6 +31,7 @@ from skewprod.limits import (
     weighted_ks,
 )
 from skewprod.seeding import generator
+from skewprod.transfer import build_transfer, full_product, symbol_keys, unscale
 
 
 def system_pm1():
@@ -119,6 +123,72 @@ def test_classifier_span2_counterexample_fails_at_pi():
     assert not rep.passed
     assert rep.offending_t == pytest.approx(np.pi)
     assert rep.min_gap == pytest.approx(0.0, abs=1e-12)
+
+
+def system_r2_pairs():
+    # r = 2 (D = 2) with u read from the base symbol pair, so the classifier
+    # runs over pair keys
+    model = FiberModel(2, 2)
+    chain = build_markov_base([[0.6, 0.4], [0.3, 0.7]])
+    rng = generator(71)
+    u = rng.integers(0, 3, size=(2, 2, 4)).astype(float)
+    pot = PotentialTable(0.5 * rng.standard_normal((2, 4)), u, model, lattice_h=1.0,
+                         u_next_symbol=True)
+    return SymbolicSystem(chain, model, pot, periodic_cycle=(0, 1))
+
+
+def per_t_classifier(system, grid):
+    """Normalized radii and largest eigen-residual from a loop over t: each
+    t's product from its own scan, each matrix's eig on its own."""
+    if isinstance(system, SymbolicSystem):
+        pp = periodic_point(system.chain, system.periodic_cycle)
+        win = pp.window(0, pp.period + 1)
+        S, pot = system.pot.n_symbols, system.pot
+        keys = symbol_keys(win, pot, 0, pp.period)
+        prods = []
+        for z in [0.0] + [1j * t for t in grid]:
+            # complex at t = 0 too, as in the batch that shares one dtype
+            mats = np.stack([build_transfer(k // S, z, pot, system.model, k % S).matrix
+                             if pot.u_next_symbol else
+                             build_transfer(k, z, pot, system.model).matrix for k in keys])
+            prods.append(unscale(*full_product(mats.swapaxes(1, 2).astype(complex))).T)
+    else:
+        n0 = len(system.periodic_cycle)
+        win = periodic_point(system.chain, system.periodic_cycle).window(0, n0)
+        prods = [compose_reversed(win, n0, 1j * t, system.family) for t in grid]
+    rho, res = [], []
+    for M in prods:
+        vals, vecs = np.linalg.eig(M)
+        i = int(np.argmax(np.abs(vals)))
+        v = vecs[:, i]
+        rho.append(float(np.abs(vals[i])))
+        res.append(float(np.linalg.norm(M @ v - vals[i] * v) / np.linalg.norm(v)))
+    if isinstance(system, SymbolicSystem):
+        return np.asarray(rho[1:]) / rho[0], max(res)
+    return np.asarray(rho), max(res)
+
+
+@pytest.mark.parametrize("build", ["r1", "r2", "doeblin"])
+def test_stacked_classifier_matches_per_t_loop(build):
+    system = {"r1": system_two_state_lattice, "r2": system_r2_pairs,
+              "doeblin": lambda: random_doeblin(generator(72), q=3, n_symbols=2)}[build]()
+    grid = classification_grid(1.0, 97, 0.25)
+    if isinstance(system, SymbolicSystem):
+        pp = periodic_point(system.chain, system.periodic_cycle)
+        pf = periodic_operator_family(pp, grid, system.pot, system.model)
+        radii, residual, scale = pf.radii, pf.max_eig_residual, pf.raw_radius_0
+    else:
+        scale = 1.0
+        n0 = len(system.periodic_cycle)
+        win = periodic_point(system.chain, system.periodic_cycle).window(0, n0)
+        radii, residual = _spectral_radii_certified(
+            compose_reversed(win, n0, 1j * grid, system.family))
+        assert system.classify().radii.tolist() == radii.tolist()
+    want_radii, want_residual = per_t_classifier(system, grid)
+    assert radii.tolist() == want_radii.tolist()
+    # the residuals are rounding errors summed in another order: equal up to a
+    # few ulps of the largest radius
+    assert abs(residual - want_residual) <= 4 * np.finfo(float).eps * scale
 
 
 def test_classifier_01_passes():

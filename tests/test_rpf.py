@@ -12,11 +12,13 @@ from skewprod.rpf import (
     lambda_sequence,
     pressure_curve,
     pressure_derivatives,
+    _direction_change,
+    _solve_raw_once,
     solve_raw_orbit,
     solve_rpf,
 )
 from skewprod.seeding import generator
-from skewprod.transfer import MatrixFactory
+from skewprod.transfer import MatrixFactory, key_matrices, symbol_keys
 
 
 def make_window(chain, seed=1, back=300, fwd=400):
@@ -242,6 +244,37 @@ def test_lambda_sequence_raises_where_the_solver_does():
         solve_raw_orbit(win, 1j * np.pi, 0, 20, pot, model)
     with pytest.raises(NoConvergence):
         lambda_sequence(win, 1j * np.pi, 20, orbit)
+
+
+def test_truncation_gap_catches_a_short_truncation():
+    # e^phi(a.w) = W[w, a] and u = 1 on one word: at z = i pi the eigen and
+    # dual residuals vanish at truncation (64, 64), yet the direction of H at
+    # j_lo moves by 0.17, 0.33 and 0.57 as the truncation doubles
+    W = np.array([[0.6, 0.4], [0.3, 0.7]])
+    model = FiberModel(2, 2)
+    phi = [np.log(W[i % 2, i // 2]) for i in range(4)]
+    pot = PotentialTable([phi] * 2, [[0.0, 0.0, 1.0, 0.0]] * 2, model)
+    win = make_window(build_markov_base([[0.5, 0.5], [0.5, 0.5]]))
+    with pytest.raises(NoConvergence):
+        solve_raw_orbit(win, 1j * np.pi, 0, 10, pot, model)
+    trip = solve_raw_orbit(win, 0.0, 0, 10, pot, model)
+    assert (trip.back_used, trip.fwd_used) == (64, 64)
+    assert trip.truncation_gap < 1e-9
+
+
+@pytest.mark.parametrize("z", [0.0, 0.4j])
+def test_truncation_gap_equals_a_half_truncation_solve(z):
+    rng = generator(12)
+    chain, model, pot = random_instance(rng, d=2, r=3, n_states=2)
+    win = make_window(chain, seed=5)
+    mats = key_matrices(z, pot, model)
+    keys = symbol_keys(win, pot, -64, 20 + 64)
+    full = _solve_raw_once(mats, keys, z, 0, 20, model, 64, 64)
+    half = _solve_raw_once(mats, keys[32:-32], z, 0, 20, model, 32, 32)
+    want = max(_direction_change(full.H[0], half.H[0]),
+               _direction_change(full.V[-1], half.V[-1]))
+    assert 0.0 < want < 1e-6
+    assert abs(full.truncation_gap - want) <= 1e-15
 
 
 def test_no_convergence_far_from_axis():
