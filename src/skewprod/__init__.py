@@ -11,18 +11,11 @@ from .base_env import (
     BaseSymbolChain,
     OmegaWindow,
     PeriodicBasePoint,
-    audit_mixing,
     build_markov_base,
     periodic_point,
     sample_base_path,
 )
-from .fiber import (
-    CylinderFunction,
-    FiberModel,
-    PotentialTable,
-    holder_norm,
-    verify_expanding_axioms,
-)
+from .fiber import CylinderFunction, FiberModel, PotentialTable, holder_norm
 from .rpf import (
     RpfTriplet,
     SystemOrbit,
@@ -31,28 +24,17 @@ from .rpf import (
     pressure_derivatives,
     solve_rpf,
 )
-from .transfer import (
-    CocycleProduct,
-    TransferMatrix,
-    build_transfer,
-    compose_cocycle,
-    holder_operator_norm,
-    lasota_yorke_check,
-    normalize_operator,
-)
+from .transfer import CocycleProduct, compose_cocycle, holder_operator_norm
 
 __version__ = "0.1.0"
 
 # statistics and verification layers re-exported for library users
 from .doeblin import DoeblinFamily, DoeblinSystem, build_doeblin_family  # noqa: E402
 from .gibbs import (  # noqa: E402
-    GibbsMeasure,
     LatticeDistribution,
     char_function_spectral,
     exact_Sn_distribution,
-    gibbs_measure,
     sample_Sn,
-    variance_curve,
 )
 from .limits import (  # noqa: E402
     SymbolicSystem,

@@ -260,50 +260,6 @@ def cylinder_probability(chain: BaseSymbolChain, pattern: dict) -> float:
     return float(prob)
 
 
-@dataclass
-class MixingAudit:
-    pattern: dict
-    exact_probability: float
-    threshold_fraction: float
-    n_list: list
-    tail_estimates: list
-    monotone_trend: bool
-
-
-def audit_mixing(chain: BaseSymbolChain, pattern: dict, n_list, samples: int, seed,
-                 fraction: float = 0.5) -> MixingAudit:
-    """Estimate P{omega: sum_{j<n} 1_B(theta^j omega) <= c n} for the cylinder B.
-
-    c = fraction * P(B) (half the exact cylinder probability by default).  The
-    estimates should trend down in n; the exact probability is computed from
-    Q and p and is always positive.
-    """
-    exact_p = cylinder_probability(chain, pattern)
-    c = fraction * exact_p
-    rng = seed if isinstance(seed, np.random.Generator) else generator(seed)
-    if pattern:
-        idxs = sorted(int(i) for i in pattern)
-        span_lo, span_hi = idxs[0], idxs[-1]
-    else:
-        span_lo = span_hi = 0
-    estimates = []
-    for n in n_list:
-        length = (n - 1 + max(span_hi, 0)) - min(span_lo, 0) + 1
-        paths = _sample_paths_matrix(chain, length, samples, rng)
-        offset = -min(span_lo, 0)
-        if pattern:
-            hit = np.ones((samples, n), dtype=bool)
-            for i, s in pattern.items():
-                cols = offset + np.arange(n) + int(i)
-                hit &= paths[:, cols] == int(s)
-            counts = hit.sum(axis=1)
-        else:
-            counts = np.full(samples, n)
-        estimates.append(float(np.mean(counts <= c * n)))
-    trend = all(b <= a + 1e-12 for a, b in zip(estimates, estimates[1:]))
-    return MixingAudit(pattern, exact_p, fraction, list(n_list), estimates, trend)
-
-
 def _sample_paths_matrix(chain: BaseSymbolChain, length: int, count: int,
                          rng: np.random.Generator) -> np.ndarray:
     """`count` independent stationary paths of `length` symbols."""

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,6 +84,35 @@ def _matrix(value, path: str) -> np.ndarray:
     return arr
 
 
+def _settings(data: dict, section: str, defaults: dict, expected) -> dict:
+    """The config's `section` object, checked key by key: every key is one of
+    `defaults`, and `expected(key, value)` names what a bad value should have
+    been (None for a good one)."""
+    values = data.get(section, {})
+    if not isinstance(values, dict):
+        raise ConfigError(f"{section}: expected a JSON object, got {values!r}")
+    for key, value in values.items():
+        path = f"{section}.{key}"
+        if key not in defaults:
+            raise ConfigError(f"{path}: unknown key; choose one of {sorted(defaults)}")
+        want = expected(key, value)
+        if want:
+            raise ConfigError(f"{path}: expected {want}, got {value!r}")
+    return dict(values)
+
+
+def _sample_count(key: str, value) -> str | None:
+    low = 0 if key == "strata_depth" else 1  # depth 0 samples without strata
+    ok = isinstance(value, int) and not isinstance(value, bool) and value >= low
+    return None if ok else f"an integer >= {low}"
+
+
+def _tolerance(key: str, value) -> str | None:
+    ok = isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and math.isfinite(value) and value > 0
+    return None if ok else "a finite number > 0"
+
+
 def parse_config(data: dict, name_hint: str = "config") -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError("top level: expected a JSON object")
@@ -108,8 +138,10 @@ def parse_config(data: dict, name_hint: str = "config") -> ExperimentConfig:
         base=dict(data.get("base", {})), fiber=dict(data.get("fiber", {})),
         potentials=dict(data.get("potentials", {})), doeblin=dict(data.get("doeblin", {})),
         periodic_cycle=list(data.get("periodic_cycle", [0])),
-        grids=dict(data.get("grids", {})), samples=dict(data.get("samples", {})),
-        tolerances=dict(data.get("tolerances", {})), renewal=dict(data.get("renewal", {})),
+        grids=dict(data.get("grids", {})),
+        samples=_settings(data, "samples", DEFAULT_SAMPLES, _sample_count),
+        tolerances=_settings(data, "tolerances", DEFAULT_TOLERANCES, _tolerance),
+        renewal=dict(data.get("renewal", {})),
         output_dir=str(data.get("output_dir", "out")), raw=data,
     )
     # build both systems eagerly so every cross-reference is checked up front

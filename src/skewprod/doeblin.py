@@ -20,7 +20,7 @@ import numpy as np
 
 from .base_env import BaseSymbolChain, OmegaWindow, periodic_point
 from .errors import DoeblinViolated, NotLattice
-from .gibbs import LatticeDistribution, StepTable
+from .gibbs import StepTable
 from .limits import (
     ClassificationReport,
     PeriodicOperatorFamily,
@@ -120,9 +120,6 @@ class DoeblinSystem:
     # the chain already runs with the dynamics
     forward_table = step_table
 
-    def exact_law(self, orbit: "DoeblinOrbit", n: int) -> LatticeDistribution:
-        return self.step_table(orbit, n).law()
-
     def classify(self, grid_points: int = 97, grid_margin: float = 0.25,
                  J: tuple | None = None) -> ClassificationReport:
         grid = classification_grid(self.family.lattice_h, grid_points, grid_margin, J)
@@ -217,9 +214,3 @@ class DoeblinOrbit:
         gamma = float(np.mean(means))
         max_dev = float(np.max(np.abs(means - gamma)))
         return max_dev <= tol, gamma, max_dev
-
-
-def doeblin_contraction_coefficient(family: DoeblinFamily) -> float:
-    """Worst-case one-step total-variation contraction factor across kernels."""
-    K = family.kernels
-    return float(0.5 * np.abs(K[:, :, None] - K[:, None, :]).sum(axis=-1).max())

@@ -25,16 +25,8 @@ class NoConvergence(SkewprodError):
     """Iteration failed to reach tolerance within its budget."""
 
 
-class NonPositive(SkewprodError):
-    """A quantity that must be strictly positive is not."""
-
-
-class NonpositiveEigenfunction(NonPositive):
-    pass
-
-
-class ZeroEigenvalue(SkewprodError):
-    pass
+class NonpositiveEigenfunction(SkewprodError):
+    """An eigenfunction or Gibbs weight that must be strictly positive is not."""
 
 
 class InvalidSymbol(SkewprodError):
@@ -99,4 +91,3 @@ class DoeblinViolated(SkewprodError):
 
 class BranchAmbiguity(SkewprodError):
     """Pressure branch tracking needs a finer t-grid."""
-

@@ -47,15 +47,6 @@ def word_table(d: int, k: int) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def word_index(word, d: int) -> int:
-    i = 0
-    for s in word:
-        if not 0 <= int(s) < d:
-            raise InvalidSymbol(f"fiber symbol {s} outside alphabet of size {d}")
-        i = i * d + int(s)
-    return i
-
-
 @lru_cache(maxsize=64)
 def first_disagreement(d: int, k: int) -> np.ndarray:
     """Matrix FD with FD[i, j] = first index where words i and j differ (k if equal)."""
@@ -108,32 +99,6 @@ class FiberModel:
     def space_dim(self) -> int:
         """Dimension of the invariant function space (depth r-1 cylinders)."""
         return self.d ** (self.r - 1)
-
-
-
-@dataclass(frozen=True)
-class AxiomReport:
-    xi: float
-    gamma: float
-    branch_bound: int
-    covering_steps: int
-
-
-def verify_expanding_axioms(model: FiberModel) -> AxiomReport:
-    """Symbolic check of topological exactness and the preimage pairing.
-
-    For the full shift, the image of any xi-ball (a depth-2 cylinder) covers X
-    after 2 steps, every point has exactly d shift-preimages, and prepending a
-    common symbol contracts distances by exactly 1/metric_base.  The reported
-    tuple is constant over the whole base.
-    """
-    d = model.d
-    base = model.metric_base
-    # xi-ball = depth-2 cylinder: after two shifts it is all of X; after one it is not
-    # (a depth-2 cylinder shifts to a depth-1 cylinder).  n = 2 is sharp.
-    # Pairing: for rho(x, x') < xi the d preimage pairs (a.x, a.x') satisfy
-    # rho = metric_base^-(m+1) = rho(x, x')/metric_base.
-    return AxiomReport(xi=1.0 / base, gamma=base, branch_bound=d, covering_steps=2)
 
 
 class CylinderFunction:
@@ -291,6 +256,3 @@ class PotentialTable:
             vu = max(holder_seminorm_values(self.u[s], d, r, alpha)
                      for s in range(self.n_symbols))
         return vphi, vu
-
-    def sup_u(self) -> float:
-        return float(np.max(np.abs(self.u)))

@@ -1,4 +1,4 @@
-"""Gibbs measures, exact lattice laws of Birkhoff sums, chains, characteristic functions.
+"""Exact lattice laws of Birkhoff sums, their chains, samplers and characteristic functions.
 
 Along one environment, both fiber models reduce to a `StepTable`: a start
 law with per-state start increments, then one row of (probability, target
@@ -19,7 +19,8 @@ convolutions where a matrix product costs D^3, so this order is cheaper than
 multiplying blocks together first.  All blocks' polynomial matrices are
 built in one batch by pairwise doubling.  Every product is a direct sum of
 nonnegative terms (np.convolve or matmul), never an FFT, so the law's far
-tails keep their relative accuracy.
+tails keep their relative accuracy, and every law is rescaled to its exact
+mass, carried in extended precision.
 """
 
 from __future__ import annotations
@@ -30,44 +31,15 @@ from functools import cached_property
 import numpy as np
 
 from .base_env import OmegaWindow
-from .errors import LatticeTooLarge, NonPositive, NotLattice
+from .errors import LatticeTooLarge, NotLattice
 from .fiber import FiberModel, PotentialTable
-from .rpf import RpfTriplet, SystemOrbit
+from .rpf import SystemOrbit
 from .seeding import generator
 from .transfer import branch_matrices, full_product, unscale
 
 STATE_BUDGET = 10**7
 BLOCK_ROWS = 128  # DP rows multiplied into one polynomial matrix per joint advance
 GEMM_TAPS = 65  # longest pieces that `_compose_blocks` multiplies by batched matmuls
-
-
-@dataclass
-class GibbsMeasure:
-    """Probability weights over depth-(r-1) cylinders, mu = h nu normalized."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if np.any(w < -1e-12):
-            raise NonPositive("Gibbs weights must be nonnegative")
-        total = w.sum()
-        if total <= 0:
-            raise NonPositive("Gibbs weights must have positive mass")
-        self.weights = np.maximum(w, 0.0) / total
-
-    def __call__(self, values: np.ndarray) -> float:
-        return float(self.weights @ np.asarray(values))
-
-
-def gibbs_measure(triplet0: RpfTriplet) -> GibbsMeasure:
-    if abs(np.imag(triplet0.z)) > 0:
-        raise NonPositive("Gibbs measure needs the z = 0 triplet")
-    h = np.real(triplet0.raw_h)
-    nu = np.real(triplet0.raw_nu)
-    if np.any(h <= 0):
-        raise NonPositive("eigenfunction must be strictly positive")
-    return GibbsMeasure(h * nu)
 
 
 @dataclass
@@ -93,25 +65,12 @@ class LatticeDistribution:
     def char_function(self, t: float) -> complex:
         return complex(np.exp(1j * t * self.values()) @ self.probs)
 
-    def prob_at(self, value: float) -> float:
-        k = int(round(value / self.h)) - self.k0
-        if 0 <= k < len(self.probs):
-            return float(self.probs[k])
-        return 0.0
-
     def trim(self, eps: float = 0.0) -> "LatticeDistribution":
         nz = np.nonzero(self.probs > eps)[0]
         if len(nz) == 0:
             return self
         return LatticeDistribution(self.h, self.k0 + int(nz[0]),
                                    self.probs[nz[0]:nz[-1] + 1].copy(), self.n)
-
-    def write_csv(self, path):
-        vals = self.values()
-        with open(path, "w") as fh:
-            fh.write("lattice_value,probability\n")
-            for v, p in zip(vals, self.probs):
-                fh.write(f"{v:.17g},{p:.17g}\n")
 
 
 @dataclass
@@ -156,7 +115,11 @@ class StepTable:
         of a row-by-row DP.  With at=None every segment is one row, applied
         directly.  Every product is a direct sum of nonnegative terms, so the
         law's far tails keep their relative accuracy, which an FFT would
-        lose to the rounding of the largest mass.
+        lose to the rounding of the largest mass.  Each block's entries and
+        each yielded joint are rescaled to their exact masses, which take the
+        same products in extended precision (`_anchored`); without that, a
+        law on a few lattice points lost mass to rounding at every doubling
+        level (2e-15 after 102 rows of a two-state chain).
         """
         if self.h is None:
             raise NotLattice("exact lattice law needs declared lattice_h")
@@ -190,16 +153,21 @@ class StepTable:
         seg = np.repeat(np.arange(len(ends)), n_blocks)
         b0 = seg_lo[seg] + BLOCK_ROWS * (np.arange(len(seg)) - first[seg])
         b1 = np.minimum(b0 + BLOCK_ROWS, ends[seg])
-        # rows as polynomial matrices; row `steps` is the identity that pads short blocks
+        # rows as polynomial matrices C and their masses M (the branch
+        # probabilities summed per state and target in extended precision, so
+        # that branches sharing a shift lose nothing to rounding); row
+        # `steps` is the identity that pads short blocks
         span = kmax - kmin
         C = np.zeros((steps + 1, int(span.max(initial=0)) + 1, D, D))
+        M = np.zeros((steps + 1, D, D), dtype=np.longdouble)
         rows, states = np.arange(steps)[:, None], np.arange(D)
         # one branch at a time: within a branch every (row, state) writes its own
         # entry, and branches that share one add in ascending order, as np.add.at does
         for b in range(self.probs.shape[2]):
             C[rows, k_steps[..., b] - kmin[:, None], states, self.targets[..., b]] += \
                 self.probs[..., b]
-        C[steps, 0] = np.eye(D)
+            M[rows, states, self.targets[..., b]] += self.probs[..., b]
+        C[steps, 0] = M[steps] = np.eye(D)
         span, kmin = np.append(span, 0), np.append(kmin, 0)
         # each block padded with identity rows to a power of two, one batch of
         # doubling per padded length; past its rows' summed spans a block's
@@ -210,14 +178,18 @@ class StepTable:
             sel = np.flatnonzero(pad == size)
             idx = b0[sel, None] + np.arange(size)
             idx[idx >= b1[sel, None]] = steps
-            for b, coef, length, shift in zip(sel.tolist(), _compose_blocks(C, idx),
-                                              span[idx].sum(axis=1) + 1, kmin[idx].sum(axis=1)):
-                blocks[b] = coef[..., :length], int(shift)
+            for b, coef, mass, length, shift in zip(sel.tolist(), *_compose_blocks(C, M, idx),
+                                                    span[idx].sum(axis=1) + 1,
+                                                    kmin[idx].sum(axis=1)):
+                blocks[b] = coef[..., :length], mass, int(shift)
         last = set((first + n_blocks - 1).tolist())
-        for b, (coef, shift) in enumerate(blocks):
+        joint_mass = start.astype(np.longdouble)
+        for b, (coef, mass, shift) in enumerate(blocks):
             joint = _poly_product(joint[None], coef)[0]
+            joint_mass = joint_mass @ mass
             k0 += shift
             if b in last:
+                joint = _anchored(joint, joint_mass)
                 yield m0 + int(ends[seg[b]]), joint, k0
 
     def stateless(self) -> bool:
@@ -249,7 +221,8 @@ class StepTable:
         of group g contribute p_g ** d, computed by repeated squaring on one
         ladder per group and kept by (g, d); a segment multiplies its powers
         in a pairwise tree and advances the law once.  As in `sweep`, every
-        product is a direct convolution of nonnegative terms, never an FFT.
+        product is a direct convolution of nonnegative terms, never an FFT,
+        and each law is rescaled to its exact mass.
         """
         if not self.stateless():
             out = {m: LatticeDistribution(self.h, k0, joint.sum(axis=0), m).trim()
@@ -284,13 +257,17 @@ class StepTable:
 
         k0 = int(k_start.min())
         joint = np.bincount(k_start - k0, self.start)[None]
+        # the exact mass of the joint and of each group's step law
+        mass = self.start.astype(np.longdouble).sum(keepdims=True)
+        step_mass = self.probs[rows, 0].astype(np.longdouble).sum(axis=1)
         out, done = {}, 0
         for m in ms:
             # the groups of the segment's rows and how many rows each has there
             g, d = np.unique(labels[done:m - m0], return_counts=True)
             if len(g):
                 coef = _tree_product([power(*gd) for gd in zip(g.tolist(), d.tolist())])
-                joint = _poly_product(joint[None], coef)[0]
+                mass = mass * np.prod(step_mass[g] ** d)
+                joint = _anchored(_poly_product(joint[None], coef)[0], mass)
                 k0 += int(kmin[rows[g]] @ d)
             out[m] = LatticeDistribution(self.h, k0, joint[0], m).trim()
             done = m - m0
@@ -339,10 +316,11 @@ class StepTable:
         return np.einsum("tw,twc->t", start, unscale(prods, expo))
 
 
-def _compose_blocks(C: np.ndarray, idx: np.ndarray) -> np.ndarray:
+def _compose_blocks(C: np.ndarray, M: np.ndarray, idx: np.ndarray) -> tuple:
     """Product of the polynomial matrices C[idx[b, 0]], C[idx[b, 1]], ... for
     every block b at once: (blocks, D, D, length), coefficients last, shifts
-    from the block's summed kmin.
+    from the block's summed kmin; and the product of their masses M (blocks,
+    D, D), to which each block's entries are rescaled (`_anchored`).
 
     C has shape (rows, taps, D, D) and idx a power-of-two number of columns.
     Each level of the doubling multiplies adjacent pieces of every block in
@@ -352,8 +330,13 @@ def _compose_blocks(C: np.ndarray, idx: np.ndarray) -> np.ndarray:
     (pieces, taps * D, D) so that each piece takes one matrix product per
     shift, not one per coefficient; longer pieces take one `np.convolve` per
     entry (`_poly_product`), which is faster once the convolutions are long.
+    The masses take the same doubling in extended precision.
     """
     blocks, D = len(idx), C.shape[2]
+    mass = M[idx]
+    while mass.shape[1] > 1:
+        mass = mass[:, 0::2] @ mass[:, 1::2]
+    mass = mass[:, 0]
     poly = C[idx.ravel()]
     while len(poly) > blocks and poly.shape[1] <= GEMM_TAPS:
         left, right = poly[0::2], poly[1::2]
@@ -366,6 +349,19 @@ def _compose_blocks(C: np.ndarray, idx: np.ndarray) -> np.ndarray:
     poly = np.ascontiguousarray(poly.transpose(0, 2, 3, 1))
     while len(poly) > blocks:
         poly = np.stack([_poly_product(poly[i], poly[i + 1]) for i in range(0, len(poly), 2)])
+    return _anchored(poly, mass), mass
+
+
+def _anchored(poly: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """poly (..., coefficients) rescaled in place so that each polynomial's
+    coefficients sum to its entry of `mass`, the exact mass carried in
+    extended precision.  Rounding drifts the mass of a long product, and in a
+    chain whose rows repeat it drifts the same way in every piece of a
+    doubling, so the drift would double with each level; a polynomial whose
+    mass sits on one coefficient comes out within a rounding of exact."""
+    got = poly.sum(axis=-1)
+    got[got == 0] = 1.0  # an all-zero polynomial stays zero
+    poly *= (mass / got).astype(float)[..., None]
     return poly
 
 
@@ -478,46 +474,3 @@ def sample_Sn(window: OmegaWindow, n: int, seed, pot: PotentialTable, model: Fib
     if orbit is None:
         orbit = SystemOrbit(window, 0, n, pot, model)
     return symbolic_step_table(orbit, n).sample(rng, replicates)
-
-
-# ---------------------------------------------------------------------------
-# variance
-
-
-@dataclass
-class VarianceReport:
-    n_list: list
-    V_n: list                 # per-n exact variances (quadrature pipeline)
-    V_n_lattice: list | None  # exact-law variances when lattice tables allow
-    sigma_sq: float
-    slope_intercept: float
-    degenerate: bool
-    tail_fractions: dict | None = None
-
-
-def variance_curve(window: OmegaWindow, n_list, pot: PotentialTable, model: FiberModel,
-                   orbit: SystemOrbit | None = None,
-                   degenerate_tol: float = 1e-10) -> VarianceReport:
-    """Exact V_n along one environment and the fitted asymptotic slope.
-
-    V_n comes from the covariance quadrature; for lattice tables the exact
-    law's variance is computed as an independent cross-check.  sigma^2 is the
-    slope of V_n against n; a slope below tolerance flags the degenerate
-    branch instead of raising.
-    """
-    n_list = sorted(int(n) for n in n_list)
-    if orbit is None:
-        orbit = SystemOrbit(window, 0, max(n_list), pot, model)
-    V = [orbit.birkhoff_variance(n) for n in n_list]
-    V_lat = None
-    if pot.lattice_h is not None:
-        V_lat = [d.variance() for d in symbolic_forward_table(orbit, n_list[-1]).laws(n_list)]
-    ns = np.asarray(n_list, dtype=float)
-    vs = np.asarray(V)
-    A = np.stack([np.ones_like(ns), ns], axis=1)
-    coef, *_ = np.linalg.lstsq(A, vs, rcond=None)
-    sigma_sq = float(coef[1])
-    if len(n_list) == 1:
-        sigma_sq = float(vs[0] / ns[0])
-    return VarianceReport(n_list, V, V_lat, sigma_sq, float(coef[0]),
-                          degenerate=sigma_sq < degenerate_tol)

@@ -40,13 +40,7 @@ from .errors import (
     TruncationInsufficient,
 )
 from .fiber import FiberModel, PotentialTable, word_table
-from .gibbs import (
-    LatticeDistribution,
-    StepTable,
-    exact_Sn_distribution,
-    symbolic_forward_table,
-    symbolic_step_table,
-)
+from .gibbs import StepTable, symbolic_forward_table, symbolic_step_table
 from .rpf import SystemOrbit, lambda_sequence
 from .seeding import generator
 from .transfer import (
@@ -255,9 +249,9 @@ class SymbolicSystem:
 
     The runners below use any system with this interface: `chain`,
     `lattice_h`, `orbit(window, n)` (exact per-environment means, variances
-    and step-mean checks), `classify`, `step_table` / `forward_table` (the
-    n-step sum as a `StepTable`, read backwards or with the dynamics) and
-    `exact_law`.
+    and step-mean checks), `classify` and `step_table` / `forward_table`
+    (the n-step sum as a `StepTable`, read backwards or with the dynamics;
+    `step_table(orbit, n).law()` is the exact law).
     """
 
     chain: BaseSymbolChain
@@ -277,9 +271,6 @@ class SymbolicSystem:
 
     def forward_table(self, orbit: SystemOrbit, n: int) -> StepTable:
         return symbolic_forward_table(orbit, n)
-
-    def exact_law(self, orbit: SystemOrbit, n: int) -> LatticeDistribution:
-        return exact_Sn_distribution(orbit.window, n, self.pot, self.model, orbit=orbit)
 
     def classify(self, grid_points: int = 97, grid_margin: float = 0.25,
                  J: tuple | None = None) -> ClassificationReport:

@@ -236,9 +236,6 @@ class SystemOrbit:
     def h0(self, j: int) -> np.ndarray:
         return np.real(self.raw0.H[j - self.j_lo])
 
-    def nu0(self, j: int) -> np.ndarray:
-        return np.real(self.raw0.V[j - self.j_lo])
-
     def lam0(self, j: int) -> float:
         return float(np.real(self.raw0.lam[j - self.j_lo]))
 
@@ -264,10 +261,6 @@ class SystemOrbit:
                              u_rows[:, full][self.keys])
         return self._stacked
 
-    def branch_kernel(self, j: int):
-        """(probs, targets, uvals) of the one-step backward transition at factor j."""
-        return tuple(part[j - self.j_lo] for part in self.kernel_arrays())
-
     def normalized_matrices(self, zs) -> np.ndarray:
         """Normalized one-step matrices of every factor at every z in zs,
         stacked as (j_hi - j_lo, len(zs), D, D)."""
@@ -281,36 +274,6 @@ class SystemOrbit:
     def normalized_matrix(self, j: int, z: complex = 0.0) -> np.ndarray:
         """Normalized one-step matrix at factor j and parameter z."""
         return self.normalized_matrices([z])[j - self.j_lo, 0]
-
-    def deep_apply_normalized(self, j: int, values: np.ndarray, depth: int) -> np.ndarray:
-        """Normalized operator applied to a depth-K function, K >= r; output depth K-1."""
-        d, r = self.model.d, self.model.r
-        phi = self.pot.phi[self.symbols[j - self.j_lo]]
-        h_in = self.h0(j)
-        h_out = self.h0(j + 1)
-        lam = self.lam0(j)
-        n_out = d ** (depth - 1)
-        out = np.zeros(n_out, dtype=values.dtype if np.iscomplexobj(values) else float)
-        w_idx = np.arange(n_out, dtype=np.int64)
-        for a in range(d):
-            full = a * n_out + w_idx
-            pot_word = full // (d ** (depth - r))
-            # first r-1 symbols of a.w index h_in; first r-1 symbols of w index h_out
-            h_in_val = h_in[full // (d ** (depth - r + 1))] if r > 1 else h_in[0]
-            h_out_val = h_out[w_idx // (d ** (depth - r))] if r > 1 else h_out[0]
-            kernel = np.exp(phi[pot_word]) * h_in_val / (lam * h_out_val)
-            out += kernel * values[full]
-        return out
-
-    def mu_deep(self, j: int, values: np.ndarray, depth: int) -> float:
-        """mu at position j applied to a depth-K cylinder function (K >= r-1)."""
-        vals = np.asarray(values, dtype=float)
-        k = depth
-        while k > self.model.r - 1:
-            vals = np.real(self.deep_apply_normalized(j, vals, k))
-            k -= 1
-            j += 1
-        return float(self.mu[j - self.j_lo] @ vals)
 
     # -- exact moments ----------------------------------------------------
 
@@ -407,23 +370,6 @@ class RpfTriplet:
     raw_lambda: complex
     raw_h: np.ndarray
     raw_nu: np.ndarray
-
-    def to_json_dict(self) -> dict:
-        c = lambda x: [float(np.real(x)), float(np.imag(x))]
-        cv = lambda arr: [c(x) for x in np.asarray(arr).ravel()]
-        return {
-            "z": c(self.z),
-            "lambda": c(self.lambda_),
-            "h": cv(self.h.values),
-            "nu": cv(self.nu),
-            "residuals": {
-                "eigen": self.eigen_residual,
-                "dual": self.dual_residual,
-                "normalization": self.normalization_residual,
-            },
-            "window_used": list(self.window_used),
-        }
-
 
 def solve_rpf(window: OmegaWindow, z: complex, back_len: int, fwd_len: int,
               pot: PotentialTable, model: FiberModel, tol: float = 1e-9) -> RpfTriplet:
@@ -540,16 +486,6 @@ class PressureCurve:
     d1: complex | None = None
     d2: complex | None = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "t_grid": [float(t) for t in self.t_grid],
-            "values": [[float(np.real(v)), float(np.imag(v))] for v in self.values],
-            "windings": [float(w) for w in self.windings],
-            "box_violations": list(self.box_violations),
-        }
-
-
 def pressure_curve(window: OmegaWindow, k: int, t_grid, pot: PotentialTable,
                    model: FiberModel, fwd: int = DEFAULT_FWD,
                    orbit0: SystemOrbit | None = None) -> PressureCurve:
@@ -636,30 +572,3 @@ def pressure_derivatives(window: OmegaWindow, k: int, pot: PotentialTable,
         derivs.append((f1 / f0, 2.0 * f2 / f0 - (f1 / f0) ** 2))
     (a1, a2), (b1, b2) = derivs
     return float(a1 - b1), float(a2 - b2)
-
-
-def admissible_band(window: OmegaWindow, pot: PotentialTable, model: FiberModel,
-                    t_max: float, bisections: int = 12, tol: float = 1e-9,
-                    span: int = 1) -> float:
-    """Largest |Im z| (up to t_max) where the orbit solver still converges.
-
-    Empirical bisection; the theory only guarantees some neighborhood of 0.
-    """
-    def converges(t: float) -> bool:
-        try:
-            solve_raw_orbit(window, 1j * t, 0, span, pot, model,
-                            back=DEFAULT_BACK, fwd=DEFAULT_FWD, tol=tol)
-            return True
-        except NoConvergence:
-            return False
-
-    if converges(t_max):
-        return t_max
-    lo, hi = 0.0, t_max
-    for _ in range(bisections):
-        mid = (lo + hi) / 2
-        if converges(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo

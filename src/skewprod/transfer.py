@@ -20,15 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .base_env import OmegaWindow
-from .errors import DepthMismatch, InsufficientWindow, NonpositiveEigenfunction, ZeroEigenvalue
-from .fiber import (
-    CylinderFunction,
-    FiberModel,
-    PotentialTable,
-    holder_norm_vector,
-    holder_seminorm_values,
-    word_count,
-)
+from .errors import InsufficientWindow
+from .fiber import FiberModel, PotentialTable, holder_norm_vector, word_count
 
 
 def branch_arrays(s: int, z: complex, pot: PotentialTable, model: FiberModel,
@@ -135,27 +128,6 @@ def full_product(factors: np.ndarray):
     return prods[-1], expo[-1]
 
 
-@dataclass
-class TransferMatrix:
-    """One operator factor: matrix, parameter z, consumed base symbol(s), kind."""
-
-    matrix: np.ndarray
-    z: complex
-    symbols: tuple
-    kind: str = "raw"  # "raw" (L) or "normalized" (A)
-
-
-def build_transfer(s: int, z: complex, pot: PotentialTable, model: FiberModel,
-                   s_next: int | None = None) -> TransferMatrix:
-    """Raw transfer matrix at base symbol s and parameter z."""
-    if model.r < 1:
-        raise DepthMismatch("potential depth r must be >= 1")
-    weights, targets = branch_arrays(s, z, pot, model, s_next)
-    M = assemble_matrix(weights, targets, model.space_dim)
-    sym = (s,) if s_next is None or not pot.u_next_symbol else (s, s_next)
-    return TransferMatrix(M, z, sym, "raw")
-
-
 def symbol_keys(window: OmegaWindow, pot: PotentialTable, lo: int, hi: int) -> np.ndarray:
     """Symbol key of every factor position lo..hi-1, as one int array.
 
@@ -174,8 +146,9 @@ def key_matrices(z, pot: PotentialTable, model: FiberModel) -> np.ndarray:
     or (len(z), keys, D, D) when z is a 1-D array.
 
     One exp of phi + z u over every key, depth-r word and z, and one
-    `branch_matrices` call, give the matrices `build_transfer` builds one at
-    a time; a z with zero imaginary part gives real matrices.
+    `branch_matrices` call, give the matrices `assemble_matrix` builds from
+    `branch_arrays` one at a time; a z with zero imaginary part gives real
+    matrices.
     """
     d, D = model.d, model.space_dim
     u = pot.u.reshape(-1, d ** model.r)
@@ -189,22 +162,6 @@ def key_matrices(z, pot: PotentialTable, model: FiberModel) -> np.ndarray:
                      + zs.reshape((1,) + zs.shape + (1, 1)) * u[:, words].reshape(lead))
     mats = branch_matrices(weights, np.broadcast_to(words // d, (len(u), D, d)), D)
     return np.moveaxis(mats, 0, zs.ndim)
-
-
-class MatrixFactory:
-    """Raw per-symbol-key matrices at a fixed z, looked up by window position.
-
-    Only |S| (or |S|^2 in pair mode) distinct factors exist at each z
-    (`key_matrices`); windows reuse them through position lookups.
-    """
-
-    def __init__(self, window: OmegaWindow, z: complex, pot: PotentialTable, model: FiberModel):
-        self.window = window
-        self.pot = pot
-        self.mats = key_matrices(z, pot, model)
-
-    def matrix(self, j: int) -> np.ndarray:
-        return self.mats[symbol_keys(self.window, self.pot, j, j + 1)[0]]
 
 
 @dataclass
@@ -233,55 +190,6 @@ def compose_cocycle(window: OmegaWindow, n: int, z: complex, pot: PotentialTable
     factors = key_matrices(z, pot, model)[symbol_keys(window, pot, 0, n)]
     P, expo = full_product(factors.swapaxes(1, 2))
     return CocycleProduct(P.T, float(expo) * math.log(2.0))
-
-
-def normalize_operator(raw: TransferMatrix, h_in: np.ndarray, h_out: np.ndarray,
-                       lambda0: float) -> TransferMatrix:
-    """Normalized operator A from a raw factor and the z=0 triplet data.
-
-    A g = L(g h_in) / (lambda0 h_out); at z = 0 it fixes the constants.
-    """
-    h_in = np.asarray(h_in, dtype=float)
-    h_out = np.asarray(h_out, dtype=float)
-    if np.any(h_in <= 0) or np.any(h_out <= 0):
-        raise NonpositiveEigenfunction("normalization needs strictly positive eigenfunctions")
-    if lambda0 == 0:
-        raise ZeroEigenvalue("normalization needs a nonzero eigenvalue")
-    A = (raw.matrix * h_in[None, :]) / (lambda0 * h_out[:, None])
-    return TransferMatrix(A, raw.z, raw.symbols, "normalized")
-
-
-def branch_enumeration_apply(window: OmegaWindow, n: int, z: complex, pot: PotentialTable,
-                             model: FiberModel, g: CylinderFunction) -> np.ndarray:
-    """Brute-force n-step iterate by summing over all d^n preimage branches.
-
-    Independent oracle for the matrix cocycle: enumerates every preimage word
-    c of length n, accumulating e^(S_n phi + z S_n u) g evaluated at the
-    shifted tail.  Output is the value vector on depth-(r-1) cylinders.
-    """
-    d, r = model.d, model.r
-    D = model.space_dim
-    if g.depth > r - 1:
-        raise DepthMismatch("oracle expects g of depth <= r-1")
-    gv = g.extend(r - 1).values if r > 1 else np.full(1, g.values[0])
-    L = n + r - 1
-    pair = pot.u_next_symbol
-    window.require(0, n - 1 + (1 if pair else 0))
-    total_words = d**L if L > 0 else 1
-    idx = np.arange(total_words, dtype=np.int64)
-    log_weight = np.zeros(total_words, dtype=float if float(np.imag(z)) == 0.0 else complex)
-    for j in range(n):
-        word_j = (idx // d ** (L - j - r)) % d**r
-        s = window.symbol(j)
-        s_next = window.symbol(j + 1) if pair else None
-        phi = pot.phi_for(s)
-        u = pot.u_for(s, s_next)
-        log_weight = log_weight + phi[word_j] + (z * u[word_j] if z != 0 else 0.0)
-    # g is evaluated at the preimage point, whose depth-(r-1) word is the head
-    # of the full branch word c.x
-    head = idx // (d ** (L - (r - 1))) if r > 1 else np.zeros(total_words, dtype=np.int64)
-    contrib = np.exp(log_weight) * gv[head]
-    return contrib.reshape(d**n, D).sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -338,38 +246,3 @@ def holder_operator_norm(matrix: np.ndarray, model: FiberModel, pot: PotentialTa
         "K": K, "distortion": distortion, "sup_row_sum": sup_row,
         "contraction": contraction, "n": n_steps,
     })
-
-
-@dataclass
-class LasotaYorkeReport:
-    fitted_Q: float
-    trials: int
-    n: int
-    z: complex
-
-
-def lasota_yorke_check(window: OmegaWindow, n: int, z: complex, pot: PotentialTable,
-                       model: FiberModel, trials: int, rng) -> LasotaYorkeReport:
-    """Smallest Q making the random Lasota-Yorke inequality hold on `trials` random g."""
-    d, depth = model.d, model.r - 1
-    D = model.space_dim
-    alpha = model.alpha
-    coc = compose_cocycle(window, n, z, pot, model)
-    M = coc.matrix
-    scale = np.exp(coc.log_scale)
-    ones_coc = compose_cocycle(window, n, 0.0, pot, model)
-    sup_L0_1 = float(np.max(np.abs(ones_coc.apply(np.ones(D)))))
-    z1 = abs(z.real) + abs(z.imag)
-    sup_snu = n * pot.sup_u()
-    prefactor = sup_L0_1 * np.exp(abs(z.real) * sup_snu)
-    needed = 0.0
-    for _ in range(trials):
-        g = rng.standard_normal(D) + 1j * rng.standard_normal(D)
-        lhs = holder_norm_vector((M @ g) * scale, d, depth, alpha)
-        sup_g = float(np.max(np.abs(g)))
-        v_g = holder_seminorm_values(g, d, depth, alpha)
-        base = lhs / prefactor - v_g * 2.0 ** (-alpha * n)
-        if base > 0:
-            needed = max(needed, base / sup_g)
-    Q = max(0.0, (needed / (1.0 + z1) - 1.0) / 2.0)
-    return LasotaYorkeReport(Q, trials, n, z)

@@ -1,0 +1,84 @@
+"""Reference implementations that tests compare the package against.
+
+Each computes its quantity the slow, direct way: by enumerating preimage
+branches or applying one operator at a time, where the package scans stacked
+matrices or runs a lattice DP.
+"""
+
+import numpy as np
+
+from skewprod.errors import DepthMismatch
+
+
+def branch_enumeration_apply(window, n, z, pot, model, g):
+    """Brute-force n-step iterate by summing over all d^n preimage branches.
+
+    Independent oracle for the matrix cocycle: enumerates every preimage word
+    c of length n, accumulating e^(S_n phi + z S_n u) g evaluated at the
+    shifted tail.  Output is the value vector on depth-(r-1) cylinders.
+    """
+    d, r = model.d, model.r
+    D = model.space_dim
+    if g.depth > r - 1:
+        raise DepthMismatch("oracle expects g of depth <= r-1")
+    gv = g.extend(r - 1).values if r > 1 else np.full(1, g.values[0])
+    L = n + r - 1
+    pair = pot.u_next_symbol
+    window.require(0, n - 1 + (1 if pair else 0))
+    total_words = d**L if L > 0 else 1
+    idx = np.arange(total_words, dtype=np.int64)
+    log_weight = np.zeros(total_words, dtype=float if float(np.imag(z)) == 0.0 else complex)
+    for j in range(n):
+        word_j = (idx // d ** (L - j - r)) % d**r
+        s = window.symbol(j)
+        s_next = window.symbol(j + 1) if pair else None
+        phi = pot.phi_for(s)
+        u = pot.u_for(s, s_next)
+        log_weight = log_weight + phi[word_j] + (z * u[word_j] if z != 0 else 0.0)
+    # g is evaluated at the preimage point, whose depth-(r-1) word is the head
+    # of the full branch word c.x
+    head = idx // (d ** (L - (r - 1))) if r > 1 else np.zeros(total_words, dtype=np.int64)
+    contrib = np.exp(log_weight) * gv[head]
+    return contrib.reshape(d**n, D).sum(axis=0)
+
+
+def deep_apply_normalized(orbit, j, values, depth):
+    """The orbit's normalized operator at factor j applied to a depth-K
+    function, K >= r; output depth K-1."""
+    d, r = orbit.model.d, orbit.model.r
+    phi = orbit.pot.phi[orbit.symbols[j - orbit.j_lo]]
+    h_in = orbit.h0(j)
+    h_out = orbit.h0(j + 1)
+    lam = orbit.lam0(j)
+    n_out = d ** (depth - 1)
+    out = np.zeros(n_out, dtype=values.dtype if np.iscomplexobj(values) else float)
+    w_idx = np.arange(n_out, dtype=np.int64)
+    for a in range(d):
+        full = a * n_out + w_idx
+        pot_word = full // (d ** (depth - r))
+        # first r-1 symbols of a.w index h_in; first r-1 symbols of w index h_out
+        h_in_val = h_in[full // (d ** (depth - r + 1))] if r > 1 else h_in[0]
+        h_out_val = h_out[w_idx // (d ** (depth - r))] if r > 1 else h_out[0]
+        kernel = np.exp(phi[pot_word]) * h_in_val / (lam * h_out_val)
+        out += kernel * values[full]
+    return out
+
+
+def mu_deep(orbit, j, values, depth):
+    """The orbit's Gibbs weights at position j applied to a depth-K cylinder
+    function (K >= r-1)."""
+    vals = np.asarray(values, dtype=float)
+    k = depth
+    while k > orbit.model.r - 1:
+        vals = np.real(deep_apply_normalized(orbit, j, vals, k))
+        k -= 1
+        j += 1
+    return float(orbit.mu[j - orbit.j_lo] @ vals)
+
+
+def prob_at(law, value):
+    """Mass of a `LatticeDistribution` at one lattice value (0 off its support)."""
+    k = int(round(value / law.h)) - law.k0
+    if 0 <= k < len(law.probs):
+        return float(law.probs[k])
+    return 0.0

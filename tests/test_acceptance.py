@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from _oracles import branch_enumeration_apply
 
 from skewprod.base_env import build_markov_base, periodic_point, sample_base_path
 from skewprod.config import (
@@ -44,7 +45,7 @@ from skewprod.presets import preset_config
 from skewprod.rpf import SystemOrbit, exp_convergence_probe, pressure_derivatives, solve_rpf
 from skewprod.runner import run_experiment
 from skewprod.seeding import generator
-from skewprod.transfer import branch_enumeration_apply, compose_cocycle
+from skewprod.transfer import compose_cocycle
 
 
 def report(num, ok, detail):

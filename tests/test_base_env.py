@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from skewprod.base_env import (
-    audit_mixing,
     build_markov_base,
     cylinder_probability,
     periodic_point,
@@ -123,21 +122,6 @@ def test_cylinder_probability_products():
     # gap of 2 uses the two-step matrix
     Q2 = np.linalg.matrix_power(chain.transition, 2)
     assert cylinder_probability(chain, {0: 0, 2: 1}) == pytest.approx(p0 * Q2[0, 1])
-
-
-def test_audit_mixing_trend_and_exact_probability():
-    chain = build_markov_base([[0.5, 0.5], [0.5, 0.5]])
-    audit = audit_mixing(chain, {0: 0}, [20, 60, 180], samples=400, seed=11)
-    assert audit.exact_probability == pytest.approx(0.5)
-    assert audit.tail_estimates[0] >= audit.tail_estimates[-1] - 0.02
-    assert audit.tail_estimates[-1] < 0.05
-
-
-def test_audit_mixing_empty_pattern():
-    chain = build_markov_base([[0.5, 0.5], [0.5, 0.5]])
-    audit = audit_mixing(chain, {}, [10, 20], samples=50, seed=1)
-    assert audit.exact_probability == 1.0
-    assert audit.tail_estimates == [0.0, 0.0]
 
 
 def test_conditioned_paths_fix_prefix():

@@ -46,6 +46,21 @@ def test_bad_experiment_and_missing_fields():
         parse_config(cfg)
 
 
+def test_bad_tolerances_and_unknown_keys():
+    cases = [("tolerances", "ks", 0), ("tolerances", "ks", float("inf")),
+             ("tolerances", "ks", "tight"), ("tolerances", "kss", 0.02),
+             ("samples", "omega", 8), ("samples", "omega_samples", 8.5),
+             ("samples", "omega_samples", True), ("samples", "strata_depth", -1)]
+    for section, key, value in cases:
+        cfg = preset_config("scalar-iid")
+        cfg.setdefault(section, {})[key] = value
+        with pytest.raises(ConfigError, match=rf"{section}\.{key}"):
+            parse_config(cfg)
+    cfg = preset_config("scalar-iid")
+    cfg["samples"] = {"omega_samples": 1, "strata_depth": 0}
+    parse_config(cfg)
+
+
 def test_config_hash_ignores_output_dir():
     a = preset_config("scalar-iid")
     b = preset_config("scalar-iid")
@@ -185,15 +200,37 @@ def run_cli(args, cwd):
     return run_child(["-m", "skewprod", *args], cwd)
 
 
+def small_variant(preset, experiment, grids, **samples):
+    """A preset run as another experiment on a small ensemble."""
+    cfg = preset_config(preset)
+    cfg["experiment"], cfg["grids"] = experiment, grids
+    cfg["samples"] = {"omega_samples": 8, "strata_depth": 1, **samples}
+    return cfg
+
+
 def test_import_and_one_worker_run_stay_light(tmp_path):
     # the runtime needs numpy alone: scipy is a test-only oracle, and the
     # process-pool machinery loads only for --workers > 1.  The runs reach the
-    # KS distance (clt) and the renewal tail, so a lazy scipy import shows too.
+    # KS distance (clt) and the renewal tail, so a lazy scipy import shows too;
+    # with the experiments run elsewhere in the suite (variance, llt,
+    # doeblin-llt) they cover every experiment name the runner knows.
     clt = preset_config("two-state-base-lattice")
     clt["grids"]["n_list"] = [200]
     clt["samples"] = {"omega_samples": 32, "fiber_replicates": 128, "strata_depth": 1}
+    configs = {
+        "clt": clt,
+        "renewal": small_renewal_config(tmp_path),
+        "rpf-audit": small_variant("matrix-llt", "rpf-audit", {}),
+        "berry-esseen": small_variant("matrix-llt", "berry-esseen", {"n_list": [64, 256]}),
+        "decay-survey": small_variant("matrix-llt", "decay-survey", {"n_grid": [50, 100]}),
+        "char-fn": small_variant("matrix-llt", "char-fn", {"n_list": [4, 8]}),
+        "doeblin-clt": small_variant("doeblin-iid", "doeblin-clt", {"n_list": [2000]},
+                                     omega_samples=16, fiber_replicates=1024),
+        "doeblin-renewal": small_variant("doeblin-iid", "doeblin-renewal", {}),
+        "doeblin-char": small_variant("doeblin-iid", "doeblin-char", {"n_list": [4, 8]}),
+    }
     runs = ["coboundary-degenerate"]
-    for name, cfg in (("clt", clt), ("renewal", small_renewal_config(tmp_path))):
+    for name, cfg in configs.items():
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(cfg))
         runs.append(str(path))
@@ -238,6 +275,21 @@ def test_cli_run_config_and_exit_codes(tmp_path):
     proc3 = run_cli(["run", "no-such-thing"], cwd=tmp_path)
     assert proc3.returncode == 2, proc3.stderr
     assert "config error" in proc3.stderr
+
+
+@pytest.mark.parametrize("key,value", [("fiber_replicates", 0), ("strata_depth", -1),
+                                       ("fiber_replicates", "many"), ("omega_samples", -3)])
+def test_cli_bad_samples_exit_2(tmp_path, key, value):
+    # these crashed mid-run (exit 1, which reads as an acceptance failure) or,
+    # for a negative ensemble size, ran and passed
+    cfg = preset_config("two-state-base-lattice")
+    cfg["grids"]["n_list"] = [50]
+    cfg["samples"][key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    proc = run_cli(["run", str(path)], cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert f"config error: samples.{key}" in proc.stderr
 
 
 def test_cli_rerun_byte_identical_results(tmp_path):

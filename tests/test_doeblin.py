@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from _instances import random_doeblin
+from _oracles import prob_at
 
 from skewprod.base_env import build_markov_base, sample_base_path
 from skewprod.doeblin import (
@@ -11,7 +12,6 @@ from skewprod.doeblin import (
     DoeblinSystem,
     build_doeblin_family,
     compose_reversed,
-    doeblin_contraction_coefficient,
 )
 from skewprod.errors import ClassifierFailed, DoeblinViolated
 from skewprod.limits import char_identity, clt_test, llt_scan, renewal_curve
@@ -82,10 +82,16 @@ def test_markov_at_zero_and_modulus_bound():
         assert np.max(np.abs(Mt @ np.ones(2))) <= 1.0 + 1e-12
 
 
+def contraction_coefficient(family):
+    """Worst-case one-step total-variation contraction factor across kernels."""
+    K = family.kernels
+    return float(0.5 * np.abs(K[:, :, None] - K[:, None, :]).sum(axis=-1).max())
+
+
 def test_contraction_coefficient():
-    assert doeblin_contraction_coefficient(iid_family()) == pytest.approx(0.0)
+    assert contraction_coefficient(iid_family()) == pytest.approx(0.0)
     fam = modulated_family()
-    c = doeblin_contraction_coefficient(fam)
+    c = contraction_coefficient(fam)
     assert 0 < c < 1
     # row total-variation spread of n-step kernels decays at rate <= c
     chain = uniform_chain()
@@ -113,9 +119,9 @@ def test_exact_law_iid_binomial():
     sysd = DoeblinSystem(chain, fam)
     win = sample_base_path(chain, -80, 40, 11)
     n = 12
-    law = sysd.exact_law(sysd.orbit(win, n), n)
+    law = sysd.step_table(sysd.orbit(win, n), n).law()
     for k in range(n + 1):
-        assert law.prob_at(k) == pytest.approx(math.comb(n, k) / 2**n, abs=1e-13)
+        assert prob_at(law, k) == pytest.approx(math.comb(n, k) / 2**n, abs=1e-13)
 
 
 def test_char_spectral_iid_closed_form():

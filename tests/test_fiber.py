@@ -10,28 +10,8 @@ from skewprod.fiber import (
     holder_norm,
     holder_norm_rows,
     holder_norm_vector,
-    verify_expanding_axioms,
-    word_index,
     word_table,
 )
-
-
-def test_axiom_constants_d2():
-    rep = verify_expanding_axioms(FiberModel(2, 2))
-    assert rep.xi == 0.5
-    assert rep.gamma == 2.0
-    assert rep.branch_bound == 2
-    assert rep.covering_steps == 2
-
-
-def test_axiom_constants_d3():
-    rep = verify_expanding_axioms(FiberModel(3, 1))
-    assert (rep.xi, rep.gamma, rep.branch_bound, rep.covering_steps) == (0.5, 2.0, 3, 2)
-
-
-def test_axiom_constants_metric_base_3():
-    rep = verify_expanding_axioms(FiberModel(2, 1, metric_base=3.0))
-    assert rep.gamma == 3.0
 
 
 def test_word_table_lexicographic():
@@ -40,7 +20,7 @@ def test_word_table_lexicographic():
     assert list(tab[0]) == [0, 0, 0]
     assert list(tab[1]) == [0, 0, 1]
     assert list(tab[4]) == [1, 0, 0]
-    assert word_index([1, 0, 1], 2) == 5
+    assert list(tab[5]) == [1, 0, 1]
 
 
 def test_constant_function_norm():
@@ -123,8 +103,8 @@ def test_pairing_contraction_on_words():
             m = fd[i, j]
             if m >= 2 and m < 4:
                 for a in range(2):
-                    wi = word_index([a] + list(tab[i]), 2)
-                    wj = word_index([a] + list(tab[j]), 2)
+                    # the index of the word a.w is a * 2^4 + index(w)
+                    wi, wj = a * 16 + i, a * 16 + j
                     assert first_disagreement(2, 5)[wi, wj] == m + 1
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from _instances import random_instance, scalar_instance
+from _oracles import mu_deep, prob_at
 
 from skewprod.base_env import build_markov_base, sample_base_path
 from skewprod.errors import LatticeTooLarge, NotLattice
@@ -10,12 +11,10 @@ from skewprod.fiber import FiberModel, PotentialTable
 from skewprod.gibbs import (
     char_function_spectral,
     exact_Sn_distribution,
-    gibbs_measure,
     sample_Sn,
     symbolic_forward_table,
-    variance_curve,
 )
-from skewprod.rpf import SystemOrbit, solve_rpf
+from skewprod.rpf import SystemOrbit
 from skewprod.seeding import generator
 
 
@@ -34,10 +33,9 @@ def lattice_instance_two_state():
 def test_gibbs_measure_uniform_and_scalar():
     chain, model, pot = scalar_instance([1.0, -1.0])
     win = sample_base_path(chain, -200, 200, 1)
-    trip = solve_rpf(win, 0.0, 64, 64, pot, model)
-    gm = gibbs_measure(trip)
-    assert gm.weights.shape == (1,)
-    assert gm.weights[0] == pytest.approx(1.0)
+    mu = SystemOrbit(win, 0, 1, pot, model).mu[0]
+    assert mu.shape == (1,)
+    assert mu[0] == pytest.approx(1.0)
 
 
 def test_gibbs_measure_maximal_entropy_r2():
@@ -45,9 +43,8 @@ def test_gibbs_measure_maximal_entropy_r2():
     chain, model, pot = random_instance(rng, d=2, r=2, n_states=2)
     pot.phi[:] = -np.log(2.0)
     win = sample_base_path(chain, -200, 200, 2)
-    trip = solve_rpf(win, 0.0, 64, 64, pot, model)
-    gm = gibbs_measure(trip)
-    assert np.allclose(gm.weights, 0.5, atol=1e-10)
+    mu = SystemOrbit(win, 0, 1, pot, model).mu[0]
+    assert np.allclose(mu, 0.5, atol=1e-10)
 
 
 def test_exact_law_zero_u_point_mass():
@@ -56,7 +53,7 @@ def test_exact_law_zero_u_point_mass():
     win = sample_base_path(chain, -100, 150, 3)
     dist = exact_Sn_distribution(win, 12, pot, model)
     assert dist.probs.sum() == pytest.approx(1.0, abs=1e-12)
-    assert dist.prob_at(0.0) == pytest.approx(1.0)
+    assert prob_at(dist, 0.0) == pytest.approx(1.0)
 
 
 def test_exact_law_binomial_oracle():
@@ -66,7 +63,7 @@ def test_exact_law_binomial_oracle():
     dist = exact_Sn_distribution(win, n, pot, model)
     for k in range(n + 1):
         expected = math.comb(n, k) / 2**n
-        assert dist.prob_at(n - 2 * k) == pytest.approx(expected, abs=1e-13)
+        assert prob_at(dist, n - 2 * k) == pytest.approx(expected, abs=1e-13)
     assert dist.probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -77,7 +74,7 @@ def trajectory_cylinder_probs_forward(orbit, m):
     for w in range(n_words):
         ind = np.zeros(n_words)
         ind[w] = 1.0
-        out[w] = orbit.mu_deep(0, ind, m)
+        out[w] = mu_deep(orbit, 0, ind, m)
     return out
 
 
@@ -87,6 +84,7 @@ def trajectory_cylinder_probs_reversed(orbit, m):
     D = orbit.model.space_dim
     n_steps = m - (r - 1)
     n_words = d**m
+    kernels = orbit.kernel_arrays()[0]
     out = np.empty(n_words)
     for w in range(n_words):
         # cylinder states along the trajectory: w_j = symbols j..j+r-2
@@ -94,9 +92,8 @@ def trajectory_cylinder_probs_reversed(orbit, m):
             return (w // d ** (m - j - (r - 1))) % D if r > 1 else 0
         p = orbit.mu[n_steps][idx(n_steps)]
         for j in range(n_steps - 1, -1, -1):
-            probs, _, _ = orbit.branch_kernel(j)
             a = (w // d ** (m - j - 1)) % d  # fiber symbol at coordinate j
-            p *= probs[idx(j + 1), a]
+            p *= kernels[j, idx(j + 1), a]
         out[w] = p
     return out
 
@@ -128,7 +125,7 @@ def test_exact_law_matches_brute_force_enumeration():
     dist = exact_Sn_distribution(win, n, pot, model, orbit=orbit)
     oracle = brute_force_law(win, n, pot, model, orbit)
     for v, p in oracle.items():
-        assert dist.prob_at(v) == pytest.approx(p, abs=1e-10)
+        assert prob_at(dist, v) == pytest.approx(p, abs=1e-10)
     assert sum(oracle.values()) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -206,18 +203,18 @@ def test_forward_sweep_matches_backward_dp():
         vals, k0 = sweeps[n]
         for i, p in enumerate(vals):
             if p > 1e-15:
-                assert dist.prob_at((k0 + i) * 1.0) == pytest.approx(p, abs=1e-10)
+                assert prob_at(dist, (k0 + i) * 1.0) == pytest.approx(p, abs=1e-10)
 
 
 def test_variance_curve_scalar_and_coboundary():
     chain, model, pot = scalar_instance([1.0, -1.0], lattice_h=1.0)
     win = sample_base_path(chain, -150, 250, 10)
-    rep = variance_curve(win, [2, 6, 12, 20], pot, model)
-    assert not rep.degenerate
-    assert rep.sigma_sq == pytest.approx(1.0, abs=1e-8)
-    assert np.allclose(rep.V_n, rep.n_list, atol=1e-8)
-    assert rep.V_n_lattice is not None
-    assert np.allclose(rep.V_n_lattice, rep.n_list, atol=1e-8)
+    n_list = [2, 6, 12, 20]
+    orbit = SystemOrbit(win, 0, 20, pot, model)
+    # V_n from the covariance quadrature and from the forward table's exact laws
+    assert np.allclose([orbit.birkhoff_variance(n) for n in n_list], n_list, atol=1e-8)
+    laws = symbolic_forward_table(orbit, 20).laws(n_list)
+    assert np.allclose([law.variance() for law in laws], n_list, atol=1e-8)
 
 
 def test_variance_degenerate_base_coboundary():
@@ -232,10 +229,8 @@ def test_variance_degenerate_base_coboundary():
     pot = PotentialTable(np.full((2, 2), -np.log(2.0)), u_pair, model,
                          lattice_h=1.0, u_next_symbol=True)
     win = sample_base_path(chain, -150, 250, 11)
-    rep = variance_curve(win, [2, 8, 20], pot, model)
-    assert rep.degenerate
-    assert abs(rep.sigma_sq) < 1e-10
-    assert all(abs(v) < 1e-12 for v in rep.V_n)
+    orbit = SystemOrbit(win, 0, 20, pot, model)
+    assert all(abs(orbit.birkhoff_variance(n)) < 1e-12 for n in [2, 8, 20])
 
 
 def test_constant_step_mean_validator():
@@ -261,7 +256,7 @@ def test_exact_law_positive_steps_keeps_unit_mass():
         dist = exact_Sn_distribution(win, n, pot, model)
         assert dist.probs.sum() == pytest.approx(1.0, abs=1e-12)
         for k in range(n + 1):
-            assert dist.prob_at(n + k) == pytest.approx(math.comb(n, k) / 2**n, abs=1e-13)
+            assert prob_at(dist, n + k) == pytest.approx(math.comb(n, k) / 2**n, abs=1e-13)
         assert dist.values()[0] == n and dist.values()[-1] == 2 * n
 
 
@@ -278,14 +273,3 @@ def test_not_lattice_guard():
     win = sample_base_path(chain, -80, 120, 15)
     with pytest.raises(NotLattice):
         exact_Sn_distribution(win, 5, pot, model)
-
-
-def test_exact_law_csv(tmp_path):
-    chain, model, pot = scalar_instance([1.0, -1.0], lattice_h=1.0)
-    win = sample_base_path(chain, -80, 120, 16)
-    dist = exact_Sn_distribution(win, 4, pot, model)
-    p = tmp_path / "law.csv"
-    dist.write_csv(p)
-    lines = p.read_text().strip().splitlines()
-    assert lines[0] == "lattice_value,probability"
-    assert len(lines) == len(dist.probs) + 1

@@ -140,21 +140,6 @@ def test_normalized_operator_continuity_in_t():
     assert gaps[2] / gaps[1] == pytest.approx(0.5, abs=0.1)
 
 
-def test_rpf_triplet_json_export():
-    from skewprod.rpf import solve_rpf
-
-    chain, model, pot = scalar_instance([1.0, -1.0])
-    win = sample_base_path(chain, -150, 200, 57)
-    trip = solve_rpf(win, 0.3j, 64, 64, pot, model)
-    doc = trip.to_json_dict()
-    assert doc["z"] == [0.0, 0.3]
-    assert len(doc["lambda"]) == 2
-    assert set(doc["residuals"]) == {"eigen", "dual", "normalization"}
-    import json
-
-    json.dumps(doc)  # must be serializable as-is
-
-
 def test_renewal_abel_cross_check():
     from skewprod.limits import renewal_curve
 
@@ -165,16 +150,3 @@ def test_renewal_abel_cross_check():
     # the Abel-summed series at rho = 1 - 1/N sees the same mass up to the
     # geometric discounting of the ~a/gamma dominant terms
     assert 0.0 < rep.abel_gap < 0.35 * rep.target
-
-
-def test_pressure_curve_json_export():
-    from skewprod.rpf import pressure_curve
-
-    chain, model, pot = scalar_instance([1.0, -1.0])
-    win = sample_base_path(chain, -150, 200, 61)
-    curve = pressure_curve(win, 4, [0.0, 0.2, 0.4], pot, model)
-    doc = curve.to_json_dict()
-    import json
-
-    json.dumps(doc)
-    assert doc["k"] == 4 and len(doc["values"]) == 3

@@ -31,7 +31,13 @@ from skewprod.limits import (
     weighted_ks,
 )
 from skewprod.seeding import generator
-from skewprod.transfer import build_transfer, full_product, symbol_keys, unscale
+from skewprod.transfer import (
+    assemble_matrix,
+    branch_arrays,
+    full_product,
+    symbol_keys,
+    unscale,
+)
 
 
 def system_pm1():
@@ -143,14 +149,15 @@ def per_t_classifier(system, grid):
     if isinstance(system, SymbolicSystem):
         pp = periodic_point(system.chain, system.periodic_cycle)
         win = pp.window(0, pp.period + 1)
-        S, pot = system.pot.n_symbols, system.pot
-        keys = symbol_keys(win, pot, 0, pp.period)
+        S, pot, model = system.pot.n_symbols, system.pot, system.model
+        # each key's base symbol and, in pair mode, the next one
+        syms = [divmod(k, S) if pot.u_next_symbol else (k, None)
+                for k in symbol_keys(win, pot, 0, pp.period)]
         prods = []
         for z in [0.0] + [1j * t for t in grid]:
             # complex at t = 0 too, as in the batch that shares one dtype
-            mats = np.stack([build_transfer(k // S, z, pot, system.model, k % S).matrix
-                             if pot.u_next_symbol else
-                             build_transfer(k, z, pot, system.model).matrix for k in keys])
+            mats = np.stack([assemble_matrix(*branch_arrays(s, z, pot, model, t),
+                                             model.space_dim) for s, t in syms])
             prods.append(unscale(*full_product(mats.swapaxes(1, 2).astype(complex))).T)
     else:
         n0 = len(system.periodic_cycle)

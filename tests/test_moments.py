@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from _instances import random_doeblin
+from _oracles import deep_apply_normalized, prob_at
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +14,7 @@ from skewprod.gibbs import StepTable
 from skewprod.limits import SymbolicSystem, _accumulate_mixtures, clt_test
 from skewprod.rpf import SystemOrbit
 from skewprod.seeding import generator
-from skewprod.transfer import MatrixFactory
+from skewprod.transfer import key_matrices, symbol_keys
 
 
 def oracle_moments(orbit, k):
@@ -28,12 +29,12 @@ def oracle_moments(orbit, k):
     second = 0.0
     for j in range(k):
         uj = u_at(j)
-        stepped = np.real(orbit.deep_apply_normalized(j, uj, r))
+        stepped = np.real(deep_apply_normalized(orbit, j, uj, r))
         means[j] = orbit.mu[j + 1] @ stepped
-        second += orbit.mu[j + 1] @ np.real(orbit.deep_apply_normalized(j, uj * uj, r))
+        second += orbit.mu[j + 1] @ np.real(deep_apply_normalized(orbit, j, uj * uj, r))
         F = stepped
         for l in range(j + 1, k):
-            cross = np.real(orbit.deep_apply_normalized(l, u_at(l) * np.repeat(F, d), r))
+            cross = np.real(deep_apply_normalized(orbit, l, u_at(l) * np.repeat(F, d), r))
             second += 2.0 * orbit.mu[l + 1] @ cross
             F = orbit.normalized_matrix(l) @ F
     mean = means.sum()
@@ -41,21 +42,26 @@ def oracle_moments(orbit, k):
 
 
 def oracle_raw_solve(window, z, j_lo, j_hi, pot, model, back, fwd):
-    """The truncated solve one position at a time over factory.matrix:
-    (H, V, lam, eigen residual, dual residual) with dicts keyed by position."""
-    factory = MatrixFactory(window, z, pot, model)
+    """The truncated solve one position at a time over each position's raw
+    matrix: (H, V, lam, eigen residual, dual residual) with dicts keyed by
+    position."""
+    mats = key_matrices(z, pot, model)
+
+    def matrix(p):
+        return mats[symbol_keys(window, pot, p, p + 1)[0]]
+
     D, d, depth, alpha = model.space_dim, model.d, model.r - 1, model.alpha
     H, V, lam = {}, {}, {}
     h = np.ones(D)
     for p in range(j_lo - back, j_hi):
         if p >= j_lo:
             H[p] = h
-        h = factory.matrix(p) @ h
+        h = matrix(p) @ h
         h = h / np.max(np.abs(h))
     H[j_hi] = h
     v = np.full(D, 1.0 / D)
     for p in range(j_hi + fwd - 1, j_lo - 1, -1):
-        w = v @ factory.matrix(p)
+        w = v @ matrix(p)
         v = w / np.sum(w)
         if p <= j_hi:
             V[p] = v
@@ -63,7 +69,7 @@ def oracle_raw_solve(window, z, j_lo, j_hi, pot, model, back, fwd):
         H[j] = H[j] / (V[j] @ H[j])
     eig = dual = 0.0
     for j in range(j_lo, j_hi):
-        M = factory.matrix(j)
+        M = matrix(j)
         lam[j] = V[j + 1] @ (M @ H[j])
         eig = max(eig, holder_norm_vector(M @ H[j] - lam[j] * H[j + 1], d, depth, alpha)
                   / holder_norm_vector(H[j], d, depth, alpha))
@@ -101,7 +107,7 @@ def test_symbolic_moments_match_quadrature_oracle(instance):
         assert orbit.birkhoff_mean(m) == pytest.approx(mean, rel=1e-9, abs=1e-12)
         assert orbit.birkhoff_variance(m) == pytest.approx(var, rel=1e-9, abs=1e-12)
         if system.lattice_h is not None:
-            law = system.exact_law(orbit, m)
+            law = system.step_table(orbit, m).law()
             assert orbit.birkhoff_mean(m) == pytest.approx(law.mean(), rel=1e-9, abs=1e-11)
             assert orbit.birkhoff_variance(m) == pytest.approx(law.variance(), rel=1e-9,
                                                                abs=1e-11)
@@ -145,7 +151,7 @@ def test_doeblin_variance_matches_exact_law(seed):
     window = sample_base_path(system.chain, -80, 220, seed)
     orbit = system.orbit(window, 200)
     for k in (1, 7, 50, 200):
-        law = system.exact_law(orbit, k)
+        law = system.step_table(orbit, k).law()
         assert orbit.birkhoff_mean(k) == pytest.approx(law.mean(), rel=1e-12)
         assert orbit.birkhoff_variance(k) == pytest.approx(law.variance(), rel=1e-11)
 
@@ -179,7 +185,7 @@ def test_stateless_law_with_start_increments_matches_sweep():
     dp = joint.sum(axis=0)
     assert law.probs.sum() == pytest.approx(1.0, abs=1e-14)
     for i, p in enumerate(dp):
-        assert law.prob_at(k0 + i) == pytest.approx(p, abs=1e-15)
+        assert prob_at(law, k0 + i) == pytest.approx(p, abs=1e-15)
 
 
 def test_accumulate_mixtures_matches_dict_accumulation():

@@ -7,7 +7,6 @@ from skewprod.errors import BranchAmbiguity, NoConvergence
 from skewprod.fiber import CylinderFunction, FiberModel, PotentialTable
 from skewprod.rpf import (
     SystemOrbit,
-    admissible_band,
     exp_convergence_probe,
     lambda_sequence,
     pressure_curve,
@@ -18,7 +17,7 @@ from skewprod.rpf import (
     solve_rpf,
 )
 from skewprod.seeding import generator
-from skewprod.transfer import MatrixFactory, key_matrices, symbol_keys
+from skewprod.transfer import key_matrices, symbol_keys
 
 
 def make_window(chain, seed=1, back=300, fwd=400):
@@ -101,9 +100,9 @@ def test_duality_residual_on_basis():
     win = make_window(chain, seed=8)
     orbit = SystemOrbit(win, 0, 4, pot, model, tol=1e-10)
     raw = orbit.raw0
-    factory = MatrixFactory(win, 0.0, pot, model)
+    mats = key_matrices(0.0, pot, model)[symbol_keys(win, pot, 0, 3)]
     for j in range(0, 3):
-        M = factory.matrix(j)
+        M = mats[j]
         for w in range(model.space_dim):
             e = np.zeros(model.space_dim)
             e[w] = 1.0
@@ -116,8 +115,6 @@ def test_exp_convergence_probe_eigen_direction():
     rng = generator(44)
     chain, model, pot = random_instance(rng, d=2, r=2, n_states=2)
     win = make_window(chain, seed=9)
-    orbit = SystemOrbit(win, 0, 1, pot, model)
-    h = CylinderFunction(1, orbit.h0(0) / orbit.nu0(0).sum(), 2)
     # q proportional to the eigenfunction collapses immediately
     fit = exp_convergence_probe(win, 0.0, CylinderFunction(1, np.ones(2), 2), [2, 4, 6], pot, model)
     assert fit.degenerate or fit.c < 1.0
@@ -275,14 +272,6 @@ def test_truncation_gap_equals_a_half_truncation_solve(z):
                _direction_change(full.V[-1], half.V[-1]))
     assert 0.0 < want < 1e-6
     assert abs(full.truncation_gap - want) <= 1e-15
-
-
-def test_no_convergence_far_from_axis():
-    # strongly twisted parameter far outside the admissible band must surface
-    chain, model, pot = scalar_instance([1.0, -1.0])
-    win = make_window(chain)
-    band = admissible_band(win, pot, model, t_max=3.0)
-    assert 0.0 <= band <= 3.0
 
 
 def test_raw_orbit_insufficient_window():

@@ -1,52 +1,57 @@
 import numpy as np
 import pytest
 from _instances import random_instance, scalar_instance
+from _oracles import branch_enumeration_apply
 
 from skewprod.base_env import build_markov_base, sample_base_path
 from skewprod.errors import InsufficientWindow, MissingSymbol
 from skewprod.fiber import CylinderFunction, FiberModel, PotentialTable
+from skewprod.rpf import SystemOrbit
 from skewprod.seeding import generator
 from skewprod.transfer import (
-    branch_enumeration_apply,
-    build_transfer,
+    assemble_matrix,
+    branch_arrays,
     compose_cocycle,
     holder_operator_norm,
-    lasota_yorke_check,
-    normalize_operator,
+    key_matrices,
 )
+
+
+def raw_matrix(s, z, pot, model):
+    """Raw transfer matrix at base symbol s and parameter z."""
+    return assemble_matrix(*branch_arrays(s, z, pot, model), model.space_dim)
 
 
 def test_scalar_normalized_weights():
     # phi = -ln 2 on two branches: L_0 1 = 1 via the 1x1 matrix [1]
     _, model, pot = scalar_instance([1.0, -1.0])
-    tm = build_transfer(0, 0.0, pot, model)
-    assert tm.matrix.shape == (1, 1)
-    assert tm.matrix[0, 0] == pytest.approx(1.0)
+    m = raw_matrix(0, 0.0, pot, model)
+    assert m.shape == (1, 1)
+    assert m[0, 0] == pytest.approx(1.0)
 
 
 def test_scalar_fourier_weight_is_cosine():
     _, model, pot = scalar_instance([1.0, -1.0])
     for t in [0.3, 1.0, 2.5]:
-        tm = build_transfer(0, 1j * t, pot, model)
-        assert tm.matrix[0, 0] == pytest.approx(np.cos(t), abs=1e-14)
+        assert raw_matrix(0, 1j * t, pot, model)[0, 0] == pytest.approx(np.cos(t), abs=1e-14)
 
 
 def test_matrix_matches_manual_preimage_sum_r2():
     rng = generator(5)
     chain, model, pot = random_instance(rng, d=2, r=2, n_states=2)
-    tm = build_transfer(1, 0.0, pot, model)
+    m = raw_matrix(1, 0.0, pot, model)
     phi = pot.phi_for(1)
     # (L g)(x) = sum_a e^{phi[a x0]} g(a); manual enumeration of both preimages
     for x0 in range(2):
         g = np.array([0.7, -0.2])
         manual = sum(np.exp(phi[a * 2 + x0]) * g[a] for a in range(2))
-        assert (tm.matrix @ g)[x0] == pytest.approx(manual, rel=1e-14)
+        assert (m @ g)[x0] == pytest.approx(manual, rel=1e-14)
 
 
 def test_missing_symbol_raises():
     _, model, pot = scalar_instance([1.0, -1.0])
     with pytest.raises(MissingSymbol):
-        build_transfer(7, 0.0, pot, model)
+        raw_matrix(7, 0.0, pot, model)
 
 
 def test_compose_identity_and_scalar_product():
@@ -108,19 +113,20 @@ def test_oracle_pair_mode_tables():
 def test_modulus_of_twisted_entries():
     rng = generator(7)
     chain, model, pot = random_instance(rng, d=3, r=2, n_states=2)
-    m0 = build_transfer(0, 0.0, pot, model).matrix
-    mt = build_transfer(0, 1j * 1.3, pot, model).matrix
+    m0 = raw_matrix(0, 0.0, pot, model)
+    mt = raw_matrix(0, 1j * 1.3, pot, model)
     # entrywise |L_it| = L_0 holds before cancellation, i.e. per branch; after
     # assembly each (row, col) holds a single branch for r >= 2
     assert np.allclose(np.abs(mt), m0, atol=1e-14)
 
 
 def test_normalize_operator_maximal_entropy_unchanged():
+    # phi = -ln 2: h = 1 and lambda = 1, so the gauge leaves every factor as it is
     chain, model, pot = scalar_instance([1.0, -1.0])
-    tm = build_transfer(0, 0.5j, pot, model)
-    normed = normalize_operator(tm, np.array([1.0]), np.array([1.0]), 1.0)
-    assert np.allclose(normed.matrix, tm.matrix)
-    assert normed.kind == "normalized"
+    win = sample_base_path(chain, -80, 100, 3)
+    orbit = SystemOrbit(win, 0, 4, pot, model)
+    raw = key_matrices(0.5j, pot, model)[orbit.keys]
+    assert np.allclose(orbit.normalized_matrices([0.5j])[:, 0], raw)
 
 
 def test_holder_operator_norm_identity():
@@ -136,7 +142,6 @@ def test_lasota_yorke_normalized_sup_contraction():
     # positive operator fixing 1: sup norm of A_0^n g never exceeds sup|g|
     rng = generator(9)
     chain, model, pot = random_instance(rng, d=2, r=2, n_states=2)
-    from skewprod.rpf import SystemOrbit
     win = sample_base_path(chain, -80, 100, 4)
     orbit = SystemOrbit(win, 0, 10, pot, model)
     g = rng.standard_normal(2)
@@ -144,16 +149,3 @@ def test_lasota_yorke_normalized_sup_contraction():
     for j in range(10):
         vec = orbit.normalized_matrix(j) @ vec
         assert np.max(np.abs(vec)) <= np.max(np.abs(g)) + 1e-12
-
-
-def test_lasota_yorke_fitted_Q_stable():
-    rng = generator(10)
-    chain, model, pot = random_instance(rng, d=2, r=3, n_states=2)
-    win = sample_base_path(chain, 0, 30, 5)
-    qs = []
-    for n in [2, 6, 12, 20]:
-        rep = lasota_yorke_check(win, n, 0.9j, pot, model, trials=25, rng=generator(11, n))
-        qs.append(rep.fitted_Q)
-    assert max(qs) < 100.0
-    assert all(q >= 0 for q in qs)
-
