@@ -41,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_run(args) -> int:
     try:
-        if os.path.exists(args.config):
+        if os.path.isfile(args.config):
             cfg = load_config(args.config)
         elif args.config in PRESETS:
             cfg = parse_config(preset_config(args.config), name_hint=args.config)

@@ -84,33 +84,55 @@ def _matrix(value, path: str) -> np.ndarray:
     return arr
 
 
-def _settings(data: dict, section: str, defaults: dict, expected) -> dict:
+def _settings(data: dict, section: str, known: dict, expected) -> dict:
     """The config's `section` object, checked key by key: every key is one of
-    `defaults`, and `expected(key, value)` names what a bad value should have
+    `known`, and `expected(key, value)` names what a bad value should have
     been (None for a good one)."""
     values = data.get(section, {})
     if not isinstance(values, dict):
         raise ConfigError(f"{section}: expected a JSON object, got {values!r}")
     for key, value in values.items():
         path = f"{section}.{key}"
-        if key not in defaults:
-            raise ConfigError(f"{path}: unknown key; choose one of {sorted(defaults)}")
+        if key not in known:
+            raise ConfigError(f"{path}: unknown key; choose one of {sorted(known)}")
         want = expected(key, value)
         if want:
             raise ConfigError(f"{path}: expected {want}, got {value!r}")
     return dict(values)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and math.isfinite(value)
+
+
 def _sample_count(key: str, value) -> str | None:
     low = 0 if key == "strata_depth" else 1  # depth 0 samples without strata
-    ok = isinstance(value, int) and not isinstance(value, bool) and value >= low
-    return None if ok else f"an integer >= {low}"
+    return None if _is_int(value) and value >= low else f"an integer >= {low}"
 
 
 def _tolerance(key: str, value) -> str | None:
-    ok = isinstance(value, (int, float)) and not isinstance(value, bool) \
-        and math.isfinite(value) and value > 0
-    return None if ok else "a finite number > 0"
+    return None if _is_finite(value) and value > 0 else "a finite number > 0"
+
+
+def _is_length(value) -> bool:
+    return _is_int(value) and value >= 1
+
+
+# the grids the runners read: what their entries must be, and the check
+GRIDS = {"n_list": ("integers >= 1", _is_length), "n_grid": ("integers >= 1", _is_length),
+         "a_list": ("integers", _is_int), "t_small": ("finite numbers", _is_finite),
+         "t_large": ("finite numbers", _is_finite), "t_grid": ("finite numbers", _is_finite)}
+
+
+def _grid(key: str, value) -> str | None:
+    want, entry = GRIDS[key]
+    ok = isinstance(value, list) and len(value) > 0 and all(entry(v) for v in value)
+    return None if ok else f"a non-empty list of {want}"
 
 
 def parse_config(data: dict, name_hint: str = "config") -> ExperimentConfig:
@@ -138,7 +160,7 @@ def parse_config(data: dict, name_hint: str = "config") -> ExperimentConfig:
         base=dict(data.get("base", {})), fiber=dict(data.get("fiber", {})),
         potentials=dict(data.get("potentials", {})), doeblin=dict(data.get("doeblin", {})),
         periodic_cycle=list(data.get("periodic_cycle", [0])),
-        grids=dict(data.get("grids", {})),
+        grids=_settings(data, "grids", GRIDS, _grid),
         samples=_settings(data, "samples", DEFAULT_SAMPLES, _sample_count),
         tolerances=_settings(data, "tolerances", DEFAULT_TOLERANCES, _tolerance),
         renewal=dict(data.get("renewal", {})),

@@ -14,13 +14,16 @@ which is what makes the three characteristic-function routes exactly
 comparable.
 
 The DP advances the joint law, a row of D polynomials, left to right through
-blocks of BLOCK_ROWS rows: a row times a D x D polynomial matrix costs D^2
-convolutions where a matrix product costs D^3, so this order is cheaper than
-multiplying blocks together first.  All blocks' polynomial matrices are
-built in one batch by pairwise doubling.  Every product is a direct sum of
-nonnegative terms (np.convolve or matmul), never an FFT, so the law's far
-tails keep their relative accuracy, and every law is rescaled to its exact
-mass, carried in extended precision.
+blocks of BLOCK_ROWS = 64 rows: a row times a D x D polynomial matrix costs
+D^2 convolutions where a matrix product costs D^3, so this order is cheaper
+than multiplying blocks together first.  All blocks' polynomial matrices are
+built in one batch by pairwise doubling, and each advance is one banded
+(Toeplitz) GEMM over overlapping windows of the joint (`_advance`); short
+operands, such as the one-row segments of the renewal sweep, keep
+np.convolve.  Every product is a direct sum of nonnegative terms
+(np.convolve or matmul), never an FFT, so the law's far tails keep their
+relative accuracy, and every law is rescaled to its exact mass, carried in
+extended precision.
 """
 
 from __future__ import annotations
@@ -38,8 +41,10 @@ from .seeding import generator
 from .transfer import branch_matrices, full_product, unscale
 
 STATE_BUDGET = 10**7
-BLOCK_ROWS = 128  # DP rows multiplied into one polynomial matrix per joint advance
+BLOCK_ROWS = 64  # DP rows multiplied into one polynomial matrix per joint advance
 GEMM_TAPS = 65  # longest pieces that `_compose_blocks` multiplies by batched matmuls
+CHUNK = 16  # joint entries that one window of `_advance`'s banded GEMM yields
+SERIAL_MNK = 1 << 18  # largest m * n * k that OpenBLAS multiplies on one thread
 
 
 @dataclass
@@ -104,17 +109,19 @@ class StepTable:
         yields form a segment, cut into blocks of up to BLOCK_ROWS rows; every
         block is padded with identity rows to a power-of-two length, and the
         products of all blocks of one padded length come from one batch of
-        pairwise doubling (`_compose_blocks`).  The joint is then advanced by each block in
-        order, D^2 convolutions of the joint's rows with the block's entries,
-        and yielded at the end of each segment.  Advancing a row vector costs
-        D^2 convolutions per block where multiplying a segment's blocks
-        together would cost D^3, and 128-row blocks make each convolution long
-        (joint width x 257 taps at span 2), where np.convolve does the most
-        work per call.  A block's coefficients past its rows' summed spans
-        are exact zeros and are trimmed, so each joint has the value range
-        of a row-by-row DP.  With at=None every segment is one row, applied
-        directly.  Every product is a direct sum of nonnegative terms, so the
-        law's far tails keep their relative accuracy, which an FFT would
+        pairwise doubling (`_compose_blocks`).  The joint is then advanced by
+        each block in order and yielded at the end of each segment.  Advancing
+        a row vector costs D^2 convolutions per block where multiplying a
+        segment's blocks together would cost D^3.  Each advance is one banded
+        GEMM of the joint's overlapping windows (`_advance`), stacked in BLAS
+        calls small enough to run on one thread; at span 2 a 64-row block has
+        129 taps, and every doubling level is a batched matmul.  Short
+        operands keep np.convolve: a joint narrower than 2 * CHUNK, and a
+        block of fewer than CHUNK taps, such as the one-row segments of
+        at=None.  A block's coefficients past its rows' summed spans are
+        exact zeros and are trimmed, so each joint has the value range of a
+        row-by-row DP.  Every product is a direct sum of nonnegative terms, so
+        the law's far tails keep their relative accuracy, which an FFT would
         lose to the rounding of the largest mass.  Each block's entries and
         each yielded joint are rescaled to their exact masses, which take the
         same products in extended precision (`_anchored`); without that, a
@@ -174,7 +181,7 @@ class StepTable:
         # coefficients are exact zeros and are trimmed
         pad = np.left_shift(1, np.frexp(b1 - b0 - 1)[1])  # 2 ** bit_length(rows - 1)
         blocks = [None] * len(b0)
-        for size in np.unique(pad).tolist():
+        for size in sorted(set(pad.tolist())):
             sel = np.flatnonzero(pad == size)
             idx = b0[sel, None] + np.arange(size)
             idx[idx >= b1[sel, None]] = steps
@@ -185,7 +192,7 @@ class StepTable:
         last = set((first + n_blocks - 1).tolist())
         joint_mass = start.astype(np.longdouble)
         for b, (coef, mass, shift) in enumerate(blocks):
-            joint = _poly_product(joint[None], coef)[0]
+            joint = _advance(joint, coef)
             joint_mass = joint_mass @ mass
             k0 += shift
             if b in last:
@@ -350,6 +357,49 @@ def _compose_blocks(C: np.ndarray, M: np.ndarray, idx: np.ndarray) -> tuple:
     while len(poly) > blocks:
         poly = np.stack([_poly_product(poly[i], poly[i + 1]) for i in range(0, len(poly), 2)])
     return _anchored(poly, mass), mass
+
+
+def _advance(joint: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """The joint (D, W) times the polynomial matrix coef (D, D, L), as
+    `_poly_product(joint[None], coef)[0]`: (D, W + L - 1), the same direct sums
+    of nonnegative products, added in another order.
+
+    The output comes in chunks of CHUNK entries.  The chunk at j reads, from
+    every state's row of the joint zero-padded by L - 1 on the left, the
+    window of CHUNK + L - 1 entries starting at j, so one GEMM of the windows
+    against the banded (Toeplitz) matrix band[(v, q), (w, t)] =
+    coef[v, w, t - q + L - 1], zero off the band, gives every chunk.  Both are
+    strided views, of the padded joint (windows every CHUNK entries) and of
+    the coefficients padded by CHUNK - 1 zeros on each side, copied once each.
+    The windows are stacked so that each BLAS call has m * n * k <= SERIAL_MNK,
+    which OpenBLAS runs on one thread: no thread start-up per call, and the
+    same sums whatever the BLAS thread count.  Only a single window past that
+    size (D^2 * CHUNK * (CHUNK + L - 1) > SERIAL_MNK, so D >= 8 at span 4)
+    takes a call of its own, which OpenBLAS may thread.  Short operands
+    (W < 2 * CHUNK, or L < CHUNK as in one-row segments) keep np.convolve,
+    which is faster there.
+    """
+    D, W = joint.shape
+    L = coef.shape[2]
+    if W < 2 * CHUNK or L < CHUNK:
+        return _poly_product(joint[None], coef)[0]
+    width, span = W + L - 1, CHUNK + L - 1
+    k, n = D * span, D * CHUNK
+    chunks = -(-width // CHUNK)
+    calls = -(-chunks // max(1, SERIAL_MNK // (k * n)))
+    per_call = -(-chunks // calls)
+    padded = np.zeros((D, calls * per_call * CHUNK + L - 1))
+    padded[:, L - 1:L - 1 + W] = joint
+    item = padded.itemsize
+    windows = np.ndarray((calls * per_call, D, span), buffer=padded,
+                         strides=(CHUNK * item, padded.strides[0], item))
+    taps = np.zeros((D, D, 2 * CHUNK + L - 2))
+    taps[..., CHUNK - 1:CHUNK - 1 + L] = coef
+    band = np.ndarray((D, span, D, CHUNK), buffer=taps, offset=(CHUNK + L - 2) * item,
+                      strides=(taps.strides[0], -item, taps.strides[1], item))
+    out = windows.reshape(calls, per_call, k) @ band.reshape(k, n)
+    out = out.reshape(-1, D, CHUNK).transpose(1, 0, 2).reshape(D, -1)
+    return np.ascontiguousarray(out[:, :width])
 
 
 def _anchored(poly: np.ndarray, mass: np.ndarray) -> np.ndarray:

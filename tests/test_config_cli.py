@@ -61,6 +61,22 @@ def test_bad_tolerances_and_unknown_keys():
     parse_config(cfg)
 
 
+def test_bad_grids():
+    cases = [("n_list", [0]), ("n_list", []), ("n_list", [2.5]), ("n_list", [True]),
+             ("n_list", 100), ("n_grid", [50, -1]), ("a_list", []), ("a_list", [1.5]),
+             ("a_list", ["40"]), ("t_grid", []), ("t_grid", [0.1, float("nan")]),
+             ("t_small", ["x"]), ("t_large", [float("inf")]), ("n_lists", [50])]
+    for key, value in cases:
+        cfg = preset_config("scalar-iid")
+        cfg["grids"] = {key: value}
+        with pytest.raises(ConfigError, match=rf"grids\.{key}"):
+            parse_config(cfg)
+    cfg = preset_config("scalar-iid")
+    cfg["grids"] = {"n_list": [1], "n_grid": [50], "a_list": [-20, 0, 40],
+                    "t_grid": [0.1, 1], "t_small": [-0.5], "t_large": [2.4]}
+    parse_config(cfg)
+
+
 def test_config_hash_ignores_output_dir():
     a = preset_config("scalar-iid")
     b = preset_config("scalar-iid")
@@ -187,17 +203,18 @@ def test_expect_classifier_failure_path():
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(skewprod.__file__)))
 
 
-def run_child(args, cwd):
-    """Run `python *args` with the imported skewprod first on its path."""
-    env = dict(os.environ)
+def run_child(args, cwd, env=None):
+    """Run `python *args` with the imported skewprod first on its path, and
+    the variables in `env` set on top of this process's environment."""
+    env = {**os.environ, **(env or {})}
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, cwd=cwd, env=env)
 
 
-def run_cli(args, cwd):
-    return run_child(["-m", "skewprod", *args], cwd)
+def run_cli(args, cwd, env=None):
+    return run_child(["-m", "skewprod", *args], cwd, env)
 
 
 def small_variant(preset, experiment, grids, **samples):
@@ -214,6 +231,8 @@ def test_import_and_one_worker_run_stay_light(tmp_path):
     # KS distance (clt) and the renewal tail, so a lazy scipy import shows too;
     # with the experiments run elsewhere in the suite (variance, llt,
     # doeblin-llt) they cover every experiment name the runner knows.
+    # numpy.ma (10-20 ms to import) stays out too: on numpy 2.4 a bare
+    # np.unique imports it, which the lattice DP no longer calls.
     clt = preset_config("two-state-base-lattice")
     clt["grids"]["n_list"] = [200]
     clt["samples"] = {"omega_samples": 32, "fiber_replicates": 128, "strata_depth": 1}
@@ -222,28 +241,31 @@ def test_import_and_one_worker_run_stay_light(tmp_path):
         "renewal": small_renewal_config(tmp_path),
         "rpf-audit": small_variant("matrix-llt", "rpf-audit", {}),
         "berry-esseen": small_variant("matrix-llt", "berry-esseen", {"n_list": [64, 256]}),
-        "decay-survey": small_variant("matrix-llt", "decay-survey", {"n_grid": [50, 100]}),
         "char-fn": small_variant("matrix-llt", "char-fn", {"n_list": [4, 8]}),
         "doeblin-clt": small_variant("doeblin-iid", "doeblin-clt", {"n_list": [2000]},
                                      omega_samples=16, fiber_replicates=1024),
         "doeblin-renewal": small_variant("doeblin-iid", "doeblin-renewal", {}),
         "doeblin-char": small_variant("doeblin-iid", "doeblin-char", {"n_list": [4, 8]}),
+        # last, and the one run allowed numpy.ma: its decay fits take
+        # np.quantile, which calls a bare np.unique
+        "decay-survey": small_variant("matrix-llt", "decay-survey", {"n_grid": [50, 100]}),
     }
-    runs = ["coboundary-degenerate"]
+    runs = [("coboundary-degenerate", ())]
     for name, cfg in configs.items():
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(cfg))
-        runs.append(str(path))
+        runs.append((str(path), ("numpy.ma",) if name == "decay-survey" else ()))
     script = f"""
 import sys
 import skewprod, skewprod.cli
-def heavy():
-    return [m for m in ("scipy", "concurrent.futures.process") if m in sys.modules]
+def heavy(allowed=()):
+    return [m for m in ("scipy", "concurrent.futures.process", "numpy.ma")
+            if m in sys.modules and m not in allowed]
 assert not heavy(), heavy()
-for i, run in enumerate({runs!r}):
+for i, (run, allowed) in enumerate({runs!r}):
     code = skewprod.cli.main(["run", run, "--workers", "1", "--out", f"out{{i}}"])
     assert code == 0, (run, code)
-    assert not heavy(), heavy()
+    assert not heavy(allowed), (run, heavy(allowed))
 """
     proc = run_child(["-c", script], cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
@@ -277,6 +299,29 @@ def test_cli_run_config_and_exit_codes(tmp_path):
     assert "config error" in proc3.stderr
 
 
+@pytest.mark.parametrize("n_list", [[0], [], [-5], ["x"]])
+def test_cli_bad_n_list_exit_2(tmp_path, n_list):
+    # these crashed mid-run with a ValueError or IndexError (exit 1, which
+    # reads as an acceptance failure)
+    cfg = preset_config("two-state-base-lattice")
+    cfg["grids"]["n_list"] = n_list
+    cfg["samples"] = {"omega_samples": 8, "fiber_replicates": 16, "strata_depth": 1}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    proc = run_cli(["run", str(path)], cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "config error: grids.n_list" in proc.stderr
+
+
+def test_cli_preset_name_beside_directory_of_that_name(tmp_path):
+    # an earlier `--out coboundary-degenerate` leaves such a directory; the
+    # name still means the preset, not a config file
+    (tmp_path / "coboundary-degenerate").mkdir()
+    proc = run_cli(["run", "coboundary-degenerate"], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "PASS" in proc.stdout
+
+
 @pytest.mark.parametrize("key,value", [("fiber_replicates", 0), ("strata_depth", -1),
                                        ("fiber_replicates", "many"), ("omega_samples", -3)])
 def test_cli_bad_samples_exit_2(tmp_path, key, value):
@@ -308,6 +353,19 @@ def test_cli_rerun_byte_identical_results(tmp_path):
     c1 = (out1 / "curves" / "renewal.csv").read_bytes()
     c2 = (out2 / "curves" / "renewal.csv").read_bytes()
     assert c1 == c2
+
+
+def test_blas_threads_do_not_change_record(tmp_path):
+    # the D = 2 laws run GEMMs small enough that OpenBLAS keeps them on one
+    # thread, so the record is the same whatever thread count it is given
+    records = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}"
+        proc = run_cli(["run", "matrix-llt", "--out", str(out)], cwd=tmp_path,
+                       env={"OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
+        records.append(record_bytes_from_file(str(out / "results.json")))
+    assert records[0] == records[1]
 
 
 @pytest.mark.parametrize("preset", ["matrix-llt", "scalar-iid"])

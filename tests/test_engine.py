@@ -7,15 +7,18 @@ import numpy as np
 import pytest
 from _instances import random_doeblin
 from _oracles import prob_at
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from skewprod import gibbs
 from skewprod.base_env import build_markov_base, sample_base_path
+from skewprod.config import build_symbolic_system, parse_config
 from skewprod.doeblin import DoeblinSystem, build_doeblin_family
 from skewprod.errors import LatticeTooLarge
 from skewprod.fiber import FiberModel, PotentialTable
-from skewprod.gibbs import BLOCK_ROWS, StepTable, group_rows
+from skewprod.gibbs import BLOCK_ROWS, CHUNK, StepTable, group_rows
 from skewprod.limits import SymbolicSystem
+from skewprod.presets import preset_config
 from skewprod.seeding import generator
 
 T_GRID = [0.3, 1.1, 2.5]
@@ -231,10 +234,10 @@ def test_sweep_rejects_prefix_lengths_outside_table():
 
 
 def test_long_sweep_matches_row_by_row():
-    # 44 blocks' worth of rows in uneven segments (1, 4, 32, 263, 1 and 5331
+    # 88 blocks' worth of rows in uneven segments (1, 4, 32, 263, 1 and 5331
     # rows), so the joint is advanced through padded blocks and a long run of
     # full ones
-    n, ns = 44 * BLOCK_ROWS, [0, 1, 5, 37, 300, 301, 44 * BLOCK_ROWS]
+    n, ns = 88 * BLOCK_ROWS, [0, 1, 5, 37, 300, 301, 88 * BLOCK_ROWS]
     for D in (1, 2):
         rng = generator(81, D)
         probs = rng.uniform(0.05, 1.0, size=(n, D, 3))
@@ -259,8 +262,9 @@ def test_long_sweep_matches_row_by_row():
 def test_sweep_blocks_of_uneven_row_spans_match_row_by_row():
     # D = 4 rows whose shifts span 0 (one increment per row) or 4, so a block's
     # polynomial is shorter than its padded length, and prefixes off the block
-    # boundaries: blocks of 1, 126, 2, 128, 128 and 16 rows, the 126 padded
-    # with identity rows to 128, one doubling batch per padded length
+    # boundaries: at 64-row blocks, blocks of 1, 62, 2, 64, 64 and 16 rows,
+    # the 62 padded with identity rows to 64, one doubling batch per padded
+    # length
     n = 3 * BLOCK_ROWS + 17
     ns = [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS + 1, n]
     rng = generator(84)
@@ -284,6 +288,59 @@ def test_sweep_blocks_of_uneven_row_spans_match_row_by_row():
         assert np.max(err) <= 1e-15
         big = want > 1e-290
         assert np.max(err[big] / want[big]) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 600), st.integers(1, 300), st.integers(0, 2**31 - 1))
+@example(2, 600, 300, 1)  # the GEMM side, 899 outputs: not a whole number of chunks
+@example(3, 2 * CHUNK, CHUNK, 2)  # the smallest operands the GEMM side takes
+@example(1, 2 * CHUNK - 1, 300, 3)  # the convolve side
+def test_advance_matches_poly_product(D, W, L, seed):
+    # nonnegative entries over twelve decades, a fifth of them exact zeros:
+    # each output entry is a sum of nonnegative products, which both orders of
+    # summation get to within a few roundings, and an exact zero stays zero
+    rng = generator(seed)
+
+    def draw(shape):
+        return rng.random(shape) * 10.0 ** -rng.integers(0, 12, size=shape) * \
+            (rng.random(shape) < 0.8)
+
+    joint, coef = draw((D, W)), draw((D, D, L))
+    got = gibbs._advance(joint, coef)
+    want = gibbs._poly_product(joint[None], coef)[0]
+    assert got.shape == want.shape == (D, W + L - 1)
+    assert np.all(np.abs(got - want) <= 1e-14 * want)
+
+
+def test_matrix_sweep_through_banded_gemm_matches_row_by_row(monkeypatch):
+    # the matrix-llt chain (D = 2, increments 0..2) over 700 rows, backward and
+    # forward: its joints grow to 1,400 entries and its blocks to 129 taps, so
+    # the joint advances run the banded GEMM, not only np.convolve
+    system = build_symbolic_system(parse_config(preset_config("matrix-llt")))
+    n, ns = 700, [0, 1, BLOCK_ROWS + 1, 300, 301, 700]
+    orbit = system.orbit(sample_base_path(system.chain, -300, n + 300, 85), n)
+    operands, kernel = [], gibbs._advance
+
+    def advance(joint, coef):
+        operands.append((joint.shape[1], coef.shape[2]))
+        return kernel(joint, coef)
+
+    monkeypatch.setattr(gibbs, "_advance", advance)
+    for table in (system.step_table(orbit, n), system.forward_table(orbit, n)):
+        assert table.probs.shape[1] == 2 and not table.stateless()
+        reference = row_by_row_sweep(table)
+        swept = list(table.sweep(at=ns))
+        assert [m for m, _, _ in swept] == ns
+        for m, joint, k0 in swept:
+            want, want_k0 = reference[m]
+            assert k0 == want_k0 and joint.shape == want.shape
+            err = np.abs(joint - want)
+            assert np.max(err) <= 1e-15
+            big = want > 1e-290
+            assert np.max(err[big] / want[big]) <= 1e-12
+        for m, law in zip(ns, table.laws(ns)):
+            assert_law_matches(law, reference, m, atol=1e-15, rtol=1e-12)
+    assert any(W >= 2 * CHUNK and L >= CHUNK for W, L in operands)
 
 
 def assert_law_matches(law, reference, m, atol, rtol=None):
