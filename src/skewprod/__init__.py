@@ -40,9 +40,9 @@ from .limits import (  # noqa: E402
     SymbolicSystem,
     berry_esseen_scan,
     char_identity,
+    classify,
     clt_test,
     decay_survey,
-    lattice_classify,
     llt_scan,
     renewal_curve,
 )

@@ -135,6 +135,15 @@ def _grid(key: str, value) -> str | None:
     return None if ok else f"a non-empty list of {want}"
 
 
+# the keys of the sections that describe the system; their values are
+# checked where the system is built
+SYSTEM_KEYS = {"base": ("transition", "tol", "allow_deterministic"),
+               "fiber": ("alphabet_size", "depth", "alpha"),
+               "potentials": ("phi", "u", "u_next_symbol", "lattice_h"),
+               "doeblin": ("kernels", "u", "alpha", "lattice_h", "initial_measure"),
+               "renewal": ("truncation", "f", "limit_window")}
+
+
 def parse_config(data: dict, name_hint: str = "config") -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError("top level: expected a JSON object")
@@ -157,14 +166,13 @@ def parse_config(data: dict, name_hint: str = "config") -> ExperimentConfig:
     seed = int(data["seed"])
     cfg = ExperimentConfig(
         name=name, kind=kind, experiment=experiment, seed=seed, expect=expect,
-        base=dict(data.get("base", {})), fiber=dict(data.get("fiber", {})),
-        potentials=dict(data.get("potentials", {})), doeblin=dict(data.get("doeblin", {})),
         periodic_cycle=list(data.get("periodic_cycle", [0])),
         grids=_settings(data, "grids", GRIDS, _grid),
         samples=_settings(data, "samples", DEFAULT_SAMPLES, _sample_count),
         tolerances=_settings(data, "tolerances", DEFAULT_TOLERANCES, _tolerance),
-        renewal=dict(data.get("renewal", {})),
         output_dir=str(data.get("output_dir", "out")), raw=data,
+        **{section: _settings(data, section, keys, lambda key, value: None)
+           for section, keys in SYSTEM_KEYS.items()},
     )
     # build both systems eagerly so every cross-reference is checked up front
     if kind == "symbolic":
@@ -207,8 +215,7 @@ def build_symbolic_system(cfg: ExperimentConfig) -> SymbolicSystem:
     d = int(_need(cfg.fiber, "alphabet_size", "fiber"))
     r = int(_need(cfg.fiber, "depth", "fiber"))
     try:
-        model = FiberModel(d, r, metric_base=float(cfg.fiber.get("metric_base", 2.0)),
-                           alpha=float(cfg.fiber.get("alpha", 1.0)))
+        model = FiberModel(d, r, alpha=float(cfg.fiber.get("alpha", 1.0)))
     except SkewprodError as exc:
         raise ConfigError(f"fiber: {exc}") from exc
     phi = _need(cfg.potentials, "phi", "potentials")

@@ -4,8 +4,9 @@ Finite stochastic kernels per base symbol, entries pinned inside
 [alpha, 1/alpha], drive a Markov chain in random environment.  The twisted
 iterates compose in the opposite order from the transfer cocycle
 (present factor leftmost), and the kernels are Markov at z = 0.  Those
-iterates, the orbit's invariant family and marginals and its exact variance
-recursion are all read from the shared scan `transfer.prefix_products`.
+iterates (`StepTable.twisted_product`), the orbit's invariant family and
+marginals and its exact variance recursion are all read from the shared scan
+`transfer.prefix_products`.
 Along one environment the chain is a `StepTable`, so the exact laws, the
 sampler, the spectral characteristic function and the annealed runners of
 `limits` are the symbolic model's own: Doeblin contraction replaces the
@@ -19,16 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base_env import BaseSymbolChain, OmegaWindow, periodic_point
-from .errors import DoeblinViolated, NotLattice
+from .errors import DoeblinViolated
+from .fiber import lattice_span
 from .gibbs import StepTable
-from .limits import (
-    ClassificationReport,
-    PeriodicOperatorFamily,
-    _spectral_radii_certified,
-    classification_grid,
-    lattice_classify,
-)
-from .transfer import full_product, prefix_products, unscale
+from .transfer import prefix_products, unscale
+
+WARMUP = 64  # kernels before the window origin that the invariant family is pushed through
 
 
 @dataclass
@@ -74,12 +71,7 @@ def build_doeblin_family(kernels, u, alpha: float, lattice_h: float | None = Non
             f"kernel entry {kernels[i]:.6f} at {i} below the Doeblin floor {alpha}")
     if np.max(kernels) > 1.0 / alpha + tol:
         raise DoeblinViolated("kernel entry above 1/alpha")
-    fam = DoeblinFamily(kernels / rows[:, :, None], u, float(alpha), lattice_h)
-    if lattice_h is not None:
-        mult = u / lattice_h
-        if np.max(np.abs(mult - np.round(mult))) > 1e-12:
-            raise NotLattice("u values are not integer multiples of lattice_h")
-    return fam
+    return DoeblinFamily(kernels / rows[:, :, None], u, float(alpha), lattice_span(u, lattice_h))
 
 
 @dataclass
@@ -109,43 +101,30 @@ class DoeblinSystem:
         to xi_{j+1} by the kernel at omega_j and reads the observable at the
         target state, so rank-one kernels give state-independent rows.
         """
-        fam = self.family
         s = orbit.symbols[:n]
-        shape = (n - 1,) + fam.kernels.shape[1:]
-        return StepTable(n, fam.lattice_h, orbit.marginal[0], fam.u[s[0]],
-                         fam.kernels[s[:-1]],
-                         np.broadcast_to(np.arange(fam.n_states), shape),
-                         np.broadcast_to(fam.u[s[1:], None, :], shape))
+        return StepTable(n, self.family.lattice_h, orbit.marginal[0], self.family.u[s[0]],
+                         *self._rows(s))
 
     # the chain already runs with the dynamics
     forward_table = step_table
 
-    def classify(self, grid_points: int = 97, grid_margin: float = 0.25,
-                 J: tuple | None = None) -> ClassificationReport:
-        grid = classification_grid(self.family.lattice_h, grid_points, grid_margin, J)
-        n0 = len(self.periodic_cycle)
+    def cycle_table(self) -> StepTable:
+        """One period omega_0 ... omega_{n0-1} of the periodic base orbit,
+        rows as in `step_table` (the last reads u at omega_{n0} = omega_0), from
+        the uniform start; `limits.classify` reads its twisted product."""
+        n0, q = len(self.periodic_cycle), self.family.n_states
         win = periodic_point(self.chain, self.periodic_cycle).window(0, n0)
-        prods = compose_reversed(win, n0, 1j * np.asarray(grid, dtype=float), self.family)
-        rho, res = _spectral_radii_certified(prods)
-        pf = PeriodicOperatorFamily(tuple(self.periodic_cycle), n0, np.asarray(grid),
-                                    rho, 1.0, res)
-        return lattice_classify(pf, self.family.lattice_h)
+        return StepTable(n0, self.family.lattice_h, np.full(q, 1.0 / q), np.zeros(q),
+                         *self._rows(win.symbols(0, n0)))
 
-
-def compose_reversed(window: OmegaWindow, n: int, z, family: DoeblinFamily) -> np.ndarray:
-    """n-th order iterate with the present factor leftmost.
-
-    Factor j is the kernel at symbol omega_j right-multiplied by the twist
-    diagonal of the next symbol's observable.  z is one parameter, or a 1-D
-    array of them whose iterates come from one scan, stacked as (len(z), q, q).
-    """
-    zs = np.atleast_1d(z)
-    if not np.any(np.imag(zs)):
-        zs = np.real(zs)
-    syms = window.symbols(0, n)
-    twist = np.exp(zs[:, None, None] * family.u[syms[1:], None, None, :])
-    prods = unscale(*full_product(family.kernels[syms[:-1], None] * twist))
-    return prods if np.ndim(z) else prods[0]
+    def _rows(self, s: np.ndarray) -> tuple:
+        """(probs, targets, u) of the steps under the symbols s[:-1]: row j
+        moves the state by the kernel at s[j] and reads u at s[j + 1] at the
+        target state."""
+        fam = self.family
+        shape = (len(s) - 1,) + fam.kernels.shape[1:]
+        return (fam.kernels[s[:-1]], np.broadcast_to(np.arange(fam.n_states), shape),
+                np.broadcast_to(fam.u[s[1:], None, :], shape))
 
 
 class DoeblinOrbit:
@@ -155,18 +134,17 @@ class DoeblinOrbit:
     at time j under the invariant family and under the configured start.
     """
 
-    def __init__(self, window: OmegaWindow, n: int, system: DoeblinSystem,
-                 warmup: int = 64):
+    def __init__(self, window: OmegaWindow, n: int, system: DoeblinSystem):
         self.window = window
         self.system = system
         fam = system.family
         self.symbols = window.symbols(0, n)
         kernels = fam.kernels[self.symbols[:n]]
-        # nu[j] is the uniform law pushed through the warmup kernels and the
+        # nu[j] is the uniform law pushed through the WARMUP kernels and the
         # first j window kernels: one scan, led by an identity for j = 0
         factors = np.concatenate([np.eye(fam.n_states)[None],
-                                  fam.kernels[window.symbols(-warmup, -1)], kernels])
-        pushed = prefix_products(factors)[0][warmup:].sum(axis=1)
+                                  fam.kernels[window.symbols(-WARMUP, -1)], kernels])
+        pushed = prefix_products(factors)[0][WARMUP:].sum(axis=1)
         self.nu = pushed / pushed.sum(axis=1, keepdims=True)
         if system.initial is None:
             self.marginal = self.nu

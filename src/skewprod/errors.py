@@ -38,7 +38,7 @@ class InsufficientWindow(SkewprodError):
 
 
 class UnsupportedXi(SkewprodError):
-    """Only xi = 1/2 is supported by the Hoelder norm in v1."""
+    """Hoelder exponent alpha outside (0, 1] (the norm's xi is fixed at 1/2)."""
 
 
 class DepthShrink(SkewprodError):
@@ -67,10 +67,6 @@ class DegenerateVariance(SkewprodError):
 
 class ClassifierFailed(SkewprodError):
     """Lattice/aperiodicity classification failed; LLT/renewal refused."""
-
-
-class GridTouchesExcludedPoint(SkewprodError):
-    pass
 
 
 class NonPositiveMean(SkewprodError):

@@ -1,15 +1,16 @@
 """One-sided full-shift fiber, cylinder functions and locally constant potentials.
 
 The fiber space is X = A^N with A = {0, ..., d-1} and the left shift acting
-on every fiber.  Distances are rho(x, x') = base^(-m) where m is the first
-index at which x and x' disagree (base = 2 by default).  Functions that
-depend on finitely many coordinates ("cylinder functions" of depth k) are
-stored as flat arrays indexed by words in lexicographic order, which makes
-every transfer operator an exact d^(r-1) x d^(r-1) matrix.
+on every fiber.  Distances are rho(x, x') = 2^(-m) where m is the first
+index at which x and x' disagree.  Functions that depend on finitely many
+coordinates ("cylinder functions" of depth k) are stored as flat arrays
+indexed by words in lexicographic order, which makes every transfer operator
+an exact d^(r-1) x d^(r-1) matrix.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -23,8 +24,6 @@ from .errors import (
     NotLattice,
     UnsupportedXi,
 )
-
-XI = 0.5
 
 
 def word_count(d: int, k: int) -> int:
@@ -70,13 +69,11 @@ class FiberModel:
 
     alphabet_size: d >= 2 fiber symbols.
     depth: r >= 1, the number of fiber coordinates the potentials read.
-    metric_base: rho(x, x') = metric_base^(-first disagreement).
-    alpha: Hoelder exponent in (0, 1].
+    alpha: Hoelder exponent in (0, 1] of the metric 2^(-first disagreement).
     """
 
     alphabet_size: int
     depth: int
-    metric_base: float = 2.0
     alpha: float = 1.0
 
     def __post_init__(self):
@@ -170,12 +167,10 @@ def holder_seminorm_rows(values: np.ndarray, d: int, depth: int, alpha: float) -
     return best
 
 
-def holder_norm(g: CylinderFunction, alpha: float = 1.0, xi: float = XI):
-    """(sup norm, seminorm, total) of g in the ||.||_{alpha,xi} norm."""
+def holder_norm(g: CylinderFunction, alpha: float = 1.0):
+    """(sup norm, seminorm, total) of g in the ||.||_{alpha,xi} norm, xi = 1/2."""
     if not 0.0 < alpha <= 1.0:
         raise UnsupportedXi("alpha must lie in (0, 1]")
-    if xi != XI:
-        raise UnsupportedXi(f"only xi = {XI} supported, got {xi}")
     sup = float(np.max(np.abs(g.values))) if len(g.values) else 0.0
     semi = holder_seminorm_values(g.values, g.d, g.depth, alpha)
     return sup, semi, sup + semi
@@ -191,6 +186,20 @@ def holder_norm_rows(values: np.ndarray, d: int, depth: int, alpha: float = 1.0)
     """holder_norm_vector of every row of a (rows, d^depth) array."""
     return np.max(np.abs(values), axis=1, initial=0.0) \
         + holder_seminorm_rows(values, d, depth, alpha)
+
+
+def lattice_span(u: np.ndarray, lattice_h) -> float | None:
+    """lattice_h as a float, checked to be finite and positive with every
+    value of u an integer multiple of it; None (no lattice) stays None."""
+    if lattice_h is None:
+        return None
+    h = float(lattice_h)
+    if not (math.isfinite(h) and h > 0):
+        raise NotLattice(f"lattice_h must be finite and positive, got {lattice_h!r}")
+    mult = u / h
+    if np.max(np.abs(mult - np.round(mult))) > 1e-12:
+        raise NotLattice("u values are not integer multiples of lattice_h")
+    return h
 
 
 class PotentialTable:
@@ -217,15 +226,7 @@ class PotentialTable:
         if self.u.shape != expected_u:
             raise DepthMismatch(f"u must have shape {expected_u}, got {self.u.shape}")
         self.n_symbols = self.phi.shape[0]
-        self.lattice_h = None
-        if lattice_h is not None:
-            h = float(lattice_h)
-            if h <= 0:
-                raise NotLattice("lattice_h must be positive")
-            mult = self.u / h
-            if np.max(np.abs(mult - np.round(mult))) > 1e-12:
-                raise NotLattice("u values are not integer multiples of lattice_h")
-            self.lattice_h = h
+        self.lattice_h = lattice_span(self.u, lattice_h)
 
     def check_symbol(self, s: int):
         if not 0 <= s < self.n_symbols:

@@ -70,8 +70,8 @@ class LatticeDistribution:
     def char_function(self, t: float) -> complex:
         return complex(np.exp(1j * t * self.values()) @ self.probs)
 
-    def trim(self, eps: float = 0.0) -> "LatticeDistribution":
-        nz = np.nonzero(self.probs > eps)[0]
+    def trim(self) -> "LatticeDistribution":
+        nz = np.nonzero(self.probs > 0)[0]
         if len(nz) == 0:
             return self
         return LatticeDistribution(self.h, self.k0 + int(nz[0]),
@@ -87,6 +87,9 @@ class StepTable:
     probs[i, w, b], adding u[i, w, b].  probs, targets and u have shape
     (steps, D, B); the first n - steps summands of S_n sit in the start.  h is
     the lattice span of every increment, None when u is not lattice-valued.
+    A system's `cycle_table` lays out one period of its periodic base orbit
+    the same way, for `twisted_product` alone; its symbolic rows carry raw
+    branch weights, not probabilities.
     """
 
     n: int
@@ -97,7 +100,7 @@ class StepTable:
     targets: np.ndarray
     u: np.ndarray
 
-    def sweep(self, weights=None, at=None, state_budget: int = STATE_BUDGET):
+    def sweep(self, weights=None, at=None):
         """Exact lattice DP: yields (m, joint, k0) at each prefix length m in `at`.
 
         joint[w, i] is the mass of state w with S_m at lattice index k0 + i,
@@ -137,9 +140,9 @@ class StepTable:
         lows = k_start.min() + np.concatenate([[0], np.cumsum(kmin)])
         highs = k_start.max() + np.concatenate([[0], np.cumsum(kmax)])
         width = int(highs.max()) - int(lows.min()) + 1
-        if D * width > state_budget:
+        if D * width > STATE_BUDGET:
             raise LatticeTooLarge(
-                f"lattice DP needs {D * width} states, budget {state_budget}")
+                f"lattice DP needs {D * width} states, budget {STATE_BUDGET}")
         m0 = self.n - steps
         ms = range(m0, self.n + 1) if at is None else sorted({int(m) for m in at})
         if ms and not m0 <= ms[0] <= ms[-1] <= self.n:
@@ -217,7 +220,7 @@ class StepTable:
         first, counts, labels = group_rows(laws)
         return len(self.probs) - 1 - first, counts, labels[::-1]
 
-    def laws(self, ns, state_budget: int = STATE_BUDGET) -> list:
+    def laws(self, ns) -> list:
         """Exact laws of S_m for each prefix length m in ns (mass 1 up to rounding).
 
         A table whose rows depend on the state runs one `sweep`.  In a
@@ -233,7 +236,7 @@ class StepTable:
         """
         if not self.stateless():
             out = {m: LatticeDistribution(self.h, k0, joint.sum(axis=0), m).trim()
-                   for m, joint, k0 in self.sweep(at=ns, state_budget=state_budget)}
+                   for m, joint, k0 in self.sweep(at=ns)}
             return [out[int(m)] for m in ns]
         if self.h is None:
             raise NotLattice("exact lattice law needs declared lattice_h")
@@ -242,8 +245,8 @@ class StepTable:
         kmin = k_steps.min(axis=1)
         span = k_steps.max(axis=1) - kmin
         width = int(k_start.max() - k_start.min() + span.sum()) + 1
-        if width > state_budget:
-            raise LatticeTooLarge(f"lattice law needs {width} states, budget {state_budget}")
+        if width > STATE_BUDGET:
+            raise LatticeTooLarge(f"lattice law needs {width} states, budget {STATE_BUDGET}")
         m0 = self.n - len(self.probs)
         ms = sorted({int(m) for m in ns})
         if ms and not m0 <= ms[0] <= ms[-1] <= self.n:
@@ -280,9 +283,9 @@ class StepTable:
             done = m - m0
         return [out[int(m)] for m in ns]
 
-    def law(self, state_budget: int = STATE_BUDGET) -> LatticeDistribution:
+    def law(self) -> LatticeDistribution:
         """Exact law of S_n: the last entry of `laws`."""
-        return self.laws([self.n], state_budget)[-1]
+        return self.laws([self.n])[-1]
 
     def sample(self, rng, replicates: int = 1) -> np.ndarray:
         """Unbiased draws of S_n.
@@ -312,15 +315,19 @@ class StepTable:
             states = self.targets[i, states, branch]
         return totals
 
-    def char_function(self, ts) -> np.ndarray:
-        """Spectral E exp(i t S_n) for each t: the product of the twisted
-        rows (one scan, t the batch axis) applied to 1, paired with the
-        start law."""
+    def twisted_product(self, ts) -> np.ndarray:
+        """The product, in row order, of the rows twisted by exp(i t u): one
+        D x D matrix per t, (len(ts), D, D), from one scan with t the batch axis."""
         ts = np.asarray(ts, dtype=float)
         twisted = self.probs[:, None] * np.exp(1j * ts[:, None, None] * self.u[:, None])
-        prods, expo = full_product(branch_matrices(twisted, self.targets, len(self.start)))
+        return unscale(*full_product(branch_matrices(twisted, self.targets, len(self.start))))
+
+    def char_function(self, ts) -> np.ndarray:
+        """Spectral E exp(i t S_n) for each t: the twisted product applied
+        to 1, paired with the start law."""
+        ts = np.asarray(ts, dtype=float)
         start = self.start * np.exp(1j * ts[:, None] * self.start_u)
-        return np.einsum("tw,twc->t", start, unscale(prods, expo))
+        return np.einsum("tw,twc->t", start, self.twisted_product(ts))
 
 
 def _compose_blocks(C: np.ndarray, M: np.ndarray, idx: np.ndarray) -> tuple:
@@ -501,12 +508,12 @@ def symbolic_forward_table(orbit: SystemOrbit, n: int) -> StepTable:
 
 
 def exact_Sn_distribution(window: OmegaWindow, n: int, pot: PotentialTable,
-                          model: FiberModel, orbit: SystemOrbit | None = None,
-                          state_budget: int = STATE_BUDGET) -> LatticeDistribution:
+                          model: FiberModel,
+                          orbit: SystemOrbit | None = None) -> LatticeDistribution:
     """Exact law of the n-step sum under the Gibbs start (the backward step table's DP)."""
     if orbit is None:
         orbit = SystemOrbit(window, 0, n, pot, model)
-    return symbolic_step_table(orbit, n).law(state_budget)
+    return symbolic_step_table(orbit, n).law()
 
 
 def char_function_spectral(window: OmegaWindow, n: int, t: float, pot: PotentialTable,

@@ -163,18 +163,18 @@ def _solve_raw_once(mats: np.ndarray, keys: np.ndarray, z: complex, j_lo: int, j
 def solve_raw_orbit(window: OmegaWindow, z: complex, j_lo: int, j_hi: int,
                     pot: PotentialTable, model: FiberModel,
                     back: int = DEFAULT_BACK, fwd: int = DEFAULT_FWD,
-                    tol: float = 1e-9, max_trunc: int = MAX_TRUNC) -> RawOrbitTriplets:
+                    tol: float = 1e-9) -> RawOrbitTriplets:
     """Raw triplets along [j_lo, j_hi], the truncation doubled until the
     residuals and the truncation gap (`RawOrbitTriplets.max_residual`) are below tol.
 
-    Doubling is capped by max_trunc and by the window itself; a residual
+    Doubling is capped by MAX_TRUNC and by the window itself; a residual
     plateau above tolerance raises NoConvergence (expected behaviour for z
     outside the admissible neighborhood).
     """
     pair_pad = 1 if pot.u_next_symbol else 0
     window.require(j_lo - back, j_hi + fwd - 1 + pair_pad)
-    b_cap = min(max_trunc, j_lo - window.lo)
-    f_cap = min(max_trunc, window.hi - pair_pad - j_hi + 1)
+    b_cap = min(MAX_TRUNC, j_lo - window.lo)
+    f_cap = min(MAX_TRUNC, window.hi - pair_pad - j_hi + 1)
     b, f = min(back, b_cap), min(fwd, f_cap)
     mats = key_matrices(z, pot, model)
     last = None
@@ -210,7 +210,7 @@ class SystemOrbit:
 
     def __init__(self, window: OmegaWindow, j_lo: int, j_hi: int, pot: PotentialTable,
                  model: FiberModel, back: int = DEFAULT_BACK, fwd: int = DEFAULT_FWD,
-                 tol: float = 1e-9, max_trunc: int = MAX_TRUNC):
+                 tol: float = 1e-9):
         self.window = window
         self.j_lo, self.j_hi = j_lo, j_hi
         self.pot, self.model = pot, model
@@ -223,8 +223,7 @@ class SystemOrbit:
             self.raw0 = RawOrbitTriplets(0.0, j_lo, j_hi, np.ones((n + 1, 1)),
                                          np.ones((n + 1, 1)), lam, 0.0, 0.0, 0, 0, 0.0)
         else:
-            self.raw0 = solve_raw_orbit(window, 0.0, j_lo, j_hi, pot, model,
-                                        back, fwd, tol, max_trunc)
+            self.raw0 = solve_raw_orbit(window, 0.0, j_lo, j_hi, pot, model, back, fwd, tol)
         m = np.real(self.raw0.H) * np.real(self.raw0.V)
         total = m.sum(axis=1, keepdims=True)
         if np.any(total <= 0):
@@ -415,13 +414,13 @@ class DecayFit:
 
 def exp_convergence_probe(window: OmegaWindow, z: complex, q: CylinderFunction,
                           n_list, pot: PotentialTable, model: FiberModel,
-                          back: int = DEFAULT_BACK, fwd: int = DEFAULT_FWD,
-                          noise_floor: float = 1e-10) -> DecayFit:
+                          back: int = DEFAULT_BACK, fwd: int = DEFAULT_FWD) -> DecayFit:
     """Fit ||A_z^n q / lambda_n - nu(q) h_n|| ~ C c^n over n_list.
 
-    Values below the noise floor are dropped before fitting (points under the
-    solver's truncation error are numerical noise, not decay data); if fewer
-    than three usable points remain the probe reports converged-at-once.
+    Values below the noise floor 1e-10 are dropped before fitting (points
+    under the solver's truncation error are numerical noise, not decay data);
+    if fewer than three usable points remain the probe reports
+    converged-at-once.
     """
     n_max = max(n_list)
     orbit0 = SystemOrbit(window, 0, n_max, pot, model, back=back, fwd=fwd)
@@ -439,7 +438,7 @@ def exp_convergence_probe(window: OmegaWindow, z: complex, q: CylinderFunction,
         e_n.append(float(holder_norm_vector(diff, d, depth, alpha)))
     ns = np.asarray(sorted(n_list), dtype=float)
     es = np.asarray(e_n)
-    keep = es > noise_floor
+    keep = es > 1e-10
     if keep.sum() < 3:
         return DecayFit(0.0, 0.0, 1.0, list(es), degenerate=True)
     x, y = ns[keep], np.log(es[keep])

@@ -8,6 +8,7 @@ matrices or runs a lattice DP.
 import numpy as np
 
 from skewprod.errors import DepthMismatch
+from skewprod.transfer import full_product, unscale
 
 
 def branch_enumeration_apply(window, n, z, pot, model, g):
@@ -82,3 +83,19 @@ def prob_at(law, value):
     if 0 <= k < len(law.probs):
         return float(law.probs[k])
     return 0.0
+
+
+def compose_reversed(window, n, z, family):
+    """n-th order iterate of a Doeblin family with the present factor leftmost.
+
+    Factor j is the kernel at symbol omega_j right-multiplied by the twist
+    diagonal of the next symbol's observable.  z is one parameter, or a 1-D
+    array of them whose iterates come from one scan, stacked as (len(z), q, q).
+    """
+    zs = np.atleast_1d(z)
+    if not np.any(np.imag(zs)):
+        zs = np.real(zs)
+    syms = window.symbols(0, n)
+    twist = np.exp(zs[:, None, None] * family.u[syms[1:], None, None, :])
+    prods = unscale(*full_product(family.kernels[syms[:-1], None] * twist))
+    return prods if np.ndim(z) else prods[0]

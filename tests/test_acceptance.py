@@ -12,18 +12,14 @@ import numpy as np
 import pytest
 from _oracles import branch_enumeration_apply
 
-from skewprod.base_env import build_markov_base, periodic_point, sample_base_path
+from skewprod.base_env import build_markov_base, sample_base_path
 from skewprod.config import (
     build_doeblin_system,
     build_symbolic_system,
     canonical_record_bytes,
     parse_config,
 )
-from skewprod.doeblin import (
-    DoeblinSystem,
-    build_doeblin_family,
-    compose_reversed,
-)
+from skewprod.doeblin import DoeblinSystem, build_doeblin_family
 from skewprod.errors import (
     ClassifierFailed,
     DegenerateVariance,
@@ -33,12 +29,10 @@ from skewprod.fiber import CylinderFunction, FiberModel, PotentialTable
 from skewprod.limits import (
     SymbolicSystem,
     char_identity,
-    classification_grid,
+    classify,
     clt_test,
     decay_survey,
-    lattice_classify,
     llt_scan,
-    periodic_operator_family,
     renewal_curve,
 )
 from skewprod.presets import preset_config
@@ -224,9 +218,7 @@ def test_criterion_07_lattice_llt_and_counterexample():
     # the span-2 instance must fail the classifier exactly at pi and the
     # runner must refuse it
     sys_pm = build_symbolic_system(parse_config(preset_config("span-2-counterexample")))
-    pp = periodic_point(sys_pm.chain, sys_pm.periodic_cycle)
-    pf = periodic_operator_family(pp, classification_grid(1.0), sys_pm.pot, sys_pm.model)
-    cls = lattice_classify(pf, 1.0)
+    cls = classify(sys_pm)
     radius_at_pi = 1.0 - cls.min_gap
     refused = False
     try:
@@ -320,16 +312,20 @@ def test_criterion_11_doeblin_pipeline():
                             [-20, -15, -10] + list(range(40, 61)),
                             truncation=200, omega_samples=128, seed=45,
                             limit_window=(40, 60))
-    # composition-order hand check at n = 2 with distinct kernels
+    # composition-order hand check at n = 2 with distinct kernels (seed 2 puts
+    # symbols 0, 1, 0 at positions 0..2): the twisted product of the chain's
+    # two step rows (S_3 = u_0 + u_1 + u_2)
     fam_mod = build_doeblin_family(
         np.array([[[0.7, 0.3], [0.4, 0.6]], [[0.3, 0.7], [0.6, 0.4]]]),
         np.array([[0.0, 1.0], [1.0, 0.0]]), 0.3, lattice_h=1.0)
-    win = sample_base_path(sysd.chain, 0, 4, 7)
+    sys_mod = DoeblinSystem(sysd.chain, fam_mod)
+    win = sample_base_path(sysd.chain, -64, 4, 2)
     s0, s1, s2 = win.symbol(0), win.symbol(1), win.symbol(2)
     z = 0.4j
     hand = (fam_mod.kernels[s0] @ np.diag(np.exp(z * fam_mod.u[s1]))) \
         @ (fam_mod.kernels[s1] @ np.diag(np.exp(z * fam_mod.u[s2])))
-    order_gap = float(np.max(np.abs(compose_reversed(win, 2, z, fam_mod) - hand)))
+    rows = sys_mod.step_table(sys_mod.orbit(win, 3), 3)
+    order_gap = float(np.max(np.abs(rows.twisted_product([z.imag])[0] - hand)))
     elapsed = time.perf_counter() - t0
     ok = (rep_char.passed and rep_char.max_exact_spectral_gap < 1e-9
           and rep_clt.ks[-1] < 0.02 and rep_clt.pooled_samples >= 10**5

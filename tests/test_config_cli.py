@@ -50,7 +50,11 @@ def test_bad_tolerances_and_unknown_keys():
     cases = [("tolerances", "ks", 0), ("tolerances", "ks", float("inf")),
              ("tolerances", "ks", "tight"), ("tolerances", "kss", 0.02),
              ("samples", "omega", 8), ("samples", "omega_samples", 8.5),
-             ("samples", "omega_samples", True), ("samples", "strata_depth", -1)]
+             ("samples", "omega_samples", True), ("samples", "strata_depth", -1),
+             # the system sections were read with .get: a misspelled key ran
+             # with its default
+             ("base", "transitions", 1), ("fiber", "alfa", 1), ("fiber", "metric_base", 3),
+             ("potentials", "lattice", 1), ("doeblin", "h", 1), ("renewal", "truncaton", 60)]
     for section, key, value in cases:
         cfg = preset_config("scalar-iid")
         cfg.setdefault(section, {})[key] = value
@@ -58,6 +62,9 @@ def test_bad_tolerances_and_unknown_keys():
             parse_config(cfg)
     cfg = preset_config("scalar-iid")
     cfg["samples"] = {"omega_samples": 1, "strata_depth": 0}
+    cfg["base"]["tol"] = 1e-9
+    cfg["fiber"]["alpha"] = 0.5
+    cfg["renewal"] = {"truncation": 60, "f": [1.0, 1.0], "limit_window": [26, 36]}
     parse_config(cfg)
 
 
@@ -232,7 +239,7 @@ def test_import_and_one_worker_run_stay_light(tmp_path):
     # with the experiments run elsewhere in the suite (variance, llt,
     # doeblin-llt) they cover every experiment name the runner knows.
     # numpy.ma (10-20 ms to import) stays out too: on numpy 2.4 a bare
-    # np.unique imports it, which the lattice DP no longer calls.
+    # np.unique or np.quantile imports it, and no run calls either.
     clt = preset_config("two-state-base-lattice")
     clt["grids"]["n_list"] = [200]
     clt["samples"] = {"omega_samples": 32, "fiber_replicates": 128, "strata_depth": 1}
@@ -246,26 +253,23 @@ def test_import_and_one_worker_run_stay_light(tmp_path):
                                      omega_samples=16, fiber_replicates=1024),
         "doeblin-renewal": small_variant("doeblin-iid", "doeblin-renewal", {}),
         "doeblin-char": small_variant("doeblin-iid", "doeblin-char", {"n_list": [4, 8]}),
-        # last, and the one run allowed numpy.ma: its decay fits take
-        # np.quantile, which calls a bare np.unique
         "decay-survey": small_variant("matrix-llt", "decay-survey", {"n_grid": [50, 100]}),
     }
-    runs = [("coboundary-degenerate", ())]
+    runs = ["coboundary-degenerate"]
     for name, cfg in configs.items():
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(cfg))
-        runs.append((str(path), ("numpy.ma",) if name == "decay-survey" else ()))
+        runs.append(str(path))
     script = f"""
 import sys
 import skewprod, skewprod.cli
-def heavy(allowed=()):
-    return [m for m in ("scipy", "concurrent.futures.process", "numpy.ma")
-            if m in sys.modules and m not in allowed]
+def heavy():
+    return [m for m in ("scipy", "concurrent.futures.process", "numpy.ma") if m in sys.modules]
 assert not heavy(), heavy()
-for i, (run, allowed) in enumerate({runs!r}):
+for i, run in enumerate({runs!r}):
     code = skewprod.cli.main(["run", run, "--workers", "1", "--out", f"out{{i}}"])
     assert code == 0, (run, code)
-    assert not heavy(allowed), (run, heavy(allowed))
+    assert not heavy(), (run, heavy())
 """
     proc = run_child(["-c", script], cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
@@ -335,6 +339,26 @@ def test_cli_bad_samples_exit_2(tmp_path, key, value):
     proc = run_cli(["run", str(path)], cwd=tmp_path)
     assert proc.returncode == 2, proc.stderr
     assert f"config error: samples.{key}" in proc.stderr
+
+
+@pytest.mark.parametrize("preset,section,key,value,error", [
+    # ran and passed: metric_base was read and then ignored (the Hoelder norms
+    # are fixed at base 2), and a misspelled alpha ran with the default
+    ("scalar-iid", "fiber", "metric_base", 3, "fiber.metric_base: unknown key"),
+    ("scalar-iid", "fiber", "alfa", 3, "fiber.alfa: unknown key"),
+    # exit 1: -1 ran to a classifier failure at a negative t, and 0 to a
+    # ZeroDivisionError in the classifier's grid
+    ("doeblin-iid", "doeblin", "lattice_h", -1, "doeblin: lattice_h must be finite and positive"),
+    ("doeblin-iid", "doeblin", "lattice_h", 0, "doeblin: lattice_h must be finite and positive"),
+])
+def test_cli_bad_system_config_exit_2(tmp_path, preset, section, key, value, error):
+    cfg = preset_config(preset)
+    cfg[section][key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    proc = run_cli(["run", str(path)], cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert f"config error: {error}" in proc.stderr
 
 
 def test_cli_rerun_byte_identical_results(tmp_path):

@@ -4,15 +4,10 @@ import numpy as np
 import pytest
 
 from _instances import random_doeblin
-from _oracles import prob_at
+from _oracles import compose_reversed, prob_at
 
 from skewprod.base_env import build_markov_base, sample_base_path
-from skewprod.doeblin import (
-    DoeblinOrbit,
-    DoeblinSystem,
-    build_doeblin_family,
-    compose_reversed,
-)
+from skewprod.doeblin import DoeblinOrbit, DoeblinSystem, build_doeblin_family
 from skewprod.errors import ClassifierFailed, DoeblinViolated
 from skewprod.limits import char_identity, clt_test, llt_scan, renewal_curve
 from skewprod.seeding import generator
@@ -58,17 +53,20 @@ def test_one_step_doeblin_bounds_q3():
 
 def test_composition_order_hand_check():
     # two distinct kernels: the 2-step iterate is R_z^omega R_z^{theta omega},
-    # NOT the transfer-cocycle order
+    # NOT the transfer-cocycle order; the chain's step rows and the oracle
+    # both compose it so.  Seed 2 puts symbols 0, 1, 0 at positions 0..2.
     fam = modulated_family()
     chain = uniform_chain()
-    win = sample_base_path(chain, 0, 4, 7)
+    win = sample_base_path(chain, -64, 4, 2)
     s0, s1, s2 = win.symbol(0), win.symbol(1), win.symbol(2)
     z = 0.3j
     D1 = np.diag(np.exp(z * fam.u[s1]))
     D2 = np.diag(np.exp(z * fam.u[s2]))
     hand = (fam.kernels[s0] @ D1) @ (fam.kernels[s1] @ D2)
-    got = compose_reversed(win, 2, z, fam)
-    assert np.max(np.abs(got - hand)) < 1e-14
+    system = DoeblinSystem(chain, fam)
+    rows = system.step_table(system.orbit(win, 3), 3)
+    assert np.max(np.abs(rows.twisted_product([z.imag])[0] - hand)) < 1e-14
+    assert np.max(np.abs(compose_reversed(win, 2, z, fam) - hand)) < 1e-14
 
 
 def test_markov_at_zero_and_modulus_bound():

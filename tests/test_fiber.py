@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from skewprod.errors import DepthShrink, NotLattice, UnsupportedXi
+from skewprod.errors import DepthShrink, NotLattice
 from skewprod.fiber import (
     CylinderFunction,
     FiberModel,
@@ -88,12 +88,6 @@ def test_norm_triangle_and_homogeneity():
         assert holder_norm(a * c)[2] == pytest.approx(abs(c) * na)
 
 
-def test_unsupported_xi_rejected():
-    g = CylinderFunction.constant(1.0, 2)
-    with pytest.raises(UnsupportedXi):
-        holder_norm(g, xi=0.25)
-
-
 def test_pairing_contraction_on_words():
     # words agreeing on coords 0,1: prepending a common symbol halves the distance
     fd = first_disagreement(2, 4)
@@ -113,8 +107,9 @@ def test_potential_table_lattice_validation():
     PotentialTable([[0.0, 0.0]], [[1.0, -1.0]], model, lattice_h=1.0)
     with pytest.raises(NotLattice):
         PotentialTable([[0.0, 0.0]], [[1.0, -0.5]], model, lattice_h=1.0)
-    with pytest.raises(NotLattice):
-        PotentialTable([[0.0, 0.0]], [[1.0, -1.0]], model, lattice_h=-1.0)
+    for h in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(NotLattice, match="finite and positive"):
+            PotentialTable([[0.0, 0.0]], [[1.0, -1.0]], model, lattice_h=h)
 
 
 def test_potential_pair_mode_shapes():

@@ -9,12 +9,7 @@ from _instances import random_instance, scalar_instance
 from skewprod.base_env import periodic_point, sample_base_path
 from skewprod.fiber import holder_norm_vector
 from skewprod.gibbs import char_function_spectral, exact_Sn_distribution
-from skewprod.limits import (
-    SymbolicSystem,
-    lattice_classify,
-    normal_cdf,
-    periodic_operator_family,
-)
+from skewprod.limits import SymbolicSystem, classify, ndtr
 from skewprod.rpf import SystemOrbit, norm_triplet_from_raw, solve_raw_orbit
 from skewprod.seeding import generator
 from skewprod.transfer import compose_cocycle, holder_operator_norm
@@ -71,12 +66,10 @@ def test_classifier_soundness_no_decay_at_failure_point():
     # where classification fails, the quenched characteristic value along the
     # periodic environment does not decay in n
     chain, model, pot = scalar_instance([1.0, -1.0], lattice_h=1.0)
-    pp = periodic_point(chain, (0,))
-    pf = periodic_operator_family(pp, np.array([np.pi / 2, np.pi]), pot, model)
-    rep = lattice_classify(pf, 1.0)
+    rep = classify(SymbolicSystem(chain, model, pot))
     assert not rep.passed
     t_star = rep.offending_t
-    win = pp.window(-80, 200)
+    win = periodic_point(chain, (0,)).window(-80, 200)
     orbit = SystemOrbit(win, 0, 64, pot, model)
     vals = [abs(char_function_spectral(win, n, t_star, pot, model, orbit))
             for n in (8, 16, 32, 64)]
@@ -103,7 +96,7 @@ def test_llt_clt_consistency_arithmetic():
     gauss_sum = float(np.sum(np.exp(-((vals[sel] - mean) ** 2) / (2 * sigma_sq * n)))
                       / math.sqrt(2 * math.pi * sigma_sq * n))
     count = int(sel.sum())
-    cdf_window = float(normal_cdf(2.0) - normal_cdf(-2.0))
+    cdf_window = float(ndtr(2.0) - ndtr(-2.0))
     assert abs(prob_window - gauss_sum) <= sup_err * count / math.sqrt(
         2 * math.pi * sigma_sq * n) + 1e-12
     assert prob_window == pytest.approx(cdf_window, abs=0.02)

@@ -3,11 +3,10 @@ import pytest
 from _instances import random_doeblin, scalar_instance
 
 from skewprod.base_env import build_markov_base, periodic_point
-from skewprod.doeblin import compose_reversed
+from skewprod.doeblin import DoeblinSystem
 from skewprod.errors import (
     ClassifierFailed,
     DegenerateVariance,
-    GridTouchesExcludedPoint,
     NonConstantMean,
     NonPositiveMean,
     TruncationInsufficient,
@@ -15,17 +14,15 @@ from skewprod.errors import (
 from skewprod.fiber import FiberModel, PotentialTable
 from skewprod.limits import (
     SymbolicSystem,
-    _spectral_radii_certified,
+    _quantile,
     annealed_variance,
     berry_esseen_scan,
-    classification_grid,
+    classify,
     clt_test,
     decay_survey,
-    lattice_classify,
     llt_scan,
     ndtr,
     normal_sf,
-    periodic_operator_family,
     renewal_curve,
     stratified_windows,
     weighted_ks,
@@ -120,15 +117,27 @@ def test_normal_sf_matches_scipy_tail():
     assert 1.0 - special.ndtr(9.0) == 0.0 and normal_sf(9.0) > 0.0
 
 
+def test_quantile_matches_numpy():
+    # the decay survey's calibration quantile, read from a sort, is
+    # np.quantile's linear interpolation bit for bit
+    rng = generator(74)
+    for size in [1, 2, 3, 5, 16, 17, 64, 257]:
+        for _ in range(20):
+            x = rng.standard_normal(size) * 10.0 ** rng.integers(-3, 4)
+            if rng.random() < 0.3:
+                x = np.round(x, 1)  # ties
+            for q in [0.0, 0.8, 1.0, float(rng.random())]:
+                assert _quantile(x, q) == float(np.quantile(x, q))
+
+
 def test_classifier_span2_counterexample_fails_at_pi():
-    sys_pm = system_pm1()
-    pp = periodic_point(sys_pm.chain, (0,))
-    grid = np.array([np.pi / 2, np.pi, 4.0])
-    pf = periodic_operator_family(pp, grid, sys_pm.pot, sys_pm.model)
-    rep = lattice_classify(pf, 1.0)
-    assert not rep.passed
-    assert rep.offending_t == pytest.approx(np.pi)
+    # pi is the midpoint of the 97-point grid, and there the +-1 steps' twisted
+    # radius |cos t| is 1
+    rep = classify(system_pm1())
+    assert not rep.passed and not rep.degenerate
+    assert rep.offending_t == rep.t_grid[48] == pytest.approx(np.pi)
     assert rep.min_gap == pytest.approx(0.0, abs=1e-12)
+    assert rep.radii == pytest.approx(np.abs(np.cos(rep.t_grid)), abs=1e-12)
 
 
 def system_r2_pairs():
@@ -143,26 +152,32 @@ def system_r2_pairs():
     return SymbolicSystem(chain, model, pot, periodic_cycle=(0, 1))
 
 
-def per_t_classifier(system, grid):
-    """Normalized radii and largest eigen-residual from a loop over t: each
-    t's product from its own scan, each matrix's eig on its own."""
-    if isinstance(system, SymbolicSystem):
-        pp = periodic_point(system.chain, system.periodic_cycle)
-        win = pp.window(0, pp.period + 1)
-        S, pot, model = system.pot.n_symbols, system.pot, system.model
-        # each key's base symbol and, in pair mode, the next one
-        syms = [divmod(k, S) if pot.u_next_symbol else (k, None)
-                for k in symbol_keys(win, pot, 0, pp.period)]
-        prods = []
-        for z in [0.0] + [1j * t for t in grid]:
-            # complex at t = 0 too, as in the batch that shares one dtype
-            mats = np.stack([assemble_matrix(*branch_arrays(s, z, pot, model, t),
-                                             model.space_dim) for s, t in syms])
-            prods.append(unscale(*full_product(mats.swapaxes(1, 2).astype(complex))).T)
-    else:
-        n0 = len(system.periodic_cycle)
-        win = periodic_point(system.chain, system.periodic_cycle).window(0, n0)
-        prods = [compose_reversed(win, n0, 1j * t, system.family) for t in grid]
+def per_t_classifier(system):
+    """The classifier's grid, its radii normalized by rho(0) and the largest
+    eigen-residual, from a loop over t: each t's factors built on their own
+    (by `branch_arrays` for the symbolic system, by hand for the Doeblin
+    chain), each product from its own scan and each matrix's eig on its own."""
+    h = system.lattice_h
+    grid = np.linspace(0.25, 2 * np.pi / h - 0.25, 97)
+    n0 = len(system.periodic_cycle)
+    win = periodic_point(system.chain, system.periodic_cycle).window(0, n0)
+    prods = []
+    for t in np.concatenate([[0.0], grid]):
+        if isinstance(system, SymbolicSystem):
+            S, pot, model = system.pot.n_symbols, system.pot, system.model
+            factors = []
+            # M_{n0-1} first: the raw operators act right to left
+            for k in symbol_keys(win, pot, 0, n0)[::-1]:
+                s, s_next = divmod(k, S) if pot.u_next_symbol else (k, None)
+                weights, targets = branch_arrays(s, 0.0, pot, model, s_next)
+                u = pot.u_for(s, s_next).reshape(weights.shape)
+                factors.append(assemble_matrix(weights * np.exp(1j * t * u), targets,
+                                               model.space_dim))
+        else:
+            # the chain at symbol c_j, u read at the target under c_{j+1}
+            K, u, c = system.family.kernels, system.family.u, win.symbols(0, n0)
+            factors = [K[c[j]] * np.exp(1j * t * u[c[j + 1]])[None, :] for j in range(n0)]
+        prods.append(unscale(*full_product(np.stack(factors))))
     rho, res = [], []
     for M in prods:
         vals, vecs = np.linalg.eig(M)
@@ -170,60 +185,45 @@ def per_t_classifier(system, grid):
         v = vecs[:, i]
         rho.append(float(np.abs(vals[i])))
         res.append(float(np.linalg.norm(M @ v - vals[i] * v) / np.linalg.norm(v)))
-    if isinstance(system, SymbolicSystem):
-        return np.asarray(rho[1:]) / rho[0], max(res)
-    return np.asarray(rho), max(res)
+    return grid, np.asarray(rho[1:]) / rho[0], max(res), rho[0]
+
+
+def doeblin_period2():
+    system = random_doeblin(generator(72), q=3, n_symbols=2)
+    return DoeblinSystem(system.chain, system.family, periodic_cycle=(0, 1))
 
 
 @pytest.mark.parametrize("build", ["r1", "r2", "doeblin"])
 def test_stacked_classifier_matches_per_t_loop(build):
     system = {"r1": system_two_state_lattice, "r2": system_r2_pairs,
-              "doeblin": lambda: random_doeblin(generator(72), q=3, n_symbols=2)}[build]()
-    grid = classification_grid(1.0, 97, 0.25)
-    if isinstance(system, SymbolicSystem):
-        pp = periodic_point(system.chain, system.periodic_cycle)
-        pf = periodic_operator_family(pp, grid, system.pot, system.model)
-        radii, residual, scale = pf.radii, pf.max_eig_residual, pf.raw_radius_0
-    else:
-        scale = 1.0
-        n0 = len(system.periodic_cycle)
-        win = periodic_point(system.chain, system.periodic_cycle).window(0, n0)
-        radii, residual = _spectral_radii_certified(
-            compose_reversed(win, n0, 1j * grid, system.family))
-        assert system.classify().radii.tolist() == radii.tolist()
-    want_radii, want_residual = per_t_classifier(system, grid)
-    assert radii.tolist() == want_radii.tolist()
+              "doeblin": doeblin_period2}[build]()
+    rep = classify(system)
+    grid, want_radii, want_residual, scale = per_t_classifier(system)
+    assert rep.t_grid.tolist() == grid.tolist()
+    assert rep.radii.tolist() == want_radii.tolist()
     # the residuals are rounding errors summed in another order: equal up to a
     # few ulps of the largest radius
-    assert abs(residual - want_residual) <= 4 * np.finfo(float).eps * scale
+    assert abs(rep.eig_residual - want_residual) <= 4 * np.finfo(float).eps * scale
 
 
 def test_classifier_01_passes():
-    sys01 = system_01()
-    rep = sys01.classify()
+    rep = classify(system_01())
     assert rep.passed
     assert rep.min_gap > 0.0
 
 
 def test_classifier_zero_u_degenerate():
     chain, model, pot = scalar_instance([0.0, 0.0], lattice_h=1.0)
-    sysz = SymbolicSystem(chain, model, pot)
-    rep = sysz.classify()
+    rep = classify(SymbolicSystem(chain, model, pot))
     assert rep.degenerate and not rep.passed
-
-
-def test_classifier_grid_guard():
-    sys01 = system_01()
-    pp = periodic_point(sys01.chain, (0,))
-    pf = periodic_operator_family(pp, np.array([0.0, 1.0]), sys01.pot, sys01.model)
-    with pytest.raises(GridTouchesExcludedPoint):
-        lattice_classify(pf, 1.0)
 
 
 def test_two_state_lattice_classifier_needs_period2_cycle():
     sys2 = system_two_state_lattice()
-    rep = sys2.classify()
-    assert rep.passed  # cycle (0, 1) mixes the span-2 and aperiodic symbols
+    assert classify(sys2).passed  # cycle (0, 1) mixes the span-2 and aperiodic symbols
+    # symbol 0 alone has steps +-1, span 2: its cycle fails at pi
+    sys0 = SymbolicSystem(sys2.chain, sys2.model, sys2.pot, periodic_cycle=(0,))
+    assert classify(sys0).offending_t == pytest.approx(np.pi)
 
 
 def test_annealed_variance_two_state():
