@@ -74,6 +74,15 @@ def _need(d: dict, key: str, path: str):
     return d[key]
 
 
+def _convert(kind, value, path: str):
+    """kind(value), a ConfigError naming `path` when the value is not one."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        want = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{path}: expected {want}, got {value!r}") from exc
+
+
 def _matrix(value, path: str) -> np.ndarray:
     try:
         arr = np.asarray(value, dtype=float)
@@ -163,7 +172,7 @@ def parse_config(data: dict, name_hint: str = "config") -> ExperimentConfig:
         raise ConfigError(f"expect: must be one of {EXPECTATIONS}, got {expect!r}")
     if "seed" not in data:
         raise ConfigError("seed: required field missing")
-    seed = int(data["seed"])
+    seed = _convert(int, data["seed"], "seed")
     cfg = ExperimentConfig(
         name=name, kind=kind, experiment=experiment, seed=seed, expect=expect,
         periodic_cycle=list(data.get("periodic_cycle", [0])),
@@ -174,6 +183,9 @@ def parse_config(data: dict, name_hint: str = "config") -> ExperimentConfig:
         **{section: _settings(data, section, keys, lambda key, value: None)
            for section, keys in SYSTEM_KEYS.items()},
     )
+    if "truncation" in cfg.renewal:
+        cfg.renewal["truncation"] = _convert(int, cfg.renewal["truncation"],
+                                             "renewal.truncation")
     # build both systems eagerly so every cross-reference is checked up front
     if kind == "symbolic":
         build_symbolic_system(cfg)
@@ -202,26 +214,41 @@ def _build_chain(cfg: ExperimentConfig):
         i, j = zeros[0]
         raise ConfigError(f"base.transition[{i}][{j}]: zero entry; the mixing "
                           "propositions need strictly positive transitions")
+    tol = _convert(float, cfg.base.get("tol", 1e-9), "base.tol")
     try:
-        return build_markov_base(Q, tol=float(cfg.base.get("tol", 1e-9)),
-                                 allow_deterministic=bool(cfg.base.get(
-                                     "allow_deterministic", False)))
+        return build_markov_base(Q, tol=tol, allow_deterministic=bool(cfg.base.get(
+            "allow_deterministic", False)))
     except SkewprodError as exc:
         raise ConfigError(f"base.transition: {exc}") from exc
 
 
+def _lattice_h(section: dict, path: str) -> float | None:
+    value = section.get("lattice_h")
+    return None if value is None else _convert(float, value, f"{path}.lattice_h")
+
+
+def _cycle(cfg: ExperimentConfig, chain) -> tuple:
+    cycle = tuple(_convert(int, c, f"periodic_cycle[{i}]")
+                  for i, c in enumerate(cfg.periodic_cycle))
+    for i, c in enumerate(cycle):
+        if not 0 <= c < chain.n_states:
+            raise ConfigError(f"periodic_cycle[{i}]: symbol {c} outside the base states")
+    return cycle
+
+
 def build_symbolic_system(cfg: ExperimentConfig) -> SymbolicSystem:
     chain = _build_chain(cfg)
-    d = int(_need(cfg.fiber, "alphabet_size", "fiber"))
-    r = int(_need(cfg.fiber, "depth", "fiber"))
+    d = _convert(int, _need(cfg.fiber, "alphabet_size", "fiber"), "fiber.alphabet_size")
+    r = _convert(int, _need(cfg.fiber, "depth", "fiber"), "fiber.depth")
+    alpha = _convert(float, cfg.fiber.get("alpha", 1.0), "fiber.alpha")
     try:
-        model = FiberModel(d, r, alpha=float(cfg.fiber.get("alpha", 1.0)))
+        model = FiberModel(d, r, alpha=alpha)
     except SkewprodError as exc:
         raise ConfigError(f"fiber: {exc}") from exc
     phi = _need(cfg.potentials, "phi", "potentials")
     u = _need(cfg.potentials, "u", "potentials")
     pair = bool(cfg.potentials.get("u_next_symbol", False))
-    lattice_h = cfg.potentials.get("lattice_h")
+    lattice_h = _lattice_h(cfg.potentials, "potentials")
     phi_arr = np.asarray(phi, dtype=float)
     if phi_arr.ndim != 2 or phi_arr.shape[0] != chain.n_states:
         raise ConfigError(
@@ -232,10 +259,7 @@ def build_symbolic_system(cfg: ExperimentConfig) -> SymbolicSystem:
                              lattice_h=lattice_h, u_next_symbol=pair)
     except SkewprodError as exc:
         raise ConfigError(f"potentials: {exc}") from exc
-    cycle = tuple(int(c) for c in cfg.periodic_cycle)
-    for i, c in enumerate(cycle):
-        if not 0 <= c < chain.n_states:
-            raise ConfigError(f"periodic_cycle[{i}]: symbol {c} outside the base states")
+    cycle = _cycle(cfg, chain)
     return SymbolicSystem(chain, model, pot, periodic_cycle=cycle)
 
 
@@ -243,20 +267,18 @@ def build_doeblin_system(cfg: ExperimentConfig) -> DoeblinSystem:
     chain = _build_chain(cfg)
     kernels = _need(cfg.doeblin, "kernels", "doeblin")
     u = _need(cfg.doeblin, "u", "doeblin")
-    alpha = float(_need(cfg.doeblin, "alpha", "doeblin"))
+    alpha = _convert(float, _need(cfg.doeblin, "alpha", "doeblin"), "doeblin.alpha")
+    lattice_h = _lattice_h(cfg.doeblin, "doeblin")
     k_arr = np.asarray(kernels, dtype=float)
     if k_arr.ndim != 3 or k_arr.shape[0] != chain.n_states:
         raise ConfigError(
             f"doeblin.kernels: expected ({chain.n_states}, q, q), got {k_arr.shape}")
     try:
         fam = build_doeblin_family(k_arr, np.asarray(u, dtype=float), alpha,
-                                   lattice_h=cfg.doeblin.get("lattice_h"))
+                                   lattice_h=lattice_h)
     except SkewprodError as exc:
         raise ConfigError(f"doeblin: {exc}") from exc
-    cycle = tuple(int(c) for c in cfg.periodic_cycle)
-    for i, c in enumerate(cycle):
-        if not 0 <= c < chain.n_states:
-            raise ConfigError(f"periodic_cycle[{i}]: symbol {c} outside the base states")
+    cycle = _cycle(cfg, chain)
     initial = cfg.doeblin.get("initial_measure")
     init = None if initial in (None, "invariant") else np.asarray(initial, dtype=float)
     return DoeblinSystem(chain, fam, periodic_cycle=cycle, initial=init)

@@ -184,8 +184,18 @@ def holder_norm_vector(values: np.ndarray, d: int, depth: int, alpha: float = 1.
 
 def holder_norm_rows(values: np.ndarray, d: int, depth: int, alpha: float = 1.0) -> np.ndarray:
     """holder_norm_vector of every row of a (rows, d^depth) array."""
-    return np.max(np.abs(values), axis=1, initial=0.0) \
-        + holder_seminorm_rows(values, d, depth, alpha)
+    return row_max_abs(values) + holder_seminorm_rows(values, d, depth, alpha)
+
+
+def row_max_abs(values: np.ndarray) -> np.ndarray:
+    """np.max(np.abs(values), axis=1, initial=0.0) of a 2-D array, NaN
+    included, with the maximum taken a column at a time: on a few columns
+    that is much faster than a reduction along the short axis."""
+    mags = np.abs(values)
+    out = np.zeros(len(values))
+    for col in mags.T:
+        np.maximum(out, col, out=out)
+    return out
 
 
 def lattice_span(u: np.ndarray, lattice_h) -> float | None:

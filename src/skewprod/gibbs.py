@@ -17,10 +17,12 @@ The DP advances the joint law, a row of D polynomials, left to right through
 blocks of BLOCK_ROWS = 64 rows: a row times a D x D polynomial matrix costs
 D^2 convolutions where a matrix product costs D^3, so this order is cheaper
 than multiplying blocks together first.  All blocks' polynomial matrices are
-built in one batch by pairwise doubling, and each advance is one banded
-(Toeplitz) GEMM over overlapping windows of the joint (`_advance`); short
-operands, such as the one-row segments of the renewal sweep, keep
-np.convolve.  Every product is a direct sum of nonnegative terms
+built in one batch by pairwise doubling.  One kernel, a banded (Toeplitz)
+GEMM over overlapping windows of rows of polynomials (`_banded`), runs both
+each advance of the joint and each doubling level past SHIFT_TAPS taps,
+batched over the level's pairs; short operands, such as the one-row
+segments of the renewal sweep, keep np.convolve, and short pieces a matmul
+per shift.  Every product is a direct sum of nonnegative terms
 (np.convolve or matmul), never an FFT, so the law's far tails keep their
 relative accuracy, and every law is rescaled to its exact mass, carried in
 extended precision.
@@ -42,9 +44,11 @@ from .transfer import branch_matrices, full_product, unscale
 
 STATE_BUDGET = 10**7
 BLOCK_ROWS = 64  # DP rows multiplied into one polynomial matrix per joint advance
-GEMM_TAPS = 65  # longest pieces that `_compose_blocks` multiplies by batched matmuls
+SHIFT_TAPS = 8  # longest pieces that a doubling level multiplies shift by shift
 CHUNK = 16  # joint entries that one window of `_advance`'s banded GEMM yields
+DOUBLING_CHUNK = 8  # entries that one window of a doubling level's banded GEMM yields
 SERIAL_MNK = 1 << 18  # largest m * n * k that OpenBLAS multiplies on one thread
+SLAB = 1 << 15  # entries of windows and band that one batch of `_banded` items copies
 
 
 @dataclass
@@ -117,11 +121,12 @@ class StepTable:
         a row vector costs D^2 convolutions per block where multiplying a
         segment's blocks together would cost D^3.  Each advance is one banded
         GEMM of the joint's overlapping windows (`_advance`), stacked in BLAS
-        calls small enough to run on one thread; at span 2 a 64-row block has
-        129 taps, and every doubling level is a batched matmul.  Short
-        operands keep np.convolve: a joint narrower than 2 * CHUNK, and a
-        block of fewer than CHUNK taps, such as the one-row segments of
-        at=None.  A block's coefficients past its rows' summed spans are
+        calls small enough to run on one thread, and so is each doubling
+        level of more than SHIFT_TAPS taps, batched over its pairs; at span 2
+        a 64-row block has 129 taps, and its levels of 9, 17, 33 and 65 taps
+        are banded GEMMs.  Short operands keep np.convolve: a joint narrower
+        than 2 * CHUNK, and a block of fewer than CHUNK taps, such as the
+        one-row segments of at=None.  A block's coefficients past its rows' summed spans are
         exact zeros and are trimmed, so each joint has the value range of a
         row-by-row DP.  Every product is a direct sum of nonnegative terms, so
         the law's far tails keep their relative accuracy, which an FFT would
@@ -135,8 +140,8 @@ class StepTable:
             raise NotLattice("exact lattice law needs declared lattice_h")
         k_start = _lattice_ints(self.start_u, self.h)
         k_steps = _lattice_ints(self.u, self.h)
-        steps, D, _ = self.probs.shape
-        kmin, kmax = k_steps.min(axis=(1, 2)), k_steps.max(axis=(1, 2))
+        steps, D, B = self.probs.shape
+        kmin, kmax = _row_min_max(k_steps.reshape(steps, D * B))
         lows = k_start.min() + np.concatenate([[0], np.cumsum(kmin)])
         highs = k_start.max() + np.concatenate([[0], np.cumsum(kmax)])
         width = int(highs.max()) - int(lows.min()) + 1
@@ -168,15 +173,20 @@ class StepTable:
         # that branches sharing a shift lose nothing to rounding); row
         # `steps` is the identity that pads short blocks
         span = kmax - kmin
-        C = np.zeros((steps + 1, int(span.max(initial=0)) + 1, D, D))
+        taps = int(span.max(initial=0)) + 1
+        C = np.zeros((steps + 1, taps, D, D))
         M = np.zeros((steps + 1, D, D), dtype=np.longdouble)
-        rows, states = np.arange(steps)[:, None], np.arange(D)
-        # one branch at a time: within a branch every (row, state) writes its own
-        # entry, and branches that share one add in ascending order, as np.add.at does
-        for b in range(self.probs.shape[2]):
-            C[rows, k_steps[..., b] - kmin[:, None], states, self.targets[..., b]] += \
-                self.probs[..., b]
-            M[rows, states, self.targets[..., b]] += self.probs[..., b]
+        # flat indices of each branch's entries of C (row, shift, state,
+        # target) and M (row, state, target), one branch at a time: within a
+        # branch every (row, state) writes its own entry, and branches that
+        # share one add in ascending order, as np.add.at does
+        to = np.arange(D)[:, None] * D + self.targets
+        c_at = (np.arange(steps)[:, None, None] * taps + k_steps - kmin[:, None, None]) * D * D + to
+        m_at = np.arange(steps)[:, None, None] * D * D + to
+        flat_c, flat_m = C.reshape(-1), M.reshape(-1)
+        for b in range(B):
+            flat_c[c_at[..., b]] += self.probs[..., b]
+            flat_m[m_at[..., b]] += self.probs[..., b]
         C[steps, 0] = M[steps] = np.eye(D)
         span, kmin = np.append(span, 0), np.append(kmin, 0)
         # each block padded with identity rows to a power of two, one batch of
@@ -339,12 +349,17 @@ def _compose_blocks(C: np.ndarray, M: np.ndarray, idx: np.ndarray) -> tuple:
     C has shape (rows, taps, D, D) and idx a power-of-two number of columns.
     Each level of the doubling multiplies adjacent pieces of every block in
     one batch, so a block of 2^k rows takes k levels.  While the pieces have
-    at most GEMM_TAPS coefficients, a level loops over the right factor's
+    at most SHIFT_TAPS coefficients, a level loops over the right factor's
     shifts with one batched matmul per shift, the left factor reshaped to
-    (pieces, taps * D, D) so that each piece takes one matrix product per
-    shift, not one per coefficient; longer pieces take one `np.convolve` per
-    entry (`_poly_product`), which is faster once the convolutions are long.
-    The masses take the same doubling in extended precision.
+    (pieces, taps * D, D) (`_shift_level`).  Every longer level is one
+    batched banded GEMM (`_banded`, the kernel of the joint advance): each
+    pair's left piece is D row vectors of polynomials, each advanced by the
+    right piece, in windows of min(DOUBLING_CHUNK, taps // 2) outputs, which
+    keeps the windows and the band about equally small.  On the matrix-llt
+    blocks (D = 2, 129 taps) the per-shift loop is faster at 3 and 5 taps
+    and the banded GEMM from 9 taps on: about 2.5 times at 33 taps and 4 to
+    5 times at 65 (best-of timings of one level on a 2-core VM).  The
+    masses take the same doubling in extended precision.
     """
     blocks, D = len(idx), C.shape[2]
     mass = M[idx]
@@ -352,18 +367,32 @@ def _compose_blocks(C: np.ndarray, M: np.ndarray, idx: np.ndarray) -> tuple:
         mass = mass[:, 0::2] @ mass[:, 1::2]
     mass = mass[:, 0]
     poly = C[idx.ravel()]
-    while len(poly) > blocks and poly.shape[1] <= GEMM_TAPS:
-        left, right = poly[0::2], poly[1::2]
-        pairs, taps = left.shape[:2]
-        lhs = left.reshape(pairs, taps * D, D)
-        poly = np.zeros((pairs, 2 * taps - 1, D, D))
-        for s in range(right.shape[1]):
-            poly[:, s:s + taps] += (lhs @ right[:, s]).reshape(pairs, taps, D, D)
-    # (pieces, v, w, shift): each entry's coefficients contiguous for np.convolve
+    while len(poly) > blocks and poly.shape[1] <= SHIFT_TAPS:
+        poly = _shift_level(poly[0::2], poly[1::2])
+    # (pieces, v, w, shift): row v of a left piece is a row of D polynomials
     poly = np.ascontiguousarray(poly.transpose(0, 2, 3, 1))
     while len(poly) > blocks:
-        poly = np.stack([_poly_product(poly[i], poly[i + 1]) for i in range(0, len(poly), 2)])
+        poly = _banded(poly[0::2], poly[1::2], min(DOUBLING_CHUNK, poly.shape[3] // 2))
     return _anchored(poly, mass), mass
+
+
+def _shift_level(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The products left[p] right[p] of polynomial matrices (pairs, taps, D,
+    D), coefficients second: (pairs, 2 taps - 1, D, D), one batched matmul
+    per shift of the right factor with the left reshaped to (pairs, taps *
+    D, D), so that each pair takes one matrix product per shift.  Pairs go
+    in slabs of about SLAB entries of products and output, as in `_banded`.
+    """
+    pairs, taps, D = left.shape[:3]
+    slab = max(1, SLAB // (3 * taps * D * D))
+    if pairs > slab:
+        return np.concatenate([_shift_level(left[lo:lo + slab], right[lo:lo + slab])
+                               for lo in range(0, pairs, slab)])
+    lhs = left.reshape(pairs, taps * D, D)
+    out = np.zeros((pairs, 2 * taps - 1, D, D))
+    for s in range(taps):
+        out[:, s:s + taps] += (lhs @ right[:, s]).reshape(pairs, taps, D, D)
+    return out
 
 
 def _advance(joint: np.ndarray, coef: np.ndarray) -> np.ndarray:
@@ -371,42 +400,87 @@ def _advance(joint: np.ndarray, coef: np.ndarray) -> np.ndarray:
     `_poly_product(joint[None], coef)[0]`: (D, W + L - 1), the same direct sums
     of nonnegative products, added in another order.
 
-    The output comes in chunks of CHUNK entries.  The chunk at j reads, from
-    every state's row of the joint zero-padded by L - 1 on the left, the
-    window of CHUNK + L - 1 entries starting at j, so one GEMM of the windows
-    against the banded (Toeplitz) matrix band[(v, q), (w, t)] =
-    coef[v, w, t - q + L - 1], zero off the band, gives every chunk.  Both are
-    strided views, of the padded joint (windows every CHUNK entries) and of
-    the coefficients padded by CHUNK - 1 zeros on each side, copied once each.
-    The windows are stacked so that each BLAS call has m * n * k <= SERIAL_MNK,
-    which OpenBLAS runs on one thread: no thread start-up per call, and the
-    same sums whatever the BLAS thread count.  Only a single window past that
-    size (D^2 * CHUNK * (CHUNK + L - 1) > SERIAL_MNK, so D >= 8 at span 4)
-    takes a call of its own, which OpenBLAS may thread.  Short operands
+    One banded GEMM (`_banded`) in windows of CHUNK outputs.  Short operands
     (W < 2 * CHUNK, or L < CHUNK as in one-row segments) keep np.convolve,
     which is faster there.
     """
-    D, W = joint.shape
-    L = coef.shape[2]
-    if W < 2 * CHUNK or L < CHUNK:
+    if joint.shape[1] < 2 * CHUNK or coef.shape[2] < CHUNK:
         return _poly_product(joint[None], coef)[0]
-    width, span = W + L - 1, CHUNK + L - 1
-    k, n = D * span, D * CHUNK
-    chunks = -(-width // CHUNK)
-    calls = -(-chunks // max(1, SERIAL_MNK // (k * n)))
-    per_call = -(-chunks // calls)
-    padded = np.zeros((D, calls * per_call * CHUNK + L - 1))
-    padded[:, L - 1:L - 1 + W] = joint
+    return _banded(joint[None, None], coef[None], CHUNK)[0, 0]
+
+
+def _banded(rows: np.ndarray, coef: np.ndarray, chunk: int) -> np.ndarray:
+    """Every row vector of polynomials times its item's polynomial matrix:
+    rows (P, R, D, W) and coef (P, D, D, L) give (P, R, D, W + L - 1), out[p,
+    r] = `_poly_product(rows[p, r][None], coef[p])[0]`, the same direct sums
+    of nonnegative products, added in another order.
+
+    The output comes in chunks of `chunk` entries.  The chunk at j reads,
+    from every state's polynomial of the row zero-padded by L - 1 on the
+    left, the window of chunk + L - 1 entries starting at j, so one GEMM of
+    the windows against the banded (Toeplitz) matrix band[(v, q), (w, t)] =
+    coef[v, w, t - q + L - 1], zero off the band, gives every chunk of every
+    row of an item.  Both are strided views, of the padded rows (windows
+    every `chunk` entries) and of the coefficients padded by chunk - 1 zeros
+    on each side, copied once each.  The windows are stacked so that each
+    BLAS call has m * n * k <= SERIAL_MNK, which OpenBLAS runs on one thread:
+    no thread start-up per call, and the same sums whatever the BLAS thread
+    count.  A call takes whole rows when one row's windows fit, else a run
+    of one row's windows; the chunk is halved while a single window is past
+    SERIAL_MNK, so only a window of one entry past it (D^2 L > SERIAL_MNK)
+    takes a call of its own, which OpenBLAS may thread.
+
+    Items go in slabs whose windows and band hold at most SLAB entries
+    (256 KiB).  The allocator serves buffers that small from memory it
+    holds, where the buffers of a whole doubling level (1-2 MiB) would be
+    mapped afresh, and page-faulted in, on every level of every table; in
+    fresh `llt-matrix` runs the doubling took 25.4 ms at 2^14 entries and
+    22.2 ms at 2^15 (medians of 10 alternating runs), and faulted again
+    from about 2^15.5 on.
+    """
+    P, R, D, W = rows.shape
+    L = coef.shape[3]
+    while chunk > 1 and D * D * chunk * (chunk + L - 1) > SERIAL_MNK:
+        chunk //= 2
+    width, span = W + L - 1, chunk + L - 1
+    k, n = D * span, D * chunk
+    chunks = -(-width // chunk)
+    fit = max(1, SERIAL_MNK // (k * n))  # windows per BLAS call
+    if chunks <= fit:  # whole rows per call
+        groups = -(-R // min(R, fit // chunks))
+        per_row, parts, per_part = -(-R // groups), 1, chunks
+    else:  # one row per call, its windows split evenly
+        groups, per_row = R, 1
+        parts = -(-chunks // fit)
+        per_part = -(-chunks // parts)
+    slab = max(1, SLAB // (k * (n + groups * parts * per_row * per_part)))
+    if P > slab:  # items in slabs whose windows and band fit in SLAB entries
+        out = np.empty((P, R, D, width))
+        for lo in range(0, P, slab):
+            out[lo:lo + slab] = _banded(rows[lo:lo + slab], coef[lo:lo + slab], chunk)
+        return out
+    # each strided view is copied once, and every buffer dropped as soon as
+    # it is used, which keeps the footprint of a batch of items small
+    padded = np.zeros((P, groups * per_row, D, parts * per_part * chunk + L - 1))
+    padded[:, :R, :, L - 1:L - 1 + W] = rows
     item = padded.itemsize
-    windows = np.ndarray((calls * per_call, D, span), buffer=padded,
-                         strides=(CHUNK * item, padded.strides[0], item))
-    taps = np.zeros((D, D, 2 * CHUNK + L - 2))
-    taps[..., CHUNK - 1:CHUNK - 1 + L] = coef
-    band = np.ndarray((D, span, D, CHUNK), buffer=taps, offset=(CHUNK + L - 2) * item,
-                      strides=(taps.strides[0], -item, taps.strides[1], item))
-    out = windows.reshape(calls, per_call, k) @ band.reshape(k, n)
-    out = out.reshape(-1, D, CHUNK).transpose(1, 0, 2).reshape(D, -1)
-    return np.ascontiguousarray(out[:, :width])
+    sp, sr, sd, _ = padded.strides
+    windows = np.ndarray((P, groups, parts, per_row, per_part, D, span), buffer=padded,
+                         strides=(sp, per_row * sr, per_part * chunk * item, sr,
+                                  chunk * item, sd, item))
+    windows = windows.reshape(P, groups, parts, per_row * per_part, k)
+    del padded
+    taps = np.zeros((P, D, D, 2 * chunk + L - 2))
+    taps[..., chunk - 1:chunk - 1 + L] = coef
+    tp, tv, tw, _ = taps.strides
+    band = np.ndarray((P, D, span, D, chunk), buffer=taps, offset=(chunk + L - 2) * item,
+                      strides=(tp, tv, -item, tw, item))
+    band = band.reshape(P, 1, 1, k, n)
+    del taps
+    out = (windows @ band).reshape(P, groups, parts, per_row, per_part, D, chunk)
+    del windows, band
+    out = out.transpose(0, 1, 3, 5, 2, 4, 6).reshape(P, groups * per_row, D, -1)
+    return out[:, :R, :, :width]
 
 
 def _anchored(poly: np.ndarray, mass: np.ndarray) -> np.ndarray:
@@ -466,6 +540,16 @@ def _tree_product(polys: list) -> np.ndarray:
     return polys[0]
 
 
+def _row_min_max(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum and maximum of every row of a 2-D array, a column at a time:
+    on a few columns much faster than a reduction along the short axis."""
+    low, high = values[:, 0].copy(), values[:, 0].copy()
+    for col in values.T[1:]:
+        np.minimum(low, col, out=low)
+        np.maximum(high, col, out=high)
+    return low, high
+
+
 def _lattice_ints(values: np.ndarray, h: float) -> np.ndarray:
     k = np.round(values / h).astype(np.int64)
     if np.max(np.abs(values / h - k), initial=0.0) > 1e-12:
@@ -496,12 +580,17 @@ def symbolic_forward_table(orbit: SystemOrbit, n: int) -> StepTable:
         w_next = (w * d + np.arange(d)[None, :]) % D
         a = np.broadcast_to(w // d ** (r - 2), w_next.shape)
         mu = orbit.mu[:n + 1]
-        mu_now = mu[:n, :, None]
-        fk = probs[:, w_next, a] * mu[1:, w_next]
-        fk = np.divide(fk, mu_now, out=np.zeros_like(fk), where=mu_now > 0)
-        row = fk.sum(axis=2, keepdims=True)
+        # every operand gathered to one layout, and a cylinder of no mass
+        # divided by inf (a zero row), not by a masked np.divide: elementwise
+        # work on mixed layouts, and row sums along the short axis, cost
+        # several times the arithmetic
+        mu_now = np.where(mu[:n] > 0, mu[:n], np.inf)[:, np.broadcast_to(w, w_next.shape)]
+        fk = probs[:, w_next, a] * mu[1:, w_next] / mu_now
+        row = fk[..., 0].copy()
+        for b in range(1, d):
+            row += fk[..., b]
         row[row == 0] = 1.0
-        probs = fk / row
+        probs = fk / row[..., None]
         u = u[:, w_next, a]
         targets = np.broadcast_to(w_next, probs.shape)
     return StepTable(n, orbit.pot.lattice_h, orbit.mu[0], np.zeros(D), probs, targets, u)

@@ -149,7 +149,7 @@ def _ordered_map(pmap, fn, items):
 # aperiodicity classification at the periodic base orbit
 
 CLASSIFIER_POINTS = 97  # odd, so the midpoint pi / h, where span defects surface, is on the grid
-CLASSIFIER_MARGIN = 0.25  # distance of the grid from t = 0 and from t = 2 pi / h
+CLASSIFIER_MARGIN = 0.25  # distance of the grid from t = 0 and from t = 2 pi / h, in units of 1 / h
 CLASSIFIER_GAP = 1e-3  # least 1 - rho on the grid that passes
 CLASSIFIER_DEGENERATE = 1e-12  # |1 - rho| below this on the whole grid: radius pinned at 1
 
@@ -183,7 +183,7 @@ def classify(system) -> ClassificationReport:
     system's periodic base orbit stays below 1 off the dual lattice.
 
     The system's `cycle_table` is twisted and multiplied at t = 0 and at
-    CLASSIFIER_POINTS points of [CLASSIFIER_MARGIN, 2 pi / h - CLASSIFIER_MARGIN]
+    CLASSIFIER_POINTS points of [m, 2 pi - m] / h, m = CLASSIFIER_MARGIN,
     in one scan (`StepTable.twisted_product`), and the radii are normalized
     by rho(0).  The check passes when min(1 - rho) on the grid exceeds
     CLASSIFIER_GAP; a radius pinned at 1 on the whole grid is reported as
@@ -193,7 +193,8 @@ def classify(system) -> ClassificationReport:
     h = system.lattice_h
     if h is None:
         raise NotLattice("the aperiodicity classifier needs a declared lattice_h")
-    ts = np.linspace(CLASSIFIER_MARGIN, 2 * np.pi / h - CLASSIFIER_MARGIN, CLASSIFIER_POINTS)
+    ts = np.linspace(CLASSIFIER_MARGIN / h, (2 * np.pi - CLASSIFIER_MARGIN) / h,
+                     CLASSIFIER_POINTS)
     rho, residual = _spectral_radii_certified(
         system.cycle_table().twisted_product(np.concatenate([[0.0], ts])))
     radii = rho[1:] / rho[0]

@@ -35,6 +35,7 @@ from .fiber import (
     PotentialTable,
     holder_norm_rows,
     holder_norm_vector,
+    row_max_abs,
 )
 from .transfer import (
     assemble_matrix,
@@ -98,9 +99,12 @@ def _solve_raw_once(mats: np.ndarray, keys: np.ndarray, z: complex, j_lo: int, j
     """One truncated solve: keys[i] is the symbol key of position j_lo - back + i.
 
     At j = j_lo + i, H[i] is the direction of M_{j-1} ... M_{j_lo-back} 1
-    (one scan over the transposed factors from the past) and V[i] that of
-    1 M_{j_hi+fwd-1} ... M_j (one scan over the factors from the future,
-    taken backwards).
+    and V[i] that of 1 M_{j_hi+fwd-1} ... M_j.  Both come from one scan
+    with two batch lanes: the transposed factors from the past, and the
+    factors from the future taken backwards, the shorter lane padded with
+    identities.  The reductions over the D entries of a row (the products
+    applied to 1, the row maxima) run column by column, which on a few
+    columns is much faster than a reduction along a short axis.
 
     The eigen and dual residuals vanish by construction along the truncated
     products, so they cannot show a truncation that is too short.  The
@@ -113,17 +117,27 @@ def _solve_raw_once(mats: np.ndarray, keys: np.ndarray, z: complex, j_lo: int, j
     D = model.space_dim
     factors = mats[keys]
 
-    prods, _ = prefix_products(factors[:back + n].swapaxes(1, 2))
-    h = np.concatenate([np.ones((1, D), dtype=factors.dtype), prods.sum(axis=1)])
-    peak = np.max(np.abs(h), axis=1)
+    lanes = np.empty((max(back, fwd) + n, 2, D, D), dtype=factors.dtype)
+    lanes[:back + n, 0] = factors[:back + n].swapaxes(1, 2)
+    lanes[back + n:, 0] = np.eye(D)
+    lanes[:n + fwd, 1] = factors[back:][::-1]
+    lanes[n + fwd:, 1] = np.eye(D)
+    prods, _ = prefix_products(lanes)
+    # 1 times every product, after a leading 1: the sum of its rows
+    ones = np.empty((len(prods) + 1, 2, D), dtype=factors.dtype)
+    ones[0] = 1.0
+    ones[1:] = prods[:, :, 0]
+    for row in range(1, D):
+        ones[1:] += prods[:, :, row]
+    h, v = ones[:back + n + 1, 0], ones[:n + fwd + 1, 1]
+
+    peak = row_max_abs(h)
     bad = np.flatnonzero(~np.isfinite(peak) | (peak == 0))
     if bad.size:
         raise NoConvergence(
             f"backward iteration degenerated at position {j_lo - back + bad[0] - 1}")
     H = h[back:] / peak[back:, None]
 
-    prods, _ = prefix_products(factors[back:][::-1])
-    v = np.concatenate([np.ones((1, D), dtype=factors.dtype), prods.sum(axis=1)])
     total = v.sum(axis=1)
     bad = np.flatnonzero(~np.isfinite(total) | (np.abs(total) < 1e-280))
     if bad.size:
@@ -153,9 +167,8 @@ def _solve_raw_once(mats: np.ndarray, keys: np.ndarray, z: complex, j_lo: int, j
     d, depth, alpha = model.d, model.r - 1, model.alpha
     eig = holder_norm_rows(MH - lam[:, None] * H[1:], d, depth, alpha) \
         / np.maximum(holder_norm_rows(H[:-1], d, depth, alpha), 1e-300)
-    dual = np.max(np.abs(np.einsum("jv,jvw->jw", V[1:], M) - lam[:, None] * V[:-1]),
-                  axis=1, initial=0.0) \
-        / np.maximum(np.max(np.abs(V[:-1]), axis=1, initial=0.0), 1e-300)
+    dual = row_max_abs(np.einsum("jv,jvw->jw", V[1:], M) - lam[:, None] * V[:-1]) \
+        / np.maximum(row_max_abs(V[:-1]), 1e-300)
     return RawOrbitTriplets(z, j_lo, j_hi, H, V, lam, float(np.max(eig, initial=0.0)),
                             float(np.max(dual, initial=0.0)), back, fwd, gap)
 

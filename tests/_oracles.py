@@ -2,13 +2,17 @@
 
 Each computes its quantity the slow, direct way: by enumerating preimage
 branches or applying one operator at a time, where the package scans stacked
-matrices or runs a lattice DP.
+matrices or runs a lattice DP.  Two keep the package's earlier code for a
+kernel since rewritten for speed (a doubling level, an orbit solve), which
+the rewrite must reproduce.
 """
 
 import numpy as np
 
-from skewprod.errors import DepthMismatch
-from skewprod.transfer import full_product, unscale
+from skewprod.errors import DepthMismatch, NoConvergence
+from skewprod.fiber import holder_seminorm_rows
+from skewprod.rpf import RawOrbitTriplets, _direction_change
+from skewprod.transfer import full_product, prefix_products, unscale
 
 
 def branch_enumeration_apply(window, n, z, pot, model, g):
@@ -99,3 +103,71 @@ def compose_reversed(window, n, z, family):
     twist = np.exp(zs[:, None, None] * family.u[syms[1:], None, None, :])
     prods = unscale(*full_product(family.kernels[syms[:-1], None] * twist))
     return prods if np.ndim(z) else prods[0]
+
+
+def per_shift_level(left, right):
+    """One doubling level as `gibbs._compose_blocks` ran it for every level
+    of up to 65 taps: the products left[p] right[p] of polynomial matrices
+    (pairs, taps, D, D), coefficients second, by one batched matmul per shift
+    of the right factor, added shift by shift.  (pairs, 2 taps - 1, D, D)."""
+    pairs, taps, D = left.shape[:3]
+    lhs = left.reshape(pairs, taps * D, D)
+    out = np.zeros((pairs, 2 * taps - 1, D, D))
+    for s in range(right.shape[1]):
+        out[:, s:s + taps] += (lhs @ right[:, s]).reshape(pairs, taps, D, D)
+    return out
+
+
+def two_scan_solve_raw_once(mats, keys, z, j_lo, j_hi, model, back, fwd):
+    """`rpf._solve_raw_once` as it was with one scan per side: H from the
+    transposed factors from the past, V from the factors from the future
+    taken backwards, each row reduction along the short axis."""
+    n = j_hi - j_lo
+    D = model.space_dim
+    factors = mats[keys]
+
+    def row_norms(values):
+        return np.max(np.abs(values), axis=1, initial=0.0) + holder_seminorm_rows(
+            values, model.d, model.r - 1, model.alpha)
+
+    prods, _ = prefix_products(factors[:back + n].swapaxes(1, 2))
+    h = np.concatenate([np.ones((1, D), dtype=factors.dtype), prods.sum(axis=1)])
+    peak = np.max(np.abs(h), axis=1)
+    bad = np.flatnonzero(~np.isfinite(peak) | (peak == 0))
+    if bad.size:
+        raise NoConvergence(
+            f"backward iteration degenerated at position {j_lo - back + bad[0] - 1}")
+    H = h[back:] / peak[back:, None]
+
+    prods, _ = prefix_products(factors[back:][::-1])
+    v = np.concatenate([np.ones((1, D), dtype=factors.dtype), prods.sum(axis=1)])
+    total = v.sum(axis=1)
+    bad = np.flatnonzero(~np.isfinite(total) | (np.abs(total) < 1e-280))
+    if bad.size:
+        raise NoConvergence(
+            f"forward functional degenerated at position {j_hi + fwd - bad[0]}")
+    V = (v / total[:, None])[fwd:][::-1]
+
+    halves = np.zeros((max(back, fwd) // 2, 2, D, D), dtype=factors.dtype)
+    halves[:] = np.eye(D)
+    halves[:back // 2, 0] = factors[back - back // 2:back].swapaxes(1, 2)
+    halves[:fwd // 2, 1] = factors[back + n:back + n + fwd // 2][::-1]
+    ends = full_product(halves)[0].sum(axis=1)
+    gap = max(_direction_change(h[back], ends[0]) if back >= 2 else 0.0,
+              _direction_change(v[fwd], ends[1]) if fwd >= 2 else 0.0)
+
+    den = np.einsum("jv,jv->j", V, H)
+    small = np.flatnonzero(np.abs(den) < 1e-280)
+    if small.size:
+        raise NoConvergence(f"nu(h) ~ 0 at position {j_lo + small[0]}; z likely outside U")
+    H = H / den[:, None]
+
+    M = factors[back:back + n]
+    MH = np.einsum("jvw,jw->jv", M, H[:-1])
+    lam = np.einsum("jv,jv->j", V[1:], MH)
+    eig = row_norms(MH - lam[:, None] * H[1:]) / np.maximum(row_norms(H[:-1]), 1e-300)
+    dual = np.max(np.abs(np.einsum("jv,jvw->jw", V[1:], M) - lam[:, None] * V[:-1]),
+                  axis=1, initial=0.0) \
+        / np.maximum(np.max(np.abs(V[:-1]), axis=1, initial=0.0), 1e-300)
+    return RawOrbitTriplets(z, j_lo, j_hi, H, V, lam, float(np.max(eig, initial=0.0)),
+                            float(np.max(dual, initial=0.0)), back, fwd, gap)

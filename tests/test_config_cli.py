@@ -361,6 +361,26 @@ def test_cli_bad_system_config_exit_2(tmp_path, preset, section, key, value, err
     assert f"config error: {error}" in proc.stderr
 
 
+@pytest.mark.parametrize("preset,section,key,value,error", [
+    # each exited 1 with a ValueError traceback from a bare float() or int()
+    ("scalar-iid", "fiber", "alpha", "x", "fiber.alpha: expected a number, got 'x'"),
+    ("scalar-iid", "potentials", "lattice_h", "x",
+     "potentials.lattice_h: expected a number, got 'x'"),
+    ("doeblin-iid", "doeblin", "lattice_h", "x", "doeblin.lattice_h: expected a number, got 'x'"),
+    ("renewal-gamma-3-2", "renewal", "truncation", "many",
+     "renewal.truncation: expected an integer, got 'many'"),
+])
+def test_cli_non_numeric_config_value_exit_2(tmp_path, preset, section, key, value, error):
+    cfg = preset_config(preset)
+    cfg[section][key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    proc = run_cli(["run", str(path)], cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert f"config error: {error}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_cli_rerun_byte_identical_results(tmp_path):
     cfg = small_renewal_config(tmp_path)
     cfg_path = tmp_path / "renewal.json"
@@ -379,17 +399,24 @@ def test_cli_rerun_byte_identical_results(tmp_path):
     assert c1 == c2
 
 
+# a small r = 3 LLT (space_dim 4), which no preset covers; the CI runs it too
+LLT_R3 = os.path.join(os.path.dirname(os.path.abspath(__file__)), "configs", "llt-r3.json")
+
+
 def test_blas_threads_do_not_change_record(tmp_path):
-    # the D = 2 laws run GEMMs small enough that OpenBLAS keeps them on one
-    # thread, so the record is the same whatever thread count it is given
-    records = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"t{threads}"
-        proc = run_cli(["run", "matrix-llt", "--out", str(out)], cwd=tmp_path,
-                       env={"OPENBLAS_NUM_THREADS": threads})
-        assert proc.returncode == 0, proc.stderr
-        records.append(record_bytes_from_file(str(out / "results.json")))
-    assert records[0] == records[1]
+    # the laws of D >= 2 tables run GEMMs small enough that OpenBLAS keeps them
+    # on one thread, so the record is the same whatever thread count it is
+    # given: matrix-llt at D = 2, and the r = 3 chain at D = 4, where the
+    # batched doubling's items are 4 to 8 times larger
+    for target in ("matrix-llt", LLT_R3):
+        records = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{os.path.basename(target)}-t{threads}"
+            proc = run_cli(["run", target, "--out", str(out)], cwd=tmp_path,
+                           env={"OPENBLAS_NUM_THREADS": threads})
+            assert proc.returncode == 0, proc.stderr
+            records.append(record_bytes_from_file(str(out / "results.json")))
+        assert records[0] == records[1], target
 
 
 @pytest.mark.parametrize("preset", ["matrix-llt", "scalar-iid"])

@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 from _instances import random_doeblin
-from _oracles import prob_at
+from _oracles import per_shift_level, prob_at
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -290,6 +290,12 @@ def test_sweep_blocks_of_uneven_row_spans_match_row_by_row():
         assert np.max(err[big] / want[big]) <= 1e-12
 
 
+def draw_nonnegative(rng, shape):
+    """Entries over twelve decades, a fifth of them exact zeros."""
+    return rng.random(shape) * 10.0 ** -rng.integers(0, 12, size=shape) * \
+        (rng.random(shape) < 0.8)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 3), st.integers(1, 600), st.integers(1, 300), st.integers(0, 2**31 - 1))
 @example(2, 600, 300, 1)  # the GEMM side, 899 outputs: not a whole number of chunks
@@ -300,16 +306,45 @@ def test_advance_matches_poly_product(D, W, L, seed):
     # each output entry is a sum of nonnegative products, which both orders of
     # summation get to within a few roundings, and an exact zero stays zero
     rng = generator(seed)
-
-    def draw(shape):
-        return rng.random(shape) * 10.0 ** -rng.integers(0, 12, size=shape) * \
-            (rng.random(shape) < 0.8)
-
-    joint, coef = draw((D, W)), draw((D, D, L))
+    joint, coef = draw_nonnegative(rng, (D, W)), draw_nonnegative(rng, (D, D, L))
     got = gibbs._advance(joint, coef)
     want = gibbs._poly_product(joint[None], coef)[0]
     assert got.shape == want.shape == (D, W + L - 1)
     assert np.all(np.abs(got - want) <= 1e-14 * want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 129), st.integers(1, 64),
+       st.sampled_from([1, 2, 4, 8, 16]), st.integers(0, 2**31 - 1))
+@example(2, 65, 32, gibbs.DOUBLING_CHUNK, 1)  # the last doubling level of matrix-llt's blocks
+@example(4, 129, 64, gibbs.DOUBLING_CHUNK, 2)  # one pair per slab, its windows split in 3 calls
+def test_banded_doubling_level_matches_per_shift(D, taps, pairs, chunk, seed):
+    # a doubling level as one banded GEMM, each left piece D rows advanced by
+    # its right piece, against the batched matmul per shift it replaced.  An
+    # entry sums at most D * taps nonnegative products, and either order of
+    # summation is within (D * taps - 1) / 2 ulps of the exact sum, so they
+    # differ by less than D * taps ulps: 1e-15 relative is too tight past a few
+    # hundred terms (2.4e-15 seen at D = 4, 129 taps); an exact zero stays zero
+    rng = generator(seed)
+    left, right = draw_nonnegative(rng, (pairs, taps, D, D)), \
+        draw_nonnegative(rng, (pairs, taps, D, D))
+    want = per_shift_level(left, right)
+    coefficients_last = [np.ascontiguousarray(x.transpose(0, 2, 3, 1)) for x in (left, right)]
+    got = gibbs._banded(*coefficients_last, chunk).transpose(0, 3, 1, 2)
+    assert got.shape == want.shape == (pairs, 2 * taps - 1, D, D)
+    assert np.array_equal(got == 0, want == 0)
+    big = want > 1e-290
+    assert np.all(np.abs(got - want)[big] <= D * taps * np.finfo(float).eps * want[big])
+
+
+@pytest.mark.parametrize("D,taps,pairs", [(2, 3, 1024), (2, 5, 512), (4, 8, 300), (1, 1, 7)])
+def test_shift_level_in_slabs_matches_per_shift(D, taps, pairs):
+    # the 3- and 5-tap levels of matrix-llt's blocks run in slabs of pairs;
+    # every pair takes the same matmuls as in one batch, so the bits agree
+    rng = generator(D, taps)
+    left, right = draw_nonnegative(rng, (pairs, taps, D, D)), \
+        draw_nonnegative(rng, (pairs, taps, D, D))
+    assert gibbs._shift_level(left, right).tobytes() == per_shift_level(left, right).tobytes()
 
 
 def test_matrix_sweep_through_banded_gemm_matches_row_by_row(monkeypatch):

@@ -3,6 +3,7 @@ import pytest
 from _instances import random_doeblin, scalar_instance
 
 from skewprod.base_env import build_markov_base, periodic_point
+from skewprod.config import parse_config
 from skewprod.doeblin import DoeblinSystem
 from skewprod.errors import (
     ClassifierFailed,
@@ -27,6 +28,8 @@ from skewprod.limits import (
     stratified_windows,
     weighted_ks,
 )
+from skewprod.presets import preset_config
+from skewprod.runner import run_experiment
 from skewprod.seeding import generator
 from skewprod.transfer import (
     assemble_matrix,
@@ -158,7 +161,7 @@ def per_t_classifier(system):
     (by `branch_arrays` for the symbolic system, by hand for the Doeblin
     chain), each product from its own scan and each matrix's eig on its own."""
     h = system.lattice_h
-    grid = np.linspace(0.25, 2 * np.pi / h - 0.25, 97)
+    grid = np.linspace(0.25 / h, (2 * np.pi - 0.25) / h, 97)
     n0 = len(system.periodic_cycle)
     win = periodic_point(system.chain, system.periodic_cycle).window(0, n0)
     prods = []
@@ -210,6 +213,29 @@ def test_classifier_01_passes():
     rep = classify(system_01())
     assert rep.passed
     assert rep.min_gap > 0.0
+
+
+@pytest.mark.parametrize("h", [0.5, 1.0, 13.0, 30.0])
+def test_classifier_grid_scales_with_the_span(h):
+    # fair steps {0, h} are aperiodic on the lattice h Z at every h.  With the
+    # margin 0.25 taken in t, not in t h, the grid ran from 0.25 down to
+    # -0.04 at h = 30 and covered t in [0.233, 0.25] of (0, 0.483) at h = 13
+    chain, model, pot = scalar_instance([0.0, h], lattice_h=h)
+    rep = classify(SymbolicSystem(chain, model, pot))
+    assert 0.0 < rep.t_grid[0] < rep.t_grid[-1] < 2 * np.pi / h
+    assert rep.t_grid[0] * h == pytest.approx(0.25)
+    assert (2 * np.pi / h - rep.t_grid[-1]) * h == pytest.approx(0.25)
+    assert rep.passed and rep.offending_t is None
+
+
+def test_llt_on_a_wide_lattice_passes():
+    # scalar-iid moved to 30 Z: it ended in classifier-failure, with the
+    # largest radius at t = 0.2107, next to the dual lattice point 2 pi / 30
+    cfg = preset_config("scalar-iid")
+    cfg["potentials"]["u"] = [[0.0, 30.0], [0.0, 30.0]]
+    cfg["potentials"]["lattice_h"] = 30.0
+    result = run_experiment(parse_config(cfg))
+    assert result.record["verdicts"]["outcome"] == "pass", result.record["stats"]
 
 
 def test_classifier_zero_u_degenerate():

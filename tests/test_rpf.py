@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from _instances import random_instance, scalar_instance
+from _oracles import two_scan_solve_raw_once
 
 from skewprod.base_env import build_markov_base, sample_base_path
 from skewprod.errors import BranchAmbiguity, NoConvergence
@@ -281,3 +282,65 @@ def test_raw_orbit_insufficient_window():
 
     with pytest.raises(InsufficientWindow):
         solve_raw_orbit(win, 0.0, 0, 1, pot, model, back=64, fwd=64)
+
+
+SOLVE_FIELDS = ("H", "V", "lam", "eigen_residual", "dual_residual", "truncation_gap")
+
+
+def solve_instance(d, r, seed=0):
+    rng = generator(seed, d, r)
+    model = FiberModel(d, r)
+    pot = PotentialTable(0.6 * rng.standard_normal((2, d ** r)),
+                         rng.integers(-2, 3, size=(2, d ** r)).astype(float), model, lattice_h=1.0)
+    return rng, model, pot
+
+
+@pytest.mark.parametrize("d,r", [(2, 2), (3, 2), (2, 3), (4, 2)])
+@pytest.mark.parametrize("z", [0.0, 0.4j, 0.2 + 0.1j])
+@pytest.mark.parametrize("back,fwd,n,same_blocks", [
+    (64, 64, 2000, True), (64, 64, 20, True), (0, 0, 4, True), (3, 0, 5, True),
+    # window-capped truncations: 2037 and 2064 factors are cut into the same
+    # scan blocks, so the padded lane multiplies in the same order
+    (37, 64, 2000, True), (64, 37, 2000, True),
+    # 140 factors against 164, and 4 against 8, are cut into blocks of other
+    # sizes: the same products associated otherwise, equal up to rounding
+    (40, 64, 100, False), (1, 5, 3, False),
+])
+def test_one_scan_solve_matches_two_scans(d, r, z, back, fwd, n, same_blocks):
+    rng, model, pot = solve_instance(d, r)
+    mats = key_matrices(z, pot, model)
+    keys = rng.integers(0, 2, size=back + n + fwd)
+    got = _solve_raw_once(mats, keys, z, 0, n, model, back, fwd)
+    want = two_scan_solve_raw_once(mats, keys, z, 0, n, model, back, fwd)
+    for field in SOLVE_FIELDS:
+        x, y = np.asarray(getattr(got, field)), np.asarray(getattr(want, field))
+        assert x.shape == y.shape
+        if same_blocks and model.space_dim == 2:
+            assert x.tobytes() == y.tobytes(), field
+            continue
+        # D >= 3 sums rows column by column where np.sum picks its own order;
+        # another association drifts by a few ulps (2.3e-15 of the largest
+        # entry at most, over 60 instances)
+        tol = 1e-15 if same_blocks else 1e-14
+        scale = max(float(np.max(np.abs(y))), 1.0) if x.ndim else 1.0
+        assert np.max(np.abs(x - y)) <= tol * scale, field
+
+
+@pytest.mark.parametrize("where,value,message", [
+    (30, 0.0, "backward iteration degenerated"),
+    (5, np.nan, "backward iteration degenerated"),
+    (64 + 40 + 10, 0.0, "forward functional degenerated"),
+])
+def test_one_scan_solve_names_the_same_failure(where, value, message):
+    # a key whose matrix is zero (or NaN) kills every product through it; the
+    # past lane fails first when it holds that factor, else the future lane
+    _, model, pot = solve_instance(2, 2, seed=3)
+    mats = np.concatenate([key_matrices(0.0, pot, model), np.full((1, 2, 2), value)])
+    keys = generator(3).integers(0, 2, size=64 + 40 + 64)
+    keys[where] = 2
+    errors = []
+    for solve in (_solve_raw_once, two_scan_solve_raw_once):
+        with pytest.raises(NoConvergence) as info:
+            solve(mats, keys, 0.0, 0, 40, model, 64, 64)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1] and message in errors[0]
