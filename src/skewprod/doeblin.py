@@ -4,9 +4,12 @@ Finite stochastic kernels per base symbol, entries pinned inside
 [alpha, 1/alpha], drive a Markov chain in random environment.  The twisted
 iterates compose in the opposite order from the transfer cocycle
 (present factor leftmost), and the kernels are Markov at z = 0.  Those
-iterates (`StepTable.twisted_product`), the orbit's invariant family and
-marginals and its exact variance recursion are all read from the shared scan
-`transfer.prefix_products`.
+iterates (`StepTable.twisted_product`), the orbit's start law (with no
+configured start, one product of the WARMUP kernels before the window origin),
+its marginals and its exact variance recursion are all read from the shared
+scan `transfer.prefix_products`.  An orbit is eager only in its start law: the
+step tables read nothing else, and the marginals are scanned on first use by
+the exact moments.
 Along one environment the chain is a `StepTable`, so the exact laws, the
 sampler, the spectral characteristic function and the annealed runners of
 `limits` are the symbolic model's own: Doeblin contraction replaces the
@@ -16,6 +19,7 @@ pairing machinery as the source of exponential convergence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,9 +27,9 @@ from .base_env import BaseSymbolChain, OmegaWindow, periodic_point
 from .errors import DoeblinViolated
 from .fiber import lattice_span
 from .gibbs import StepTable
-from .transfer import prefix_products, unscale
+from .transfer import full_product, prefix_products, unscale
 
-WARMUP = 64  # kernels before the window origin that the invariant family is pushed through
+WARMUP = 64  # kernels before the window origin that the uniform law is pushed through
 
 
 @dataclass
@@ -85,7 +89,7 @@ class DoeblinSystem:
     chain: BaseSymbolChain
     family: DoeblinFamily
     periodic_cycle: tuple = (0,)
-    initial: np.ndarray | None = None  # None: the invariant family nu(0)
+    initial: np.ndarray | None = None  # None: the invariant family at the origin
 
     @property
     def lattice_h(self) -> float | None:
@@ -102,7 +106,7 @@ class DoeblinSystem:
         target state, so rank-one kernels give state-independent rows.
         """
         s = orbit.symbols[:n]
-        return StepTable(n, self.family.lattice_h, orbit.marginal[0], self.family.u[s[0]],
+        return StepTable(n, self.family.lattice_h, orbit.start, self.family.u[s[0]],
                          *self._rows(s))
 
     # the chain already runs with the dynamics
@@ -128,33 +132,36 @@ class DoeblinSystem:
 
 
 class DoeblinOrbit:
-    """Invariant measure family and chain marginals along one window.
+    """The chain's start law along one window, and its marginals on demand.
 
-    nu[j] and marginal[j] (rows of (n+1, q) arrays) are the laws of the state
-    at time j under the invariant family and under the configured start.
+    `start` is the law of xi_0: the configured `initial`, normalized, or with
+    none the invariant family at the origin, the uniform law pushed through
+    the WARMUP kernels before it.  `marginal[j]` (a row of an (n+1, q)
+    array) is the law of xi_j, start @ K_0 ... K_{j-1}; with `initial` unset
+    it is the invariant family.  Step tables read `start` alone, so the
+    marginals' scan over the window runs only for the exact moments.
     """
 
     def __init__(self, window: OmegaWindow, n: int, system: DoeblinSystem):
         self.window = window
         self.system = system
-        fam = system.family
         self.symbols = window.symbols(0, n)
-        kernels = fam.kernels[self.symbols[:n]]
-        # nu[j] is the uniform law pushed through the WARMUP kernels and the
-        # first j window kernels: one scan, led by an identity for j = 0
-        factors = np.concatenate([np.eye(fam.n_states)[None],
-                                  fam.kernels[window.symbols(-WARMUP, -1)], kernels])
-        pushed = prefix_products(factors)[0][WARMUP:].sum(axis=1)
-        self.nu = pushed / pushed.sum(axis=1, keepdims=True)
         if system.initial is None:
-            self.marginal = self.nu
+            # the uniform law times the scaled product: normalizing drops the scale
+            kernels = system.family.kernels[window.symbols(-WARMUP, -1)]
+            start = full_product(kernels)[0].sum(axis=0)
         else:
-            self.marginal = np.empty_like(self.nu)
             start = np.asarray(system.initial, dtype=float)
-            self.marginal[0] = start / start.sum()
-            self.marginal[1:] = self.marginal[0] @ unscale(*prefix_products(kernels))
-        self._kernels = kernels
-        self._variances = None
+        self.start = start / start.sum()
+
+    @cached_property
+    def _kernels(self) -> np.ndarray:
+        return self.system.family.kernels[self.symbols[:-1]]
+
+    @cached_property
+    def marginal(self) -> np.ndarray:
+        pushed = self.start @ unscale(*prefix_products(self._kernels))
+        return np.concatenate([self.start[None], pushed])
 
     def step_means(self, k: int) -> np.ndarray:
         """E u_{omega_j}(xi_j) for j < k."""
@@ -172,19 +179,21 @@ class DoeblinOrbit:
         the prefix sum of p_l . c_l^2 + 2 g_l . c_l.  The affine recursion
         is one scan: [g_{l+1}, 1] = [g_l, 1] [[K_l, 0], [p_l c_l K_l, 1]].
         """
-        if self._variances is None:
-            n, q = self._kernels.shape[:2]
-            centred = self.system.family.u[self.symbols[:n]] - self.step_means(n)[:, None]
-            terms = np.einsum("lx,lx->l", self.marginal[:n], centred ** 2)
-            aug = np.zeros((n, q + 1, q + 1))
-            aug[:, :q, :q] = self._kernels
-            aug[:, q, :q] = np.einsum("lx,lxy->ly", self.marginal[:n] * centred, self._kernels)
-            aug[:, q, q] = 1.0
-            g = np.zeros((n, q))
-            g[1:] = unscale(*prefix_products(aug))[:-1, q, :q]
-            terms += 2.0 * np.einsum("lx,lx->l", g, centred)
-            self._variances = np.concatenate([[0.0], np.cumsum(terms)])
         return float(self._variances[k])
+
+    @cached_property
+    def _variances(self) -> np.ndarray:
+        n, q = self._kernels.shape[:2]
+        centred = self.system.family.u[self.symbols[:n]] - self.step_means(n)[:, None]
+        terms = np.einsum("lx,lx->l", self.marginal[:n], centred ** 2)
+        aug = np.zeros((n, q + 1, q + 1))
+        aug[:, :q, :q] = self._kernels
+        aug[:, q, :q] = np.einsum("lx,lxy->ly", self.marginal[:n] * centred, self._kernels)
+        aug[:, q, q] = 1.0
+        g = np.zeros((n, q))
+        g[1:] = unscale(*prefix_products(aug))[:-1, q, :q]
+        terms += 2.0 * np.einsum("lx,lx->l", g, centred)
+        return np.concatenate([[0.0], np.cumsum(terms)])
 
     def constant_step_mean(self, n_check: int, tol: float = 1e-9):
         """(is_constant, gamma, max_deviation) of the per-step means along the window."""

@@ -521,7 +521,7 @@ class RenewalReport:
     rel_err_window: float | None
     negative_side_max: float
     truncation: int
-    tail_bound: float  # a Gaussian estimate, not a bound (ROADMAP item 5)
+    tail_bound: float  # a Gaussian estimate, not a bound (ROADMAP item 6)
     passed: bool
     abel_gap: float = 0.0  # max |U - U_rho| at rho = 1 - 1/N (cross-check)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,11 +7,13 @@ import pytest
 from _instances import random_doeblin
 from _oracles import compose_reversed, prob_at
 
+from skewprod import doeblin
 from skewprod.base_env import build_markov_base, sample_base_path
 from skewprod.doeblin import DoeblinOrbit, DoeblinSystem, build_doeblin_family
 from skewprod.errors import ClassifierFailed, DoeblinViolated
 from skewprod.limits import char_identity, clt_test, llt_scan, renewal_curve
 from skewprod.seeding import generator
+from skewprod.transfer import prefix_products
 
 
 def uniform_chain():
@@ -106,9 +109,10 @@ def test_invariant_family_pushforward():
     win = sample_base_path(chain, -80, 40, 10)
     sysd = DoeblinSystem(chain, fam)
     orbit = DoeblinOrbit(win, 20, sysd)
+    # with no configured start the marginals are the invariant family
     for j in range(20):
-        push = orbit.nu[j] @ fam.kernels[win.symbol(j)]
-        assert np.max(np.abs(push - orbit.nu[j + 1])) < 1e-12
+        push = orbit.marginal[j] @ fam.kernels[win.symbol(j)]
+        assert np.max(np.abs(push - orbit.marginal[j + 1])) < 1e-12
 
 
 def test_exact_law_iid_binomial():
@@ -206,23 +210,59 @@ def test_doeblin_renewal_small():
     assert rep.passed
 
 
+def per_step_start_law(system, window):
+    """The law of xi_0, pushed one kernel at a time: the uniform law through
+    the 64 kernels before the origin, or the configured start."""
+    if system.initial is not None:
+        return system.initial / system.initial.sum()
+    nu = np.full(system.family.n_states, 1.0 / system.family.n_states)
+    for s in window.symbols(-64, -1):
+        nu = nu @ system.family.kernels[s]
+    return nu / nu.sum()
+
+
 @pytest.mark.parametrize("initial", [False, True])
 def test_orbit_scan_matches_per_step_marginals(initial):
     system = random_doeblin(generator(41, int(initial)), q=3, n_symbols=3, initial=initial)
+    invariant_system = dataclasses.replace(system, initial=None)
     fam = system.family
     assert np.max(np.abs(fam.kernels - fam.kernels[:, :1])) > 0.05
     window = sample_base_path(system.chain, -80, 600, 42)
     for n in (0, 1, 2, 7, 500):
         orbit = system.orbit(window, n)
-        nu = np.full(3, 1.0 / 3.0)
-        for s in window.symbols(-64, -1):
-            nu = nu @ fam.kernels[s]
-        nus = [nu / nu.sum()]
-        start = nus[0] if system.initial is None else system.initial / system.initial.sum()
-        marginals = [start]
+        nus = [per_step_start_law(invariant_system, window)]
+        marginals = [per_step_start_law(system, window)]
         for s in window.symbols(0, n)[:n]:
             nxt = nus[-1] @ fam.kernels[s]
             nus.append(nxt / nxt.sum())
             marginals.append(marginals[-1] @ fam.kernels[s])
-        np.testing.assert_allclose(orbit.nu, nus, rtol=1e-13, atol=0)
+        # the invariant family is the marginals of an orbit with no configured start
+        invariant = invariant_system.orbit(window, n)
+        np.testing.assert_allclose(invariant.marginal, nus, rtol=1e-13, atol=0)
         np.testing.assert_allclose(orbit.marginal, marginals, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("initial", [False, True])
+def test_step_table_reads_the_start_law_without_the_marginal_scan(initial, monkeypatch):
+    system = random_doeblin(generator(43, int(initial)), q=3, n_symbols=3, initial=initial)
+    window = sample_base_path(system.chain, -80, 600, 44)
+    scans = []
+
+    def counted(factors):
+        scans.append(len(factors))
+        return prefix_products(factors)
+
+    monkeypatch.setattr(doeblin, "prefix_products", counted)
+    n = 500
+    orbit = system.orbit(window, n)
+    for m in (1, 7, n):
+        table = system.step_table(orbit, m)
+        table.law()
+    assert scans == []
+    np.testing.assert_allclose(table.start, per_step_start_law(system, window),
+                               rtol=1e-13, atol=0)
+    assert table.start.tobytes() == orbit.start.tobytes()
+    # the moments do scan the window, once, and read the same start
+    orbit.birkhoff_mean(n)
+    assert scans == [n]
+    assert orbit.marginal[0].tobytes() == orbit.start.tobytes()

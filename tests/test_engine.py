@@ -29,7 +29,7 @@ def doeblin_path_law(system, window, n, orbit):
     fam = system.family
     law = {}
     for path in itertools.product(range(fam.n_states), repeat=n):
-        p = orbit.marginal[0][path[0]]
+        p = orbit.start[path[0]]
         total = 0.0
         for j, x in enumerate(path):
             s = window.symbol(j)
@@ -116,12 +116,13 @@ def test_engine_invariants(instance):
         assert abs(val - law.char_function(t)) < 1e-12
 
 
-def row_by_row_sweep(table, weights=None):
+def row_by_row_sweep(table, at=None, weights=None):
     """Reference lattice DP, one row at a time: {m: (joint, k0)} for every
-    prefix length m, on the same value range as `StepTable.sweep`.  It sums
-    in extended precision and rounds each joint once, so that its own drift
-    (a float64 DP's mass drifts by up to 1e-14 over a few hundred rows that
-    all put their mass on one shift) stays far below the bounds it checks."""
+    prefix length m in `at` (every prefix when None), on the same value range
+    as `StepTable.sweep`.  It sums in extended precision and rounds each kept
+    joint once, so that its own drift (a float64 DP's mass drifts by up to
+    1e-14 over a few hundred rows that all put their mass on one shift) stays
+    far below the bounds it checks."""
     k_start = np.round(table.start_u / table.h).astype(np.int64)
     shifts = np.round(table.u / table.h).astype(np.int64)
     steps, D, B = table.probs.shape
@@ -130,7 +131,8 @@ def row_by_row_sweep(table, weights=None):
     joint = np.zeros((D, int(k_start.max()) - k0 + 1), dtype=np.longdouble)
     joint[np.arange(D), k_start - k0] = start
     m = table.n - steps
-    out = {m: (joint.astype(float), k0)}
+    keep = range(m, table.n + 1) if at is None else set(at)
+    out = {m: (joint.astype(float), k0)} if m in keep else {}
     for i in range(steps):
         lo, hi = int(shifts[i].min()), int(shifts[i].max())
         nxt = np.zeros((D, joint.shape[1] + hi - lo), dtype=np.longdouble)
@@ -142,7 +144,8 @@ def row_by_row_sweep(table, weights=None):
                     nxt[table.targets[i, w, b], k:k + joint.shape[1]] += p * joint[w]
         joint, k0 = nxt, k0 + lo
         m += 1
-        out[m] = (joint.astype(float), k0)
+        if m in keep:
+            out[m] = (joint.astype(float), k0)
     return out
 
 
@@ -167,7 +170,7 @@ def test_blocked_sweep_matches_row_by_row(instance, data):
         table = dataclasses.replace(table, probs=probs / probs.sum(axis=2, keepdims=True))
     weights = rng.uniform(0.5, 2.0, size=D) if data.draw(st.booleans()) else None
     ns = data.draw(st.lists(st.integers(n - steps, n), min_size=1, max_size=4))
-    reference = row_by_row_sweep(table, weights)
+    reference = row_by_row_sweep(table, weights=weights)
     for at in (ns, None):
         swept = list(table.sweep(weights, at=at))
         assert [m for m, _, _ in swept] == sorted(set(ns) if at else reference)
@@ -175,7 +178,7 @@ def test_blocked_sweep_matches_row_by_row(instance, data):
             want, want_k0 = reference[m]
             assert k0 == want_k0 and joint.shape == want.shape
             assert np.max(np.abs(joint - want)) <= 1e-15
-    plain = reference if weights is None else row_by_row_sweep(table)
+    plain = reference if weights is None else row_by_row_sweep(table, ns)
     for m, law in zip(ns, table.laws(ns)):
         assert law.n == m
         want, want_k0 = plain[m]
@@ -203,7 +206,7 @@ def test_sweep_keeps_mass_of_a_repeated_kernel():
     for n in (53, 102):
         orbit = system.orbit(sample_base_path(chain, -300, n + 300, 131073), n)
         for table in (system.step_table(orbit, n), system.forward_table(orbit, n)):
-            reference = row_by_row_sweep(table)
+            reference = row_by_row_sweep(table, [n])
             for m, joint, k0 in table.sweep(at=[n]):
                 assert np.max(np.abs(joint - reference[m][0])) <= 1e-15
             law = table.law()
@@ -245,7 +248,7 @@ def test_long_sweep_matches_row_by_row():
         u = rng.integers(-2, 3, size=(n, D, 3)).astype(float)
         table = StepTable(n, 1.0, np.full(D, 1.0 / D), np.arange(D, dtype=float), probs,
                           rng.integers(0, D, size=(n, D, 3)), u)
-        reference = row_by_row_sweep(table)
+        reference = row_by_row_sweep(table, ns)
         swept = list(table.sweep(at=ns))
         assert [m for m, _, _ in swept] == ns
         for m, joint, k0 in swept:
@@ -278,7 +281,7 @@ def test_sweep_blocks_of_uneven_row_spans_match_row_by_row():
                       probs, rng.integers(0, 4, size=(n, 4, 3)), u.astype(float))
     span = table.u.max(axis=(1, 2)) - table.u.min(axis=(1, 2))
     assert set(span.tolist()) == {0.0, 4.0} and not table.stateless()
-    reference = row_by_row_sweep(table)
+    reference = row_by_row_sweep(table, ns)
     swept = list(table.sweep(at=ns))
     assert [m for m, _, _ in swept] == ns
     for m, joint, k0 in swept:
@@ -363,7 +366,7 @@ def test_matrix_sweep_through_banded_gemm_matches_row_by_row(monkeypatch):
     monkeypatch.setattr(gibbs, "_advance", advance)
     for table in (system.step_table(orbit, n), system.forward_table(orbit, n)):
         assert table.probs.shape[1] == 2 and not table.stateless()
-        reference = row_by_row_sweep(table)
+        reference = row_by_row_sweep(table, ns)
         swept = list(table.sweep(at=ns))
         assert [m for m, _, _ in swept] == ns
         for m, joint, k0 in swept:
@@ -407,8 +410,8 @@ def test_sweep_adds_branches_sharing_shift_and_target():
     u[:, 1, 2], targets[:, 1, 2] = u[:, 1, 1], targets[:, 1, 1]
     table = StepTable(n, 1.0, np.array([0.3, 0.7]), np.array([0.0, 1.0]), probs, targets, u)
     assert not table.stateless()
-    reference = row_by_row_sweep(table)
     ns = [0, 7, BLOCK_ROWS + 1, n]
+    reference = row_by_row_sweep(table, ns)
     for (m, joint, k0), law in zip(table.sweep(at=ns), table.laws(ns)):
         want, want_k0 = reference[m]
         assert k0 == want_k0 and joint.shape == want.shape
@@ -429,7 +432,7 @@ def test_long_stateless_law_matches_row_by_row():
                       np.zeros((n, 2, 2), dtype=np.int64),
                       np.repeat(shifts[pick][:, None], 2, axis=1))
     assert table.stateless()
-    reference = row_by_row_sweep(table)
+    reference = row_by_row_sweep(table, ns)
     for m, law in zip(ns, table.laws(ns)):
         assert_law_matches(law, reference, m, atol=1e-15, rtol=1e-12)
         assert abs(law.probs.sum() - 1.0) <= 1e-12
@@ -500,6 +503,6 @@ def test_stateless_laws_match_row_by_row(instance, data):
     m0 = table.n - len(table.probs)
     ns = [m0, table.n] + data.draw(st.lists(st.integers(m0, table.n), max_size=4))
     ns = data.draw(st.permutations(ns))
-    reference = row_by_row_sweep(table)
+    reference = row_by_row_sweep(table, ns)
     for m, law in zip(ns, table.laws(ns)):
         assert_law_matches(law, reference, m, atol=1e-15)
