@@ -4,22 +4,19 @@ Finite stochastic kernels per base symbol, entries pinned inside
 [alpha, 1/alpha], drive a Markov chain in random environment.  The twisted
 iterates compose in the opposite order from the transfer cocycle
 (present factor leftmost), and the kernels are Markov at z = 0.  Those
-iterates (`StepTable.twisted_product`), the orbit's start law (with no
-configured start, one product of the WARMUP kernels before the window origin),
-its marginals and its exact variance recursion are all read from the shared
-scan `transfer.prefix_products`.  An orbit is eager only in its start law: the
-step tables read nothing else, and the marginals are scanned on first use by
-the exact moments.
-Along one environment the chain is a `StepTable`, so the exact laws, the
-sampler, the spectral characteristic function and the annealed runners of
-`limits` are the symbolic model's own: Doeblin contraction replaces the
-pairing machinery as the source of exponential convergence.
+iterates (`StepTable.twisted_product`) and the orbit's start law (with no
+configured start, one product of the WARMUP kernels before the window origin)
+are read from the shared scan `transfer.prefix_products`.  An orbit holds only
+its symbols and start law.  Along one environment the chain is a `StepTable`,
+so the exact laws, the exact moments, the sampler, the spectral characteristic
+function and the annealed runners of `limits` are the symbolic model's own:
+Doeblin contraction replaces the pairing machinery as the source of
+exponential convergence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -27,7 +24,7 @@ from .base_env import BaseSymbolChain, OmegaWindow, periodic_point
 from .errors import DoeblinViolated
 from .fiber import lattice_span
 from .gibbs import StepTable
-from .transfer import full_product, prefix_products, unscale
+from .transfer import full_product
 
 WARMUP = 64  # kernels before the window origin that the uniform law is pushed through
 
@@ -132,14 +129,13 @@ class DoeblinSystem:
 
 
 class DoeblinOrbit:
-    """The chain's start law along one window, and its marginals on demand.
+    """The chain's symbols and start law along one window.
 
     `start` is the law of xi_0: the configured `initial`, normalized, or with
     none the invariant family at the origin, the uniform law pushed through
-    the WARMUP kernels before it.  `marginal[j]` (a row of an (n+1, q)
-    array) is the law of xi_j, start @ K_0 ... K_{j-1}; with `initial` unset
-    it is the invariant family.  Step tables read `start` alone, so the
-    marginals' scan over the window runs only for the exact moments.
+    the WARMUP kernels before it.  The step tables read the symbols and
+    `start`; with `initial` unset their `marginals`, the laws of xi_0, xi_1,
+    ..., are the invariant family.
     """
 
     def __init__(self, window: OmegaWindow, n: int, system: DoeblinSystem):
@@ -153,51 +149,3 @@ class DoeblinOrbit:
         else:
             start = np.asarray(system.initial, dtype=float)
         self.start = start / start.sum()
-
-    @cached_property
-    def _kernels(self) -> np.ndarray:
-        return self.system.family.kernels[self.symbols[:-1]]
-
-    @cached_property
-    def marginal(self) -> np.ndarray:
-        pushed = self.start @ unscale(*prefix_products(self._kernels))
-        return np.concatenate([self.start[None], pushed])
-
-    def step_means(self, k: int) -> np.ndarray:
-        """E u_{omega_j}(xi_j) for j < k."""
-        return np.einsum("jx,jx->j", self.marginal[:k], self.system.family.u[self.symbols[:k]])
-
-    def birkhoff_mean(self, k: int) -> float:
-        return float(self.step_means(k).sum())
-
-    def birkhoff_variance(self, k: int) -> float:
-        """Exact Var(S_k) from one cached pass along the window.
-
-        With the centred observables c_l = u_{omega_l} - E u_{omega_l}(xi_l)
-        and the marginals p_l, g_0 = 0 and g_{l+1} = (g_l + p_l c_l) K_l
-        carry the earlier steps' centred mass to time l + 1, and Var(S_k) is
-        the prefix sum of p_l . c_l^2 + 2 g_l . c_l.  The affine recursion
-        is one scan: [g_{l+1}, 1] = [g_l, 1] [[K_l, 0], [p_l c_l K_l, 1]].
-        """
-        return float(self._variances[k])
-
-    @cached_property
-    def _variances(self) -> np.ndarray:
-        n, q = self._kernels.shape[:2]
-        centred = self.system.family.u[self.symbols[:n]] - self.step_means(n)[:, None]
-        terms = np.einsum("lx,lx->l", self.marginal[:n], centred ** 2)
-        aug = np.zeros((n, q + 1, q + 1))
-        aug[:, :q, :q] = self._kernels
-        aug[:, q, :q] = np.einsum("lx,lxy->ly", self.marginal[:n] * centred, self._kernels)
-        aug[:, q, q] = 1.0
-        g = np.zeros((n, q))
-        g[1:] = unscale(*prefix_products(aug))[:-1, q, :q]
-        terms += 2.0 * np.einsum("lx,lx->l", g, centred)
-        return np.concatenate([[0.0], np.cumsum(terms)])
-
-    def constant_step_mean(self, n_check: int, tol: float = 1e-9):
-        """(is_constant, gamma, max_deviation) of the per-step means along the window."""
-        means = self.step_means(n_check)
-        gamma = float(np.mean(means))
-        max_dev = float(np.max(np.abs(means - gamma)))
-        return max_dev <= tol, gamma, max_dev

@@ -8,8 +8,9 @@ orbit is a Markov chain on fiber cylinders run against the dynamics (the
 trajectory read backwards); the Doeblin model's chain runs forward.  The
 exact lattice law (a dynamic-programming convolution over (state, lattice
 value), or, when no row depends on the state, the start law times powers of
-the table's few distinct step laws), the forward (renewal) sweep, the sampler
-and the spectral characteristic function are written once against the table,
+the table's few distinct step laws), the forward (renewal) sweep, the exact
+means and variances (one cached pass, `StepTable.moments`), the sampler and
+the spectral characteristic function are written once against the table,
 which is what makes the three characteristic-function routes exactly
 comparable.
 
@@ -40,7 +41,7 @@ from .errors import LatticeTooLarge, NotLattice
 from .fiber import FiberModel, PotentialTable
 from .rpf import SystemOrbit
 from .seeding import generator
-from .transfer import branch_matrices, full_product, unscale
+from .transfer import branch_matrices, full_product, prefix_products, unscale
 
 STATE_BUDGET = 10**7
 BLOCK_ROWS = 64  # DP rows multiplied into one polynomial matrix per joint advance
@@ -149,9 +150,7 @@ class StepTable:
             raise LatticeTooLarge(
                 f"lattice DP needs {D * width} states, budget {STATE_BUDGET}")
         m0 = self.n - steps
-        ms = range(m0, self.n + 1) if at is None else sorted({int(m) for m in at})
-        if ms and not m0 <= ms[0] <= ms[-1] <= self.n:
-            raise ValueError(f"prefix lengths must lie in [{m0}, {self.n}], got {list(ms)}")
+        ms = range(m0, self.n + 1) if at is None else self._prefixes(at)
         start = self.start if weights is None else self.start * np.asarray(weights, dtype=float)
         joint = np.zeros((D, int(highs[0] - lows[0]) + 1))
         joint[np.arange(D), k_start - lows[0]] = start
@@ -212,6 +211,14 @@ class StepTable:
                 joint = _anchored(joint, joint_mass)
                 yield m0 + int(ends[seg[b]]), joint, k0
 
+    def _prefixes(self, ns) -> list:
+        """The distinct prefix lengths in ns, sorted; each must lie in [n - steps, n]."""
+        m0 = self.n - len(self.probs)
+        ms = sorted({int(m) for m in ns})
+        if ms and not m0 <= ms[0] <= ms[-1] <= self.n:
+            raise ValueError(f"prefix lengths must lie in [{m0}, {self.n}], got {ms}")
+        return ms
+
     def stateless(self) -> bool:
         """True when no row depends on the state (r = 1 fibers, rank-one kernels)."""
         return self._stateless
@@ -258,9 +265,7 @@ class StepTable:
         if width > STATE_BUDGET:
             raise LatticeTooLarge(f"lattice law needs {width} states, budget {STATE_BUDGET}")
         m0 = self.n - len(self.probs)
-        ms = sorted({int(m) for m in ns})
-        if ms and not m0 <= ms[0] <= ms[-1] <= self.n:
-            raise ValueError(f"prefix lengths must lie in [{m0}, {self.n}], got {ms}")
+        ms = self._prefixes(ns)
         rows, _, labels = self._step_groups
         # squaring ladders p_g, p_g ** 2, p_g ** 4, ... as 1 x 1 polynomial matrices
         ladders = [[np.bincount(k_steps[i] - kmin[i], self.probs[i, 0], span[i] + 1)[None, None]]
@@ -296,6 +301,63 @@ class StepTable:
     def law(self) -> LatticeDistribution:
         """Exact law of S_n: the last entry of `laws`."""
         return self.laws([self.n])[-1]
+
+    def moments(self, ns) -> tuple[np.ndarray, np.ndarray]:
+        """Exact mean and variance of S_m for each prefix length m in ns,
+        read from one cached pass over the table (`_moments`)."""
+        self._prefixes(ns)
+        at = np.asarray(ns, dtype=np.int64) - (self.n - len(self.probs))
+        return self._moments[0][at], self._moments[1][at]
+
+    def summand_means(self) -> tuple[np.ndarray, np.ndarray]:
+        """(conditional, means): each row's mean increment given the state,
+        (steps, D), and the mean of every summand of S_n in order, the start
+        counted as one summand when it carries any."""
+        return self._moments[2:]
+
+    @cached_property
+    def marginals(self) -> np.ndarray:
+        """The state's law before each row and after the last, (steps + 1, D),
+        from one scan over the rows' transition matrices."""
+        K = branch_matrices(self.probs, self.targets, len(self.start))
+        return np.concatenate([self.start[None], self.start @ unscale(*prefix_products(K))])
+
+    @cached_property
+    def _moments(self) -> tuple:
+        """Means and variances of S_m at m = n - steps, ..., n, then `summand_means`.
+
+        Row i has mean e_i[w] = sum_b probs u given state w and m_i = p_i . e_i
+        under the state's law p_i (`marginals`).  With c_i = u_i - m_i and c_s
+        = start_u - start . start_u, Var(S_m) is start . c_s^2 plus the prefix
+        sum of p_i . sum_b probs c_i^2 + 2 g_i . (e_i - m_i): g_i[w] carries the
+        centred summands before row i on state w, one affine scan [g_{i+1}, 1]
+        = [g_i, 1] [[K_i, 0], [drift_i, 1]] from g_0 = start c_s.  A stateless
+        table (r = 1 fibers, rank-one kernels) has independent steps: it reads
+        one state's branches and runs no scan."""
+        steps, D, _ = self.probs.shape
+        cond = (self.probs * self.u).sum(axis=2)
+        start_mean = self.start @ self.start_u
+        start_c = self.start_u - start_mean
+        if self.stateless():
+            means = cond[:, 0]
+            terms = (self.probs[:, 0] * (self.u[:, 0] - means[:, None]) ** 2).sum(axis=1)
+        else:
+            p = self.marginals[:-1]
+            means = np.einsum("iw,iw->i", p, cond)
+            weighted = self.probs * (self.u - means[:, None, None])
+            terms = np.einsum("iw,iwb->i", p, weighted * (self.u - means[:, None, None]))
+            aug = np.zeros((steps, D + 1, D + 1))
+            aug[:, :D, :D] = branch_matrices(self.probs, self.targets, D)
+            aug[:, D, :D] = branch_matrices(p[:, :, None] * weighted, self.targets, D).sum(axis=1)
+            aug[:, D, D] = 1.0
+            g = np.empty((steps, D + 1))
+            g[0] = np.append(self.start * start_c, 1.0)
+            g[1:] = g[0] @ unscale(*prefix_products(aug[:-1]))
+            terms += 2.0 * np.einsum("iw,iw->i", g[:, :D], cond - means[:, None])
+        means = np.concatenate([[start_mean], means])
+        terms = np.concatenate([[self.start @ start_c ** 2], terms])
+        return (np.cumsum(means), np.cumsum(terms), cond,
+                means[1:] if steps == self.n else means)
 
     def sample(self, rng, replicates: int = 1) -> np.ndarray:
         """Unbiased draws of S_n.

@@ -215,11 +215,11 @@ class SymbolicSystem:
     """A configured instance: base chain, fiber model, potential tables.
 
     The runners below use any system with this interface: `chain`,
-    `lattice_h`, `orbit(window, n)` (exact per-environment means, variances
-    and step-mean checks), `step_table` / `forward_table` (the n-step sum as
-    a `StepTable`, read backwards or with the dynamics;
-    `step_table(orbit, n).law()` is the exact law) and `cycle_table` (one
-    period of the periodic base orbit, for `classify`).
+    `lattice_h`, `orbit(window, n)`, `step_table` / `forward_table` (the
+    n-step sum as a `StepTable`, read backwards or with the dynamics: the
+    exact law is `step_table(orbit, n).law()`, and the prefix m of the
+    forward table is S_m, whose `moments` the runners read) and
+    `cycle_table` (one period of the periodic base orbit, for `classify`).
     """
 
     chain: BaseSymbolChain
@@ -258,8 +258,7 @@ class SymbolicSystem:
 
 def _variance_task(args):
     system, ww, n_list, n_max = args
-    orbit = system.orbit(ww.window, n_max)
-    return np.array([orbit.birkhoff_variance(n) for n in n_list])
+    return system.forward_table(system.orbit(ww.window, n_max), n_max).moments(n_list)[1]
 
 
 def annealed_variance(system, n_list, omega_samples: int, seed: int,
@@ -281,20 +280,14 @@ def annealed_variance(system, n_list, omega_samples: int, seed: int,
         Vbar += ww.weight * vs
     Vbar /= total_w
     ns = np.asarray(n_list, dtype=float)
-    if len(n_list) > 1:
-        A = np.stack([np.ones_like(ns), ns], axis=1)
-        coef, *_ = np.linalg.lstsq(A, Vbar, rcond=None)
-        sigma_sq = float(coef[1])
-    else:
-        sigma_sq = float(Vbar[0] / ns[0])
-    tail = {}
+    A = np.stack([np.ones_like(ns), ns], axis=1)
+    sigma_sq = float(np.linalg.lstsq(A, Vbar, rcond=None)[0][1] if len(n_list) > 1
+                     else Vbar[0] / ns[0])
     arr = np.stack(per_omega)
-    if sigma_sq > 0:
-        for i, n in enumerate(n_list):
-            tail[int(n)] = float(np.mean(arr[:, i] <= 0.5 * sigma_sq * n))
+    tail = {int(n): float(np.mean(arr[:, i] <= 0.5 * sigma_sq * n))
+            for i, n in enumerate(n_list)} if sigma_sq > 0 else {}
     # 95% interval for the slope from the per-environment estimates
     if len(n_list) > 1 and len(per_omega) > 1:
-        A = np.stack([np.ones_like(ns), ns], axis=1)
         slopes = np.array([np.linalg.lstsq(A, v, rcond=None)[0][1] for v in per_omega])
         half = 1.96 * float(np.std(slopes, ddof=1)) / math.sqrt(len(slopes))
         ci = (sigma_sq - half, sigma_sq + half)
@@ -322,11 +315,11 @@ class CltReport:
 def _clt_task(args):
     system, ww, wi, n_list, n_max, seed, fiber_replicates = args
     orbit = system.orbit(ww.window, n_max)
+    means = system.forward_table(orbit, n_max).moments(n_list)[0]
     out = {}
-    for ni, n in enumerate(n_list):
+    for ni, (n, mean) in enumerate(zip(n_list, means)):
         rng = generator(seed, 103, ni, wi)
-        vals = system.step_table(orbit, n).sample(rng, fiber_replicates)
-        out[n] = vals - orbit.birkhoff_mean(n)
+        out[n] = system.step_table(orbit, n).sample(rng, fiber_replicates) - mean
     return out
 
 
@@ -370,8 +363,8 @@ def clt_test(system, n_list, omega_samples: int, fiber_replicates: int,
 def _clt_degenerate_task(args):
     system, ww, wi, n, seed, reps = args
     orbit = system.orbit(ww.window, n)
-    rng = generator(seed, 105, wi)
-    vals = system.step_table(orbit, n).sample(rng, reps) - orbit.birkhoff_mean(n)
+    mean = system.forward_table(orbit, n).moments([n])[0][0]
+    vals = system.step_table(orbit, n).sample(generator(seed, 105, wi), reps) - mean
     return float(np.max(np.abs(vals)) / math.sqrt(n))
 
 
@@ -526,6 +519,20 @@ class RenewalReport:
     abel_gap: float = 0.0  # max |U - U_rho| at rho = 1 - 1/N (cross-check)
 
 
+STEP_MEAN_TOL = 1e-9  # largest deviation of a step mean from gamma that counts as constant
+
+
+def step_mean_check(table: StepTable) -> tuple[bool, float, float]:
+    """(is_constant, gamma, max_deviation) of a table's step means: renewal
+    needs every summand's mean, and every row's mean given the state
+    (`StepTable.summand_means`), within STEP_MEAN_TOL of one gamma."""
+    conditional, means = table.summand_means()
+    gamma = float(np.mean(means))
+    spread = np.abs(conditional - means[len(means) - len(conditional):, None])
+    max_dev = max(float(np.max(spread, initial=0.0)), float(np.max(np.abs(means - gamma))))
+    return max_dev <= STEP_MEAN_TOL, gamma, max_dev
+
+
 def _renewal_task(args):
     system, ww, truncation, a_list, f_weights, h = args
     orbit = system.orbit(ww.window, truncation)
@@ -556,9 +563,9 @@ def renewal_curve(system, a_list, truncation: int, omega_samples: int,
     """Truncated renewal sums U(a) = sum_{n <= N} E[f 1(S_n = a)] on the lattice.
 
     Direct summation; the positive drift gamma comes from the validated
-    constant step mean; the limit along a -> +infinity is mu(f) h / gamma
+    constant step mean (`step_mean_check`); the limit along a -> +infinity is mu(f) h / gamma
     (h mass per lattice point).  The reported `tail_bound` is a Gaussian
-    estimate of the mass beyond N, not a bound (ROADMAP item 5).
+    estimate of the mass beyond N, not a bound (ROADMAP item 6).
     """
     h = system.lattice_h
     if h is None:
@@ -568,8 +575,8 @@ def renewal_curve(system, a_list, truncation: int, omega_samples: int,
     probe = stratified_windows(system.chain, strata_depth, 4,
                                -WINDOW_MARGIN, truncation + WINDOW_MARGIN + 1,
                                seed, stream=130)
-    orbit0 = system.orbit(probe[0].window, min(truncation, 32))
-    ok, gamma, dev = orbit0.constant_step_mean(min(truncation, 32))
+    k = min(truncation, 32)
+    ok, gamma, dev = step_mean_check(system.step_table(system.orbit(probe[0].window, k), k))
     if not ok:
         raise NonConstantMean(f"step mean not constant (max deviation {dev:.2e})")
     if gamma <= 0:

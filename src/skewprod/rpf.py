@@ -180,9 +180,9 @@ def solve_raw_orbit(window: OmegaWindow, z: complex, j_lo: int, j_hi: int,
     """Raw triplets along [j_lo, j_hi], the truncation doubled until the
     residuals and the truncation gap (`RawOrbitTriplets.max_residual`) are below tol.
 
-    Doubling is capped by MAX_TRUNC and by the window itself; a residual
-    plateau above tolerance raises NoConvergence (expected behaviour for z
-    outside the admissible neighborhood).
+    Doubling is capped by MAX_TRUNC and by the window itself; at both caps
+    NoConvergence names the largest residual and each side's cap (a window
+    too short for the decay stops a gap that is still falling).
     """
     pair_pad = 1 if pot.u_next_symbol else 0
     window.require(j_lo - back, j_hi + fwd - 1 + pair_pad)
@@ -190,7 +190,6 @@ def solve_raw_orbit(window: OmegaWindow, z: complex, j_lo: int, j_hi: int,
     f_cap = min(MAX_TRUNC, window.hi - pair_pad - j_hi + 1)
     b, f = min(back, b_cap), min(fwd, f_cap)
     mats = key_matrices(z, pot, model)
-    last = None
     while True:
         keys = symbol_keys(window, pot, j_lo - b, j_hi + f)
         last = _solve_raw_once(mats, keys, z, j_lo, j_hi, model, b, f)
@@ -202,9 +201,13 @@ def solve_raw_orbit(window: OmegaWindow, z: complex, j_lo: int, j_hi: int,
         if (nb, nf) == (b, f):
             break
         b, f = nb, nf
+    residuals = {"eigen residual": last.eigen_residual, "dual residual": last.dual_residual,
+                 "truncation gap": last.truncation_gap}
+    worst = max(residuals, key=residuals.get)
+    caps = ["MAX_TRUNC" if cap == MAX_TRUNC else "the window's edge" for cap in (b_cap, f_cap)]
     raise NoConvergence(
-        f"residual plateau at {last.max_residual:.3e} (tol {tol}) with truncation "
-        f"({last.back_used},{last.fwd_used}); z={z} likely outside the admissible neighborhood")
+        f"{worst} {residuals[worst]:.3e} stayed above tol {tol} at z={z} with truncation "
+        f"({b},{f}), capped by {caps[0]} (back) and {caps[1]} (forward)")
 
 
 class SystemOrbit:
@@ -215,10 +218,9 @@ class SystemOrbit:
     raw0.V and the Gibbs weights mu have shape (j_hi - j_lo + 1, D), raw0.lam,
     keys (see `transfer.symbol_keys`) and symbols (the base symbol of each
     factor) shape (j_hi - j_lo,).  The methods that take a position j take
-    it absolute.  Exposes the normalized one-step matrices at any z, the
-    stacked branch kernels the exact-law and sampling machinery consume, and
-    the exact Birkhoff means and variances of the Gibbs start, all from one
-    cached pass over those kernels.
+    it absolute.  Exposes the normalized one-step matrices at any z and the
+    stacked branch kernels from which `gibbs` builds the step tables; the
+    exact moments of the Gibbs start are those tables' (`StepTable.moments`).
     """
 
     def __init__(self, window: OmegaWindow, j_lo: int, j_hi: int, pot: PotentialTable,
@@ -243,7 +245,6 @@ class SystemOrbit:
             raise NonpositiveEigenfunction("Gibbs weights lost positivity")
         self.mu = m / total
         self._stacked = None
-        self._moments = None
 
     def h0(self, j: int) -> np.ndarray:
         return np.real(self.raw0.H[j - self.j_lo])
@@ -286,65 +287,6 @@ class SystemOrbit:
     def normalized_matrix(self, j: int, z: complex = 0.0) -> np.ndarray:
         """Normalized one-step matrix at factor j and parameter z."""
         return self.normalized_matrices([z])[j - self.j_lo, 0]
-
-    # -- exact moments ----------------------------------------------------
-
-    def _moment_pass(self):
-        """(mean prefix sums, variance prefix sums, step means, stepped u), cached.
-
-        Step i's mean is m_i = mu_{i+1}(A_i u_i) with (A_i u_i)[w] =
-        sum_a probs u.  With the centred increments c_i = u_i - m_i the
-        variance of the k-step sum is the prefix sum of mu_{i+1}(A_i c_i^2)
-        plus twice the cross terms mu_{i+1}(A_i(c_i G_i)), where G_0 = 0 and
-        G_{i+1} = A_i(G_i + c_i) carries the earlier centred steps to level
-        i+1.  For D = 1 the steps are independent given the environment, so
-        the cross terms vanish.
-        """
-        if self._moments is None:
-            probs, targets, u = self.kernel_arrays()
-            n, D = probs.shape[:2]
-            mu_next = self.mu[1:]
-            stepped = np.sum(probs * u, axis=2)
-            means = np.einsum("iw,iw->i", mu_next, stepped)
-            centred = u - means[:, None, None]
-            terms = np.einsum("iw,iwa->i", mu_next, probs * centred ** 2)
-            if D > 1:
-                # [G_{i+1}; 1] = [[A_i, drift_i], [0, 1]] [G_i; 1], one scan
-                # over the transposed augmented factors
-                weighted = probs * centred
-                aug = np.zeros((n, D + 1, D + 1))
-                aug[:, :D, :D] = self.normalized_matrices([0.0])[:, 0]
-                aug[:, :D, D] = weighted.sum(axis=2)
-                aug[:, D, D] = 1.0
-                prods, expo = prefix_products(aug.swapaxes(1, 2))
-                G_at = np.zeros((n, D))
-                G_at[1:] = unscale(prods, expo)[:-1, D, :D]
-                G_next = G_at[np.arange(n)[:, None, None], targets]
-                terms += 2.0 * np.einsum("iw,iwa->i", mu_next, weighted * G_next)
-            self._moments = (np.concatenate([[0.0], np.cumsum(means)]),
-                             np.concatenate([[0.0], np.cumsum(terms)]), means, stepped)
-        return self._moments
-
-    def birkhoff_mean(self, k: int) -> float:
-        """Exact mu-mean of the k-step sum: sum_{i<k} mu_{i+1}(A_i u_i)."""
-        return float(self._moment_pass()[0][k])
-
-    def constant_step_mean(self, n_check: int, tol: float = 1e-9):
-        """(is_constant, gamma, max_deviation) of the per-step conditional means.
-
-        The lattice limit theorems need the per-step Gibbs mean pinned to a
-        constant; this checks the conditional one-step means along the window.
-        """
-        _, _, means, stepped = self._moment_pass()
-        means, stepped = means[:n_check], stepped[:n_check]
-        gamma = float(np.mean(means))
-        max_dev = max(float(np.max(np.abs(stepped - means[:, None]))),
-                      float(np.max(np.abs(means - gamma))))
-        return max_dev <= tol, gamma, max_dev
-
-    def birkhoff_variance(self, k: int) -> float:
-        """Exact variance of the k-step sum under mu at the window origin."""
-        return float(self._moment_pass()[1][k])
 
 
 def norm_triplet_from_raw(raw_z: RawOrbitTriplets, orbit0: SystemOrbit, j: int):
@@ -392,10 +334,8 @@ def solve_rpf(window: OmegaWindow, z: complex, back_len: int, fwd_len: int,
     operator relations.
     """
     orbit0 = SystemOrbit(window, 0, 1, pot, model, back=back_len, fwd=fwd_len, tol=tol)
-    if z == 0:
-        raw_z = orbit0.raw0
-    else:
-        raw_z = solve_raw_orbit(window, z, 0, 1, pot, model, back_len, fwd_len, tol)
+    raw_z = orbit0.raw0 if z == 0 else \
+        solve_raw_orbit(window, z, 0, 1, pot, model, back_len, fwd_len, tol)
     lam_n, h_n, nu_n = norm_triplet_from_raw(raw_z, orbit0, 0)
     # residuals of the normalized relations at the origin
     A0 = orbit0.normalized_matrix(0, z)
@@ -508,17 +448,15 @@ def pressure_curve(window: OmegaWindow, k: int, t_grid, pot: PotentialTable,
     pi/2 raise BranchAmbiguity and ask the caller to refine.
     """
     ts = np.asarray(list(t_grid), dtype=float)
-    prepended = False
-    if len(ts) == 0 or ts[0] != 0.0:
+    prepended = len(ts) == 0 or ts[0] != 0.0
+    if prepended:
         ts = np.concatenate([[0.0], ts])
-        prepended = True
     if orbit0 is None:
         orbit0 = SystemOrbit(window, 0, k, pot, model, fwd=fwd)
     lam_grid = np.empty((len(ts), k), dtype=complex)
     for i, t in enumerate(ts):
         lam_grid[i] = lambda_sequence(window, 1j * t, k, orbit0, fwd=fwd)
     logs = np.empty_like(lam_grid)
-    windings = np.zeros(k)
     logs[0] = np.log(lam_grid[0])  # at t=0 the normalized factors are ~1, so log ~ 0
     for i in range(1, len(ts)):
         ratio_arg = np.angle(lam_grid[i] / lam_grid[i - 1])

@@ -104,13 +104,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
 
 
 def _expectation_met(expect: str, verdict: str) -> bool:
-    if expect == "pass":
-        return verdict == "pass"
-    if expect == "degenerate":
-        return verdict == "degenerate"
-    if expect == "classifier-failure":
-        return verdict == "classifier-failure"
-    return False
+    return expect in ("pass", "degenerate", "classifier-failure") and verdict == expect
 
 
 def _dispatch(cfg: ExperimentConfig, seed: int, pmap):

@@ -7,7 +7,7 @@ import pytest
 from _instances import random_doeblin
 from _oracles import compose_reversed, prob_at
 
-from skewprod import doeblin
+from skewprod import gibbs
 from skewprod.base_env import build_markov_base, sample_base_path
 from skewprod.doeblin import DoeblinOrbit, DoeblinSystem, build_doeblin_family
 from skewprod.errors import ClassifierFailed, DoeblinViolated
@@ -108,11 +108,11 @@ def test_invariant_family_pushforward():
     chain = build_markov_base([[0.6, 0.4], [0.2, 0.8]])
     win = sample_base_path(chain, -80, 40, 10)
     sysd = DoeblinSystem(chain, fam)
-    orbit = DoeblinOrbit(win, 20, sysd)
+    marginals = sysd.step_table(DoeblinOrbit(win, 20, sysd), 21).marginals
     # with no configured start the marginals are the invariant family
     for j in range(20):
-        push = orbit.marginal[j] @ fam.kernels[win.symbol(j)]
-        assert np.max(np.abs(push - orbit.marginal[j + 1])) < 1e-12
+        push = marginals[j] @ fam.kernels[win.symbol(j)]
+        assert np.max(np.abs(push - marginals[j + 1])) < 1e-12
 
 
 def test_exact_law_iid_binomial():
@@ -223,6 +223,7 @@ def per_step_start_law(system, window):
 
 @pytest.mark.parametrize("initial", [False, True])
 def test_orbit_scan_matches_per_step_marginals(initial):
+    # the marginals of the table of S_{n+1} are the laws of xi_0, ..., xi_n
     system = random_doeblin(generator(41, int(initial)), q=3, n_symbols=3, initial=initial)
     invariant_system = dataclasses.replace(system, initial=None)
     fam = system.family
@@ -237,9 +238,10 @@ def test_orbit_scan_matches_per_step_marginals(initial):
             nus.append(nxt / nxt.sum())
             marginals.append(marginals[-1] @ fam.kernels[s])
         # the invariant family is the marginals of an orbit with no configured start
-        invariant = invariant_system.orbit(window, n)
-        np.testing.assert_allclose(invariant.marginal, nus, rtol=1e-13, atol=0)
-        np.testing.assert_allclose(orbit.marginal, marginals, rtol=1e-13, atol=0)
+        invariant = invariant_system.step_table(invariant_system.orbit(window, n), n + 1)
+        np.testing.assert_allclose(invariant.marginals, nus, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(system.step_table(orbit, n + 1).marginals, marginals,
+                                   rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("initial", [False, True])
@@ -252,7 +254,7 @@ def test_step_table_reads_the_start_law_without_the_marginal_scan(initial, monke
         scans.append(len(factors))
         return prefix_products(factors)
 
-    monkeypatch.setattr(doeblin, "prefix_products", counted)
+    monkeypatch.setattr(gibbs, "prefix_products", counted)
     n = 500
     orbit = system.orbit(window, n)
     for m in (1, 7, n):
@@ -262,7 +264,8 @@ def test_step_table_reads_the_start_law_without_the_marginal_scan(initial, monke
     np.testing.assert_allclose(table.start, per_step_start_law(system, window),
                                rtol=1e-13, atol=0)
     assert table.start.tobytes() == orbit.start.tobytes()
-    # the moments do scan the window, once, and read the same start
-    orbit.birkhoff_mean(n)
-    assert scans == [n]
-    assert orbit.marginal[0].tobytes() == orbit.start.tobytes()
+    # the moments do scan the table's rows, once for the marginals and once
+    # for the cross terms, and read the same start
+    table.moments([n])
+    assert scans == [n - 1, n - 2]
+    assert table.marginals[0].tobytes() == orbit.start.tobytes()

@@ -13,7 +13,9 @@ from skewprod.gibbs import (
     exact_Sn_distribution,
     sample_Sn,
     symbolic_forward_table,
+    symbolic_step_table,
 )
+from skewprod.limits import step_mean_check
 from skewprod.rpf import SystemOrbit
 from skewprod.seeding import generator
 
@@ -211,9 +213,10 @@ def test_variance_curve_scalar_and_coboundary():
     win = sample_base_path(chain, -150, 250, 10)
     n_list = [2, 6, 12, 20]
     orbit = SystemOrbit(win, 0, 20, pot, model)
-    # V_n from the covariance quadrature and from the forward table's exact laws
-    assert np.allclose([orbit.birkhoff_variance(n) for n in n_list], n_list, atol=1e-8)
-    laws = symbolic_forward_table(orbit, 20).laws(n_list)
+    # V_n from the forward table's moment pass and from its exact laws
+    table = symbolic_forward_table(orbit, 20)
+    assert np.allclose(table.moments(n_list)[1], n_list, atol=1e-8)
+    laws = table.laws(n_list)
     assert np.allclose([law.variance() for law in laws], n_list, atol=1e-8)
 
 
@@ -230,21 +233,21 @@ def test_variance_degenerate_base_coboundary():
                          lattice_h=1.0, u_next_symbol=True)
     win = sample_base_path(chain, -150, 250, 11)
     orbit = SystemOrbit(win, 0, 20, pot, model)
-    assert all(abs(orbit.birkhoff_variance(n)) < 1e-12 for n in [2, 8, 20])
+    assert np.all(np.abs(symbolic_forward_table(orbit, 20).moments([2, 8, 20])[1]) < 1e-12)
 
 
 def test_constant_step_mean_validator():
     chain, model, pot = lattice_instance_two_state()
     win = sample_base_path(chain, -150, 250, 12)
     orbit = SystemOrbit(win, 0, 20, pot, model)
-    ok, gamma, dev = orbit.constant_step_mean(20)
+    ok, gamma, dev = step_mean_check(symbolic_step_table(orbit, 20))
     assert ok and abs(gamma) < 1e-9
 
     rng = generator(13)
     chain2, model2, pot2 = random_instance(rng, d=2, r=2, n_states=2)
     win2 = sample_base_path(chain2, -150, 250, 13)
     orbit2 = SystemOrbit(win2, 0, 20, pot2, model2)
-    ok2, _, dev2 = orbit2.constant_step_mean(20)
+    ok2, _, dev2 = step_mean_check(symbolic_step_table(orbit2, 20))
     assert not ok2 and dev2 > 1e-6
 
 

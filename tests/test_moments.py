@@ -1,4 +1,6 @@
-"""Exact Birkhoff moments from the one-pass recursions, against O(k^2) and per-position oracles."""
+"""Exact Birkhoff moments from the step tables' one pass, against O(k^2) and per-step oracles."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -102,15 +104,15 @@ def test_symbolic_moments_match_quadrature_oracle(instance):
     system, k, seed = instance
     window = sample_base_path(system.chain, -300, 300, seed)
     orbit = system.orbit(window, k, tol=1e-11)
-    for m in sorted({1, (k + 1) // 2, k}):
+    ms = sorted({1, (k + 1) // 2, k})
+    for m, table_mean, table_var in zip(ms, *system.forward_table(orbit, k).moments(ms)):
         mean, var = oracle_moments(orbit, m)
-        assert orbit.birkhoff_mean(m) == pytest.approx(mean, rel=1e-9, abs=1e-12)
-        assert orbit.birkhoff_variance(m) == pytest.approx(var, rel=1e-9, abs=1e-12)
+        assert table_mean == pytest.approx(mean, rel=1e-9, abs=1e-12)
+        assert table_var == pytest.approx(var, rel=1e-9, abs=1e-12)
         if system.lattice_h is not None:
             law = system.step_table(orbit, m).law()
-            assert orbit.birkhoff_mean(m) == pytest.approx(law.mean(), rel=1e-9, abs=1e-11)
-            assert orbit.birkhoff_variance(m) == pytest.approx(law.variance(), rel=1e-9,
-                                                               abs=1e-11)
+            assert table_mean == pytest.approx(law.mean(), rel=1e-9, abs=1e-11)
+            assert table_var == pytest.approx(law.variance(), rel=1e-9, abs=1e-11)
     if system.model.space_dim > 1:
         raw = orbit.raw0
         H, V, lam, eig, dual = oracle_raw_solve(window, 0.0, 0, k, system.pot, system.model,
@@ -150,10 +152,39 @@ def test_doeblin_variance_matches_exact_law(seed):
     system = random_doeblin(rng, q=3, n_symbols=2)
     window = sample_base_path(system.chain, -80, 220, seed)
     orbit = system.orbit(window, 200)
-    for k in (1, 7, 50, 200):
+    ks = [1, 7, 50, 200]
+    for k, mean, var in zip(ks, *system.forward_table(orbit, 200).moments(ks)):
         law = system.step_table(orbit, k).law()
-        assert orbit.birkhoff_mean(k) == pytest.approx(law.mean(), rel=1e-12)
-        assert orbit.birkhoff_variance(k) == pytest.approx(law.variance(), rel=1e-11)
+        assert mean == pytest.approx(law.mean(), rel=1e-12)
+        assert var == pytest.approx(law.variance(), rel=1e-11)
+
+
+@st.composite
+def doeblin_instances(draw):
+    """Doeblin chains of q = 1-4 states, kernels of full or rank one, from
+    the invariant family or a configured start."""
+    seed = draw(st.integers(0, 2**31 - 1))
+    rng = generator(seed)
+    system = random_doeblin(rng, q=draw(st.integers(1, 4)), n_symbols=draw(st.integers(2, 3)),
+                            initial=draw(st.booleans()))
+    if draw(st.booleans()):
+        kernels = np.repeat(system.family.kernels[:, :1], system.family.n_states, axis=1)
+        system = dataclasses.replace(system, family=dataclasses.replace(system.family,
+                                                                        kernels=kernels))
+    return system, draw(st.integers(1, 40)), seed
+
+
+@settings(max_examples=60, deadline=None)
+@given(doeblin_instances())
+def test_doeblin_moments_match_exact_law(instance):
+    system, n, seed = instance
+    window = sample_base_path(system.chain, -80, n + 20, seed)
+    orbit = system.orbit(window, n)
+    table = system.forward_table(orbit, n)
+    ms = sorted({1, (n + 1) // 2, n})
+    for mean, var, law in zip(*table.moments(ms), table.laws(ms)):
+        assert mean == pytest.approx(law.mean(), rel=1e-12, abs=1e-12)
+        assert var == pytest.approx(law.variance(), rel=1e-11, abs=1e-12)
 
 
 def test_doeblin_clt_without_lattice():

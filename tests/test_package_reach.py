@@ -1,7 +1,8 @@
-"""Every module-level definition in the package has a caller in the package."""
+"""Every module-level definition and every method in the package has a caller in the package."""
 
 import ast
 import pathlib
+from collections import Counter
 
 import skewprod
 
@@ -29,3 +30,38 @@ def test_every_definition_is_reached_or_exported():
                     reached.update((node.module, alias.name) for alias in node.names)
     orphans = sorted(f"{mod}.{name}" for mod, name in defined - reached if name not in ALLOWED)
     assert not orphans, f"defined but reached by no package code: {orphans}"
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+# public methods that only tests and library users call, each with its reason
+ALLOWED_METHODS = {
+    "OmegaWindow.symbol",         # one base symbol; the package reads spans (`symbols`)
+    "PeriodicBasePoint.symbol",   # the same for a periodic point, as its windows read it
+    "OmegaWindow.shifted",        # the base shift theta^j on a window, for the cocycle identity
+    "CylinderFunction.constant",  # the constant function, a test function of the RPF probes
+    "LatticeDistribution.variance",  # the exact law's variance, the oracle of `moments`
+    "CocycleProduct.apply",       # the cocycle applied to a function, against branch enumeration
+}
+
+
+def test_every_method_is_read_by_the_package():
+    """A method of a package class counts as reached when package code reads
+    its name as an attribute outside the method's own body; dunder methods
+    are called by Python itself."""
+    methods, reads = [], Counter()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                reads[node.attr] += 1
+            elif isinstance(node, ast.ClassDef):
+                methods += [(node.name, stmt) for stmt in node.body
+                            if isinstance(stmt, FUNCTIONS) and not stmt.name.startswith("__")]
+    orphans = []
+    for cls, method in methods:
+        own = sum(isinstance(n, ast.Attribute) and n.attr == method.name
+                  for n in ast.walk(method))
+        name = f"{cls}.{method.name}"
+        if reads[method.name] == own and name not in ALLOWED_METHODS:
+            orphans.append(name)
+    assert not orphans, f"methods read by no package code: {sorted(orphans)}"

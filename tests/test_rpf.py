@@ -5,6 +5,7 @@ from _oracles import two_scan_solve_raw_once
 
 from skewprod.base_env import build_markov_base, sample_base_path
 from skewprod.errors import BranchAmbiguity, NoConvergence
+from skewprod.gibbs import symbolic_forward_table
 from skewprod.fiber import CylinderFunction, FiberModel, PotentialTable
 from skewprod.rpf import (
     SystemOrbit,
@@ -192,9 +193,10 @@ def test_pressure_derivative_matches_quadrature():
     k = 12
     orbit = SystemOrbit(win, 0, k + 80, pot, model, tol=1e-11)
     d1, d2 = pressure_derivatives(win, k, pot, model, orbit0=orbit)
-    assert d1 == pytest.approx(orbit.birkhoff_mean(k), abs=1e-8)
+    (mean,), (var,) = symbolic_forward_table(orbit, k).moments([k])
+    assert d1 == pytest.approx(mean, abs=1e-8)
     # second derivative tracks the variance up to a uniformly bounded constant
-    assert abs(d2 - orbit.birkhoff_variance(k)) < 5.0
+    assert abs(d2 - var) < 5.0
 
 
 def test_jet_first_derivative_matches_finite_differences():
@@ -242,6 +244,26 @@ def test_lambda_sequence_raises_where_the_solver_does():
         solve_raw_orbit(win, 1j * np.pi, 0, 20, pot, model)
     with pytest.raises(NoConvergence):
         lambda_sequence(win, 1j * np.pi, 20, orbit)
+
+
+def test_window_edge_stops_a_falling_truncation_gap():
+    # instance seed 9219 of test_engine_invariants: d = 2, r = 3 over a
+    # one-symbol base.  The truncation gap falls geometrically (4.2e-3 at
+    # truncation 64, 5.2e-5 at 128, 7.7e-9 at 256), but the +-300 window caps
+    # the truncation at 300, where it is still above tol; a +-700 window
+    # lets the doubling reach 512 and converge
+    rng = generator(9219)
+    Q = rng.uniform(0.2, 1.0, size=(1, 1))
+    chain = build_markov_base(Q / Q.sum(axis=1, keepdims=True), allow_deterministic=True)
+    model = FiberModel(2, 3)
+    pot = PotentialTable(0.6 * rng.standard_normal((1, 8)), np.zeros((1, 8)), model)
+    with pytest.raises(NoConvergence, match=r"^truncation gap 3\.7\d\de-10 stayed above tol 1e-11 "
+                       r"at z=0\.0 with truncation \(300,300\), capped by the window's edge "
+                       r"\(back\) and the window's edge \(forward\)$"):
+        SystemOrbit(sample_base_path(chain, -300, 300, 9219), 0, 1, pot, model, tol=1e-11)
+    orbit = SystemOrbit(sample_base_path(chain, -700, 700, 9219), 0, 1, pot, model, tol=1e-11)
+    assert (orbit.raw0.back_used, orbit.raw0.fwd_used) == (512, 512)
+    assert orbit.raw0.max_residual < 1e-11
 
 
 def test_truncation_gap_catches_a_short_truncation():
