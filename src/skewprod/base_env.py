@@ -143,15 +143,8 @@ def sample_base_path(chain: BaseSymbolChain, lo: int, hi: int, seed) -> OmegaWin
     rng = seed if isinstance(seed, np.random.Generator) else generator(seed)
     if lo > 0 or hi < 0:
         raise InsufficientWindow("need lo <= 0 <= hi")
-    n = hi - lo + 1
-    m = chain.n_states
-    syms = np.empty(n, dtype=np.int64)
-    syms[0] = rng.choice(m, p=chain.stationary)
-    cum = _cum_rows(chain.transition)
-    us = rng.random(n - 1)
-    for i in range(1, n):
-        syms[i] = np.searchsorted(cum[syms[i - 1]], us[i - 1], side="right")
-    return OmegaWindow(lo, hi, syms, m)
+    return OmegaWindow(lo, hi, _sample_paths_matrix(chain, hi - lo + 1, 1, rng)[0],
+                       chain.n_states)
 
 
 def sample_conditioned_paths(chain: BaseSymbolChain, prefix: np.ndarray, lo: int, hi: int,

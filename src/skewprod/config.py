@@ -144,13 +144,29 @@ def _grid(key: str, value) -> str | None:
     return None if ok else f"a non-empty list of {want}"
 
 
+RENEWAL_KEYS = ("truncation", "f", "limit_window")
+
+
+def _renewal(key: str, value) -> str | None:
+    if key == "truncation":
+        if not _is_int(value):
+            return "an integer"
+        return None if value >= 1 else "an integer >= 1"
+    if key == "f":  # its length is checked where the system is built
+        ok = isinstance(value, list) and len(value) > 0 \
+            and all(_is_finite(v) and v > 0 for v in value)
+        return None if ok else "a non-empty list of finite numbers > 0"
+    ok = isinstance(value, list) and len(value) == 2 and all(_is_int(v) for v in value) \
+        and value[0] <= value[1]
+    return None if ok else "two integers lo <= hi"  # limit_window
+
+
 # the keys of the sections that describe the system; their values are
 # checked where the system is built
 SYSTEM_KEYS = {"base": ("transition", "tol", "allow_deterministic"),
                "fiber": ("alphabet_size", "depth", "alpha"),
                "potentials": ("phi", "u", "u_next_symbol", "lattice_h"),
-               "doeblin": ("kernels", "u", "alpha", "lattice_h", "initial_measure"),
-               "renewal": ("truncation", "f", "limit_window")}
+               "doeblin": ("kernels", "u", "alpha", "lattice_h", "initial_measure")}
 
 
 def parse_config(data: dict, name_hint: str = "config") -> ExperimentConfig:
@@ -172,26 +188,33 @@ def parse_config(data: dict, name_hint: str = "config") -> ExperimentConfig:
         raise ConfigError(f"expect: must be one of {EXPECTATIONS}, got {expect!r}")
     if "seed" not in data:
         raise ConfigError("seed: required field missing")
-    seed = _convert(int, data["seed"], "seed")
+    seed = master_seed(data["seed"], "seed")
     cfg = ExperimentConfig(
         name=name, kind=kind, experiment=experiment, seed=seed, expect=expect,
         periodic_cycle=list(data.get("periodic_cycle", [0])),
         grids=_settings(data, "grids", GRIDS, _grid),
         samples=_settings(data, "samples", DEFAULT_SAMPLES, _sample_count),
         tolerances=_settings(data, "tolerances", DEFAULT_TOLERANCES, _tolerance),
+        renewal=_settings(data, "renewal", RENEWAL_KEYS, _renewal),
         output_dir=str(data.get("output_dir", "out")), raw=data,
         **{section: _settings(data, section, keys, lambda key, value: None)
            for section, keys in SYSTEM_KEYS.items()},
     )
-    if "truncation" in cfg.renewal:
-        cfg.renewal["truncation"] = _convert(int, cfg.renewal["truncation"],
-                                             "renewal.truncation")
     # build both systems eagerly so every cross-reference is checked up front
     if kind == "symbolic":
         build_symbolic_system(cfg)
     else:
         build_doeblin_system(cfg)
     return cfg
+
+
+def master_seed(value, path: str) -> int:
+    """The master seed `value` as an integer, a ConfigError naming `path`
+    unless it is a non-negative one (numpy's SeedSequence takes no other)."""
+    seed = _convert(int, value, path)
+    if seed < 0:
+        raise ConfigError(f"{path}: expected a non-negative integer, got {value!r}")
+    return seed
 
 
 def load_config(path) -> ExperimentConfig:
@@ -236,6 +259,14 @@ def _cycle(cfg: ExperimentConfig, chain) -> tuple:
     return cycle
 
 
+def _check_f(cfg: ExperimentConfig, states: int):
+    """The renewal observable f takes one value per fiber state."""
+    f = cfg.renewal.get("f")
+    if f is not None and len(f) != states:
+        raise ConfigError(f"renewal.f: expected {states} values, one per fiber state, "
+                          f"got {len(f)}")
+
+
 def build_symbolic_system(cfg: ExperimentConfig) -> SymbolicSystem:
     chain = _build_chain(cfg)
     d = _convert(int, _need(cfg.fiber, "alphabet_size", "fiber"), "fiber.alphabet_size")
@@ -259,6 +290,7 @@ def build_symbolic_system(cfg: ExperimentConfig) -> SymbolicSystem:
                              lattice_h=lattice_h, u_next_symbol=pair)
     except SkewprodError as exc:
         raise ConfigError(f"potentials: {exc}") from exc
+    _check_f(cfg, model.space_dim)
     cycle = _cycle(cfg, chain)
     return SymbolicSystem(chain, model, pot, periodic_cycle=cycle)
 
@@ -278,6 +310,7 @@ def build_doeblin_system(cfg: ExperimentConfig) -> DoeblinSystem:
                                    lattice_h=lattice_h)
     except SkewprodError as exc:
         raise ConfigError(f"doeblin: {exc}") from exc
+    _check_f(cfg, fam.n_states)
     cycle = _cycle(cfg, chain)
     initial = cfg.doeblin.get("initial_measure")
     init = None if initial in (None, "invariant") else np.asarray(initial, dtype=float)

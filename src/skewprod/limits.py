@@ -8,11 +8,13 @@ renewal runs through the twisted operators at one periodic base orbit.
 
 The runners take any system that builds per-environment step tables (see
 `gibbs.StepTable`): the symbolic skew product below or the Doeblin chain of
-`doeblin.DoeblinSystem`.  Every runner accepts `pmap`, an ordered map
-(builtin map by default, a process-pool map under the CLI's --workers):
-per-environment tasks are pure functions of (instance, window, derived
-seed), and reductions run in ensemble order, so results are identical for
-any worker count.
+`doeblin.DoeblinSystem`.  Every runner goes through one driver: `_ensemble`
+draws the stratified windows an orbit of a given length needs,
+`_per_environment` builds each window's orbit once and hands it to a task,
+and `_weighted_mean` reduces the results.  `pmap` is an ordered map (builtin
+map by default, a process-pool map under the CLI's --workers): tasks are
+pure functions of (instance, orbit, window, derived seed), and reductions run
+in ensemble order, so results are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -89,6 +91,32 @@ def stratified_windows(chain: BaseSymbolChain, strata_depth: int, total: int,
     return out
 
 
+def _ensemble(system, strata_depth: int, omega_samples: int, reach: int, seed: int,
+              stream: int) -> list:
+    """The stratified ensemble of `stream` for orbits of length up to `reach`:
+    windows over -WINDOW_MARGIN..reach + 1 + WINDOW_MARGIN."""
+    return stratified_windows(system.chain, strata_depth, omega_samples,
+                              -WINDOW_MARGIN, reach + WINDOW_MARGIN + 1, seed, stream)
+
+
+def _environment_call(item):
+    task, system, n, wi, ww, extra = item
+    return task(system, system.orbit(ww.window, n), wi, ww, *extra)
+
+
+def _per_environment(pmap, task, system, ens, n: int, *extra) -> list:
+    """task(system, orbit, wi, ww, *extra) for every environment ww (index
+    wi) of the ensemble, in ensemble order, with the orbit of length n built
+    once per environment inside the task's worker."""
+    items = [(task, system, n, wi, ww, extra) for wi, ww in enumerate(ens)]
+    return list((pmap or map)(_environment_call, items))
+
+
+def _weighted_mean(ens, values):
+    """sum of weight * value in ensemble order, over the total weight."""
+    return sum(ww.weight * v for ww, v in zip(ens, values)) / sum(ww.weight for ww in ens)
+
+
 _SQRT_HALF = math.sqrt(0.5)
 _erfc = np.frompyfunc(math.erfc, 1, 1)
 
@@ -139,10 +167,6 @@ def _quantile(values: np.ndarray, q: float) -> float:
     g = pos - i
     a, b = xs[i], xs[min(i + 1, len(xs) - 1)]
     return float(a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g))
-
-
-def _ordered_map(pmap, fn, items):
-    return list((pmap or map)(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +280,8 @@ class SymbolicSystem:
                          u[:, words])
 
 
-def _variance_task(args):
-    system, ww, n_list, n_max = args
-    return system.forward_table(system.orbit(ww.window, n_max), n_max).moments(n_list)[1]
+def _variance_task(system, orbit, wi, ww, n_list):
+    return system.forward_table(orbit, n_list[-1]).moments(n_list)[1]
 
 
 def annealed_variance(system, n_list, omega_samples: int, seed: int,
@@ -269,16 +292,9 @@ def annealed_variance(system, n_list, omega_samples: int, seed: int,
     frequency per n (the mixing hypothesis behind the decay estimates).
     """
     n_list = sorted(int(n) for n in n_list)
-    n_max = n_list[-1]
-    ens = stratified_windows(system.chain, strata_depth, omega_samples,
-                             -WINDOW_MARGIN, n_max + WINDOW_MARGIN + 1, seed, stream)
-    per_omega = _ordered_map(pmap, _variance_task,
-                             [(system, ww, n_list, n_max) for ww in ens])
-    total_w = sum(ww.weight for ww in ens)
-    Vbar = np.zeros(len(n_list))
-    for ww, vs in zip(ens, per_omega):
-        Vbar += ww.weight * vs
-    Vbar /= total_w
+    ens = _ensemble(system, strata_depth, omega_samples, n_list[-1], seed, stream)
+    per_omega = _per_environment(pmap, _variance_task, system, ens, n_list[-1], n_list)
+    Vbar = _weighted_mean(ens, per_omega)
     ns = np.asarray(n_list, dtype=float)
     A = np.stack([np.ones_like(ns), ns], axis=1)
     sigma_sq = float(np.linalg.lstsq(A, Vbar, rcond=None)[0][1] if len(n_list) > 1
@@ -312,10 +328,8 @@ class CltReport:
     degenerate_max_abs: float | None = None
 
 
-def _clt_task(args):
-    system, ww, wi, n_list, n_max, seed, fiber_replicates = args
-    orbit = system.orbit(ww.window, n_max)
-    means = system.forward_table(orbit, n_max).moments(n_list)[0]
+def _clt_task(system, orbit, wi, ww, n_list, seed, fiber_replicates):
+    means = system.forward_table(orbit, n_list[-1]).moments(n_list)[0]
     out = {}
     for ni, (n, mean) in enumerate(zip(n_list, means)):
         rng = generator(seed, 103, ni, wi)
@@ -328,7 +342,8 @@ def clt_test(system, n_list, omega_samples: int, fiber_replicates: int,
              expect_degenerate: bool = False, pmap=None) -> CltReport:
     """Pooled annealed CLT check: weighted KS distance against N(0,1) per n.
 
-    Samples are centered per environment by the exact quadrature mean and
+    Samples are centered per environment by the exact mean of S_n (the
+    forward table's `moments`) and
     scaled by the asymptotic deviation fitted at n = 64, 128, 256; below a
     variance of 1e-10 the degenerate branch asserts the scaled sums collapse
     instead.
@@ -342,12 +357,9 @@ def clt_test(system, n_list, omega_samples: int, fiber_replicates: int,
         return _clt_degenerate(system, n_list, omega_samples, fiber_replicates,
                                seed, strata_depth, sigma_sq, pmap)
     n_list = sorted(int(n) for n in n_list)
-    n_max = n_list[-1]
-    ens = stratified_windows(system.chain, strata_depth, omega_samples,
-                             -WINDOW_MARGIN, n_max + WINDOW_MARGIN + 1, seed, stream=102)
-    tasks = [(system, ww, wi, n_list, n_max, seed, fiber_replicates)
-             for wi, ww in enumerate(ens)]
-    partials = _ordered_map(pmap, _clt_task, tasks)
+    ens = _ensemble(system, strata_depth, omega_samples, n_list[-1], seed, 102)
+    partials = _per_environment(pmap, _clt_task, system, ens, n_list[-1],
+                                n_list, seed, fiber_replicates)
     ks_per_n = []
     pooled = 0
     for n in n_list:
@@ -360,9 +372,7 @@ def clt_test(system, n_list, omega_samples: int, fiber_replicates: int,
     return CltReport(list(n_list), ks_per_n, sigma_sq, ks_threshold, False, pooled, passed)
 
 
-def _clt_degenerate_task(args):
-    system, ww, wi, n, seed, reps = args
-    orbit = system.orbit(ww.window, n)
+def _clt_degenerate_task(system, orbit, wi, ww, n, seed, reps):
     mean = system.forward_table(orbit, n).moments([n])[0][0]
     vals = system.step_table(orbit, n).sample(generator(seed, 105, wi), reps) - mean
     return float(np.max(np.abs(vals)) / math.sqrt(n))
@@ -372,11 +382,9 @@ def _clt_degenerate(system, n_list, omega_samples, fiber_replicates, seed,
                     strata_depth, sigma_sq, pmap=None) -> CltReport:
     """Degenerate branch: scaled sums must collapse to 0 in probability."""
     n = max(int(x) for x in n_list)
-    ens = stratified_windows(system.chain, strata_depth, min(omega_samples, 64),
-                             -WINDOW_MARGIN, n + WINDOW_MARGIN + 1, seed, stream=104)
-    tasks = [(system, ww, wi, n, seed, min(fiber_replicates, 64))
-             for wi, ww in enumerate(ens)]
-    worst = max(_ordered_map(pmap, _clt_degenerate_task, tasks))
+    ens = _ensemble(system, strata_depth, min(omega_samples, 64), n, seed, 104)
+    worst = max(_per_environment(pmap, _clt_degenerate_task, system, ens, n,
+                                 n, seed, min(fiber_replicates, 64)))
     return CltReport(list(n_list), [], sigma_sq, 0.0, True, 0,
                      passed=worst < 0.05, degenerate_max_abs=worst)
 
@@ -385,14 +393,14 @@ def _clt_degenerate(system, n_list, omega_samples, fiber_replicates, seed,
 # exact annealed mixtures (shared by the Berry-Esseen and LLT scans)
 
 
-def _mixture_task(args):
-    system, ww, n_list, n_max, center_by_mean, scale_map = args
-    orbit = system.orbit(ww.window, n_max)
+def _mixture_task(system, orbit, wi, ww, n_list, scale):
+    """Per n, the law's values (centered and divided by scale[n] when a
+    scale is given) and its probabilities times the environment's weight."""
     out = {}
-    for n, dist in zip(n_list, system.forward_table(orbit, n_max).laws(n_list)):
+    for n, dist in zip(n_list, system.forward_table(orbit, n_list[-1]).laws(n_list)):
         vals = dist.values()
-        if center_by_mean:
-            vals = (vals - dist.mean()) / scale_map[n]
+        if scale is not None:
+            vals = (vals - dist.mean()) / scale[n]
         out[n] = (vals, dist.probs * ww.weight)
     return out
 
@@ -434,12 +442,9 @@ def berry_esseen_scan(system: SymbolicSystem, n_list, omega_samples: int, seed: 
     if sigma_sq <= 0:
         raise DegenerateVariance("Berry-Esseen scan needs positive variance")
     n_list = sorted(int(n) for n in n_list)
-    n_max = n_list[-1]
-    ens = stratified_windows(system.chain, strata_depth, omega_samples,
-                             -WINDOW_MARGIN, n_max + WINDOW_MARGIN + 1, seed, stream=111)
+    ens = _ensemble(system, strata_depth, omega_samples, n_list[-1], seed, 111)
     scale = {n: math.sqrt(sigma_sq * n) for n in n_list}
-    tasks = [(system, ww, n_list, n_max, True, scale) for ww in ens]
-    partials = _ordered_map(pmap, _mixture_task, tasks)
+    partials = _per_environment(pmap, _mixture_task, system, ens, n_list[-1], n_list, scale)
     mixtures = _accumulate_mixtures(ens, partials, n_list)
     sups = [mixture_ks(*mixtures[n], 1.0) for n in n_list]
     scaled = [s * math.sqrt(n) for s, n in zip(sups, n_list)]
@@ -481,11 +486,8 @@ def llt_scan(system, n_list, omega_samples: int, seed: int, threshold: float = 0
     if sigma_sq <= 0:
         raise DegenerateVariance("LLT needs positive asymptotic variance")
     n_list = sorted(int(n) for n in n_list)
-    n_max = n_list[-1]
-    ens = stratified_windows(system.chain, strata_depth, omega_samples,
-                             -WINDOW_MARGIN, n_max + WINDOW_MARGIN + 1, seed, stream=121)
-    tasks = [(system, ww, n_list, n_max, False, None) for ww in ens]
-    partials = _ordered_map(pmap, _mixture_task, tasks)
+    ens = _ensemble(system, strata_depth, omega_samples, n_list[-1], seed, 121)
+    partials = _per_environment(pmap, _mixture_task, system, ens, n_list[-1], n_list, None)
     mixtures = _accumulate_mixtures(ens, partials, n_list)
     sups = []
     for n in n_list:
@@ -533,14 +535,12 @@ def step_mean_check(table: StepTable) -> tuple[bool, float, float]:
     return max_dev <= STEP_MEAN_TOL, gamma, max_dev
 
 
-def _renewal_task(args):
-    system, ww, truncation, a_list, f_weights, h = args
-    orbit = system.orbit(ww.window, truncation)
+def _renewal_task(system, orbit, wi, ww, truncation, a_list, f_weights):
     table = system.forward_table(orbit, truncation)
     fw = np.ones(len(table.start)) if f_weights is None else np.asarray(f_weights, dtype=float)
     mu_f = float(table.start @ fw)
     # U and U_abel accumulate on the lattice indices lo..hi spanned by a_list
-    ka = np.round(np.asarray(a_list) / h).astype(np.int64)
+    ka = np.round(np.asarray(a_list) / system.lattice_h).astype(np.int64)
     lo, hi = int(ka.min()), int(ka.max()) + 1
     U = np.zeros(hi - lo)
     U_abel = np.zeros(hi - lo)
@@ -572,9 +572,7 @@ def renewal_curve(system, a_list, truncation: int, omega_samples: int,
         raise ClassifierFailed("renewal verification is lattice-only in v1")
     if not classify(system).passed:
         raise ClassifierFailed("renewal needs the aperiodicity classification to pass")
-    probe = stratified_windows(system.chain, strata_depth, 4,
-                               -WINDOW_MARGIN, truncation + WINDOW_MARGIN + 1,
-                               seed, stream=130)
+    probe = _ensemble(system, strata_depth, 4, truncation, seed, 130)
     k = min(truncation, 32)
     ok, gamma, dev = step_mean_check(system.step_table(system.orbit(probe[0].window, k), k))
     if not ok:
@@ -589,25 +587,17 @@ def renewal_curve(system, a_list, truncation: int, omega_samples: int,
     if truncation < n_cover + margin:
         raise TruncationInsufficient(
             f"need N >= {n_cover + margin:.0f} to cover a <= {a_max}, got {truncation}")
-    ens = stratified_windows(system.chain, strata_depth, omega_samples,
-                             -WINDOW_MARGIN, truncation + WINDOW_MARGIN + 1,
-                             seed, stream=132)
+    ens = _ensemble(system, strata_depth, omega_samples, truncation, seed, 132)
     if f_weights is not None and np.any(np.asarray(f_weights, dtype=float) <= 0):
         raise NonPositiveMean("f must be strictly positive")
-    tasks = [(system, ww, truncation, list(a_list), f_weights, h) for ww in ens]
-    partials = _ordered_map(pmap, _renewal_task, tasks)
-    total_w = sum(ww.weight for ww in ens)
+    partials = _per_environment(pmap, _renewal_task, system, ens, truncation,
+                                truncation, list(a_list), f_weights)
     mu_f_vals = [p[0] for p in partials]
     if max(mu_f_vals) - min(mu_f_vals) > 1e-8:
         raise NonConstantMean("mu(f) is not constant over environments")
     mu_f = float(np.mean(mu_f_vals))
-    U = np.zeros(len(a_list))
-    U_abel = np.zeros(len(a_list))
-    for ww, (_, Upart, Apart) in zip(ens, partials):
-        U += ww.weight * Upart
-        U_abel += ww.weight * Apart
-    U = dict(zip(a_list, (U / total_w).tolist()))
-    U_abel = dict(zip(a_list, (U_abel / total_w).tolist()))
+    U = dict(zip(a_list, _weighted_mean(ens, [p[1] for p in partials]).tolist()))
+    U_abel = dict(zip(a_list, _weighted_mean(ens, [p[2] for p in partials]).tolist()))
     abel_gap = max(abs(U[a] - U_abel[a]) for a in a_list)
     target = mu_f * h / gamma
     # estimated tail, not a bound: contributions from n > N to a <= a_max,
@@ -640,11 +630,9 @@ class CharIdentityReport:
     passed: bool
 
 
-def _char_task(args):
-    system, ww, wi, t_grid, n_list, n_max, seed, mc_replicates = args
-    orbit = system.orbit(ww.window, n_max)
+def _char_task(system, orbit, wi, ww, t_grid, n_list, seed, mc_replicates):
     out = {}
-    for n, dist in zip(n_list, system.forward_table(orbit, n_max).laws(n_list)):
+    for n, dist in zip(n_list, system.forward_table(orbit, n_list[-1]).laws(n_list)):
         table = system.step_table(orbit, n)
         spec = table.char_function(t_grid)
         for t, spec_t in zip(t_grid, spec):
@@ -666,20 +654,15 @@ def char_identity(system, t_grid, n_list, omega_samples: int,
     average; the Monte-Carlo route must sit within its own 4 sigma band.
     """
     n_list = sorted(int(n) for n in n_list)
-    n_max = n_list[-1]
-    ens = stratified_windows(system.chain, strata_depth, omega_samples,
-                             -WINDOW_MARGIN, n_max + WINDOW_MARGIN + 1, seed, stream=302)
-    tasks = [(system, ww, wi, list(t_grid), n_list, n_max, seed, mc_replicates)
-             for wi, ww in enumerate(ens)]
-    partials = _ordered_map(pmap, _char_task, tasks)
+    ens = _ensemble(system, strata_depth, omega_samples, n_list[-1], seed, 302)
+    partials = _per_environment(pmap, _char_task, system, ens, n_list[-1],
+                                list(t_grid), n_list, seed, mc_replicates)
     total_w = sum(ww.weight for ww in ens)
     worst = 0.0
     mc_ok = True
     grid = [(float(t), int(n)) for t in t_grid for n in n_list]
     for key in grid:
-        spec = sum(ww.weight * p[key][0] for ww, p in zip(ens, partials)) / total_w
-        four = sum(ww.weight * p[key][1] for ww, p in zip(ens, partials)) / total_w
-        mc = sum(ww.weight * p[key][2] for ww, p in zip(ens, partials)) / total_w
+        spec, four, mc = (_weighted_mean(ens, [p[key][i] for p in partials]) for i in range(3))
         var = sum((ww.weight ** 2) * p[key][3] for ww, p in zip(ens, partials)) \
             / total_w**2
         worst = max(worst, abs(spec - four))
@@ -708,26 +691,19 @@ class DecaySurveyReport:
     large_ok: bool
 
 
-def _decay_small_task(args):
-    system, ww, t_small, n_grid, n_max, fwd = args
-    orbit = system.orbit(ww.window, n_max)
-    rows = []
+def _decay_task(system, orbit, wi, ww, t_small, t_large, n_grid, fwd):
+    """One environment's rows (t, n, log |lambda_n(it)|) and (n, log2 sup_t surrogate)."""
+    small = []
     for t in t_small:
-        lam = lambda_sequence(ww.window, 1j * float(t), n_max, orbit, fwd=fwd)
+        lam = lambda_sequence(ww.window, 1j * float(t), n_grid[-1], orbit, fwd=fwd)
         logs = np.cumsum(np.log(np.abs(lam)))
         for n in n_grid:
-            rows.append((float(t), n, float(logs[n - 1])))
-    return rows
-
-
-def _decay_large_task(args):
-    system, ww, t_large, n_grid, n_max = args
-    orbit = system.orbit(ww.window, n_max)
+            small.append((float(t), n, float(logs[n - 1])))
     # the decay statement controls the sup over the compact set J with one
     # rate, so the surveyed quantity is the grid-sup per (environment, n)
     ts = np.asarray(t_large, dtype=float)
     prods, expo = prefix_products(orbit.normalized_matrices(1j * ts).swapaxes(-1, -2))
-    rows = []
+    large = []
     for n in n_grid:
         sup = -math.inf
         for i, t in enumerate(ts):
@@ -735,8 +711,8 @@ def _decay_large_task(args):
                                        1j * float(t), system.model.alpha,
                                        float(expo[n - 1, i]) * math.log(2.0))
             sup = max(sup, math.log2(max(rep.surrogate, 1e-300)))
-        rows.append((n, sup))
-    return rows
+        large.append((n, sup))
+    return small, large
 
 
 def decay_survey(system: SymbolicSystem, t_small, t_large, n_grid, omega_samples: int,
@@ -756,13 +732,10 @@ def decay_survey(system: SymbolicSystem, t_small, t_large, n_grid, omega_samples
     n_max = n_grid[-1]
     n_min = n_grid[0]
     fwd = 64
-    ens = stratified_windows(system.chain, strata_depth, omega_samples,
-                             -WINDOW_MARGIN, n_max + fwd + WINDOW_MARGIN + 1,
-                             seed, stream=140)
-    small_parts = _ordered_map(pmap, _decay_small_task,
-                               [(system, ww, list(t_small), n_grid, n_max, fwd)
-                                for ww in ens])
-    arr = np.array([row for part in small_parts for row in part])
+    ens = _ensemble(system, strata_depth, omega_samples, n_max + fwd, seed, 140)
+    parts = _per_environment(pmap, _decay_task, system, ens, n_max,
+                             list(t_small), list(t_large), n_grid, fwd)
+    arr = np.array([row for small, _ in parts for row in small])
     X = np.stack([np.ones(len(arr)), -arr[:, 0] ** 2 * arr[:, 1]], axis=1)
     coef, *_ = np.linalg.lstsq(X, arr[:, 2], rcond=None)
     logA, d2_typ = float(coef[0]), float(coef[1])
@@ -775,10 +748,7 @@ def decay_survey(system: SymbolicSystem, t_small, t_large, n_grid, omega_samples
         sel = arr[:, 1] == n
         envelope = A_use - d2 * arr[sel, 0] ** 2 * n
         small_frac[n] = float(np.mean(arr[sel, 2] > envelope + 1e-12))
-    large_parts = _ordered_map(pmap, _decay_large_task,
-                               [(system, ww, list(t_large), n_grid, n_max)
-                                for ww in ens])
-    larr = np.array([row for part in large_parts for row in part])
+    larr = np.array([row for _, large in parts for row in large])
     XL = np.stack([np.ones(len(larr)), -larr[:, 0]], axis=1)
     coefL, *_ = np.linalg.lstsq(XL, larr[:, 1], rcond=None)
     log2_4B0, u_typ = float(coefL[0]), float(coefL[1])

@@ -21,6 +21,7 @@ from .config import (
     build_symbolic_system,
     canonical_record_bytes,
     config_hash,
+    master_seed,
 )
 from .errors import (
     ClassifierFailed,
@@ -63,7 +64,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
 
     The process pool never has more workers than the machine has CPUs.
     """
-    seed = int(seed_override) if seed_override is not None else cfg.seed
+    seed = master_seed(seed_override, "--seed") if seed_override is not None else cfg.seed
     workers = max(1, min(workers, os.cpu_count() or 1))
     t0 = time.perf_counter()
     executor = None
@@ -114,25 +115,25 @@ def _dispatch(cfg: ExperimentConfig, seed: int, pmap):
     """
     if cfg.experiment not in EXPERIMENTS:
         raise ConfigError(f"experiment: unhandled experiment {cfg.experiment!r}")
-    if cfg.kind == "symbolic":
-        system = build_symbolic_system(cfg)
-    else:
-        system = build_doeblin_system(cfg)
-    run, record = EXPERIMENTS[cfg.experiment]
+    build = build_symbolic_system if cfg.kind == "symbolic" else build_doeblin_system
+    system = build(cfg)
     try:
-        rep = run(cfg, system, seed, pmap)
+        return EXPERIMENTS[cfg.experiment](cfg, system, seed, pmap)
     except ClassifierFailed as exc:
         return {"classifier_error": str(exc)}, {}, "classifier-failure", [], {}
     except DegenerateVariance:
         return {"error": "degenerate variance"}, {}, "degenerate", [], {}
-    return record(cfg, rep)
 
 
 def _pass(ok: bool) -> str:
     return "pass" if ok else "fail"
 
 
-def _run_rpf_audit(cfg, system, seed, pmap):
+def _omega(cfg) -> dict:
+    return {"omega_samples": cfg.sample("omega_samples")}
+
+
+def _rpf_audit(cfg, system, seed, pmap):
     rows = []
     for i in range(min(cfg.sample("omega_samples"), 24)):
         win = sample_base_path(system.chain, -300, 360, generator(seed, 400, i))
@@ -146,43 +147,30 @@ def _run_rpf_audit(cfg, system, seed, pmap):
                      "dual": trip.dual_residual,
                      "normalization": trip.normalization_residual,
                      "conv_rate": 0.0 if fit.degenerate else fit.c})
-    return rows
-
-
-def _record_rpf_audit(cfg, rows):
-    worst = 0.0
-    for row in rows:
-        worst = max(worst, row["eigen"], row["dual"], row["normalization"])
+    worst = max([0.0] + [row[k] for row in rows for k in ("eigen", "dual", "normalization")])
     fits = [row["conv_rate"] for row in rows]
     ok = worst < cfg.tol("rpf_residual") and all(c < 0.9 for c in fits)
     stats = {"max_residual": worst, "max_conv_rate": max(fits), "windows": len(rows)}
     return stats, {"rpf_audit": rows}, _pass(ok), [], {"windows": len(rows)}
 
 
-def _run_variance(cfg, system, seed, pmap):
-    n_list = cfg.grids.get("n_list", [50, 100, 200, 400])
-    return n_list, annealed_variance(system, n_list, cfg.sample("omega_samples"), seed,
-                                     cfg.sample("strata_depth"), pmap=pmap)
-
-
-def _record_variance(cfg, rep):
-    n_list, (sigma_sq, Vbar, tail, ci) = rep
+def _variance(cfg, system, seed, pmap):
+    n_list = sorted(int(x) for x in cfg.grids.get("n_list", [50, 100, 200, 400]))
+    sigma_sq, Vbar, tail, ci = annealed_variance(
+        system, n_list, cfg.sample("omega_samples"), seed, cfg.sample("strata_depth"),
+        pmap=pmap)
     degen = sigma_sq < 1e-10
-    rows = [{"n": n, "V_n": v} for n, v in zip(sorted(int(x) for x in n_list), Vbar)]
     stats = {"sigma_sq": sigma_sq, "sigma_sq_ci": list(ci),
              "tail_fractions": tail, "degenerate": degen}
-    return stats, {"variance": rows}, "degenerate" if degen else "pass", [], \
-        {"omega_samples": cfg.sample("omega_samples")}
+    rows = [{"n": n, "V_n": v} for n, v in zip(n_list, Vbar)]
+    return stats, {"variance": rows}, "degenerate" if degen else "pass", [], _omega(cfg)
 
 
-def _run_clt(cfg, system, seed, pmap):
-    return clt_test(system, cfg.grids.get("n_list", [1000, 4000]),
-                    cfg.sample("omega_samples"), cfg.sample("fiber_replicates"), seed,
-                    ks_threshold=cfg.tol("ks"), strata_depth=cfg.sample("strata_depth"),
-                    expect_degenerate=(cfg.expect == "degenerate"), pmap=pmap)
-
-
-def _record_clt(cfg, rep):
+def _clt(cfg, system, seed, pmap):
+    rep = clt_test(system, cfg.grids.get("n_list", [1000, 4000]),
+                   cfg.sample("omega_samples"), cfg.sample("fiber_replicates"), seed,
+                   ks_threshold=cfg.tol("ks"), strata_depth=cfg.sample("strata_depth"),
+                   expect_degenerate=(cfg.expect == "degenerate"), pmap=pmap)
     curves = {"clt": [{"n": n, "ks": k, "threshold": rep.threshold}
                       for n, k in zip(rep.n_list, rep.ks)]}
     stats = {"sigma_sq": rep.sigma_sq, "ks": rep.ks,
@@ -192,50 +180,41 @@ def _record_clt(cfg, rep):
         verdict = "degenerate" if rep.passed else "fail"
     else:
         verdict = _pass(rep.passed)
-    return stats, curves, verdict, [], {"omega_samples": cfg.sample("omega_samples")}
+    return stats, curves, verdict, [], _omega(cfg)
 
 
-def _run_berry_esseen(cfg, system, seed, pmap):
-    return berry_esseen_scan(system, cfg.grids.get("n_list", [64, 256, 1024]),
-                             cfg.sample("omega_samples"), seed,
-                             cfg.sample("strata_depth"), pmap=pmap)
-
-
-def _record_berry_esseen(cfg, rep):
+def _berry_esseen(cfg, system, seed, pmap):
+    rep = berry_esseen_scan(system, cfg.grids.get("n_list", [64, 256, 1024]),
+                            cfg.sample("omega_samples"), seed,
+                            cfg.sample("strata_depth"), pmap=pmap)
     curves = {"berry_esseen": [{"n": n, "sup_dev": s, "scaled": sc}
                                for n, s, sc in zip(rep.n_list, rep.sup_dev, rep.scaled)]}
     stats = {"sigma_sq": rep.sigma_sq, "scaled": rep.scaled, "mode": rep.mode,
              "note": "annealed self-normalized scan; diagnostic only"}
-    return stats, curves, _pass(rep.bounded), [], {"omega_samples": cfg.sample("omega_samples")}
+    return stats, curves, _pass(rep.bounded), [], _omega(cfg)
 
 
-def _run_llt(cfg, system, seed, pmap):
-    return llt_scan(system, cfg.grids.get("n_list", [500, 1000, 2000]),
-                    cfg.sample("omega_samples"), seed, threshold=cfg.tol("llt_sup"),
-                    strata_depth=cfg.sample("strata_depth"), pmap=pmap)
-
-
-def _record_llt(cfg, rep):
+def _llt(cfg, system, seed, pmap):
+    rep = llt_scan(system, cfg.grids.get("n_list", [500, 1000, 2000]),
+                   cfg.sample("omega_samples"), seed, threshold=cfg.tol("llt_sup"),
+                   strata_depth=cfg.sample("strata_depth"), pmap=pmap)
     curves = {"llt": [{"n": n, "sup_dev": s, "threshold": rep.threshold}
                       for n, s in zip(rep.n_list, rep.sup_dev)]}
     stats = {"sigma_sq": rep.sigma_sq, "sup_dev": rep.sup_dev,
              "classifier_min_gap": rep.classifier.min_gap}
-    return stats, curves, _pass(rep.passed), [], {"omega_samples": cfg.sample("omega_samples")}
+    return stats, curves, _pass(rep.passed), [], _omega(cfg)
 
 
-def _run_renewal(cfg, system, seed, pmap):
+def _renewal(cfg, system, seed, pmap):
     lw = cfg.renewal.get("limit_window")
-    return renewal_curve(system, cfg.grids.get("a_list", [-20, -15, -10] + list(range(40, 61))),
-                         int(cfg.renewal.get("truncation", 200)),
-                         cfg.sample("omega_samples"), seed,
-                         f_weights=cfg.renewal.get("f"),
-                         strata_depth=cfg.sample("strata_depth"),
-                         rel_tol=cfg.tol("renewal_rel"),
-                         limit_window=tuple(lw) if lw else None,
-                         negative_tol=cfg.tol("renewal_negative"), pmap=pmap)
-
-
-def _record_renewal(cfg, rep):
+    rep = renewal_curve(system, cfg.grids.get("a_list", [-20, -15, -10] + list(range(40, 61))),
+                        cfg.renewal.get("truncation", 200),
+                        cfg.sample("omega_samples"), seed,
+                        f_weights=cfg.renewal.get("f"),
+                        strata_depth=cfg.sample("strata_depth"),
+                        rel_tol=cfg.tol("renewal_rel"),
+                        limit_window=tuple(lw) if lw else None,
+                        negative_tol=cfg.tol("renewal_negative"), pmap=pmap)
     curves = {"renewal": [{"a": a, "U": u, "target": rep.target}
                           for a, u in zip(rep.a_list, rep.U)]}
     stats = {"gamma": rep.gamma, "mu_f": rep.mu_f, "target": rep.target,
@@ -246,19 +225,15 @@ def _record_renewal(cfg, rep):
     if rep.tail_bound > 1e-3:
         warnings.append(f"renewal tail bound {rep.tail_bound:.2e} is not small; "
                         "increase the truncation")
-    return stats, curves, _pass(rep.passed), warnings, \
-        {"omega_samples": cfg.sample("omega_samples")}
+    return stats, curves, _pass(rep.passed), warnings, _omega(cfg)
 
 
-def _run_decay(cfg, system, seed, pmap):
-    return decay_survey(system, cfg.grids.get("t_small", [0.05, 0.1, 0.2]),
-                        cfg.grids.get("t_large", [0.8, 1.6, 2.4]),
-                        cfg.grids.get("n_grid", [50, 100, 200]),
-                        cfg.sample("omega_samples"), seed,
-                        strata_depth=cfg.sample("strata_depth"), pmap=pmap)
-
-
-def _record_decay(cfg, rep):
+def _decay(cfg, system, seed, pmap):
+    rep = decay_survey(system, cfg.grids.get("t_small", [0.05, 0.1, 0.2]),
+                       cfg.grids.get("t_large", [0.8, 1.6, 2.4]),
+                       cfg.grids.get("n_grid", [50, 100, 200]),
+                       cfg.sample("omega_samples"), seed,
+                       strata_depth=cfg.sample("strata_depth"), pmap=pmap)
     rows = [{"branch": "small_t", "n": n, "violation_frac": rep.small_violation_frac[n]}
             for n in rep.n_grid]
     rows += [{"branch": "large_t", "n": n, "violation_frac": rep.large_violation_frac[n]}
@@ -267,36 +242,33 @@ def _record_decay(cfg, rep):
              "B0_fit": rep.B0_fit,
              "small_violation_frac": rep.small_violation_frac,
              "large_violation_frac": rep.large_violation_frac}
-    return stats, {"decay": rows}, _pass(rep.small_ok and rep.large_ok), [], \
-        {"omega_samples": cfg.sample("omega_samples")}
+    return stats, {"decay": rows}, _pass(rep.small_ok and rep.large_ok), [], _omega(cfg)
 
 
-def _run_char(cfg, system, seed, pmap):
-    return char_identity(system, cfg.grids.get("t_grid", [0.1, 0.3, 0.7]),
-                         cfg.grids.get("n_list", [4, 8, 16, 32]),
-                         cfg.sample("omega_samples"), cfg.sample("mc_replicates"), seed,
-                         cfg.sample("strata_depth"), exact_tol=cfg.tol("char_exact"),
-                         pmap=pmap)
-
-
-def _record_char(cfg, rep):
+def _char(cfg, system, seed, pmap):
+    rep = char_identity(system, cfg.grids.get("t_grid", [0.1, 0.3, 0.7]),
+                        cfg.grids.get("n_list", [4, 8, 16, 32]),
+                        cfg.sample("omega_samples"), cfg.sample("mc_replicates"), seed,
+                        cfg.sample("strata_depth"), exact_tol=cfg.tol("char_exact"),
+                        pmap=pmap)
     stats = {"max_exact_spectral_gap": rep.max_exact_spectral_gap,
              "mc_within_band": rep.mc_within_band}
     rows = [{"t": t, "n": n} for t, n in rep.grid]
     return stats, {"char_grid": rows}, _pass(rep.passed), [], {"grid_points": len(rep.grid)}
 
 
-# experiment name -> (runner, record builder); the Doeblin names run the same
-# runners on a DoeblinSystem
+# experiment name -> the function that runs it and returns (stats, curves,
+# verdict, warnings, task_counts); the Doeblin names run the same runners on
+# a DoeblinSystem
 EXPERIMENTS = {
-    "rpf-audit": (_run_rpf_audit, _record_rpf_audit),
-    "variance": (_run_variance, _record_variance),
-    "clt": (_run_clt, _record_clt),
-    "berry-esseen": (_run_berry_esseen, _record_berry_esseen),
-    "llt": (_run_llt, _record_llt),
-    "renewal": (_run_renewal, _record_renewal),
-    "decay-survey": (_run_decay, _record_decay),
-    "char-fn": (_run_char, _record_char),
+    "rpf-audit": _rpf_audit,
+    "variance": _variance,
+    "clt": _clt,
+    "berry-esseen": _berry_esseen,
+    "llt": _llt,
+    "renewal": _renewal,
+    "decay-survey": _decay,
+    "char-fn": _char,
 }
 EXPERIMENTS.update({f"doeblin-{name}": EXPERIMENTS[name]
                     for name in ("clt", "llt", "renewal")})

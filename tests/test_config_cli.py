@@ -1,7 +1,9 @@
+import copy
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -64,7 +66,8 @@ def test_bad_tolerances_and_unknown_keys():
     cfg["samples"] = {"omega_samples": 1, "strata_depth": 0}
     cfg["base"]["tol"] = 1e-9
     cfg["fiber"]["alpha"] = 0.5
-    cfg["renewal"] = {"truncation": 60, "f": [1.0, 1.0], "limit_window": [26, 36]}
+    # f takes one value per fiber state: scalar-iid has one
+    cfg["renewal"] = {"truncation": 60, "f": [1.0], "limit_window": [26, 36]}
     parse_config(cfg)
 
 
@@ -93,14 +96,50 @@ def test_config_hash_ignores_output_dir():
     assert config_hash(a) != config_hash(b)
 
 
-def small_renewal_config(tmp_path, seed=77):
-    cfg = preset_config("renewal-gamma-3-2")
-    cfg["grids"]["a_list"] = [-15, -10] + list(range(24, 37, 2))
-    cfg["renewal"] = {"truncation": 60, "limit_window": [26, 36]}
-    cfg["samples"] = {"omega_samples": 8, "strata_depth": 1}
-    cfg["seed"] = seed
-    cfg["output_dir"] = str(tmp_path / "out")
+def small_variant(preset, experiment, grids, **samples):
+    """A preset run as another experiment on a small ensemble."""
+    cfg = preset_config(preset)
+    cfg["experiment"], cfg["grids"] = experiment, grids
+    cfg["samples"] = {"omega_samples": 8, "strata_depth": 1, **samples}
     return cfg
+
+
+def _small_clt():
+    cfg = preset_config("two-state-base-lattice")
+    cfg["grids"]["n_list"] = [200]
+    cfg["samples"] = {"omega_samples": 32, "fiber_replicates": 128, "strata_depth": 1}
+    return cfg
+
+
+def _small_renewal():
+    cfg = small_variant("renewal-gamma-3-2", "renewal",
+                        {"a_list": [-15, -10] + list(range(24, 37, 2))})
+    cfg["renewal"] = {"truncation": 60, "limit_window": [26, 36]}
+    cfg["seed"] = 77
+    return cfg
+
+
+# one small passing config per experiment name the runner knows
+SMALL_RUNS = {
+    "rpf-audit": small_variant("matrix-llt", "rpf-audit", {}),
+    "variance": small_variant("two-state-base-lattice", "variance", {"n_list": [32, 64]}),
+    "clt": _small_clt(),
+    "berry-esseen": small_variant("matrix-llt", "berry-esseen", {"n_list": [64, 256]}),
+    "llt": small_variant("scalar-iid", "llt", {"n_list": [200, 400]}),
+    "renewal": _small_renewal(),
+    "decay-survey": small_variant("matrix-llt", "decay-survey", {"n_grid": [50, 100]}),
+    "char-fn": small_variant("matrix-llt", "char-fn", {"n_list": [4, 8]}),
+    "doeblin-clt": small_variant("doeblin-iid", "doeblin-clt", {"n_list": [2000]},
+                                 omega_samples=16, fiber_replicates=1024),
+    "doeblin-llt": small_variant("doeblin-iid", "doeblin-llt", {"n_list": [200, 400]}),
+    "doeblin-renewal": small_variant("doeblin-iid", "doeblin-renewal", {}),
+    "doeblin-char": small_variant("doeblin-iid", "doeblin-char", {"n_list": [4, 8]}),
+}
+
+
+def small_renewal_config(tmp_path, seed=77):
+    return dict(copy.deepcopy(SMALL_RUNS["renewal"]), seed=seed,
+                output_dir=str(tmp_path / "out"))
 
 
 def test_run_experiment_renewal_and_persistence(tmp_path):
@@ -224,39 +263,68 @@ def run_cli(args, cwd, env=None):
     return run_child(["-m", "skewprod", *args], cwd, env)
 
 
-def small_variant(preset, experiment, grids, **samples):
-    """A preset run as another experiment on a small ensemble."""
-    cfg = preset_config(preset)
-    cfg["experiment"], cfg["grids"] = experiment, grids
-    cfg["samples"] = {"omega_samples": 8, "strata_depth": 1, **samples}
-    return cfg
+def test_small_runs_cover_every_experiment_name():
+    from skewprod.config import DOEBLIN_EXPERIMENTS, SYMBOLIC_EXPERIMENTS
+    from skewprod.runner import EXPERIMENTS
+
+    assert set(SMALL_RUNS) == set(EXPERIMENTS) == set(SYMBOLIC_EXPERIMENTS + DOEBLIN_EXPERIMENTS)
+    for name, cfg in SMALL_RUNS.items():
+        assert cfg["experiment"] == name
+
+
+@pytest.mark.parametrize("name", list(SMALL_RUNS))
+def test_every_experiment_same_record_at_one_and_two_workers(name, monkeypatch):
+    from skewprod import runner
+    from skewprod.config import canonical_record_bytes
+
+    # two CPUs whatever the machine, so the second run starts a real pool
+    monkeypatch.setattr(runner.os, "cpu_count", lambda: 2)
+    cfg = parse_config(copy.deepcopy(SMALL_RUNS[name]))
+    r1 = run_experiment(cfg, workers=1)
+    r2 = run_experiment(cfg, workers=2)
+    assert r2.timing["workers"] == 2
+    assert canonical_record_bytes(r1.record) == canonical_record_bytes(r2.record)
+
+
+@pytest.mark.parametrize("name", list(SMALL_RUNS))
+def test_one_orbit_build_per_environment(name, monkeypatch):
+    # every environment of every ensemble has its orbit built exactly once;
+    # the renewal runner's drift probe reads the first window of its ensemble
+    from skewprod import limits
+    from skewprod.doeblin import DoeblinSystem
+
+    ensembles, built = [], Counter()
+    draw = limits.stratified_windows
+
+    def recording_draw(*args, **kw):
+        ensembles.append(draw(*args, **kw))
+        return ensembles[-1]
+
+    monkeypatch.setattr(limits, "stratified_windows", recording_draw)
+    for cls in (limits.SymbolicSystem, DoeblinSystem):
+        def counting_orbit(self, window, n, _orbit=cls.orbit):
+            built[id(window)] += 1
+            return _orbit(self, window, n)
+
+        monkeypatch.setattr(cls, "orbit", counting_orbit)
+    run_experiment(parse_config(copy.deepcopy(SMALL_RUNS[name])))
+    expected = [len(ens) for ens in ensembles]
+    if name.endswith("renewal"):
+        expected[0] = 1
+    assert [sum(built[id(ww.window)] for ww in ens) for ens in ensembles] == expected
+    assert set(built.values()) <= {1}
+    assert sum(built.values()) == sum(expected)
 
 
 def test_import_and_one_worker_run_stay_light(tmp_path):
     # the runtime needs numpy alone: scipy is a test-only oracle, and the
-    # process-pool machinery loads only for --workers > 1.  The runs reach the
-    # KS distance (clt) and the renewal tail, so a lazy scipy import shows too;
-    # with the experiments run elsewhere in the suite (variance, llt,
-    # doeblin-llt) they cover every experiment name the runner knows.
+    # process-pool machinery loads only for --workers > 1.  The runs cover
+    # every experiment name the runner knows and reach the KS distance (clt)
+    # and the renewal tail, so a lazy scipy import shows too.
     # numpy.ma (10-20 ms to import) stays out too: on numpy 2.4 a bare
     # np.unique or np.quantile imports it, and no run calls either.
-    clt = preset_config("two-state-base-lattice")
-    clt["grids"]["n_list"] = [200]
-    clt["samples"] = {"omega_samples": 32, "fiber_replicates": 128, "strata_depth": 1}
-    configs = {
-        "clt": clt,
-        "renewal": small_renewal_config(tmp_path),
-        "rpf-audit": small_variant("matrix-llt", "rpf-audit", {}),
-        "berry-esseen": small_variant("matrix-llt", "berry-esseen", {"n_list": [64, 256]}),
-        "char-fn": small_variant("matrix-llt", "char-fn", {"n_list": [4, 8]}),
-        "doeblin-clt": small_variant("doeblin-iid", "doeblin-clt", {"n_list": [2000]},
-                                     omega_samples=16, fiber_replicates=1024),
-        "doeblin-renewal": small_variant("doeblin-iid", "doeblin-renewal", {}),
-        "doeblin-char": small_variant("doeblin-iid", "doeblin-char", {"n_list": [4, 8]}),
-        "decay-survey": small_variant("matrix-llt", "decay-survey", {"n_grid": [50, 100]}),
-    }
     runs = ["coboundary-degenerate"]
-    for name, cfg in configs.items():
+    for name, cfg in SMALL_RUNS.items():
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(cfg))
         runs.append(str(path))
@@ -350,6 +418,25 @@ def test_cli_bad_samples_exit_2(tmp_path, key, value):
     # ZeroDivisionError in the classifier's grid
     ("doeblin-iid", "doeblin", "lattice_h", -1, "doeblin: lattice_h must be finite and positive"),
     ("doeblin-iid", "doeblin", "lattice_h", 0, "doeblin: lattice_h must be finite and positive"),
+    # exit 1 with a traceback: a ValueError from a bare float() or from the
+    # matmul of f with the one-state (D = 1) start law, an IndexError or a
+    # ZeroDivisionError; 1.5 was cut to 1 and ended at exit 3
+    ("renewal-gamma-3-2", "renewal", "f", ["x", 1],
+     "renewal.f: expected a non-empty list of finite numbers > 0, got ['x', 1]"),
+    ("renewal-gamma-3-2", "renewal", "f", "x",
+     "renewal.f: expected a non-empty list of finite numbers > 0, got 'x'"),
+    ("renewal-gamma-3-2", "renewal", "f", [1.0, 2.0],
+     "renewal.f: expected 1 values, one per fiber state, got 2"),
+    ("renewal-gamma-3-2", "renewal", "limit_window", "ab",
+     "renewal.limit_window: expected two integers lo <= hi, got 'ab'"),
+    ("renewal-gamma-3-2", "renewal", "limit_window", [40],
+     "renewal.limit_window: expected two integers lo <= hi, got [40]"),
+    ("renewal-gamma-3-2", "renewal", "truncation", 0,
+     "renewal.truncation: expected an integer >= 1, got 0"),
+    ("renewal-gamma-3-2", "renewal", "truncation", -5,
+     "renewal.truncation: expected an integer >= 1, got -5"),
+    ("renewal-gamma-3-2", "renewal", "truncation", 1.5,
+     "renewal.truncation: expected an integer, got 1.5"),
 ])
 def test_cli_bad_system_config_exit_2(tmp_path, preset, section, key, value, error):
     cfg = preset_config(preset)
@@ -359,6 +446,7 @@ def test_cli_bad_system_config_exit_2(tmp_path, preset, section, key, value, err
     proc = run_cli(["run", str(path)], cwd=tmp_path)
     assert proc.returncode == 2, proc.stderr
     assert f"config error: {error}" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("preset,section,key,value,error", [
@@ -378,6 +466,21 @@ def test_cli_non_numeric_config_value_exit_2(tmp_path, preset, section, key, val
     proc = run_cli(["run", str(path)], cwd=tmp_path)
     assert proc.returncode == 2, proc.stderr
     assert f"config error: {error}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_negative_seed_exit_2(tmp_path):
+    # numpy's SeedSequence refused it mid-run (exit 1 with a ValueError)
+    cfg = preset_config("coboundary-degenerate")
+    cfg["seed"] = -3
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    proc = run_cli(["run", str(path)], cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "config error: seed: expected a non-negative integer, got -3" in proc.stderr
+    proc = run_cli(["run", "coboundary-degenerate", "--seed", "-1"], cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "config error: --seed: expected a non-negative integer, got -1" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
