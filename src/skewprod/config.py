@@ -74,22 +74,15 @@ def _need(d: dict, key: str, path: str):
     return d[key]
 
 
-def _convert(kind, value, path: str):
-    """kind(value), a ConfigError naming `path` when the value is not one."""
+def _array(section: dict, key: str, path: str) -> np.ndarray:
+    """The required field `path.key` as a float array, a ConfigError naming
+    it unless it is a numeric one with finite entries."""
     try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        want = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{path}: expected {want}, got {value!r}") from exc
-
-
-def _matrix(value, path: str) -> np.ndarray:
-    try:
-        arr = np.asarray(value, dtype=float)
+        arr = np.asarray(_need(section, key, path), dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: not a numeric array ({exc})") from exc
-    if arr.ndim != 2:
-        raise ConfigError(f"{path}: expected a 2-d array, got shape {arr.shape}")
+        raise ConfigError(f"{path}.{key}: not a numeric array ({exc})") from exc
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{path}.{key}: expected finite numbers")
     return arr
 
 
@@ -114,9 +107,12 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _is_finite(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) \
-        and math.isfinite(value)
+    return _is_number(value) and math.isfinite(value)
 
 
 def _sample_count(key: str, value) -> str | None:
@@ -161,12 +157,27 @@ def _renewal(key: str, value) -> str | None:
     return None if ok else "two integers lo <= hi"  # limit_window
 
 
-# the keys of the sections that describe the system; their values are
-# checked where the system is built
+# the keys of the sections that describe the system; the scalars are checked
+# here, the arrays and every cross-reference where the system is built
 SYSTEM_KEYS = {"base": ("transition", "tol", "allow_deterministic"),
                "fiber": ("alphabet_size", "depth", "alpha"),
                "potentials": ("phi", "u", "u_next_symbol", "lattice_h"),
                "doeblin": ("kernels", "u", "alpha", "lattice_h", "initial_measure")}
+SYSTEM_SCALARS = {"tol": ("a finite number > 0", lambda v: _is_finite(v) and v > 0),
+                  "alpha": ("a number", _is_number),
+                  "lattice_h": ("a number", lambda v: v is None or _is_number(v)),
+                  "alphabet_size": ("an integer", _is_int), "depth": ("an integer", _is_int),
+                  "allow_deterministic": ("a boolean", lambda v: isinstance(v, bool)),
+                  "u_next_symbol": ("a boolean", lambda v: isinstance(v, bool))}
+
+
+def _system_value(key: str, value) -> str | None:
+    if key == "initial_measure":  # its length is checked where the system is built
+        ok = value in (None, "invariant") or isinstance(value, list) and len(value) > 0 \
+            and all(_is_finite(v) and v >= 0 for v in value) and sum(value) > 0
+        return None if ok else 'null, "invariant" or finite numbers >= 0 with a positive sum'
+    want, check = SYSTEM_SCALARS.get(key, (None, None))
+    return None if check is None or check(value) else want
 
 
 def parse_config(data: dict, name_hint: str = "config") -> ExperimentConfig:
@@ -191,13 +202,13 @@ def parse_config(data: dict, name_hint: str = "config") -> ExperimentConfig:
     seed = master_seed(data["seed"], "seed")
     cfg = ExperimentConfig(
         name=name, kind=kind, experiment=experiment, seed=seed, expect=expect,
-        periodic_cycle=list(data.get("periodic_cycle", [0])),
+        periodic_cycle=data.get("periodic_cycle", [0]),
         grids=_settings(data, "grids", GRIDS, _grid),
         samples=_settings(data, "samples", DEFAULT_SAMPLES, _sample_count),
         tolerances=_settings(data, "tolerances", DEFAULT_TOLERANCES, _tolerance),
         renewal=_settings(data, "renewal", RENEWAL_KEYS, _renewal),
         output_dir=str(data.get("output_dir", "out")), raw=data,
-        **{section: _settings(data, section, keys, lambda key, value: None)
+        **{section: _settings(data, section, keys, _system_value)
            for section, keys in SYSTEM_KEYS.items()},
     )
     # build both systems eagerly so every cross-reference is checked up front
@@ -211,10 +222,9 @@ def parse_config(data: dict, name_hint: str = "config") -> ExperimentConfig:
 def master_seed(value, path: str) -> int:
     """The master seed `value` as an integer, a ConfigError naming `path`
     unless it is a non-negative one (numpy's SeedSequence takes no other)."""
-    seed = _convert(int, value, path)
-    if seed < 0:
+    if not _is_int(value) or value < 0:
         raise ConfigError(f"{path}: expected a non-negative integer, got {value!r}")
-    return seed
+    return value
 
 
 def load_config(path) -> ExperimentConfig:
@@ -231,88 +241,82 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _build_chain(cfg: ExperimentConfig):
-    Q = _matrix(_need(cfg.base, "transition", "base"), "base.transition")
+    Q = _array(cfg.base, "transition", "base")
+    if Q.ndim != 2:
+        raise ConfigError(f"base.transition: expected a 2-d array, got shape {Q.shape}")
     zeros = np.argwhere(Q == 0.0)
     if len(zeros) and Q.shape[0] > 1:
         i, j = zeros[0]
         raise ConfigError(f"base.transition[{i}][{j}]: zero entry; the mixing "
                           "propositions need strictly positive transitions")
-    tol = _convert(float, cfg.base.get("tol", 1e-9), "base.tol")
+    deterministic = cfg.base.get("allow_deterministic", False)
     try:
-        return build_markov_base(Q, tol=tol, allow_deterministic=bool(cfg.base.get(
-            "allow_deterministic", False)))
+        return build_markov_base(Q, tol=float(cfg.base.get("tol", 1e-9)),
+                                 allow_deterministic=deterministic)
     except SkewprodError as exc:
         raise ConfigError(f"base.transition: {exc}") from exc
 
 
-def _lattice_h(section: dict, path: str) -> float | None:
-    value = section.get("lattice_h")
-    return None if value is None else _convert(float, value, f"{path}.lattice_h")
-
-
 def _cycle(cfg: ExperimentConfig, chain) -> tuple:
-    cycle = tuple(_convert(int, c, f"periodic_cycle[{i}]")
-                  for i, c in enumerate(cfg.periodic_cycle))
+    cycle = cfg.periodic_cycle
+    if not (isinstance(cycle, list) and len(cycle) > 0 and all(_is_int(c) for c in cycle)):
+        raise ConfigError(f"periodic_cycle: expected a non-empty list of integers, got {cycle!r}")
     for i, c in enumerate(cycle):
         if not 0 <= c < chain.n_states:
             raise ConfigError(f"periodic_cycle[{i}]: symbol {c} outside the base states")
-    return cycle
+    return tuple(cycle)
 
 
-def _check_f(cfg: ExperimentConfig, states: int):
-    """The renewal observable f takes one value per fiber state."""
-    f = cfg.renewal.get("f")
-    if f is not None and len(f) != states:
-        raise ConfigError(f"renewal.f: expected {states} values, one per fiber state, "
-                          f"got {len(f)}")
+def _check_states(values, path: str, states: int):
+    """A vector over the fiber states (renewal.f, doeblin.initial_measure)
+    takes one value per state."""
+    if isinstance(values, list) and len(values) != states:
+        raise ConfigError(f"{path}: expected {states} values, one per fiber state, "
+                          f"got {len(values)}")
 
 
 def build_symbolic_system(cfg: ExperimentConfig) -> SymbolicSystem:
     chain = _build_chain(cfg)
-    d = _convert(int, _need(cfg.fiber, "alphabet_size", "fiber"), "fiber.alphabet_size")
-    r = _convert(int, _need(cfg.fiber, "depth", "fiber"), "fiber.depth")
-    alpha = _convert(float, cfg.fiber.get("alpha", 1.0), "fiber.alpha")
+    d = _need(cfg.fiber, "alphabet_size", "fiber")
+    r = _need(cfg.fiber, "depth", "fiber")
+    alpha = float(cfg.fiber.get("alpha", 1.0))
     try:
         model = FiberModel(d, r, alpha=alpha)
     except SkewprodError as exc:
         raise ConfigError(f"fiber: {exc}") from exc
-    phi = _need(cfg.potentials, "phi", "potentials")
-    u = _need(cfg.potentials, "u", "potentials")
-    pair = bool(cfg.potentials.get("u_next_symbol", False))
-    lattice_h = _lattice_h(cfg.potentials, "potentials")
-    phi_arr = np.asarray(phi, dtype=float)
-    if phi_arr.ndim != 2 or phi_arr.shape[0] != chain.n_states:
+    phi = _array(cfg.potentials, "phi", "potentials")
+    u = _array(cfg.potentials, "u", "potentials")
+    pair = cfg.potentials.get("u_next_symbol", False)
+    lattice_h = cfg.potentials.get("lattice_h")
+    if phi.ndim != 2 or phi.shape[0] != chain.n_states:
         raise ConfigError(
-            f"potentials.phi: expected shape ({chain.n_states}, {d**r}), "
-            f"got {phi_arr.shape}")
+            f"potentials.phi: expected shape ({chain.n_states}, {d**r}), got {phi.shape}")
     try:
-        pot = PotentialTable(phi_arr, np.asarray(u, dtype=float), model,
-                             lattice_h=lattice_h, u_next_symbol=pair)
+        pot = PotentialTable(phi, u, model, lattice_h=lattice_h, u_next_symbol=pair)
     except SkewprodError as exc:
         raise ConfigError(f"potentials: {exc}") from exc
-    _check_f(cfg, model.space_dim)
+    _check_states(cfg.renewal.get("f"), "renewal.f", model.space_dim)
     cycle = _cycle(cfg, chain)
     return SymbolicSystem(chain, model, pot, periodic_cycle=cycle)
 
 
 def build_doeblin_system(cfg: ExperimentConfig) -> DoeblinSystem:
     chain = _build_chain(cfg)
-    kernels = _need(cfg.doeblin, "kernels", "doeblin")
-    u = _need(cfg.doeblin, "u", "doeblin")
-    alpha = _convert(float, _need(cfg.doeblin, "alpha", "doeblin"), "doeblin.alpha")
-    lattice_h = _lattice_h(cfg.doeblin, "doeblin")
-    k_arr = np.asarray(kernels, dtype=float)
-    if k_arr.ndim != 3 or k_arr.shape[0] != chain.n_states:
+    kernels = _array(cfg.doeblin, "kernels", "doeblin")
+    u = _array(cfg.doeblin, "u", "doeblin")
+    alpha = float(_need(cfg.doeblin, "alpha", "doeblin"))
+    lattice_h = cfg.doeblin.get("lattice_h")
+    if kernels.ndim != 3 or kernels.shape[0] != chain.n_states:
         raise ConfigError(
-            f"doeblin.kernels: expected ({chain.n_states}, q, q), got {k_arr.shape}")
+            f"doeblin.kernels: expected ({chain.n_states}, q, q), got {kernels.shape}")
     try:
-        fam = build_doeblin_family(k_arr, np.asarray(u, dtype=float), alpha,
-                                   lattice_h=lattice_h)
+        fam = build_doeblin_family(kernels, u, alpha, lattice_h=lattice_h)
     except SkewprodError as exc:
         raise ConfigError(f"doeblin: {exc}") from exc
-    _check_f(cfg, fam.n_states)
-    cycle = _cycle(cfg, chain)
+    _check_states(cfg.renewal.get("f"), "renewal.f", fam.n_states)
     initial = cfg.doeblin.get("initial_measure")
+    _check_states(initial, "doeblin.initial_measure", fam.n_states)
+    cycle = _cycle(cfg, chain)
     init = None if initial in (None, "invariant") else np.asarray(initial, dtype=float)
     return DoeblinSystem(chain, fam, periodic_cycle=cycle, initial=init)
 

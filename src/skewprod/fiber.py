@@ -219,6 +219,16 @@ class PotentialTable:
     depend on the next base symbol (pair mode, shape (S, S, d^r)); that is the
     smallest table enlargement that realizes base coboundaries exactly.
     lattice_h, when set, asserts every u value is an integer multiple of h.
+
+    The weighted pullback operator with weights e^(phi + z u) maps depth-(r-1)
+    cylinder functions to depth-(r-1) cylinder functions, so at every symbol
+    key (see `transfer.symbol_keys`) it is an exact D x D matrix, D = d^(r-1).
+    Rows are indexed by the output word w (the fiber cylinder one level up the
+    orbit), columns by the input word; prepending fiber symbol a to w is one
+    branch, and the entry at (w, a.w[:-1]) is its weight.  `key_phi`, `key_u`
+    and `targets` give every branch in that [w, a] layout: targets[w, a] is
+    the input word a.w[:-1], shape (D, d); the other two are read from phi
+    and u on every access, so an edit of either is never stale.
     """
 
     def __init__(self, phi, u, model: FiberModel, lattice_h: float | None = None,
@@ -237,33 +247,28 @@ class PotentialTable:
             raise DepthMismatch(f"u must have shape {expected_u}, got {self.u.shape}")
         self.n_symbols = self.phi.shape[0]
         self.lattice_h = lattice_span(self.u, lattice_h)
+        D = model.space_dim
+        self._words = np.arange(model.d) * D + np.arange(D)[:, None]  # word a.w at [w, a]
+        self.targets = self._words // model.d
 
     def check_symbol(self, s: int):
         if not 0 <= s < self.n_symbols:
             raise MissingSymbol(f"potential tables cover symbols 0..{self.n_symbols-1}, got {s}")
 
-    def phi_for(self, s: int) -> np.ndarray:
-        self.check_symbol(s)
-        return self.phi[s]
+    @property
+    def key_phi(self) -> np.ndarray:
+        """phi at every symbol key's branches, shape (keys, D, d); a pair
+        key reads phi at its current symbol."""
+        rows = np.repeat(self.phi, self.n_symbols, axis=0) if self.u_next_symbol else self.phi
+        return rows[:, self._words]
 
-    def u_for(self, s: int, s_next: int | None = None) -> np.ndarray:
-        self.check_symbol(s)
-        if self.u_next_symbol:
-            if s_next is None:
-                raise MissingSymbol("pair-mode u tables need the next base symbol")
-            self.check_symbol(s_next)
-            return self.u[s, s_next]
-        return self.u[s]
+    @property
+    def key_u(self) -> np.ndarray:
+        """u at every symbol key's branches, shape (keys, D, d)."""
+        return self.u.reshape(-1, self.phi.shape[1])[:, self._words]
 
     def holder_constants(self, alpha: float = 1.0):
         """(max_s v(phi_s), max_s v(u_s)) over depth-r cylinder functions."""
         d, r = self.model.d, self.model.r
-        vphi = max(holder_seminorm_values(self.phi[s], d, r, alpha)
-                   for s in range(self.n_symbols))
-        if self.u_next_symbol:
-            vu = max(holder_seminorm_values(self.u[s, t], d, r, alpha)
-                     for s in range(self.n_symbols) for t in range(self.n_symbols))
-        else:
-            vu = max(holder_seminorm_values(self.u[s], d, r, alpha)
-                     for s in range(self.n_symbols))
-        return vphi, vu
+        return tuple(float(np.max(holder_seminorm_rows(rows, d, r, alpha)))
+                     for rows in (self.phi, self.u.reshape(-1, d**r)))

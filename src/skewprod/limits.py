@@ -271,13 +271,10 @@ class SymbolicSystem:
         M_{n0-1} ... M_0 (pair-mode keys index phi by the current symbol)."""
         pp = periodic_point(self.chain, self.periodic_cycle)
         keys = symbol_keys(pp.window(0, pp.period), self.pot, 0, pp.period)[::-1]
-        d, D = self.model.d, self.model.space_dim
-        words = np.arange(d) * D + np.arange(D)[:, None]  # depth-r word a.w at [w, a]
-        phi = self.pot.phi[keys // self.pot.n_symbols if self.pot.u_next_symbol else keys]
-        u = self.pot.u.reshape(-1, d ** self.model.r)[keys]
+        D, u = self.model.space_dim, self.pot.key_u[keys]
         return StepTable(len(keys), self.pot.lattice_h, np.full(D, 1.0 / D), np.zeros(D),
-                         np.exp(phi[:, words]), np.broadcast_to(words // d, (len(keys), D, d)),
-                         u[:, words])
+                         np.exp(self.pot.key_phi[keys]),
+                         np.broadcast_to(self.pot.targets, u.shape), u)
 
 
 def _variance_task(system, orbit, wi, ww, n_list):
@@ -715,6 +712,22 @@ def _decay_task(system, orbit, wi, ww, t_small, t_large, n_grid, fwd):
     return small, large
 
 
+def _envelope_fit(s, n, y, n_grid):
+    """(c, rate, violation fraction per n, ok) of the envelope y <= c' - rate s n.
+
+    c and twice the rate are the least-squares fit; c' is c calibrated at the
+    smallest n to the ensemble's 0.8 quantile; ok asks for a positive rate and
+    violation fractions that do not grow along n_grid.
+    """
+    coef, *_ = np.linalg.lstsq(np.stack([np.ones(len(y)), -s * n], axis=1), y, rcond=None)
+    c, rate = float(coef[0]), float(coef[1]) / 2.0  # high-probability envelope rate
+    first = n == n_grid[0]
+    c_use = c + _quantile(y[first] - (c - rate * s[first] * n_grid[0]), 0.8)
+    frac = {m: float(np.mean(y[n == m] > c_use - rate * s[n == m] * m + 1e-12)) for m in n_grid}
+    fr = list(frac.values())
+    return c, rate, frac, rate > 0 and all(b <= a + 1e-12 for a, b in zip(fr, fr[1:]))
+
+
 def decay_survey(system: SymbolicSystem, t_small, t_large, n_grid, omega_samples: int,
                  seed: int, strata_depth: int = 2, pmap=None) -> DecaySurveyReport:
     """Ensemble decay of |lambda_n(it)| (small t) and cocycle norm surrogates (large t).
@@ -730,41 +743,15 @@ def decay_survey(system: SymbolicSystem, t_small, t_large, n_grid, omega_samples
     """
     n_grid = sorted(int(n) for n in n_grid)
     n_max = n_grid[-1]
-    n_min = n_grid[0]
     fwd = 64
     ens = _ensemble(system, strata_depth, omega_samples, n_max + fwd, seed, 140)
     parts = _per_environment(pmap, _decay_task, system, ens, n_max,
                              list(t_small), list(t_large), n_grid, fwd)
     arr = np.array([row for small, _ in parts for row in small])
-    X = np.stack([np.ones(len(arr)), -arr[:, 0] ** 2 * arr[:, 1]], axis=1)
-    coef, *_ = np.linalg.lstsq(X, arr[:, 2], rcond=None)
-    logA, d2_typ = float(coef[0]), float(coef[1])
-    d2 = d2_typ / 2.0  # high-probability envelope rate
-    sel_min = arr[:, 1] == n_min
-    env_min = logA - d2 * arr[sel_min, 0] ** 2 * n_min
-    A_use = logA + _quantile(arr[sel_min, 2] - env_min, 0.8)
-    small_frac = {}
-    for n in n_grid:
-        sel = arr[:, 1] == n
-        envelope = A_use - d2 * arr[sel, 0] ** 2 * n
-        small_frac[n] = float(np.mean(arr[sel, 2] > envelope + 1e-12))
+    logA, d2, small_frac, small_ok = _envelope_fit(arr[:, 0] ** 2, arr[:, 1], arr[:, 2], n_grid)
     larr = np.array([row for _, large in parts for row in large])
-    XL = np.stack([np.ones(len(larr)), -larr[:, 0]], axis=1)
-    coefL, *_ = np.linalg.lstsq(XL, larr[:, 1], rcond=None)
-    log2_4B0, u_typ = float(coefL[0]), float(coefL[1])
-    u_fit = u_typ / 2.0
-    selL_min = larr[:, 0] == n_min
-    envL_min = log2_4B0 - u_fit * n_min
-    B_use = log2_4B0 + _quantile(larr[selL_min, 1] - envL_min, 0.8)
-    large_frac = {}
-    for n in n_grid:
-        sel = larr[:, 0] == n
-        envelope = B_use - u_fit * n
-        large_frac[n] = float(np.mean(larr[sel, 1] > envelope + 1e-12))
-    fr_s = [small_frac[n] for n in n_grid]
-    fr_l = [large_frac[n] for n in n_grid]
-    small_ok = d2 > 0 and all(b <= a + 1e-12 for a, b in zip(fr_s, fr_s[1:]))
-    large_ok = u_fit > 0 and all(b <= a + 1e-12 for a, b in zip(fr_l, fr_l[1:]))
+    log2_4B0, u_fit, large_frac, large_ok = _envelope_fit(np.ones(len(larr)), larr[:, 0],
+                                                          larr[:, 1], n_grid)
     return DecaySurveyReport(list(t_small), list(t_large), list(n_grid), d2,
                              math.exp(logA), small_frac, u_fit,
                              2.0 ** log2_4B0 / 4.0, large_frac, small_ok, large_ok)

@@ -38,8 +38,6 @@ from .fiber import (
     row_max_abs,
 )
 from .transfer import (
-    assemble_matrix,
-    branch_arrays,
     branch_matrices,
     full_product,
     key_matrices,
@@ -215,12 +213,12 @@ class SystemOrbit:
 
     Positions j run over [j_lo, j_hi] and factors over [j_lo, j_hi - 1]; the
     state is kept in arrays indexed by the offset i = j - j_lo: raw0.H,
-    raw0.V and the Gibbs weights mu have shape (j_hi - j_lo + 1, D), raw0.lam,
-    keys (see `transfer.symbol_keys`) and symbols (the base symbol of each
-    factor) shape (j_hi - j_lo,).  The methods that take a position j take
-    it absolute.  Exposes the normalized one-step matrices at any z and the
-    stacked branch kernels from which `gibbs` builds the step tables; the
-    exact moments of the Gibbs start are those tables' (`StepTable.moments`).
+    raw0.V and the Gibbs weights mu have shape (j_hi - j_lo + 1, D), raw0.lam
+    and the factors' keys (see `transfer.symbol_keys`) shape (j_hi - j_lo,).
+    The methods that take a position j take it absolute.  Exposes the
+    normalized one-step matrices at any z and the stacked branch kernels from
+    which `gibbs` builds the step tables; the exact moments of the Gibbs start
+    are those tables' (`StepTable.moments`).
     """
 
     def __init__(self, window: OmegaWindow, j_lo: int, j_hi: int, pot: PotentialTable,
@@ -230,11 +228,10 @@ class SystemOrbit:
         self.j_lo, self.j_hi = j_lo, j_hi
         self.pot, self.model = pot, model
         self.keys = symbol_keys(window, pot, j_lo, j_hi)
-        self.symbols = self.keys // pot.n_symbols if pot.u_next_symbol else self.keys
         if model.space_dim == 1:
             # r = 1: the function space is one-dimensional, the triplet is closed form
             n = j_hi - j_lo
-            lam = np.array([np.exp(row).sum() for row in pot.phi])[self.symbols]
+            lam = np.exp(pot.key_phi[:, 0]).sum(axis=1)[self.keys]
             self.raw0 = RawOrbitTriplets(0.0, j_lo, j_hi, np.ones((n + 1, 1)),
                                          np.ones((n + 1, 1)), lam, 0.0, 0.0, 0, 0, 0.0)
         else:
@@ -261,17 +258,13 @@ class SystemOrbit:
         step.  Rows sum to one exactly (renormalized against rounding drift).
         """
         if self._stacked is None:
-            d, D = self.model.d, self.model.space_dim
-            full = np.arange(d)[None, :] * D + np.arange(D)[:, None]  # word a.w at [w, a]
-            tgt = full // d
+            tgt = self.pot.targets
             h = np.real(self.raw0.H)
             lam = np.real(self.raw0.lam)
-            probs = np.exp(self.pot.phi[:, full])[self.symbols] * h[:-1][:, tgt] \
+            probs = np.exp(self.pot.key_phi)[self.keys] * h[:-1][:, tgt] \
                 / (lam[:, None, None] * h[1:, :, None])
             probs /= probs.sum(axis=2, keepdims=True)
-            u_rows = self.pot.u.reshape(-1, d ** self.model.r)
-            self._stacked = (probs, np.broadcast_to(tgt, probs.shape),
-                             u_rows[:, full][self.keys])
+            self._stacked = (probs, np.broadcast_to(tgt, probs.shape), self.pot.key_u[self.keys])
         return self._stacked
 
     def normalized_matrices(self, zs) -> np.ndarray:
@@ -484,16 +477,11 @@ def _taylor_factors(pot: PotentialTable, model: FiberModel) -> np.ndarray:
     the Taylor coefficients of the matrix product in their top block row.
     Shape (keys, 3D, 3D), keys indexed as in `symbol_keys`.
     """
-    S, D = pot.n_symbols, model.space_dim
-    Z = np.zeros((D, D))
-    out = []
-    for key in range(S * S if pot.u_next_symbol else S):
-        s, t = divmod(key, S) if pot.u_next_symbol else (key, None)
-        w, tg = branch_arrays(s, 0.0, pot, model, t)
-        u = pot.u_for(s, t).reshape(model.d, D)
-        A0, A1, A2 = (assemble_matrix(c, tg, D) for c in (w, w * u, w * u * u / 2.0))
-        out.append(np.block([[A0, A1, A2], [Z, A0, A1], [Z, Z, A0]]))
-    return np.stack(out)
+    w, u = np.exp(pot.key_phi), pot.key_u
+    tg = np.broadcast_to(pot.targets, w.shape)
+    A0, A1, A2 = (branch_matrices(c, tg, model.space_dim) for c in (w, w * u, w * u * u / 2.0))
+    Z = np.zeros_like(A0)
+    return np.block([[A0, A1, A2], [Z, A0, A1], [Z, Z, A0]])
 
 
 def pressure_derivatives(window: OmegaWindow, k: int, pot: PotentialTable,

@@ -1,10 +1,7 @@
 """Transfer matrices, cocycle products and norm estimates.
 
-The weighted pullback operator with weights e^(phi + z u) maps depth-(r-1)
-cylinder functions to depth-(r-1) cylinder functions, so at every base symbol
-it is an exact d^(r-1) x d^(r-1) matrix.  Rows are indexed by the output word
-(the fiber cylinder one level up the orbit), columns by the input word; the
-entry at (w, a.w[:-1]) is the branch weight of prepending symbol a.
+At every symbol key the weighted pullback operator is an exact D x D matrix
+(`key_matrices`), built from the branch layout of `fiber.PotentialTable`.
 
 `prefix_products` is the package's one matrix-product code: every cocycle,
 orbit sweep, twisted product and affine moment recursion reads its products
@@ -22,36 +19,6 @@ import numpy as np
 from .base_env import OmegaWindow
 from .errors import InsufficientWindow
 from .fiber import FiberModel, PotentialTable, holder_norm_vector, word_count
-
-
-def branch_arrays(s: int, z: complex, pot: PotentialTable, model: FiberModel,
-                  s_next: int | None = None):
-    """Per-branch weights and targets of the raw operator at base symbol s.
-
-    Returns (weights, targets) of shape (d, D) with D = d^(r-1): entry [a, w]
-    is the weight e^(phi + z u) at the depth-r word a.w, and targets[a, w] is
-    the column index of a.w[:-1].
-    """
-    d, r = model.d, model.r
-    D = model.space_dim
-    phi = pot.phi_for(s)
-    u = pot.u_for(s, s_next)
-    if float(np.imag(z)) == 0.0:
-        z = float(np.real(z))
-    weights = np.empty((d, D), dtype=float if isinstance(z, float) else complex)
-    targets = np.empty((d, D), dtype=np.int64)
-    base_idx = np.arange(D, dtype=np.int64)
-    for a in range(d):
-        widx = a * D + base_idx  # depth-r word a.w
-        expo = phi[widx] + z * u[widx] if z != 0 else phi[widx]
-        weights[a] = np.exp(expo)
-        targets[a] = widx // d
-    return weights, targets
-
-
-def assemble_matrix(weights: np.ndarray, targets: np.ndarray, D: int) -> np.ndarray:
-    """Matrix M[w_out, w_in] from per-branch (weights, targets) arrays of shape (d, D)."""
-    return branch_matrices(weights.T[None], targets.T[None], D)[0]
 
 
 def branch_matrices(weights: np.ndarray, targets: np.ndarray, D: int) -> np.ndarray:
@@ -145,22 +112,18 @@ def key_matrices(z, pot: PotentialTable, model: FiberModel) -> np.ndarray:
     """Raw transfer matrices of every symbol key at parameter z: shape (keys, D, D),
     or (len(z), keys, D, D) when z is a 1-D array.
 
-    One exp of phi + z u over every key, depth-r word and z, and one
-    `branch_matrices` call, give the matrices `assemble_matrix` builds from
-    `branch_arrays` one at a time; a z with zero imaginary part gives real
-    matrices.
+    One exp of phi + z u over every key's branches (`PotentialTable.key_phi`,
+    `key_u`) and z, and one `branch_matrices` call; a z with zero imaginary
+    part gives real matrices.
     """
-    d, D = model.d, model.space_dim
-    u = pot.u.reshape(-1, d ** model.r)
-    phi = pot.phi[np.arange(len(u)) // pot.n_symbols] if pot.u_next_symbol else pot.phi
+    D = model.space_dim
+    phi, u = pot.key_phi, pot.key_u
     zs = np.asarray(z)
     if not np.any(np.imag(zs)):
         zs = np.real(zs).astype(float)
-    words = np.arange(d) * D + np.arange(D)[:, None]  # depth-r word a.w at [w, a]
-    lead = (len(u),) + (1,) * zs.ndim + (D, d)
-    weights = np.exp(phi[:, words].reshape(lead)
-                     + zs.reshape((1,) + zs.shape + (1, 1)) * u[:, words].reshape(lead))
-    mats = branch_matrices(weights, np.broadcast_to(words // d, (len(u), D, d)), D)
+    lead = (len(u),) + (1,) * zs.ndim + u.shape[1:]
+    weights = np.exp(phi.reshape(lead) + zs.reshape((1,) + zs.shape + (1, 1)) * u.reshape(lead))
+    mats = branch_matrices(weights, np.broadcast_to(pot.targets, u.shape), D)
     return np.moveaxis(mats, 0, zs.ndim)
 
 

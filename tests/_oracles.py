@@ -37,8 +37,8 @@ def branch_enumeration_apply(window, n, z, pot, model, g):
         word_j = (idx // d ** (L - j - r)) % d**r
         s = window.symbol(j)
         s_next = window.symbol(j + 1) if pair else None
-        phi = pot.phi_for(s)
-        u = pot.u_for(s, s_next)
+        phi = pot.phi[s]
+        u = pot.u[s, s_next] if pair else pot.u[s]
         log_weight = log_weight + phi[word_j] + (z * u[word_j] if z != 0 else 0.0)
     # g is evaluated at the preimage point, whose depth-(r-1) word is the head
     # of the full branch word c.x
@@ -51,7 +51,7 @@ def deep_apply_normalized(orbit, j, values, depth):
     """The orbit's normalized operator at factor j applied to a depth-K
     function, K >= r; output depth K-1."""
     d, r = orbit.model.d, orbit.model.r
-    phi = orbit.pot.phi[orbit.symbols[j - orbit.j_lo]]
+    phi = orbit.pot.phi[orbit.window.symbol(j)]
     h_in = orbit.h0(j)
     h_out = orbit.h0(j + 1)
     lam = orbit.lam0(j)

@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 import skewprod
-from skewprod.config import config_hash, parse_config
+from skewprod.config import build_doeblin_system, config_hash, parse_config
 from skewprod.errors import ConfigError
 from skewprod.presets import PRESETS, preset_config
 from skewprod.runner import record_bytes_from_file, run_experiment, write_results
@@ -437,10 +437,45 @@ def test_cli_bad_samples_exit_2(tmp_path, key, value):
      "renewal.truncation: expected an integer >= 1, got -5"),
     ("renewal-gamma-3-2", "renewal", "truncation", 1.5,
      "renewal.truncation: expected an integer, got 1.5"),
+    # ran with seed 2, 1 or 17, the cycle (0,) or (1,), d = 2 and r = 1
+    ("scalar-iid", None, "seed", 2.9, "seed: expected a non-negative integer, got 2.9"),
+    ("scalar-iid", None, "seed", True, "seed: expected a non-negative integer, got True"),
+    ("scalar-iid", None, "seed", "17", "seed: expected a non-negative integer, got '17'"),
+    ("scalar-iid", None, "periodic_cycle", [0.7],
+     "periodic_cycle: expected a non-empty list of integers, got [0.7]"),
+    ("scalar-iid", None, "periodic_cycle", [True],
+     "periodic_cycle: expected a non-empty list of integers, got [True]"),
+    ("scalar-iid", "fiber", "alphabet_size", 2.7,
+     "fiber.alphabet_size: expected an integer, got 2.7"),
+    ("scalar-iid", "fiber", "depth", 1.9, "fiber.depth: expected an integer, got 1.9"),
+    ("scalar-iid", "fiber", "depth", True, "fiber.depth: expected an integer, got True"),
+    # turned the one-state base on and ended with exit 0
+    ("scalar-iid", "base", "allow_deterministic", "no",
+     "base.allow_deterministic: expected a boolean, got 'no'"),
+    # exit 1 with a numpy ValueError traceback
+    ("doeblin-iid", "doeblin", "initial_measure", "uniform",
+     'doeblin.initial_measure: expected null, "invariant" or finite numbers >= 0 with a '
+     "positive sum, got 'uniform'"),
+    ("doeblin-iid", "doeblin", "initial_measure", [1, -1],
+     'doeblin.initial_measure: expected null, "invariant" or finite numbers >= 0 with a '
+     "positive sum, got [1, -1]"),
+    ("doeblin-iid", "doeblin", "initial_measure", [0, 0],
+     'doeblin.initial_measure: expected null, "invariant" or finite numbers >= 0 with a '
+     "positive sum, got [0, 0]"),
+    ("doeblin-iid", "doeblin", "initial_measure", [1, 1, 1],
+     "doeblin.initial_measure: expected 2 values, one per fiber state, got 3"),
+    # NaN passed every row-sum check, so rows summing to 1.8 made a chain
+    ("scalar-iid", "base", "tol", float("nan"), "base.tol: expected a finite number > 0, got nan"),
+    ("scalar-iid", "base", "tol", -1, "base.tol: expected a finite number > 0, got -1"),
+    # exit 1 with a LinAlgError traceback
+    ("scalar-iid", "potentials", "phi", [[float("nan"), 0.0], [0.0, 0.0]],
+     "potentials.phi: expected finite numbers"),
+    ("doeblin-iid", "doeblin", "u", [[1, float("inf")], [0, 0]],
+     "doeblin.u: expected finite numbers"),
 ])
 def test_cli_bad_system_config_exit_2(tmp_path, preset, section, key, value, error):
     cfg = preset_config(preset)
-    cfg[section][key] = value
+    (cfg[section] if section else cfg)[key] = value
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))
     proc = run_cli(["run", str(path)], cwd=tmp_path)
@@ -457,6 +492,10 @@ def test_cli_bad_system_config_exit_2(tmp_path, preset, section, key, value, err
     ("doeblin-iid", "doeblin", "lattice_h", "x", "doeblin.lattice_h: expected a number, got 'x'"),
     ("renewal-gamma-3-2", "renewal", "truncation", "many",
      "renewal.truncation: expected an integer, got 'many'"),
+    ("scalar-iid", "potentials", "phi", "x", "potentials.phi: not a numeric array"),
+    ("scalar-iid", "potentials", "u", [["a", "b"]], "potentials.u: not a numeric array"),
+    ("doeblin-iid", "doeblin", "kernels", "x", "doeblin.kernels: not a numeric array"),
+    ("doeblin-iid", "doeblin", "u", [[1, 2], [3]], "doeblin.u: not a numeric array"),
 ])
 def test_cli_non_numeric_config_value_exit_2(tmp_path, preset, section, key, value, error):
     cfg = preset_config(preset)
@@ -467,6 +506,15 @@ def test_cli_non_numeric_config_value_exit_2(tmp_path, preset, section, key, val
     assert proc.returncode == 2, proc.stderr
     assert f"config error: {error}" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("value,initial", [(None, None), ("invariant", None),
+                                           ([1, 0], [1.0, 0.0]), ([0.25, 3], [0.25, 3.0])])
+def test_doeblin_initial_measure_accepted(value, initial):
+    cfg = preset_config("doeblin-iid")
+    cfg["doeblin"]["initial_measure"] = value
+    system = build_doeblin_system(parse_config(cfg))
+    assert (system.initial is None) if initial is None else system.initial.tolist() == initial
 
 
 def test_negative_seed_exit_2(tmp_path):

@@ -117,8 +117,11 @@ def test_potential_pair_mode_shapes():
     u_pair = np.zeros((2, 2, 2))
     u_pair[0, 1] = [1.0, 1.0]
     pot = PotentialTable(np.zeros((2, 2)), u_pair, model, u_next_symbol=True)
-    assert pot.u_for(0, 1)[0] == 1.0
-    assert pot.u_for(0, 0)[0] == 0.0
+    # key s * 2 + s_next; r = 1, so one cylinder w = 0 and branch a reads word a
+    assert pot.key_u.shape == pot.key_phi.shape == (4, 1, 2)
+    assert pot.targets.shape == (1, 2)
+    assert pot.key_u[1, 0, 0] == 1.0
+    assert pot.key_u[0, 0, 0] == 0.0
 
 
 @pytest.mark.parametrize("d,depth", [(2, 1), (2, 3), (3, 3), (2, 4)])

@@ -110,7 +110,9 @@ def brute_force_law(win, n, pot, model, orbit):
         s_val = 0.0
         for j in range(n):
             word = (w // d ** (m - j - r)) % d**r
-            s_val += pot.u_for(win.symbol(j), win.symbol(j + 1) if pot.u_next_symbol else None)[word]
+            u = pot.u[win.symbol(j), win.symbol(j + 1)] if pot.u_next_symbol \
+                else pot.u[win.symbol(j)]
+            s_val += u[word]
         out[round(s_val, 9)] = out.get(round(s_val, 9), 0.0) + probs[w]
     return out
 

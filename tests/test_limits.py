@@ -31,13 +31,7 @@ from skewprod.limits import (
 from skewprod.presets import preset_config
 from skewprod.runner import run_experiment
 from skewprod.seeding import generator
-from skewprod.transfer import (
-    assemble_matrix,
-    branch_arrays,
-    full_product,
-    symbol_keys,
-    unscale,
-)
+from skewprod.transfer import full_product, symbol_keys, unscale
 
 
 def system_pm1():
@@ -158,8 +152,9 @@ def system_r2_pairs():
 def per_t_classifier(system):
     """The classifier's grid, its radii normalized by rho(0) and the largest
     eigen-residual, from a loop over t: each t's factors built on their own
-    (by `branch_arrays` for the symbolic system, by hand for the Doeblin
-    chain), each product from its own scan and each matrix's eig on its own."""
+    (by hand from `pot.phi` and `pot.u`, branch by branch, for the symbolic
+    system and for the Doeblin chain), each product from its own scan and
+    each matrix's eig on its own."""
     h = system.lattice_h
     grid = np.linspace(0.25 / h, (2 * np.pi - 0.25) / h, 97)
     n0 = len(system.periodic_cycle)
@@ -167,15 +162,19 @@ def per_t_classifier(system):
     prods = []
     for t in np.concatenate([[0.0], grid]):
         if isinstance(system, SymbolicSystem):
-            S, pot, model = system.pot.n_symbols, system.pot, system.model
+            S, pot, d = system.pot.n_symbols, system.pot, system.model.d
+            D = system.model.space_dim
             factors = []
             # M_{n0-1} first: the raw operators act right to left
             for k in symbol_keys(win, pot, 0, n0)[::-1]:
                 s, s_next = divmod(k, S) if pot.u_next_symbol else (k, None)
-                weights, targets = branch_arrays(s, 0.0, pot, model, s_next)
-                u = pot.u_for(s, s_next).reshape(weights.shape)
-                factors.append(assemble_matrix(weights * np.exp(1j * t * u), targets,
-                                               model.space_dim))
+                u = pot.u[s, s_next] if pot.u_next_symbol else pot.u[s]
+                M = np.zeros((D, D), dtype=complex)
+                for w in range(D):  # branch a from cylinder w reads the word a.w
+                    for a in range(d):
+                        word = a * D + w
+                        M[w, word // d] += np.exp(pot.phi[s, word]) * np.exp(1j * t * u[word])
+                factors.append(M)
         else:
             # the chain at symbol c_j, u read at the target under c_{j+1}
             K, u, c = system.family.kernels, system.family.u, win.symbols(0, n0)

@@ -25,7 +25,8 @@ def oracle_moments(orbit, k):
     pot, win, d, r = orbit.pot, orbit.window, orbit.model.d, orbit.model.r
 
     def u_at(j):
-        return pot.u_for(win.symbol(j), win.symbol(j + 1) if pot.u_next_symbol else None)
+        return pot.u[win.symbol(j), win.symbol(j + 1)] if pot.u_next_symbol \
+            else pot.u[win.symbol(j)]
 
     means = np.empty(k)
     second = 0.0

@@ -15,6 +15,7 @@ from skewprod.rpf import (
     pressure_derivatives,
     _direction_change,
     _solve_raw_once,
+    _taylor_factors,
     solve_raw_orbit,
     solve_rpf,
 )
@@ -168,6 +169,26 @@ def test_pressure_branch_ambiguity_on_coarse_grid():
     # lambda(it) = cos(2t): a grid jumping past the zero at t = pi/4 flips sign
     with pytest.raises(BranchAmbiguity):
         pressure_curve(win, 3, [0.0, 1.5], pot, model)
+
+
+@pytest.mark.parametrize("r,pair", [(1, False), (2, False), (2, True), (3, True)])
+def test_taylor_factors_match_key_matrices(r, pair):
+    # block Toeplitz [[A0, A1, A2], [0, A0, A1], [0, 0, A0]] of M(z) = A0 + z A1 + z^2 A2 + ...
+    rng = generator(60 + r + 3 * pair)
+    model = FiberModel(2, r)
+    u = rng.standard_normal((2, 2, 2**r) if pair else (2, 2**r))
+    pot = PotentialTable(0.5 * rng.standard_normal((2, 2**r)), u, model, u_next_symbol=pair)
+    D, eps = model.space_dim, 1e-3
+    blocks = _taylor_factors(pot, model).reshape(-1, 3, D, 3, D).swapaxes(2, 3)
+    M0, Mp, Mm = (key_matrices(z, pot, model) for z in (0.0, eps, -eps))
+    A0, A1, A2 = blocks[:, 0, 0], blocks[:, 0, 1], blocks[:, 0, 2]
+    assert np.array_equal(A0, M0)
+    for i in range(3):
+        assert np.array_equal(blocks[:, i, i], A0)
+        assert not np.any(blocks[:, i, :i])
+    assert np.array_equal(blocks[:, 1, 2], A1)
+    assert np.allclose(A1, (Mp - Mm) / (2 * eps), rtol=1e-5, atol=1e-8)
+    assert np.allclose(2.0 * A2, (Mp - 2.0 * M0 + Mm) / eps**2, rtol=1e-5, atol=1e-6)
 
 
 def test_pressure_derivatives_zero_u():

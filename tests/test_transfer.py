@@ -3,29 +3,23 @@ import pytest
 from _instances import random_instance, scalar_instance
 from _oracles import branch_enumeration_apply
 
-from skewprod.base_env import build_markov_base, sample_base_path
+from skewprod.base_env import OmegaWindow, build_markov_base, sample_base_path
 from skewprod.errors import InsufficientWindow, MissingSymbol
 from skewprod.fiber import CylinderFunction, FiberModel, PotentialTable
 from skewprod.rpf import SystemOrbit
 from skewprod.seeding import generator
 from skewprod.transfer import (
-    assemble_matrix,
-    branch_arrays,
     compose_cocycle,
     holder_operator_norm,
     key_matrices,
+    symbol_keys,
 )
-
-
-def raw_matrix(s, z, pot, model):
-    """Raw transfer matrix at base symbol s and parameter z."""
-    return assemble_matrix(*branch_arrays(s, z, pot, model), model.space_dim)
 
 
 def test_scalar_normalized_weights():
     # phi = -ln 2 on two branches: L_0 1 = 1 via the 1x1 matrix [1]
     _, model, pot = scalar_instance([1.0, -1.0])
-    m = raw_matrix(0, 0.0, pot, model)
+    m = key_matrices(0.0, pot, model)[0]
     assert m.shape == (1, 1)
     assert m[0, 0] == pytest.approx(1.0)
 
@@ -33,14 +27,14 @@ def test_scalar_normalized_weights():
 def test_scalar_fourier_weight_is_cosine():
     _, model, pot = scalar_instance([1.0, -1.0])
     for t in [0.3, 1.0, 2.5]:
-        assert raw_matrix(0, 1j * t, pot, model)[0, 0] == pytest.approx(np.cos(t), abs=1e-14)
+        assert key_matrices(1j * t, pot, model)[0, 0, 0] == pytest.approx(np.cos(t), abs=1e-14)
 
 
 def test_matrix_matches_manual_preimage_sum_r2():
     rng = generator(5)
     chain, model, pot = random_instance(rng, d=2, r=2, n_states=2)
-    m = raw_matrix(1, 0.0, pot, model)
-    phi = pot.phi_for(1)
+    m = key_matrices(0.0, pot, model)[1]
+    phi = pot.phi[1]
     # (L g)(x) = sum_a e^{phi[a x0]} g(a); manual enumeration of both preimages
     for x0 in range(2):
         g = np.array([0.7, -0.2])
@@ -50,8 +44,35 @@ def test_matrix_matches_manual_preimage_sum_r2():
 
 def test_missing_symbol_raises():
     _, model, pot = scalar_instance([1.0, -1.0])
+    win = OmegaWindow(0, 1, [7, 0], n_states=8)  # symbol 7 has no table
     with pytest.raises(MissingSymbol):
-        raw_matrix(7, 0.0, pot, model)
+        symbol_keys(win, pot, 0, 1)
+
+
+@pytest.mark.parametrize("d,r,pair", [(2, 1, False), (2, 1, True), (2, 2, False),
+                                      (2, 2, True), (2, 3, False), (2, 3, True),
+                                      (3, 2, False)])
+def test_key_matrices_equal_branch_enumeration(d, r, pair):
+    # every key's matrix, column by column: M e_c is the one-step branch sum
+    # of the basis function e_c, on a window whose first symbols spell the key
+    rng = generator(200 + 10 * d + r + 5 * pair)
+    model, S, D = FiberModel(d, r), 3, d ** (r - 1)
+    phi = 0.5 * rng.standard_normal((S, d**r))
+    u = rng.standard_normal((S, S, d**r) if pair else (S, d**r))
+    pot = PotentialTable(phi, u, model, u_next_symbol=pair)
+    zs = [0.3, 0.8j, 0.2 - 0.5j]
+    batched = key_matrices(np.array(zs), pot, model)
+    assert batched.shape == (3, S * S if pair else S, D, D)
+    for i, z in enumerate(zs):
+        mats = key_matrices(z, pot, model)
+        assert np.iscomplexobj(mats) == (i > 0)
+        assert np.allclose(batched[i], mats, rtol=1e-14, atol=0)
+        for key, m in enumerate(mats):
+            win = OmegaWindow(0, 1, divmod(key, S) if pair else (key, 0), n_states=S)
+            for c in range(D):
+                g = CylinderFunction(r - 1, np.eye(D)[c], d)
+                oracle = branch_enumeration_apply(win, 1, z, pot, model, g)
+                assert np.allclose(m[:, c], oracle, rtol=1e-13, atol=1e-15)
 
 
 def test_compose_identity_and_scalar_product():
@@ -113,8 +134,8 @@ def test_oracle_pair_mode_tables():
 def test_modulus_of_twisted_entries():
     rng = generator(7)
     chain, model, pot = random_instance(rng, d=3, r=2, n_states=2)
-    m0 = raw_matrix(0, 0.0, pot, model)
-    mt = raw_matrix(0, 1j * 1.3, pot, model)
+    m0 = key_matrices(0.0, pot, model)[0]
+    mt = key_matrices(1j * 1.3, pot, model)[0]
     # entrywise |L_it| = L_0 holds before cancellation, i.e. per branch; after
     # assembly each (row, col) holds a single branch for r >= 2
     assert np.allclose(np.abs(mt), m0, atol=1e-14)
