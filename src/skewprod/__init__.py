@@ -3,8 +3,10 @@
 Random skew products with symbolic fibers, instantiated as exact
 finite-dimensional operator cocycles; a solver for the random twisted
 eigenproblem along base orbits; and configuration-driven verification of the
-annealed CLT, Berry-Esseen behaviour, local limit theorem and renewal
-theorem, including a Doeblin-kernel Markov-chain variant.
+annealed CLT, local limit theorem and renewal theorem, including a
+Doeblin-kernel Markov-chain variant.  Each fiber model has its module
+(`symbolic`, `doeblin`) building the step tables that the engine (`gibbs`)
+and the annealed runners (`limits`) read.
 """
 
 from .base_env import (
@@ -30,19 +32,18 @@ __version__ = "0.1.0"
 
 # statistics and verification layers re-exported for library users
 from .doeblin import DoeblinFamily, DoeblinSystem, build_doeblin_family  # noqa: E402
-from .gibbs import (  # noqa: E402
-    LatticeDistribution,
-    char_function_spectral,
-    exact_Sn_distribution,
-    sample_Sn,
-)
+from .gibbs import LatticeDistribution  # noqa: E402
 from .limits import (  # noqa: E402
-    SymbolicSystem,
-    berry_esseen_scan,
     char_identity,
     classify,
     clt_test,
     decay_survey,
     llt_scan,
     renewal_curve,
+)
+from .symbolic import (  # noqa: E402
+    SymbolicSystem,
+    char_function_spectral,
+    exact_Sn_distribution,
+    sample_Sn,
 )

@@ -18,11 +18,14 @@ from .base_env import build_markov_base
 from .doeblin import DoeblinSystem, build_doeblin_family
 from .errors import ConfigError, SkewprodError
 from .fiber import FiberModel, PotentialTable
-from .limits import SymbolicSystem
+from .symbolic import SymbolicSystem
 
-SYMBOLIC_EXPERIMENTS = ("rpf-audit", "variance", "clt", "berry-esseen", "llt",
-                        "renewal", "decay-survey", "char-fn")
+SYMBOLIC_EXPERIMENTS = ("rpf-audit", "variance", "clt", "llt", "renewal", "decay-survey",
+                        "char-fn")
 DOEBLIN_EXPERIMENTS = ("doeblin-clt", "doeblin-llt", "doeblin-renewal", "doeblin-char")
+# experiments that read exact laws on a lattice: they need a declared lattice_h
+LATTICE_EXPERIMENTS = ("llt", "renewal", "char-fn", "doeblin-llt", "doeblin-renewal",
+                       "doeblin-char")
 EXPECTATIONS = ("pass", "degenerate", "classifier-failure")
 
 DEFAULT_TOLERANCES = {
@@ -211,6 +214,10 @@ def parse_config(data: dict, name_hint: str = "config") -> ExperimentConfig:
         **{section: _settings(data, section, keys, _system_value)
            for section, keys in SYSTEM_KEYS.items()},
     )
+    section = "potentials" if kind == "symbolic" else "doeblin"
+    if experiment in LATTICE_EXPERIMENTS and getattr(cfg, section).get("lattice_h") is None:
+        raise ConfigError(f"{section}.lattice_h: required by experiment {experiment!r}, "
+                          "which runs on the lattice of the observable's values")
     # build both systems eagerly so every cross-reference is checked up front
     if kind == "symbolic":
         build_symbolic_system(cfg)

@@ -79,8 +79,9 @@ def build_doeblin_family(kernels, u, alpha: float, lattice_h: float | None = Non
 class DoeblinSystem:
     """Configured chain-in-random-environment instance.
 
-    Offers the system interface of `limits.SymbolicSystem`, so the annealed
-    runners run on it unchanged.
+    Offers the system interface of `symbolic.SymbolicSystem` (all but the
+    symbolic-only `decay_rows`), so the annealed runners of `limits` run on
+    it unchanged.
     """
 
     chain: BaseSymbolChain

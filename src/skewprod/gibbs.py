@@ -2,10 +2,8 @@
 
 Along one environment, both fiber models reduce to a `StepTable`: a start
 law with per-state start increments, then one row of (probability, target
-state, increment) branches per step.  For the symbolic model the z = 0
-normalized matrices are row-action stochastic, so the dual action along the
-orbit is a Markov chain on fiber cylinders run against the dynamics (the
-trajectory read backwards); the Doeblin model's chain runs forward.  The
+state, increment) branches per step.  The models build their tables in their
+own modules (`symbolic`, `doeblin`); this engine sees only the arrays.  The
 exact lattice law (a dynamic-programming convolution over (state, lattice
 value), or, when no row depends on the state, the start law times powers of
 the table's few distinct step laws), the forward (renewal) sweep, the exact
@@ -36,11 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .base_env import OmegaWindow
 from .errors import LatticeTooLarge, NotLattice
-from .fiber import FiberModel, PotentialTable
-from .rpf import SystemOrbit
-from .seeding import generator
 from .transfer import branch_matrices, full_product, prefix_products, unscale
 
 STATE_BUDGET = 10**7
@@ -617,68 +611,3 @@ def _lattice_ints(values: np.ndarray, h: float) -> np.ndarray:
     if np.max(np.abs(values / h - k), initial=0.0) > 1e-12:
         raise NotLattice("u values drifted off the lattice")
     return k
-
-
-def symbolic_step_table(orbit: SystemOrbit, n: int) -> StepTable:
-    """The cylinder chain read backwards: start at the Gibbs weights mu_n,
-    rows j = n-1, ..., 0 with the z = 0 branch kernels."""
-    probs, targets, u = (a[:n][::-1] for a in orbit.kernel_arrays())
-    return StepTable(n, orbit.pot.lattice_h, orbit.mu[n], np.zeros(len(orbit.mu[n])),
-                     probs, targets, u)
-
-
-def symbolic_forward_table(orbit: SystemOrbit, n: int) -> StepTable:
-    """The same sum run with the dynamics: start at mu_0, rows j = 0, ..., n-1.
-
-    Row j is the Bayes reversal of branch kernel j: from cylinder w the
-    trajectory extends by fiber symbol b to (w shifted, b), and the increment
-    reads the depth-r word w.b.  For r = 1 the chain is stateless and the
-    kernels coincide.
-    """
-    probs, targets, u = (a[:n] for a in orbit.kernel_arrays())
-    d, r, D = orbit.model.d, orbit.model.r, orbit.model.space_dim
-    if r > 1:
-        w = np.arange(D)[:, None]
-        w_next = (w * d + np.arange(d)[None, :]) % D
-        a = np.broadcast_to(w // d ** (r - 2), w_next.shape)
-        mu = orbit.mu[:n + 1]
-        # every operand gathered to one layout, and a cylinder of no mass
-        # divided by inf (a zero row), not by a masked np.divide: elementwise
-        # work on mixed layouts, and row sums along the short axis, cost
-        # several times the arithmetic
-        mu_now = np.where(mu[:n] > 0, mu[:n], np.inf)[:, np.broadcast_to(w, w_next.shape)]
-        fk = probs[:, w_next, a] * mu[1:, w_next] / mu_now
-        row = fk[..., 0].copy()
-        for b in range(1, d):
-            row += fk[..., b]
-        row[row == 0] = 1.0
-        probs = fk / row[..., None]
-        u = u[:, w_next, a]
-        targets = np.broadcast_to(w_next, probs.shape)
-    return StepTable(n, orbit.pot.lattice_h, orbit.mu[0], np.zeros(D), probs, targets, u)
-
-
-def exact_Sn_distribution(window: OmegaWindow, n: int, pot: PotentialTable,
-                          model: FiberModel,
-                          orbit: SystemOrbit | None = None) -> LatticeDistribution:
-    """Exact law of the n-step sum under the Gibbs start (the backward step table's DP)."""
-    if orbit is None:
-        orbit = SystemOrbit(window, 0, n, pot, model)
-    return symbolic_step_table(orbit, n).law()
-
-
-def char_function_spectral(window: OmegaWindow, n: int, t: float, pot: PotentialTable,
-                           model: FiberModel, orbit: SystemOrbit | None = None) -> complex:
-    """Quenched characteristic value: Gibbs weights at shift n against the twisted cocycle."""
-    if orbit is None:
-        orbit = SystemOrbit(window, 0, n, pot, model)
-    return complex(symbolic_step_table(orbit, n).char_function([t])[0])
-
-
-def sample_Sn(window: OmegaWindow, n: int, seed, pot: PotentialTable, model: FiberModel,
-              orbit: SystemOrbit | None = None, replicates: int = 1) -> np.ndarray:
-    """Unbiased samples of the n-step sum under the Gibbs start."""
-    rng = seed if isinstance(seed, np.random.Generator) else generator(seed)
-    if orbit is None:
-        orbit = SystemOrbit(window, 0, n, pot, model)
-    return symbolic_step_table(orbit, n).sample(rng, replicates)

@@ -1,4 +1,4 @@
-"""Annealed limit-theorem verification: CLT, Berry-Esseen scan, LLT, renewal, decay surveys.
+"""Annealed limit-theorem verification: CLT, LLT, renewal, char-fn identity, decay surveys.
 
 Annealed expectations average exact per-environment quantities over a
 stratified ensemble of base windows (strata are base cylinders of a small
@@ -7,14 +7,17 @@ bit-reproducible).  The lattice/aperiodicity classifier gates the LLT and
 renewal runs through the twisted operators at one periodic base orbit.
 
 The runners take any system that builds per-environment step tables (see
-`gibbs.StepTable`): the symbolic skew product below or the Doeblin chain of
-`doeblin.DoeblinSystem`.  Every runner goes through one driver: `_ensemble`
-draws the stratified windows an orbit of a given length needs,
-`_per_environment` builds each window's orbit once and hands it to a task,
-and `_weighted_mean` reduces the results.  `pmap` is an ordered map (builtin
-map by default, a process-pool map under the CLI's --workers): tasks are
-pure functions of (instance, orbit, window, derived seed), and reductions run
-in ensemble order, so results are identical for any worker count.
+`gibbs.StepTable`): the symbolic skew product of `symbolic.SymbolicSystem`
+or the Doeblin chain of `doeblin.DoeblinSystem`.  They reach a model only
+through that interface: `chain`, `lattice_h`, `orbit`, `step_table`,
+`forward_table`, `cycle_table`, and `decay_rows` for the symbolic-only decay
+survey.  Every runner goes through one driver: `_ensemble` draws the
+stratified windows an orbit of a given length needs, `_per_environment`
+builds each window's orbit once and hands it to a task, and `_weighted_mean`
+reduces the results.  `pmap` is an ordered map (builtin map by default, a
+process-pool map under the CLI's --workers): tasks are pure functions of
+(instance, orbit, window, derived seed), and reductions run in ensemble
+order, so results are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from .base_env import (
     OmegaWindow,
     _sample_paths_matrix,
     cylinder_probability,
-    periodic_point,
     sample_conditioned_paths,
 )
 from .errors import (
@@ -40,11 +42,9 @@ from .errors import (
     NotLattice,
     TruncationInsufficient,
 )
-from .fiber import FiberModel, PotentialTable, word_table
-from .gibbs import StepTable, symbolic_forward_table, symbolic_step_table
-from .rpf import SystemOrbit, lambda_sequence
+from .fiber import word_table
+from .gibbs import StepTable
 from .seeding import generator
-from .transfer import holder_operator_norm, prefix_products, symbol_keys
 
 WINDOW_MARGIN = 272  # room for truncation doubling beyond the span a runner needs
 
@@ -136,26 +136,16 @@ def normal_sf(z: float) -> float:
     return 0.5 * math.erfc(z * _SQRT_HALF)
 
 
-def _ks_sup(cum: np.ndarray, cdf: np.ndarray) -> float:
-    """Two-sided sup distance between a step CDF, `cum` at its sorted jump
-    points, and a continuous CDF taking the values `cdf` there: each jump is
-    compared on both of its sides."""
-    upper = np.max(np.abs(cum - cdf))
-    lower = np.max(np.abs(np.concatenate([[0.0], cum[:-1]]) - cdf))
-    return float(max(upper, lower))
-
-
 def weighted_ks(samples: np.ndarray, weights: np.ndarray, sigma: float) -> float:
-    """KS distance of a weighted empirical law against N(0, sigma^2)."""
+    """KS distance of a weighted empirical law against N(0, sigma^2): the
+    step CDF is compared with the normal CDF on both sides of each jump."""
     order = np.argsort(samples, kind="stable")
     cum = np.cumsum(weights[order])
     cum /= cum[-1]
-    return _ks_sup(cum, ndtr(samples[order] / sigma))
-
-
-def mixture_ks(values: np.ndarray, probs: np.ndarray, sigma: float) -> float:
-    """KS distance of an exact discrete law against N(0, sigma^2)."""
-    return _ks_sup(np.cumsum(probs), ndtr(values / sigma))
+    cdf = ndtr(samples[order] / sigma)
+    upper = np.max(np.abs(cum - cdf))
+    lower = np.max(np.abs(np.concatenate([[0.0], cum[:-1]]) - cdf))
+    return float(max(upper, lower))
 
 
 def _quantile(values: np.ndarray, q: float) -> float:
@@ -231,50 +221,7 @@ def classify(system) -> ClassificationReport:
 
 
 # ---------------------------------------------------------------------------
-# instance bundle shared by the runners
-
-
-@dataclass
-class SymbolicSystem:
-    """A configured instance: base chain, fiber model, potential tables.
-
-    The runners below use any system with this interface: `chain`,
-    `lattice_h`, `orbit(window, n)`, `step_table` / `forward_table` (the
-    n-step sum as a `StepTable`, read backwards or with the dynamics: the
-    exact law is `step_table(orbit, n).law()`, and the prefix m of the
-    forward table is S_m, whose `moments` the runners read) and
-    `cycle_table` (one period of the periodic base orbit, for `classify`).
-    """
-
-    chain: BaseSymbolChain
-    model: FiberModel
-    pot: PotentialTable
-    periodic_cycle: tuple = (0,)
-
-    @property
-    def lattice_h(self) -> float | None:
-        return self.pot.lattice_h
-
-    def orbit(self, window: OmegaWindow, n: int, **kw) -> SystemOrbit:
-        return SystemOrbit(window, 0, n, self.pot, self.model, **kw)
-
-    def step_table(self, orbit: SystemOrbit, n: int) -> StepTable:
-        return symbolic_step_table(orbit, n)
-
-    def forward_table(self, orbit: SystemOrbit, n: int) -> StepTable:
-        return symbolic_forward_table(orbit, n)
-
-    def cycle_table(self) -> StepTable:
-        """One period of the periodic base orbit as raw transfer rows, from
-        the uniform start: row i carries the branch weights e^phi, targets and
-        u of factor n0 - 1 - i's symbol key, so the rows multiply to
-        M_{n0-1} ... M_0 (pair-mode keys index phi by the current symbol)."""
-        pp = periodic_point(self.chain, self.periodic_cycle)
-        keys = symbol_keys(pp.window(0, pp.period), self.pot, 0, pp.period)[::-1]
-        D, u = self.model.space_dim, self.pot.key_u[keys]
-        return StepTable(len(keys), self.pot.lattice_h, np.full(D, 1.0 / D), np.zeros(D),
-                         np.exp(self.pot.key_phi[keys]),
-                         np.broadcast_to(self.pot.targets, u.shape), u)
+# annealed variance
 
 
 def _variance_task(system, orbit, wi, ww, n_list):
@@ -387,19 +334,13 @@ def _clt_degenerate(system, n_list, omega_samples, fiber_replicates, seed,
 
 
 # ---------------------------------------------------------------------------
-# exact annealed mixtures (shared by the Berry-Esseen and LLT scans)
+# LLT on the exact annealed mixture
 
 
-def _mixture_task(system, orbit, wi, ww, n_list, scale):
-    """Per n, the law's values (centered and divided by scale[n] when a
-    scale is given) and its probabilities times the environment's weight."""
-    out = {}
-    for n, dist in zip(n_list, system.forward_table(orbit, n_list[-1]).laws(n_list)):
-        vals = dist.values()
-        if scale is not None:
-            vals = (vals - dist.mean()) / scale[n]
-        out[n] = (vals, dist.probs * ww.weight)
-    return out
+def _mixture_task(system, orbit, wi, ww, n_list):
+    """Per n, the law's values and its probabilities times the environment's weight."""
+    return {n: (dist.values(), dist.probs * ww.weight)
+            for n, dist in zip(n_list, system.forward_table(orbit, n_list[-1]).laws(n_list))}
 
 
 def _accumulate_mixtures(ens, partials, n_list):
@@ -413,40 +354,6 @@ def _accumulate_mixtures(ens, partials, n_list):
         weights = np.concatenate([p[n][1] for p in partials])
         out[n] = (xs, np.bincount(where, weights=weights, minlength=len(xs)) / total_w)
     return out
-
-
-@dataclass
-class BerryEsseenReport:
-    n_list: list
-    sup_dev: list
-    scaled: list           # sup_dev * sqrt(n)
-    sigma_sq: float
-    bounded: bool
-    mode: str
-
-
-def berry_esseen_scan(system: SymbolicSystem, n_list, omega_samples: int, seed: int,
-                      strata_depth: int = 2, pmap=None) -> BerryEsseenReport:
-    """sup_r |F_n(r) - Phi(r)| from exact annealed mixture laws.
-
-    Asserts sqrt(n)-boundedness: no scaled sup exceeds the first by more than
-    a factor 1.25.  This annealed scan is a
-    diagnostic: concentration of per-environment variances is not guaranteed
-    in general, so boundedness is reported, not claimed as a theorem.
-    """
-    sigma_sq, _, _, _ = annealed_variance(system, [64, 128], max(8, omega_samples // 4),
-                                       seed, strata_depth, stream=110, pmap=pmap)
-    if sigma_sq <= 0:
-        raise DegenerateVariance("Berry-Esseen scan needs positive variance")
-    n_list = sorted(int(n) for n in n_list)
-    ens = _ensemble(system, strata_depth, omega_samples, n_list[-1], seed, 111)
-    scale = {n: math.sqrt(sigma_sq * n) for n in n_list}
-    partials = _per_environment(pmap, _mixture_task, system, ens, n_list[-1], n_list, scale)
-    mixtures = _accumulate_mixtures(ens, partials, n_list)
-    sups = [mixture_ks(*mixtures[n], 1.0) for n in n_list]
-    scaled = [s * math.sqrt(n) for s, n in zip(sups, n_list)]
-    bounded = all(sc <= scaled[0] * 1.25 + 1e-9 for sc in scaled[1:])
-    return BerryEsseenReport(list(n_list), sups, scaled, sigma_sq, bounded, "exact")
 
 
 @dataclass
@@ -466,12 +373,10 @@ def llt_scan(system, n_list, omega_samples: int, seed: int, threshold: float = 0
     sup over lattice points a of |sigma sqrt(2 pi n) P(S_n = a) - h gaussian|
     with the gaussian centered at the mixture mean (the lattice carries h mass
     per point).  The periodic-point classifier must pass first, otherwise
-    ClassifierFailed propagates; scans over a run within 4 standard
-    deviations, where the statement is sharp.
+    ClassifierFailed propagates (NotLattice with no declared lattice_h);
+    scans over a run within 4 standard deviations, where the statement is
+    sharp.
     """
-    h = system.lattice_h
-    if h is None:
-        raise ClassifierFailed("LLT scan is lattice-only in v1")
     cls = classify(system)
     if not cls.passed:
         reason = "degenerate (radius pinned at 1)" if cls.degenerate else \
@@ -484,8 +389,9 @@ def llt_scan(system, n_list, omega_samples: int, seed: int, threshold: float = 0
         raise DegenerateVariance("LLT needs positive asymptotic variance")
     n_list = sorted(int(n) for n in n_list)
     ens = _ensemble(system, strata_depth, omega_samples, n_list[-1], seed, 121)
-    partials = _per_environment(pmap, _mixture_task, system, ens, n_list[-1], n_list, None)
+    partials = _per_environment(pmap, _mixture_task, system, ens, n_list[-1], n_list)
     mixtures = _accumulate_mixtures(ens, partials, n_list)
+    h = system.lattice_h
     sups = []
     for n in n_list:
         vals, ps = mixtures[n]
@@ -515,7 +421,6 @@ class RenewalReport:
     truncation: int
     tail_bound: float  # a Gaussian estimate, not a bound (ROADMAP item 6)
     passed: bool
-    abel_gap: float = 0.0  # max |U - U_rho| at rho = 1 - 1/N (cross-check)
 
 
 STEP_MEAN_TOL = 1e-9  # largest deviation of a step mean from gamma that counts as constant
@@ -536,21 +441,16 @@ def _renewal_task(system, orbit, wi, ww, truncation, a_list, f_weights):
     table = system.forward_table(orbit, truncation)
     fw = np.ones(len(table.start)) if f_weights is None else np.asarray(f_weights, dtype=float)
     mu_f = float(table.start @ fw)
-    # U and U_abel accumulate on the lattice indices lo..hi spanned by a_list
+    # U accumulates on the lattice indices lo..hi spanned by a_list
     ka = np.round(np.asarray(a_list) / system.lattice_h).astype(np.int64)
     lo, hi = int(ka.min()), int(ka.max()) + 1
     U = np.zeros(hi - lo)
-    U_abel = np.zeros(hi - lo)
-    # Abel cross-check weights the same series by rho^{n-1}, rho = 1 - 1/N
-    rho = 1.0 - 1.0 / truncation
     for n, joint, k0 in table.sweep(fw):
         a0, a1 = max(lo, k0), min(hi, k0 + joint.shape[1])
         if n == 0 or a0 >= a1:
             continue
-        vals = joint[:, a0 - k0:a1 - k0].sum(axis=0)
-        U[a0 - lo:a1 - lo] += vals
-        U_abel[a0 - lo:a1 - lo] += rho ** (n - 1) * vals
-    return mu_f, U[ka - lo], U_abel[ka - lo]
+        U[a0 - lo:a1 - lo] += joint[:, a0 - k0:a1 - k0].sum(axis=0)
+    return mu_f, U[ka - lo]
 
 
 def renewal_curve(system, a_list, truncation: int, omega_samples: int,
@@ -564,9 +464,6 @@ def renewal_curve(system, a_list, truncation: int, omega_samples: int,
     (h mass per lattice point).  The reported `tail_bound` is a Gaussian
     estimate of the mass beyond N, not a bound (ROADMAP item 6).
     """
-    h = system.lattice_h
-    if h is None:
-        raise ClassifierFailed("renewal verification is lattice-only in v1")
     if not classify(system).passed:
         raise ClassifierFailed("renewal needs the aperiodicity classification to pass")
     probe = _ensemble(system, strata_depth, 4, truncation, seed, 130)
@@ -594,9 +491,7 @@ def renewal_curve(system, a_list, truncation: int, omega_samples: int,
         raise NonConstantMean("mu(f) is not constant over environments")
     mu_f = float(np.mean(mu_f_vals))
     U = dict(zip(a_list, _weighted_mean(ens, [p[1] for p in partials]).tolist()))
-    U_abel = dict(zip(a_list, _weighted_mean(ens, [p[2] for p in partials]).tolist()))
-    abel_gap = max(abs(U[a] - U_abel[a]) for a in a_list)
-    target = mu_f * h / gamma
+    target = mu_f * system.lattice_h / gamma
     # estimated tail, not a bound: contributions from n > N to a <= a_max,
     # approximated by the gaussian probabilities of S_n reaching back below a_max
     tail = 0.0
@@ -612,7 +507,7 @@ def renewal_curve(system, a_list, truncation: int, omega_samples: int,
     neg = max((abs(U[a]) for a in a_list if a <= -10), default=0.0)
     passed = (rel is None or rel < rel_tol) and neg < negative_tol
     return RenewalReport(list(a_list), [U[a] for a in a_list], gamma, mu_f, target,
-                         rel, neg, truncation, tail, passed, abel_gap)
+                         rel, neg, truncation, tail, passed)
 
 
 # ---------------------------------------------------------------------------
@@ -688,28 +583,9 @@ class DecaySurveyReport:
     large_ok: bool
 
 
-def _decay_task(system, orbit, wi, ww, t_small, t_large, n_grid, fwd):
-    """One environment's rows (t, n, log |lambda_n(it)|) and (n, log2 sup_t surrogate)."""
-    small = []
-    for t in t_small:
-        lam = lambda_sequence(ww.window, 1j * float(t), n_grid[-1], orbit, fwd=fwd)
-        logs = np.cumsum(np.log(np.abs(lam)))
-        for n in n_grid:
-            small.append((float(t), n, float(logs[n - 1])))
-    # the decay statement controls the sup over the compact set J with one
-    # rate, so the surveyed quantity is the grid-sup per (environment, n)
-    ts = np.asarray(t_large, dtype=float)
-    prods, expo = prefix_products(orbit.normalized_matrices(1j * ts).swapaxes(-1, -2))
-    large = []
-    for n in n_grid:
-        sup = -math.inf
-        for i, t in enumerate(ts):
-            rep = holder_operator_norm(prods[n - 1, i].T, system.model, system.pot, n,
-                                       1j * float(t), system.model.alpha,
-                                       float(expo[n - 1, i]) * math.log(2.0))
-            sup = max(sup, math.log2(max(rep.surrogate, 1e-300)))
-        large.append((n, sup))
-    return small, large
+def _decay_task(system, orbit, wi, ww, *grids):
+    """One environment's decay rows, from the system (`SymbolicSystem.decay_rows`)."""
+    return system.decay_rows(orbit, *grids)
 
 
 def _envelope_fit(s, n, y, n_grid):
@@ -728,7 +604,7 @@ def _envelope_fit(s, n, y, n_grid):
     return c, rate, frac, rate > 0 and all(b <= a + 1e-12 for a, b in zip(fr, fr[1:]))
 
 
-def decay_survey(system: SymbolicSystem, t_small, t_large, n_grid, omega_samples: int,
+def decay_survey(system, t_small, t_large, n_grid, omega_samples: int,
                  seed: int, strata_depth: int = 2, pmap=None) -> DecaySurveyReport:
     """Ensemble decay of |lambda_n(it)| (small t) and cocycle norm surrogates (large t).
 

@@ -217,8 +217,8 @@ class SystemOrbit:
     and the factors' keys (see `transfer.symbol_keys`) shape (j_hi - j_lo,).
     The methods that take a position j take it absolute.  Exposes the
     normalized one-step matrices at any z and the stacked branch kernels from
-    which `gibbs` builds the step tables; the exact moments of the Gibbs start
-    are those tables' (`StepTable.moments`).
+    which `symbolic.SymbolicSystem` builds the step tables; the exact moments
+    of the Gibbs start are those tables' (`StepTable.moments`).
     """
 
     def __init__(self, window: OmegaWindow, j_lo: int, j_hi: int, pot: PotentialTable,

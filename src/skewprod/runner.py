@@ -31,7 +31,6 @@ from .errors import (
 from .fiber import CylinderFunction
 from .limits import (
     annealed_variance,
-    berry_esseen_scan,
     char_identity,
     clt_test,
     decay_survey,
@@ -183,17 +182,6 @@ def _clt(cfg, system, seed, pmap):
     return stats, curves, verdict, [], _omega(cfg)
 
 
-def _berry_esseen(cfg, system, seed, pmap):
-    rep = berry_esseen_scan(system, cfg.grids.get("n_list", [64, 256, 1024]),
-                            cfg.sample("omega_samples"), seed,
-                            cfg.sample("strata_depth"), pmap=pmap)
-    curves = {"berry_esseen": [{"n": n, "sup_dev": s, "scaled": sc}
-                               for n, s, sc in zip(rep.n_list, rep.sup_dev, rep.scaled)]}
-    stats = {"sigma_sq": rep.sigma_sq, "scaled": rep.scaled, "mode": rep.mode,
-             "note": "annealed self-normalized scan; diagnostic only"}
-    return stats, curves, _pass(rep.bounded), [], _omega(cfg)
-
-
 def _llt(cfg, system, seed, pmap):
     rep = llt_scan(system, cfg.grids.get("n_list", [500, 1000, 2000]),
                    cfg.sample("omega_samples"), seed, threshold=cfg.tol("llt_sup"),
@@ -220,7 +208,7 @@ def _renewal(cfg, system, seed, pmap):
     stats = {"gamma": rep.gamma, "mu_f": rep.mu_f, "target": rep.target,
              "rel_err_window": rep.rel_err_window,
              "negative_side_max": rep.negative_side_max,
-             "tail_bound": rep.tail_bound, "abel_gap": rep.abel_gap}
+             "tail_bound": rep.tail_bound}
     warnings = []
     if rep.tail_bound > 1e-3:
         warnings.append(f"renewal tail bound {rep.tail_bound:.2e} is not small; "
@@ -264,7 +252,6 @@ EXPERIMENTS = {
     "rpf-audit": _rpf_audit,
     "variance": _variance,
     "clt": _clt,
-    "berry-esseen": _berry_esseen,
     "llt": _llt,
     "renewal": _renewal,
     "decay-survey": _decay,

@@ -26,9 +26,7 @@ from skewprod.errors import (
     NonPositiveMean,
 )
 from skewprod.fiber import CylinderFunction, FiberModel, PotentialTable
-from skewprod.gibbs import symbolic_forward_table
 from skewprod.limits import (
-    SymbolicSystem,
     char_identity,
     classify,
     clt_test,
@@ -40,6 +38,7 @@ from skewprod.presets import preset_config
 from skewprod.rpf import SystemOrbit, exp_convergence_probe, pressure_derivatives, solve_rpf
 from skewprod.runner import run_experiment
 from skewprod.seeding import generator
+from skewprod.symbolic import SymbolicSystem
 from skewprod.transfer import compose_cocycle
 
 
@@ -146,7 +145,7 @@ def test_criterion_03_pressure_derivatives():
     orbit = SystemOrbit(win, 0, 150, pot, model, tol=1e-10)
     d1_gaps, d2_gaps = [], []
     ks = list(range(1, 51))
-    for k, mean, var in zip(ks, *symbolic_forward_table(orbit, 50).moments(ks)):
+    for k, mean, var in zip(ks, *SymbolicSystem.forward_table(orbit, 50).moments(ks)):
         d1, d2 = pressure_derivatives(win, k, pot, model, fwd=100, orbit0=orbit)
         d1_gaps.append(abs(d1 - mean))
         d2_gaps.append(abs(d2 - var))

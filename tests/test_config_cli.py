@@ -124,7 +124,6 @@ SMALL_RUNS = {
     "rpf-audit": small_variant("matrix-llt", "rpf-audit", {}),
     "variance": small_variant("two-state-base-lattice", "variance", {"n_list": [32, 64]}),
     "clt": _small_clt(),
-    "berry-esseen": small_variant("matrix-llt", "berry-esseen", {"n_list": [64, 256]}),
     "llt": small_variant("scalar-iid", "llt", {"n_list": [200, 400]}),
     "renewal": _small_renewal(),
     "decay-survey": small_variant("matrix-llt", "decay-survey", {"n_grid": [50, 100]}),
@@ -292,6 +291,7 @@ def test_one_orbit_build_per_environment(name, monkeypatch):
     # the renewal runner's drift probe reads the first window of its ensemble
     from skewprod import limits
     from skewprod.doeblin import DoeblinSystem
+    from skewprod.symbolic import SymbolicSystem
 
     ensembles, built = [], Counter()
     draw = limits.stratified_windows
@@ -301,7 +301,7 @@ def test_one_orbit_build_per_environment(name, monkeypatch):
         return ensembles[-1]
 
     monkeypatch.setattr(limits, "stratified_windows", recording_draw)
-    for cls in (limits.SymbolicSystem, DoeblinSystem):
+    for cls in (SymbolicSystem, DoeblinSystem):
         def counting_orbit(self, window, n, _orbit=cls.orbit):
             built[id(window)] += 1
             return _orbit(self, window, n)
@@ -357,14 +357,15 @@ def test_cli_run_config_and_exit_codes(tmp_path):
     proc = run_cli(["run", str(cfg_path)], cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "PASS" in proc.stdout
-    # invalid config exits 2
-    bad = dict(cfg)
-    bad["experiment"] = "bogus"
-    bad_path = tmp_path / "bad.json"
-    bad_path.write_text(json.dumps(bad))
-    proc2 = run_cli(["run", str(bad_path)], cwd=tmp_path)
-    assert proc2.returncode == 2, proc2.stderr
-    assert "config error" in proc2.stderr
+    # an unknown experiment exits 2, the deleted berry-esseen scan included
+    for experiment in ("bogus", "berry-esseen"):
+        bad = dict(cfg)
+        bad["experiment"] = experiment
+        bad_path = tmp_path / "bad.json"
+        bad_path.write_text(json.dumps(bad))
+        proc2 = run_cli(["run", str(bad_path)], cwd=tmp_path)
+        assert proc2.returncode == 2, proc2.stderr
+        assert f"config error: experiment: {experiment!r} not valid" in proc2.stderr
     # unknown preset / missing file exits 2
     proc3 = run_cli(["run", "no-such-thing"], cwd=tmp_path)
     assert proc3.returncode == 2, proc3.stderr
@@ -506,6 +507,40 @@ def test_cli_non_numeric_config_value_exit_2(tmp_path, preset, section, key, val
     assert proc.returncode == 2, proc.stderr
     assert f"config error: {error}" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("preset,experiment,expect", [
+    # exit 0 with PASS: the expected classifier failure came from the missing
+    # lattice, and no classifier ran
+    ("scalar-iid", "llt", "classifier-failure"),
+    # outcome=classifier-failure (exit 1), though no classifier ran
+    ("scalar-iid", "llt", "pass"),
+    ("renewal-gamma-3-2", "renewal", "pass"),
+    ("doeblin-iid", "doeblin-llt", "pass"),
+    ("doeblin-iid", "doeblin-renewal", "pass"),
+    # exit 3 with NotLattice from the exact laws
+    ("scalar-iid", "char-fn", "pass"),
+    ("doeblin-iid", "doeblin-char", "pass"),
+])
+def test_cli_lattice_experiment_without_lattice_exit_2(tmp_path, preset, experiment, expect):
+    cfg = preset_config(preset)
+    cfg["experiment"], cfg["expect"] = experiment, expect
+    section = "doeblin" if cfg.get("kind") == "doeblin" else "potentials"
+    del cfg[section]["lattice_h"]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    proc = run_cli(["run", str(path)], cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert f"config error: {section}.lattice_h: required by experiment {experiment!r}" \
+        in proc.stderr
+    assert "Traceback" not in proc.stderr
+    # null is no lattice either; the experiments that need none accept it
+    cfg[section]["lattice_h"] = None
+    with pytest.raises(ConfigError, match=rf"{section}\.lattice_h"):
+        parse_config(cfg)
+    cfg["experiment"], cfg["expect"] = ("doeblin-clt", "pass") if section == "doeblin" \
+        else ("clt", "pass")
+    parse_config(cfg)
 
 
 @pytest.mark.parametrize("value,initial", [(None, None), ("invariant", None),

@@ -17,9 +17,9 @@ from skewprod.doeblin import DoeblinSystem, build_doeblin_family
 from skewprod.errors import LatticeTooLarge
 from skewprod.fiber import FiberModel, PotentialTable
 from skewprod.gibbs import BLOCK_ROWS, CHUNK, StepTable, group_rows
-from skewprod.limits import SymbolicSystem
 from skewprod.presets import preset_config
 from skewprod.seeding import generator
+from skewprod.symbolic import SymbolicSystem
 
 T_GRID = [0.3, 1.1, 2.5]
 

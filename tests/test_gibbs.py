@@ -8,16 +8,15 @@ from _oracles import mu_deep, prob_at
 from skewprod.base_env import build_markov_base, sample_base_path
 from skewprod.errors import LatticeTooLarge, NotLattice
 from skewprod.fiber import FiberModel, PotentialTable
-from skewprod.gibbs import (
-    char_function_spectral,
-    exact_Sn_distribution,
-    sample_Sn,
-    symbolic_forward_table,
-    symbolic_step_table,
-)
 from skewprod.limits import step_mean_check
 from skewprod.rpf import SystemOrbit
 from skewprod.seeding import generator
+from skewprod.symbolic import (
+    SymbolicSystem,
+    char_function_spectral,
+    exact_Sn_distribution,
+    sample_Sn,
+)
 
 
 def lattice_instance_two_state():
@@ -201,7 +200,7 @@ def test_forward_sweep_matches_backward_dp():
     n_max = 8
     orbit = SystemOrbit(win, 0, n_max, pot, model, tol=1e-11)
     sweeps = {n: (joint.sum(axis=0), k0) for n, joint, k0 in
-              symbolic_forward_table(orbit, n_max).sweep()}
+              SymbolicSystem.forward_table(orbit, n_max).sweep()}
     for n in [1, 3, 8]:
         dist = exact_Sn_distribution(win, n, pot, model, orbit=orbit)
         vals, k0 = sweeps[n]
@@ -216,7 +215,7 @@ def test_variance_curve_scalar_and_coboundary():
     n_list = [2, 6, 12, 20]
     orbit = SystemOrbit(win, 0, 20, pot, model)
     # V_n from the forward table's moment pass and from its exact laws
-    table = symbolic_forward_table(orbit, 20)
+    table = SymbolicSystem.forward_table(orbit, 20)
     assert np.allclose(table.moments(n_list)[1], n_list, atol=1e-8)
     laws = table.laws(n_list)
     assert np.allclose([law.variance() for law in laws], n_list, atol=1e-8)
@@ -235,21 +234,21 @@ def test_variance_degenerate_base_coboundary():
                          lattice_h=1.0, u_next_symbol=True)
     win = sample_base_path(chain, -150, 250, 11)
     orbit = SystemOrbit(win, 0, 20, pot, model)
-    assert np.all(np.abs(symbolic_forward_table(orbit, 20).moments([2, 8, 20])[1]) < 1e-12)
+    assert np.all(np.abs(SymbolicSystem.forward_table(orbit, 20).moments([2, 8, 20])[1]) < 1e-12)
 
 
 def test_constant_step_mean_validator():
     chain, model, pot = lattice_instance_two_state()
     win = sample_base_path(chain, -150, 250, 12)
     orbit = SystemOrbit(win, 0, 20, pot, model)
-    ok, gamma, dev = step_mean_check(symbolic_step_table(orbit, 20))
+    ok, gamma, dev = step_mean_check(SymbolicSystem.step_table(orbit, 20))
     assert ok and abs(gamma) < 1e-9
 
     rng = generator(13)
     chain2, model2, pot2 = random_instance(rng, d=2, r=2, n_states=2)
     win2 = sample_base_path(chain2, -150, 250, 13)
     orbit2 = SystemOrbit(win2, 0, 20, pot2, model2)
-    ok2, _, dev2 = step_mean_check(symbolic_step_table(orbit2, 20))
+    ok2, _, dev2 = step_mean_check(SymbolicSystem.step_table(orbit2, 20))
     assert not ok2 and dev2 > 1e-6
 
 

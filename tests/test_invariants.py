@@ -8,10 +8,10 @@ from _instances import random_instance, scalar_instance
 
 from skewprod.base_env import periodic_point, sample_base_path
 from skewprod.fiber import holder_norm_vector
-from skewprod.gibbs import char_function_spectral, exact_Sn_distribution
-from skewprod.limits import SymbolicSystem, classify, ndtr
+from skewprod.limits import classify, ndtr
 from skewprod.rpf import SystemOrbit, norm_triplet_from_raw, solve_raw_orbit
 from skewprod.seeding import generator
+from skewprod.symbolic import SymbolicSystem, char_function_spectral, exact_Sn_distribution
 from skewprod.transfer import compose_cocycle, holder_operator_norm
 
 
@@ -131,15 +131,3 @@ def test_normalized_operator_continuity_in_t():
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[1] / gaps[0] == pytest.approx(0.5, abs=0.1)
     assert gaps[2] / gaps[1] == pytest.approx(0.5, abs=0.1)
-
-
-def test_renewal_abel_cross_check():
-    from skewprod.limits import renewal_curve
-
-    chain, model, pot = scalar_instance([1.0, 2.0], lattice_h=1.0)
-    system = SymbolicSystem(chain, model, pot)
-    rep = renewal_curve(system, [20, 24, 28], truncation=80, omega_samples=6,
-                        seed=60, limit_window=(24, 28))
-    # the Abel-summed series at rho = 1 - 1/N sees the same mass up to the
-    # geometric discounting of the ~a/gamma dominant terms
-    assert 0.0 < rep.abel_gap < 0.35 * rep.target

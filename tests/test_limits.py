@@ -14,10 +14,8 @@ from skewprod.errors import (
 )
 from skewprod.fiber import FiberModel, PotentialTable
 from skewprod.limits import (
-    SymbolicSystem,
     _quantile,
     annealed_variance,
-    berry_esseen_scan,
     classify,
     clt_test,
     decay_survey,
@@ -31,6 +29,7 @@ from skewprod.limits import (
 from skewprod.presets import preset_config
 from skewprod.runner import run_experiment
 from skewprod.seeding import generator
+from skewprod.symbolic import SymbolicSystem
 from skewprod.transfer import full_product, symbol_keys, unscale
 
 
@@ -278,14 +277,6 @@ def test_clt_degenerate_branch():
                    expect_degenerate=True)
     assert rep.degenerate and rep.passed
     assert rep.degenerate_max_abs < 0.05
-
-
-def test_berry_esseen_bounded_scalar():
-    sys_pm = system_pm1()
-    rep = berry_esseen_scan(sys_pm, [16, 64, 256], omega_samples=8, seed=6)
-    assert rep.bounded
-    assert all(s > 0 for s in rep.sup_dev)
-    assert rep.sup_dev[-1] < rep.sup_dev[0]
 
 
 def test_llt_binomial_preset():

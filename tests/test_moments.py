@@ -13,9 +13,10 @@ from skewprod.base_env import build_markov_base, sample_base_path
 from skewprod.doeblin import DoeblinSystem, build_doeblin_family
 from skewprod.fiber import FiberModel, PotentialTable, holder_norm_vector
 from skewprod.gibbs import StepTable
-from skewprod.limits import SymbolicSystem, _accumulate_mixtures, clt_test
+from skewprod.limits import _accumulate_mixtures, clt_test
 from skewprod.rpf import SystemOrbit
 from skewprod.seeding import generator
+from skewprod.symbolic import SymbolicSystem
 from skewprod.transfer import key_matrices, symbol_keys
 
 

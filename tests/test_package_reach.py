@@ -65,3 +65,25 @@ def test_every_method_is_read_by_the_package():
         if reads[method.name] == own and name not in ALLOWED_METHODS:
             orphans.append(name)
     assert not orphans, f"methods read by no package code: {sorted(orphans)}"
+
+
+def _package_imports(module: str) -> set:
+    """The package modules that `module` imports from, by relative import."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    return {node.module for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module}
+
+
+def test_engine_and_runners_hold_no_model_code():
+    """The step-table engine sees only arrays, the runners reach a model only
+    through the system interface, and each fiber model has one module."""
+    assert _package_imports("gibbs") <= {"errors", "transfer"}
+    assert not _package_imports("limits") & {"rpf", "transfer", "symbolic"}
+    systems = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(stmt, FUNCTIONS) and stmt.name == "cycle_table"
+                    for stmt in node.body):
+                systems.add((path.stem, node.name))
+    assert systems == {("symbolic", "SymbolicSystem"), ("doeblin", "DoeblinSystem")}

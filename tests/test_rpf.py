@@ -5,7 +5,6 @@ from _oracles import two_scan_solve_raw_once
 
 from skewprod.base_env import build_markov_base, sample_base_path
 from skewprod.errors import BranchAmbiguity, NoConvergence
-from skewprod.gibbs import symbolic_forward_table
 from skewprod.fiber import CylinderFunction, FiberModel, PotentialTable
 from skewprod.rpf import (
     SystemOrbit,
@@ -20,6 +19,7 @@ from skewprod.rpf import (
     solve_rpf,
 )
 from skewprod.seeding import generator
+from skewprod.symbolic import SymbolicSystem
 from skewprod.transfer import key_matrices, symbol_keys
 
 
@@ -214,7 +214,7 @@ def test_pressure_derivative_matches_quadrature():
     k = 12
     orbit = SystemOrbit(win, 0, k + 80, pot, model, tol=1e-11)
     d1, d2 = pressure_derivatives(win, k, pot, model, orbit0=orbit)
-    (mean,), (var,) = symbolic_forward_table(orbit, k).moments([k])
+    (mean,), (var,) = SymbolicSystem.forward_table(orbit, k).moments([k])
     assert d1 == pytest.approx(mean, abs=1e-8)
     # second derivative tracks the variance up to a uniformly bounded constant
     assert abs(d2 - var) < 5.0
