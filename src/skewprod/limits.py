@@ -224,6 +224,16 @@ def classify(system) -> ClassificationReport:
 # annealed variance
 
 
+def _slope(n_list, values) -> float:
+    """Least-squares slope of values[i] against n_list[i]; values[0] / n_list[0]
+    when there is one n."""
+    ns = np.asarray(n_list, dtype=float)
+    if len(ns) == 1:
+        return float(values[0] / ns[0])
+    A = np.stack([np.ones_like(ns), ns], axis=1)
+    return float(np.linalg.lstsq(A, values, rcond=None)[0][1])
+
+
 def _variance_task(system, orbit, wi, ww, n_list):
     return system.forward_table(orbit, n_list[-1]).moments(n_list)[1]
 
@@ -239,16 +249,13 @@ def annealed_variance(system, n_list, omega_samples: int, seed: int,
     ens = _ensemble(system, strata_depth, omega_samples, n_list[-1], seed, stream)
     per_omega = _per_environment(pmap, _variance_task, system, ens, n_list[-1], n_list)
     Vbar = _weighted_mean(ens, per_omega)
-    ns = np.asarray(n_list, dtype=float)
-    A = np.stack([np.ones_like(ns), ns], axis=1)
-    sigma_sq = float(np.linalg.lstsq(A, Vbar, rcond=None)[0][1] if len(n_list) > 1
-                     else Vbar[0] / ns[0])
+    sigma_sq = _slope(n_list, Vbar)
     arr = np.stack(per_omega)
     tail = {int(n): float(np.mean(arr[:, i] <= 0.5 * sigma_sq * n))
             for i, n in enumerate(n_list)} if sigma_sq > 0 else {}
     # 95% interval for the slope from the per-environment estimates
     if len(n_list) > 1 and len(per_omega) > 1:
-        slopes = np.array([np.linalg.lstsq(A, v, rcond=None)[0][1] for v in per_omega])
+        slopes = np.array([_slope(n_list, v) for v in per_omega])
         half = 1.96 * float(np.std(slopes, ddof=1)) / math.sqrt(len(slopes))
         ci = (sigma_sq - half, sigma_sq + half)
     else:
@@ -338,8 +345,9 @@ def _clt_degenerate(system, n_list, omega_samples, fiber_replicates, seed,
 
 
 def _mixture_task(system, orbit, wi, ww, n_list):
-    """Per n, the law's values and its probabilities times the environment's weight."""
-    return {n: (dist.values(), dist.probs * ww.weight)
+    """Per n, the law's values, its probabilities times the environment's
+    weight, and its exact mean and variance."""
+    return {n: (dist.values(), dist.probs * ww.weight, dist.mean(), dist.variance())
             for n, dist in zip(n_list, system.forward_table(orbit, n_list[-1]).laws(n_list))}
 
 
@@ -364,6 +372,8 @@ class LltReport:
     threshold: float
     classifier: ClassificationReport
     passed: bool
+    sigma_sq_quenched: float   # slope of the weighted mean of the quenched variances
+    sigma_sq_means: float      # slope of the weighted variance of the quenched means
 
 
 def llt_scan(system, n_list, omega_samples: int, seed: int, threshold: float = 0.05,
@@ -376,33 +386,46 @@ def llt_scan(system, n_list, omega_samples: int, seed: int, threshold: float = 0
     ClassifierFailed propagates (NotLattice with no declared lattice_h);
     scans over a run within 4 standard deviations, where the statement is
     sharp.
+
+    The run draws one ensemble (stream 121).  sigma^2 is the least-squares
+    slope over n_list of the mixture law's exact variance (Var(S_n) / n with
+    one n), the annealed variance of the environments drawn, and one sigma^2
+    scales the gaussian at every n.  By the law of total variance it is the
+    sum of `sigma_sq_quenched`, the same slope of the weighted mean of the
+    environments' exact variances, and `sigma_sq_means`, that of the weighted
+    variance of their exact means.
     """
     cls = classify(system)
     if not cls.passed:
         reason = "degenerate (radius pinned at 1)" if cls.degenerate else \
             f"spectral radius {1 - cls.min_gap:.6f} at t = {cls.offending_t:.4f}"
         raise ClassifierFailed(f"aperiodicity classification failed: {reason}")
-    sigma_sq, _, _, _ = annealed_variance(system, [64, 128, 192],
-                                       max(8, omega_samples // 8), seed,
-                                       strata_depth, stream=120, pmap=pmap)
-    if sigma_sq <= 0:
-        raise DegenerateVariance("LLT needs positive asymptotic variance")
     n_list = sorted(int(n) for n in n_list)
     ens = _ensemble(system, strata_depth, omega_samples, n_list[-1], seed, 121)
     partials = _per_environment(pmap, _mixture_task, system, ens, n_list[-1], n_list)
     mixtures = _accumulate_mixtures(ens, partials, n_list)
+    means = {n: float(vals @ ps) for n, (vals, ps) in mixtures.items()}
+    sigma_sq = _slope(n_list, [float((vals - means[n]) ** 2 @ ps)
+                               for n, (vals, ps) in mixtures.items()])
+    env_means = np.array([[p[n][2] for n in n_list] for p in partials])
+    env_vars = np.array([[p[n][3] for n in n_list] for p in partials])
+    sigma_sq_quenched = _slope(n_list, _weighted_mean(ens, env_vars))
+    sigma_sq_means = _slope(n_list, _weighted_mean(
+        ens, (env_means - _weighted_mean(ens, env_means)) ** 2))
+    if sigma_sq <= 0:
+        raise DegenerateVariance("LLT needs positive asymptotic variance")
     h = system.lattice_h
     sups = []
-    for n in n_list:
-        vals, ps = mixtures[n]
-        mean = float(vals @ ps)
+    for n, (vals, ps) in mixtures.items():
+        mean = means[n]
         sd = math.sqrt(sigma_sq * n)
         sel = np.abs(vals - mean) <= 4.0 * sd
         dev = np.abs(math.sqrt(2 * math.pi * sigma_sq * n) * ps[sel]
                      - h * np.exp(-((vals[sel] - mean) ** 2) / (2 * sigma_sq * n)))
         sups.append(float(np.max(dev)))
     passed = sups[-1] < threshold
-    return LltReport(list(n_list), sups, sigma_sq, threshold, cls, passed)
+    return LltReport(list(n_list), sups, sigma_sq, threshold, cls, passed,
+                     sigma_sq_quenched, sigma_sq_means)
 
 
 # ---------------------------------------------------------------------------

@@ -188,7 +188,8 @@ def _llt(cfg, system, seed, pmap):
                    strata_depth=cfg.sample("strata_depth"), pmap=pmap)
     curves = {"llt": [{"n": n, "sup_dev": s, "threshold": rep.threshold}
                       for n, s in zip(rep.n_list, rep.sup_dev)]}
-    stats = {"sigma_sq": rep.sigma_sq, "sup_dev": rep.sup_dev,
+    stats = {"sigma_sq": rep.sigma_sq, "sigma_sq_quenched": rep.sigma_sq_quenched,
+             "sigma_sq_means": rep.sigma_sq_means, "sup_dev": rep.sup_dev,
              "classifier_min_gap": rep.classifier.min_gap}
     return stats, curves, _pass(rep.passed), [], _omega(cfg)
 

@@ -196,6 +196,12 @@ def test_doeblin_llt_small_and_span2_refusal():
         llt_scan(sysd2, [100], omega_samples=4, seed=20)
 
 
+def test_doeblin_llt_draws_one_ensemble(ensemble_calls):
+    assert llt_scan(DoeblinSystem(uniform_chain(), iid_family()), [150, 400],
+                    omega_samples=8, seed=19).passed
+    assert len(ensemble_calls) == 1
+
+
 def test_doeblin_renewal_small():
     fam = iid_family((1.0, 2.0))
     chain = uniform_chain()

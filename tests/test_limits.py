@@ -3,7 +3,7 @@ import pytest
 from _instances import random_doeblin, scalar_instance
 
 from skewprod.base_env import build_markov_base, periodic_point
-from skewprod.config import parse_config
+from skewprod.config import build_symbolic_system, parse_config
 from skewprod.doeblin import DoeblinSystem
 from skewprod.errors import (
     ClassifierFailed,
@@ -298,6 +298,32 @@ def test_llt_two_state_decreasing():
     rep = llt_scan(sys2, [150, 300, 600], omega_samples=24, seed=9, threshold=0.08)
     assert rep.sup_dev[-1] < 0.08
     assert rep.sup_dev[-1] <= rep.sup_dev[0] + 1e-9
+
+
+def test_llt_draws_one_ensemble(ensemble_calls):
+    assert llt_scan(system_01(), [200, 400], omega_samples=8, seed=7).passed
+    assert len(ensemble_calls) == 1
+
+
+def system_environment_dependent_r2():
+    # matrix-llt with u depending on the base symbol: the quenched means
+    # spread over the environments
+    cfg = preset_config("matrix-llt")
+    cfg["potentials"]["u"] = [[0, 1, 1, 2], [1, 0, 2, 0]]
+    return build_symbolic_system(parse_config(cfg))
+
+
+def test_llt_sigma_sq_is_quenched_plus_means():
+    rep = llt_scan(system_environment_dependent_r2(), [200, 400], omega_samples=8, seed=3)
+    assert rep.sigma_sq == pytest.approx(rep.sigma_sq_quenched + rep.sigma_sq_means,
+                                         rel=1e-9)
+    assert rep.sigma_sq_means > 0
+
+
+def test_llt_sigma_sq_binomial_is_exact():
+    rep = llt_scan(system_01(), [200, 500], omega_samples=12, seed=7)
+    assert rep.sigma_sq == pytest.approx(0.25, abs=1e-12)
+    assert abs(rep.sigma_sq_means) < 1e-12
 
 
 def test_renewal_gamma_three_halves():
