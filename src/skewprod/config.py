@@ -16,8 +16,9 @@ import numpy as np
 
 from .base_env import build_markov_base
 from .doeblin import DoeblinSystem, build_doeblin_family
-from .errors import ConfigError, SkewprodError
+from .errors import ConfigError, NotLattice, SkewprodError
 from .fiber import FiberModel, PotentialTable
+from .limits import lattice_indices
 from .symbolic import SymbolicSystem
 
 SYMBOLIC_EXPERIMENTS = ("rpf-audit", "variance", "clt", "llt", "renewal", "decay-survey",
@@ -27,6 +28,7 @@ DOEBLIN_EXPERIMENTS = ("doeblin-clt", "doeblin-llt", "doeblin-renewal", "doeblin
 LATTICE_EXPERIMENTS = ("llt", "renewal", "char-fn", "doeblin-llt", "doeblin-renewal",
                        "doeblin-char")
 EXPECTATIONS = ("pass", "degenerate", "classifier-failure")
+DEFAULT_A_LIST = [-20, -15, -10] + list(range(40, 61))  # the renewal points without grids.a_list
 
 DEFAULT_TOLERANCES = {
     "ks": 0.02,
@@ -218,11 +220,13 @@ def parse_config(data: dict, name_hint: str = "config") -> ExperimentConfig:
     if experiment in LATTICE_EXPERIMENTS and getattr(cfg, section).get("lattice_h") is None:
         raise ConfigError(f"{section}.lattice_h: required by experiment {experiment!r}, "
                           "which runs on the lattice of the observable's values")
-    # build both systems eagerly so every cross-reference is checked up front
-    if kind == "symbolic":
-        build_symbolic_system(cfg)
-    else:
-        build_doeblin_system(cfg)
+    # build the system eagerly so every cross-reference is checked up front
+    system = (build_symbolic_system if kind == "symbolic" else build_doeblin_system)(cfg)
+    if experiment in ("renewal", "doeblin-renewal"):
+        try:
+            lattice_indices(cfg.grids.get("a_list", DEFAULT_A_LIST), system.lattice_h)
+        except NotLattice as exc:
+            raise ConfigError(f"grids.a_list: {exc}") from exc
     return cfg
 
 

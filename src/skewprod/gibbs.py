@@ -6,11 +6,11 @@ state, increment) branches per step.  The models build their tables in their
 own modules (`symbolic`, `doeblin`); this engine sees only the arrays.  The
 exact lattice law (a dynamic-programming convolution over (state, lattice
 value), or, when no row depends on the state, the start law times powers of
-the table's few distinct step laws), the forward (renewal) sweep, the exact
-means and variances (one cached pass, `StepTable.moments`), the sampler and
-the spectral characteristic function are written once against the table,
-which is what makes the three characteristic-function routes exactly
-comparable.
+the table's few distinct step laws), the renewal sums (one sweep of the
+`accumulating` chain), the exact means and variances (one cached pass,
+`StepTable.moments`), the sampler and the spectral characteristic function
+are written once against the table, which is what makes the three
+characteristic-function routes exactly comparable.
 
 The DP advances the joint law, a row of D polynomials, left to right through
 blocks of BLOCK_ROWS = 64 rows: a row times a D x D polynomial matrix costs
@@ -19,12 +19,11 @@ than multiplying blocks together first.  All blocks' polynomial matrices are
 built in one batch by pairwise doubling.  One kernel, a banded (Toeplitz)
 GEMM over overlapping windows of rows of polynomials (`_banded`), runs both
 each advance of the joint and each doubling level past SHIFT_TAPS taps,
-batched over the level's pairs; short operands, such as the one-row
-segments of the renewal sweep, keep np.convolve, and short pieces a matmul
-per shift.  Every product is a direct sum of nonnegative terms
-(np.convolve or matmul), never an FFT, so the law's far tails keep their
-relative accuracy, and every law is rescaled to its exact mass, carried in
-extended precision.
+batched over the level's pairs; short operands, such as one-row segments,
+keep np.convolve, and short pieces a matmul per shift.  Every product is a
+direct sum of nonnegative terms (np.convolve or matmul), never an FFT, so the
+law's far tails keep their relative accuracy, and every law is rescaled to
+its exact mass, carried in extended precision.
 """
 
 from __future__ import annotations
@@ -99,12 +98,10 @@ class StepTable:
     targets: np.ndarray
     u: np.ndarray
 
-    def sweep(self, weights=None, at=None):
+    def sweep(self, at):
         """Exact lattice DP: yields (m, joint, k0) at each prefix length m in `at`.
 
-        joint[w, i] is the mass of state w with S_m at lattice index k0 + i,
-        the start optionally weighted by `weights` (the renewal integrand f at
-        time zero).  `at=None` yields at the start and after every row.
+        joint[w, i] is the mass of state w with S_m at lattice index k0 + i.
 
         Row i is a polynomial matrix C[i, s, v, w]: the mass moving from state
         v to state w with shift kmin_i + s.  The rows between consecutive
@@ -120,11 +117,11 @@ class StepTable:
         level of more than SHIFT_TAPS taps, batched over its pairs; at span 2
         a 64-row block has 129 taps, and its levels of 9, 17, 33 and 65 taps
         are banded GEMMs.  Short operands keep np.convolve: a joint narrower
-        than 2 * CHUNK, and a block of fewer than CHUNK taps, such as the
-        one-row segments of at=None.  A block's coefficients past its rows' summed spans are
-        exact zeros and are trimmed, so each joint has the value range of a
-        row-by-row DP.  Every product is a direct sum of nonnegative terms, so
-        the law's far tails keep their relative accuracy, which an FFT would
+        than 2 * CHUNK, and a block of fewer than CHUNK taps, such as a
+        one-row segment.  A block's coefficients past its rows' summed spans
+        are exact zeros and are trimmed, so each joint has the value range of
+        a row-by-row DP.  Every product is a direct sum of nonnegative terms,
+        so the law's far tails keep their relative accuracy, which an FFT would
         lose to the rounding of the largest mass.  Each block's entries and
         each yielded joint are rescaled to their exact masses, which take the
         same products in extended precision (`_anchored`); without that, a
@@ -144,10 +141,9 @@ class StepTable:
             raise LatticeTooLarge(
                 f"lattice DP needs {D * width} states, budget {STATE_BUDGET}")
         m0 = self.n - steps
-        ms = range(m0, self.n + 1) if at is None else self._prefixes(at)
-        start = self.start if weights is None else self.start * np.asarray(weights, dtype=float)
+        ms = self._prefixes(at)
         joint = np.zeros((D, int(highs[0] - lows[0]) + 1))
-        joint[np.arange(D), k_start - lows[0]] = start
+        joint[np.arange(D), k_start - lows[0]] = self.start
         k0 = int(lows[0])
         if ms and ms[0] == m0:
             yield m0, joint, k0
@@ -196,7 +192,7 @@ class StepTable:
                                                     kmin[idx].sum(axis=1)):
                 blocks[b] = coef[..., :length], mass, int(shift)
         last = set((first + n_blocks - 1).tolist())
-        joint_mass = start.astype(np.longdouble)
+        joint_mass = self.start.astype(np.longdouble)
         for b, (coef, mass, shift) in enumerate(blocks):
             joint = _advance(joint, coef)
             joint_mass = joint_mass @ mass
@@ -204,6 +200,31 @@ class StepTable:
             if b in last:
                 joint = _anchored(joint, joint_mass)
                 yield m0 + int(ends[seg[b]]), joint, k0
+
+    def accumulating(self, weights) -> "StepTable":
+        """The renewal chain: this chain on D + 1 states.
+
+        Every branch of a live state is also taken, with the same probability
+        and increment, into one accumulator state D, which keeps its mass with
+        increment 0; the live start is weighted by `weights` (the renewal
+        integrand f) and the accumulator starts empty.  After the rows up to
+        prefix length m the accumulator holds the sum over m0 < j <= m of the
+        weighted joints of S_j, summed over states, so one `sweep` gives every
+        renewal sum.  The rows are not stochastic: the accumulator gains the
+        live mass, start . weights, on every row.
+        """
+        steps, D, B = self.probs.shape
+        probs = np.zeros((steps, D + 1, 2 * B))
+        targets = np.full((steps, D + 1, 2 * B), D)
+        u = np.zeros((steps, D + 1, 2 * B))
+        probs[:, :D, :B] = probs[:, :D, B:] = self.probs
+        targets[:, :D, :B] = self.targets
+        u[:, :D, :B] = u[:, :D, B:] = self.u
+        probs[:, D, 0] = 1.0
+        start = np.append(self.start * np.asarray(weights, dtype=float), 0.0)
+        # the empty accumulator's increment lies inside the start's range
+        return StepTable(self.n, self.h, start, np.append(self.start_u, self.start_u.min()),
+                         probs, targets, u)
 
     def _prefixes(self, ns) -> list:
         """The distinct prefix lengths in ns, sorted; each must lie in [n - steps, n]."""

@@ -239,14 +239,14 @@ def _variance_task(system, orbit, wi, ww, n_list):
 
 
 def annealed_variance(system, n_list, omega_samples: int, seed: int,
-                      strata_depth: int = 2, stream: int = 101, pmap=None):
-    """Mean exact V_n over the environment ensemble and its fitted slope.
+                      strata_depth: int = 2, pmap=None):
+    """Mean exact V_n over the environment ensemble (stream 101) and its fitted slope.
 
     Also audits the tail {V_n <= sigma^2 n / 2}, reporting its empirical
     frequency per n (the mixing hypothesis behind the decay estimates).
     """
     n_list = sorted(int(n) for n in n_list)
-    ens = _ensemble(system, strata_depth, omega_samples, n_list[-1], seed, stream)
+    ens = _ensemble(system, strata_depth, omega_samples, n_list[-1], seed, 101)
     per_omega = _per_environment(pmap, _variance_task, system, ens, n_list[-1], n_list)
     Vbar = _weighted_mean(ens, per_omega)
     sigma_sq = _slope(n_list, Vbar)
@@ -301,7 +301,7 @@ def clt_test(system, n_list, omega_samples: int, fiber_replicates: int,
     """
     sigma_sq, _, _, _ = annealed_variance(system, [64, 128, 256],
                                        max(16, omega_samples // 4), seed,
-                                       strata_depth, stream=101, pmap=pmap)
+                                       strata_depth, pmap=pmap)
     if sigma_sq < 1e-10:
         if not expect_degenerate:
             raise DegenerateVariance(f"asymptotic variance {sigma_sq:.3e} below 1e-10")
@@ -460,20 +460,34 @@ def step_mean_check(table: StepTable) -> tuple[bool, float, float]:
     return max_dev <= STEP_MEAN_TOL, gamma, max_dev
 
 
-def _renewal_task(system, orbit, wi, ww, truncation, a_list, f_weights):
+def lattice_indices(a_list, h: float) -> np.ndarray:
+    """The lattice indices a / h of the points a; NotLattice names the first a
+    off the lattice h Z, which no S_n reaches."""
+    ratios = np.asarray(a_list, dtype=float) / h
+    ka = np.round(ratios)
+    off = np.flatnonzero(np.abs(ratios - ka) > 1e-12)
+    if len(off):
+        raise NotLattice(f"a = {a_list[off[0]]} is off the lattice h Z, h = {h}: "
+                         "no S_n reaches it")
+    return ka.astype(np.int64)
+
+
+def _renewal_task(system, orbit, wi, ww, truncation, ka, f_weights, var_at):
+    """(mu(f), U at the lattice indices ka, the step table's `step_mean_check`,
+    the forward table's exact variances at var_at).  U is one sweep of the
+    accumulating chain, plus S_m0 where the start carries it (m0 >= 1, the
+    Doeblin table's S_1)."""
     table = system.forward_table(orbit, truncation)
     fw = np.ones(len(table.start)) if f_weights is None else np.asarray(f_weights, dtype=float)
-    mu_f = float(table.start @ fw)
-    # U accumulates on the lattice indices lo..hi spanned by a_list
-    ka = np.round(np.asarray(a_list) / system.lattice_h).astype(np.int64)
-    lo, hi = int(ka.min()), int(ka.max()) + 1
-    U = np.zeros(hi - lo)
-    for n, joint, k0 in table.sweep(fw):
-        a0, a1 = max(lo, k0), min(hi, k0 + joint.shape[1])
-        if n == 0 or a0 >= a1:
-            continue
-        U[a0 - lo:a1 - lo] += joint[:, a0 - k0:a1 - k0].sum(axis=0)
-    return mu_f, U[ka - lo]
+    _, joint, k0 = next(table.accumulating(fw).sweep(at=[truncation]))
+    U = joint[-1]
+    if table.n > len(table.probs):
+        np.add.at(U, np.round(table.start_u / table.h).astype(np.int64) - k0, table.start * fw)
+    inside = (ka >= k0) & (ka < k0 + len(U))
+    values = np.where(inside, U[np.clip(ka - k0, 0, len(U) - 1)], 0.0)
+    return (float(table.start @ fw), values,
+            step_mean_check(system.step_table(orbit, truncation)),
+            table.moments(var_at)[1])
 
 
 def renewal_curve(system, a_list, truncation: int, omega_samples: int,
@@ -482,38 +496,43 @@ def renewal_curve(system, a_list, truncation: int, omega_samples: int,
                   negative_tol: float = 0.01, pmap=None) -> RenewalReport:
     """Truncated renewal sums U(a) = sum_{n <= N} E[f 1(S_n = a)] on the lattice.
 
-    Direct summation; the positive drift gamma comes from the validated
-    constant step mean (`step_mean_check`); the limit along a -> +infinity is mu(f) h / gamma
-    (h mass per lattice point).  The reported `tail_bound` is a Gaussian
-    estimate of the mass beyond N, not a bound (ROADMAP item 6).
+    The run draws one ensemble (stream 132).  Each environment's sums come
+    from one sweep of its forward table's accumulating chain; its step table
+    must have a constant step mean (`step_mean_check`), and the positive
+    drift gamma is that mean; the limit along a -> +infinity is mu(f) h /
+    gamma (h mass per lattice point).  sigma^2, which sizes the truncation
+    margin and the tail estimate, is the slope of the weighted mean of the
+    forward tables' exact variances at N / 2 and N.  The reported
+    `tail_bound` is a Gaussian estimate of the mass beyond N, not a bound
+    (ROADMAP item 6).  Every a must lie on the lattice h Z (NotLattice).
     """
     if not classify(system).passed:
         raise ClassifierFailed("renewal needs the aperiodicity classification to pass")
-    probe = _ensemble(system, strata_depth, 4, truncation, seed, 130)
-    k = min(truncation, 32)
-    ok, gamma, dev = step_mean_check(system.step_table(system.orbit(probe[0].window, k), k))
-    if not ok:
+    ka = lattice_indices(a_list, system.lattice_h)
+    if f_weights is not None and np.any(np.asarray(f_weights, dtype=float) <= 0):
+        raise NonPositiveMean("f must be strictly positive")
+    var_at = sorted({max(1, truncation // 2), truncation})
+    ens = _ensemble(system, strata_depth, omega_samples, truncation, seed, 132)
+    partials = _per_environment(pmap, _renewal_task, system, ens, truncation,
+                                truncation, ka, f_weights, var_at)
+    mu_f_vals, U_vals, checks, variances = zip(*partials)
+    gamma = _weighted_mean(ens, [g for _, g, _ in checks])
+    dev = max(max(d for _, _, d in checks), max(abs(g - gamma) for _, g, _ in checks))
+    if dev > STEP_MEAN_TOL:
         raise NonConstantMean(f"step mean not constant (max deviation {dev:.2e})")
     if gamma <= 0:
         raise NonPositiveMean(f"renewal needs positive drift, got gamma = {gamma:.4f}")
-    sigma_sq, _, _, _ = annealed_variance(system, [64, 128], 8, seed, strata_depth,
-                                       stream=131, pmap=pmap)
+    sigma_sq = _slope(var_at, _weighted_mean(ens, variances))
     a_max = max(a_list)
     n_cover = a_max / gamma
     margin = 6.0 * math.sqrt(max(sigma_sq, 1e-12) * max(n_cover, 1.0)) / gamma + 5.0
     if truncation < n_cover + margin:
         raise TruncationInsufficient(
             f"need N >= {n_cover + margin:.0f} to cover a <= {a_max}, got {truncation}")
-    ens = _ensemble(system, strata_depth, omega_samples, truncation, seed, 132)
-    if f_weights is not None and np.any(np.asarray(f_weights, dtype=float) <= 0):
-        raise NonPositiveMean("f must be strictly positive")
-    partials = _per_environment(pmap, _renewal_task, system, ens, truncation,
-                                truncation, list(a_list), f_weights)
-    mu_f_vals = [p[0] for p in partials]
     if max(mu_f_vals) - min(mu_f_vals) > 1e-8:
         raise NonConstantMean("mu(f) is not constant over environments")
     mu_f = float(np.mean(mu_f_vals))
-    U = dict(zip(a_list, _weighted_mean(ens, [p[1] for p in partials]).tolist()))
+    U = dict(zip(a_list, _weighted_mean(ens, U_vals).tolist()))
     target = mu_f * system.lattice_h / gamma
     # estimated tail, not a bound: contributions from n > N to a <= a_max,
     # approximated by the gaussian probabilities of S_n reaching back below a_max

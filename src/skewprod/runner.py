@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from . import __version__
 from .base_env import sample_base_path
 from .config import (
+    DEFAULT_A_LIST,
     ExperimentConfig,
     build_doeblin_system,
     build_symbolic_system,
@@ -196,7 +197,7 @@ def _llt(cfg, system, seed, pmap):
 
 def _renewal(cfg, system, seed, pmap):
     lw = cfg.renewal.get("limit_window")
-    rep = renewal_curve(system, cfg.grids.get("a_list", [-20, -15, -10] + list(range(40, 61))),
+    rep = renewal_curve(system, cfg.grids.get("a_list", DEFAULT_A_LIST),
                         cfg.renewal.get("truncation", 200),
                         cfg.sample("omega_samples"), seed,
                         f_weights=cfg.renewal.get("f"),

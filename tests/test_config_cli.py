@@ -287,8 +287,7 @@ def test_every_experiment_same_record_at_one_and_two_workers(name, monkeypatch):
 
 @pytest.mark.parametrize("name", list(SMALL_RUNS))
 def test_one_orbit_build_per_environment(name, monkeypatch):
-    # every environment of every ensemble has its orbit built exactly once;
-    # the renewal runner's drift probe reads the first window of its ensemble
+    # every environment of every ensemble has its orbit built exactly once
     from skewprod import limits
     from skewprod.doeblin import DoeblinSystem
     from skewprod.symbolic import SymbolicSystem
@@ -309,11 +308,15 @@ def test_one_orbit_build_per_environment(name, monkeypatch):
         monkeypatch.setattr(cls, "orbit", counting_orbit)
     run_experiment(parse_config(copy.deepcopy(SMALL_RUNS[name])))
     expected = [len(ens) for ens in ensembles]
-    if name.endswith("renewal"):
-        expected[0] = 1
     assert [sum(built[id(ww.window)] for ww in ens) for ens in ensembles] == expected
     assert set(built.values()) <= {1}
     assert sum(built.values()) == sum(expected)
+
+
+@pytest.mark.parametrize("name", ["renewal", "doeblin-renewal"])
+def test_renewal_run_draws_one_ensemble(name, ensemble_calls):
+    assert run_experiment(parse_config(copy.deepcopy(SMALL_RUNS[name]))).exit_code == 0
+    assert len(ensemble_calls) == 1
 
 
 def test_import_and_one_worker_run_stay_light(tmp_path):
@@ -485,6 +488,23 @@ def test_cli_bad_system_config_exit_2(tmp_path, preset, section, key, value, err
     assert "Traceback" not in proc.stderr
 
 
+def test_cli_renewal_point_off_the_lattice_exit_2(tmp_path):
+    # steps {2, 4} on the lattice 2 Z: no S_n reaches an odd a
+    cfg = preset_config("renewal-gamma-3-2")
+    cfg["potentials"]["u"], cfg["potentials"]["lattice_h"] = [[2.0, 4.0]] * 2, 2.0
+    cfg["grids"]["a_list"] = list(range(81, 87))
+    cfg["samples"], cfg["seed"] = {"omega_samples": 16}, 1
+    path = tmp_path / "off-lattice.json"
+    path.write_text(json.dumps(cfg))
+    proc = run_cli(["run", str(path)], cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "config error: grids.a_list: a = 81 is off the lattice" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    del cfg["grids"]  # the default a_list, -20 ... 60, is off 2 Z too
+    with pytest.raises(ConfigError, match="grids.a_list: a = -15 is off the lattice"):
+        parse_config(cfg)
+
+
 @pytest.mark.parametrize("preset,section,key,value,error", [
     # each exited 1 with a ValueError traceback from a bare float() or int()
     ("scalar-iid", "fiber", "alpha", "x", "fiber.alpha: expected a number, got 'x'"),
@@ -587,6 +607,25 @@ def test_cli_rerun_byte_identical_results(tmp_path):
 
 # a small r = 3 LLT (space_dim 4), which no preset covers; the CI runs it too
 LLT_R3 = os.path.join(os.path.dirname(os.path.abspath(__file__)), "configs", "llt-r3.json")
+
+
+RENEWAL_DOEBLIN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "configs",
+                               "renewal-doeblin.json")
+
+
+def test_doeblin_renewal_config_reads_the_start_summand():
+    # criterion 11's {1, 2} family (D = 2) with f = [1, 3]: S_1 = u(xi_0)
+    # sits in the start of the Doeblin table, so U(1) = P(xi_0 = 0) f(0) and
+    # U(2) = P(xi_0 = 1) f(1) + P(S_2 = 2); the CI runs it at two workers too
+    from skewprod.config import load_config
+
+    result = run_experiment(load_config(RENEWAL_DOEBLIN))
+    assert result.exit_code == 0
+    U = {row["a"]: row["U"] for row in result.curves["renewal"]}
+    assert result.record["stats"]["target"] == pytest.approx(4 / 3, rel=1e-15)
+    assert [U[a] for a in (-20, -15, -10)] == [0.0, 0.0, 0.0]
+    assert [U[1], U[2], U[3]] == pytest.approx([0.5, 1.75, 1.125], rel=1e-14)
+    assert result.record["stats"]["rel_err_window"] < 1e-11
 
 
 def test_blas_threads_do_not_change_record(tmp_path):

@@ -102,8 +102,9 @@ def test_engine_invariants(instance):
     table = system.step_table(orbit, n)
     law = table.law()
     assert law.probs.sum() == pytest.approx(1.0, abs=1e-12)
-    # backward DP and forward sweep give the same law of S_n (f = 1)
-    for m, joint, k0 in system.forward_table(orbit, n).sweep():
+    # backward DP and forward sweep give the same law of S_n
+    forward = system.forward_table(orbit, n)
+    for m, joint, k0 in forward.sweep(at=range(n - len(forward.probs), n + 1)):
         pass
     assert m == n
     swept = joint.sum(axis=0)
@@ -171,9 +172,12 @@ def test_blocked_sweep_matches_row_by_row(instance, data):
     weights = rng.uniform(0.5, 2.0, size=D) if data.draw(st.booleans()) else None
     ns = data.draw(st.lists(st.integers(n - steps, n), min_size=1, max_size=4))
     reference = row_by_row_sweep(table, weights=weights)
-    for at in (ns, None):
-        swept = list(table.sweep(weights, at=at))
-        assert [m for m, _, _ in swept] == sorted(set(ns) if at else reference)
+    # a weighted start is a table whose start law has mass start . weights
+    weighted = table if weights is None else \
+        dataclasses.replace(table, start=table.start * weights)
+    for at in (ns, range(n - steps, n + 1)):
+        swept = list(weighted.sweep(at=at))
+        assert [m for m, _, _ in swept] == sorted(set(at))
         for m, joint, k0 in swept:
             want, want_k0 = reference[m]
             assert k0 == want_k0 and joint.shape == want.shape
@@ -291,6 +295,87 @@ def test_sweep_blocks_of_uneven_row_spans_match_row_by_row():
         assert np.max(err) <= 1e-15
         big = want > 1e-290
         assert np.max(err[big] / want[big]) <= 1e-12
+
+
+def accumulated(reference, m0, m):
+    """The sum over m0 < j <= m of the oracle's joints of S_j, summed over
+    states, on one value range: (values, k0)."""
+    parts = [(reference[j][0].sum(axis=0), reference[j][1]) for j in range(m0 + 1, m + 1)]
+    lo = min((k for _, k in parts), default=0)
+    out = np.zeros(max((k + len(v) for v, k in parts), default=1) - lo)
+    for v, k in parts:
+        out[k - lo:k - lo + len(v)] += v
+    return out, lo
+
+
+def on_range(values, k0, lo, width):
+    out = np.zeros(width)
+    out[k0 - lo:k0 - lo + len(values)] = values
+    return out
+
+
+def renewal_system(kind):
+    """An r = 1 preset (D = 1), a state-dependent Doeblin family (D = 3, S_1
+    in the start) or an r = 2 preset (D = 2), with positive weights f."""
+    if kind == "r1":
+        return build_symbolic_system(parse_config(preset_config("renewal-gamma-3-2"))), [1.7]
+    if kind == "doeblin":
+        rng = generator(91)
+        return random_doeblin(rng, q=3, n_symbols=2), rng.uniform(0.5, 2.0, size=3)
+    cfg = preset_config("matrix-llt")
+    cfg["potentials"]["u"] = [[1, 1, 2, 3]] * 2
+    return build_symbolic_system(parse_config(cfg)), [2.0, 0.5]
+
+
+@pytest.mark.parametrize("kind,D,m0", [("r1", 1, 0), ("doeblin", 3, 1), ("r2", 2, 0)])
+def test_accumulating_sweep_sums_the_weighted_joints(kind, D, m0):
+    # n = 150: two full blocks and a padded one
+    system, f = renewal_system(kind)
+    window = sample_base_path(system.chain, -300, 450, 92)
+    table, f = system.forward_table(system.orbit(window, 150), 150), np.asarray(f)
+    assert (len(table.start), table.n - len(table.probs)) == (D, m0)
+    ns = [m0, m0 + 1, 64, 100, table.n]
+    reference = row_by_row_sweep(table, weights=f)
+    for m, joint, k0 in table.accumulating(f).sweep(at=ns):
+        want, want_k0 = accumulated(reference, m0, m)
+        lo = min(k0, want_k0)
+        width = max(k0 + joint.shape[1], want_k0 + len(want)) - lo
+        got, want = on_range(joint[-1], k0, lo, width), on_range(want, want_k0, lo, width)
+        err = np.abs(got - want)
+        assert np.max(err) <= 1e-12 * max(np.max(want), 1.0)
+        big = want > 1e-290
+        assert np.max(err[big] / want[big], initial=0.0) <= 1e-12
+        # the live states carry the weighted joint of S_m itself
+        live, live_k0 = reference[m]
+        live = np.stack([on_range(row, live_k0, k0, joint.shape[1]) for row in live])
+        assert np.max(np.abs(joint[:-1] - live)) <= 1e-15
+        mass = (m - m0) * (table.start @ f)
+        assert abs(got.sum() - mass) <= 1e-13 * max(mass, 1.0)
+
+
+def test_renewal_task_matches_row_by_row_sums():
+    # fam_mod's kernels with u = [[1, 2], [2, 1]]: S_1 = u(xi_0) sits in the
+    # start of the Doeblin table, so U(1) and U(2) need the start summand
+    from skewprod.limits import _renewal_task
+
+    chain = build_markov_base(np.full((2, 2), 0.5))
+    fam = build_doeblin_family(np.array([[[0.7, 0.3], [0.4, 0.6]], [[0.3, 0.7], [0.6, 0.4]]]),
+                               np.array([[1.0, 2.0], [2.0, 1.0]]), 0.3, lattice_h=1.0)
+    system, f, N = DoeblinSystem(chain, fam), np.array([2.0, 0.5]), 90
+    orbit = system.orbit(sample_base_path(chain, -300, N + 300, 93), N)
+    table = system.forward_table(orbit, N)
+    reference = row_by_row_sweep(table, weights=f)
+    a = np.arange(0, 11)
+    want = np.zeros(len(a))
+    for m in range(1, N + 1):
+        joint, k0 = reference[m]
+        law = joint.sum(axis=0)
+        inside = (a >= k0) & (a < k0 + len(law))
+        want[inside] += law[a[inside] - k0]
+    assert want[0] == 0 and min(want[1:]) > 0
+    mu_f, U, _, _ = _renewal_task(system, orbit, 0, None, N, a, f, [N])
+    assert mu_f == pytest.approx(table.start @ f, rel=1e-15)
+    assert np.max(np.abs(U - want) / np.maximum(want, 1e-300)) <= 1e-12
 
 
 def draw_nonnegative(rng, shape):

@@ -200,7 +200,7 @@ def test_forward_sweep_matches_backward_dp():
     n_max = 8
     orbit = SystemOrbit(win, 0, n_max, pot, model, tol=1e-11)
     sweeps = {n: (joint.sum(axis=0), k0) for n, joint, k0 in
-              SymbolicSystem.forward_table(orbit, n_max).sweep()}
+              SymbolicSystem.forward_table(orbit, n_max).sweep(at=range(n_max + 1))}
     for n in [1, 3, 8]:
         dist = exact_Sn_distribution(win, n, pot, model, orbit=orbit)
         vals, k0 = sweeps[n]

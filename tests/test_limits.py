@@ -10,6 +10,7 @@ from skewprod.errors import (
     DegenerateVariance,
     NonConstantMean,
     NonPositiveMean,
+    NotLattice,
     TruncationInsufficient,
 )
 from skewprod.fiber import FiberModel, PotentialTable
@@ -344,6 +345,24 @@ def test_renewal_counts_a_repeated_point_once():
     once = renewal_curve(sysr, [20, 30, 40], **kw)
     twice = renewal_curve(sysr, [20, 30, 30, 40], **kw)
     assert twice.U == [once.U[0], once.U[1], once.U[1], once.U[2]]
+
+
+def system_renewal_span_2():
+    # renewal-gamma-3-2 with steps {2, 4} on the lattice 2 Z
+    cfg = preset_config("renewal-gamma-3-2")
+    cfg["potentials"]["u"], cfg["potentials"]["lattice_h"] = [[2.0, 4.0]] * 2, 2.0
+    cfg["grids"]["a_list"] = [-20, 82, 84, 86]
+    return build_symbolic_system(parse_config(cfg))
+
+
+def test_renewal_refuses_points_off_the_lattice():
+    # an odd a is never reached by S_n on 2 Z; rounding it to a lattice index
+    # read a neighbour's U (about 2/3 where the exact value is 0)
+    system = system_renewal_span_2()
+    with pytest.raises(NotLattice, match="a = 81 is off the lattice"):
+        renewal_curve(system, list(range(81, 87)), truncation=200, omega_samples=16, seed=1)
+    rep = renewal_curve(system, [82, 84, 86], truncation=200, omega_samples=16, seed=1)
+    assert rep.target == pytest.approx(2 / 3, abs=1e-12) and rep.passed
 
 
 def test_renewal_deterministic_unit_steps_counting_measure():

@@ -212,7 +212,7 @@ def test_stateless_law_with_start_increments_matches_sweep():
     table = StepTable(steps + 1, 1.0, start / start.sum(), np.array([0.0, 2.0, 5.0]),
                       probs, np.broadcast_to(np.arange(q), (steps, q, q)), u)
     assert table.stateless()
-    for _, joint, k0 in table.sweep():
+    for _, joint, k0 in table.sweep(at=range(1, table.n + 1)):
         pass
     law = table.law()
     dp = joint.sum(axis=0)
