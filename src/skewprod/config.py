@@ -141,8 +141,9 @@ GRIDS = {"n_list": ("integers >= 1", _is_length), "n_grid": ("integers >= 1", _i
 
 def _grid(key: str, value) -> str | None:
     want, entry = GRIDS[key]
-    ok = isinstance(value, list) and len(value) > 0 and all(entry(v) for v in value)
-    return None if ok else f"a non-empty list of {want}"
+    ok = isinstance(value, list) and len(value) > 0 and all(entry(v) for v in value) \
+        and len(set(value)) == len(value)
+    return None if ok else f"a non-empty list of distinct {want}"
 
 
 RENEWAL_KEYS = ("truncation", "f", "limit_window")
@@ -223,10 +224,14 @@ def parse_config(data: dict, name_hint: str = "config") -> ExperimentConfig:
     # build the system eagerly so every cross-reference is checked up front
     system = (build_symbolic_system if kind == "symbolic" else build_doeblin_system)(cfg)
     if experiment in ("renewal", "doeblin-renewal"):
+        a_list = cfg.grids.get("a_list", DEFAULT_A_LIST)
         try:
-            lattice_indices(cfg.grids.get("a_list", DEFAULT_A_LIST), system.lattice_h)
+            lattice_indices(a_list, system.lattice_h)
         except NotLattice as exc:
             raise ConfigError(f"grids.a_list: {exc}") from exc
+        lw = cfg.renewal.get("limit_window")  # the default one holds max(a_list)
+        if lw and not any(lw[0] <= a <= lw[1] for a in a_list):
+            raise ConfigError(f"renewal.limit_window: {lw} holds no point of grids.a_list")
     return cfg
 
 

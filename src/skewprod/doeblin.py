@@ -120,13 +120,15 @@ class DoeblinSystem:
                          *self._rows(win.symbols(0, n0)))
 
     def _rows(self, s: np.ndarray) -> tuple:
-        """(probs, targets, u) of the steps under the symbols s[:-1]: row j
-        moves the state by the kernel at s[j] and reads u at s[j + 1] at the
-        target state."""
+        """(probs, targets, u, keys) of the steps under the symbols s[:-1]: row
+        j moves the state by the kernel at s[j] and reads u at s[j + 1] at the
+        target state.  Rank-one kernels read no state: row j is keyed by the
+        pair (s[j], s[j + 1]) when every kernel's rows are equal."""
         fam = self.family
         shape = (len(s) - 1,) + fam.kernels.shape[1:]
+        keys = s[:-1] * fam.n_symbols + s[1:] if np.all(fam.kernels == fam.kernels[:, :1]) else None
         return (fam.kernels[s[:-1]], np.broadcast_to(np.arange(fam.n_states), shape),
-                np.broadcast_to(fam.u[s[1:], None, :], shape))
+                np.broadcast_to(fam.u[s[1:], None, :], shape), keys)
 
 
 class DoeblinOrbit:

@@ -3,14 +3,15 @@
 Along one environment, both fiber models reduce to a `StepTable`: a start
 law with per-state start increments, then one row of (probability, target
 state, increment) branches per step.  The models build their tables in their
-own modules (`symbolic`, `doeblin`); this engine sees only the arrays.  The
+own modules (`symbolic`, `doeblin`); this engine sees only the arrays, and
+the rows' keys when the builder knows that no row reads the state.  The
 exact lattice law (a dynamic-programming convolution over (state, lattice
-value), or, when no row depends on the state, the start law times powers of
-the table's few distinct step laws), the renewal sums (one sweep of the
-`accumulating` chain), the exact means and variances (one cached pass,
-`StepTable.moments`), the sampler and the spectral characteristic function
-are written once against the table, which is what makes the three
-characteristic-function routes exactly comparable.
+value), or, on a keyed table, the start law times powers of the table's few
+distinct step laws), the renewal sums (one sweep of the `accumulating`
+chain), the exact means and variances (one cached pass, `StepTable.moments`),
+the sampler and the spectral characteristic function are written once
+against the table, which is what makes the three characteristic-function
+routes exactly comparable.
 
 The DP advances the joint law, a row of D polynomials, left to right through
 blocks of BLOCK_ROWS = 64 rows: a row times a D x D polynomial matrix costs
@@ -87,7 +88,10 @@ class StepTable:
     the lattice span of every increment, None when u is not lattice-valued.
     A system's `cycle_table` lays out one period of its periodic base orbit
     the same way, for `twisted_product` alone; its symbolic rows carry raw
-    branch weights, not probabilities.
+    branch weights, not probabilities.  keys, which only a builder sets, is
+    None or one integer per row: then no row reads the state, and rows that
+    share a key share one step law (r = 1 fibers, rank-one Doeblin kernels:
+    the base symbol key); rows with other keys may share it too.
     """
 
     n: int
@@ -97,6 +101,7 @@ class StepTable:
     probs: np.ndarray
     targets: np.ndarray
     u: np.ndarray
+    keys: np.ndarray | None = None
 
     def sweep(self, at):
         """Exact lattice DP: yields (m, joint, k0) at each prefix length m in `at`.
@@ -235,29 +240,32 @@ class StepTable:
         return ms
 
     def stateless(self) -> bool:
-        """True when no row depends on the state (r = 1 fibers, rank-one kernels)."""
-        return self._stateless
-
-    # computed once per table, so the arrays must not be changed in place afterwards
-    @cached_property
-    def _stateless(self) -> bool:
-        return bool(np.all(self.probs == self.probs[:, :1]) and np.all(self.u == self.u[:, :1]))
+        """True when no row reads the state: the builder gave the rows' keys."""
+        return self.keys is not None
 
     @cached_property
     def _step_groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The rows of a stateless table grouped by step law (probabilities
-        and increments), latest law first: for each group the last row that
-        has its law and how many rows do, and each row's group."""
-        laws = np.concatenate([self.probs[::-1, 0], self.u[::-1, 0]], axis=1)
-        first, counts, labels = group_rows(laws)
-        return len(self.probs) - 1 - first, counts, labels[::-1]
+        """The rows of a keyed table grouped by step law (probabilities and
+        increments), latest law first: for each group the last row that has
+        its law and how many rows do, and each row's group.  One row per
+        distinct key is read, and keys whose rows are equal share a group."""
+        # each key's last row, latest key first
+        _, first, inverse = np.unique(self.keys[::-1], return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        last = len(self.keys) - 1 - first[order]
+        laws = np.concatenate([self.probs[last, 0], self.u[last, 0]], axis=1)
+        # keys whose rows are equal share a law, and the groups are the laws by latest key
+        _, lead, law = np.unique(laws, axis=0, return_index=True, return_inverse=True)
+        group = np.argsort(np.argsort(lead))[law.ravel()]  # the group of each key, latest first
+        labels = group[np.argsort(order)][inverse.ravel()][::-1]
+        return last[np.sort(lead)], np.bincount(labels, minlength=len(lead)), labels
 
     def laws(self, ns) -> list:
         """Exact laws of S_m for each prefix length m in ns (mass 1 up to rounding).
 
-        A table whose rows depend on the state runs one `sweep`.  In a
-        stateless table (r = 1 fibers, rank-one kernels) S_m is the start
-        increment plus independent steps, so its law is the start law times
+        A keyless table runs one `sweep`.  In a keyed table (r = 1 fibers,
+        rank-one kernels) no row reads the state, so S_m is the start
+        increment plus independent steps, and its law is the start law times
         the polynomials, on lattice shifts, of its few distinct step laws
         (`_step_groups`).  Between consecutive requested lengths, the d rows
         of group g contribute p_g ** d, computed by repeated squaring on one
@@ -346,14 +354,14 @@ class StepTable:
         = start_u - start . start_u, Var(S_m) is start . c_s^2 plus the prefix
         sum of p_i . sum_b probs c_i^2 + 2 g_i . (e_i - m_i): g_i[w] carries the
         centred summands before row i on state w, one affine scan [g_{i+1}, 1]
-        = [g_i, 1] [[K_i, 0], [drift_i, 1]] from g_0 = start c_s.  A stateless
+        = [g_i, 1] [[K_i, 0], [drift_i, 1]] from g_0 = start c_s.  A keyed
         table (r = 1 fibers, rank-one kernels) has independent steps: it reads
-        one state's branches and runs no scan."""
+        one state's branches and runs no scan, nor does a table of no rows."""
         steps, D, _ = self.probs.shape
         cond = (self.probs * self.u).sum(axis=2)
         start_mean = self.start @ self.start_u
         start_c = self.start_u - start_mean
-        if self.stateless():
+        if self.stateless() or not steps:
             means = cond[:, 0]
             terms = (self.probs[:, 0] * (self.u[:, 0] - means[:, None]) ** 2).sum(axis=1)
         else:
@@ -377,10 +385,10 @@ class StepTable:
     def sample(self, rng, replicates: int = 1) -> np.ndarray:
         """Unbiased draws of S_n.
 
-        When no step depends on the state (r = 1 fibers, rank-one kernels) the
-        rows are grouped by their step law (`group_rows`, once per table) and
-        each group is drawn as multinomial counts, groups in the order of
-        their last row; otherwise the chain runs row by row, vectorized over
+        In a keyed table (r = 1 fibers, rank-one kernels) the rows are
+        grouped by their step law (`_step_groups`, once per table) and each
+        group is drawn as multinomial counts, groups in the order of their
+        last row; otherwise the chain runs row by row, vectorized over
         replicates.
         """
         steps, D, _ = self.probs.shape
@@ -571,28 +579,6 @@ def _anchored(poly: np.ndarray, mass: np.ndarray) -> np.ndarray:
     got[got == 0] = 1.0  # an all-zero polynomial stays zero
     poly *= (mass / got).astype(float)[..., None]
     return poly
-
-
-def group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Groups of equal rows of a 2-D array: the first index and size of each,
-    groups in order of first occurrence, and each row's group.  The same
-    groups as np.unique(rows, axis=0, return_index=True, return_counts=True),
-    without sorting the rows as records: lexsort orders them by their
-    columns, stably, so the first entry of each run of equal rows is its
-    group's first row."""
-    if not len(rows):
-        return (np.zeros(0, dtype=np.intp),) * 3
-    order = np.lexsort(rows.T)
-    ordered = rows[order]
-    starts = np.flatnonzero(np.concatenate([[True], np.any(ordered[1:] != ordered[:-1], axis=1)]))
-    first = order[starts]
-    counts = np.diff(np.append(starts, len(rows)))
-    by_first = np.argsort(first)
-    rank = np.empty_like(by_first)
-    rank[by_first] = np.arange(len(by_first))
-    labels = np.empty(len(rows), dtype=np.intp)
-    labels[order] = np.repeat(rank, counts)
-    return first[by_first], counts[by_first], labels
 
 
 def _poly_product(P: np.ndarray, Q: np.ndarray) -> np.ndarray:

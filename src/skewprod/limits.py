@@ -57,8 +57,6 @@ WINDOW_MARGIN = 272  # room for truncation doubling beyond the span a runner nee
 class WeightedWindow:
     weight: float
     window: OmegaWindow
-    stratum: int
-    replicate: int
 
 
 def stratified_windows(chain: BaseSymbolChain, strata_depth: int, total: int,
@@ -87,7 +85,7 @@ def stratified_windows(chain: BaseSymbolChain, strata_depth: int, total: int,
             paths = _sample_paths_matrix(chain, hi - lo + 1, per, rng)
         for k in range(per):
             win = OmegaWindow(lo, hi, paths[k], m)
-            out.append(WeightedWindow(p_s / per, win, si, k))
+            out.append(WeightedWindow(p_s / per, win))
     return out
 
 
@@ -439,7 +437,7 @@ class RenewalReport:
     gamma: float
     mu_f: float
     target: float
-    rel_err_window: float | None
+    rel_err_window: float
     negative_side_max: float
     truncation: int
     tail_bound: float  # a Gaussian estimate, not a bound (ROADMAP item 6)
@@ -504,8 +502,14 @@ def renewal_curve(system, a_list, truncation: int, omega_samples: int,
     margin and the tail estimate, is the slope of the weighted mean of the
     forward tables' exact variances at N / 2 and N.  The reported
     `tail_bound` is a Gaussian estimate of the mass beyond N, not a bound
-    (ROADMAP item 6).  Every a must lie on the lattice h Z (NotLattice).
+    (ROADMAP item 6).  Every a must lie on the lattice h Z (NotLattice), and
+    one in the limit window, by default [2 a_max // 3, a_max] (ValueError).
     """
+    a_max = max(a_list)
+    lw = limit_window or (2 * a_max // 3, a_max)
+    in_window = [a for a in a_list if lw[0] <= a <= lw[1]]
+    if not in_window:
+        raise ValueError(f"limit window {list(lw)} holds no point of a_list")
     if not classify(system).passed:
         raise ClassifierFailed("renewal needs the aperiodicity classification to pass")
     ka = lattice_indices(a_list, system.lattice_h)
@@ -523,7 +527,6 @@ def renewal_curve(system, a_list, truncation: int, omega_samples: int,
     if gamma <= 0:
         raise NonPositiveMean(f"renewal needs positive drift, got gamma = {gamma:.4f}")
     sigma_sq = _slope(var_at, _weighted_mean(ens, variances))
-    a_max = max(a_list)
     n_cover = a_max / gamma
     margin = 6.0 * math.sqrt(max(sigma_sq, 1e-12) * max(n_cover, 1.0)) / gamma + 5.0
     if truncation < n_cover + margin:
@@ -543,11 +546,9 @@ def renewal_curve(system, a_list, truncation: int, omega_samples: int,
         tail += p
         if p < 1e-16:
             break
-    lw = limit_window or (2 * a_max // 3, a_max)
-    in_window = [a for a in a_list if lw[0] <= a <= lw[1]]
-    rel = max(abs(U[a] - target) / target for a in in_window) if in_window else None
+    rel = max(abs(U[a] - target) / target for a in in_window)
     neg = max((abs(U[a]) for a in a_list if a <= -10), default=0.0)
-    passed = (rel is None or rel < rel_tol) and neg < negative_tol
+    passed = rel < rel_tol and neg < negative_tol
     return RenewalReport(list(a_list), [U[a] for a in a_list], gamma, mu_f, target,
                          rel, neg, truncation, tail, passed)
 

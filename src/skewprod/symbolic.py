@@ -56,10 +56,11 @@ class SymbolicSystem:
     @staticmethod
     def step_table(orbit: SystemOrbit, n: int) -> StepTable:
         """The cylinder chain read backwards: start at the Gibbs weights mu_n,
-        rows j = n-1, ..., 0 with the z = 0 branch kernels."""
+        rows j = n-1, ..., 0 with the z = 0 branch kernels (keyed when r = 1)."""
         probs, targets, u = (a[:n][::-1] for a in orbit.kernel_arrays())
+        keys = orbit.keys[:n][::-1] if orbit.model.r == 1 else None
         return StepTable(n, orbit.pot.lattice_h, orbit.mu[n], np.zeros(len(orbit.mu[n])),
-                         probs, targets, u)
+                         probs, targets, u, keys)
 
     @staticmethod
     def forward_table(orbit: SystemOrbit, n: int) -> StepTable:
@@ -67,11 +68,12 @@ class SymbolicSystem:
 
         Row j is the Bayes reversal of branch kernel j: from cylinder w the
         trajectory extends by fiber symbol b to (w shifted, b), and the increment
-        reads the depth-r word w.b.  For r = 1 the chain is stateless and the
-        kernels coincide.
+        reads the depth-r word w.b.  For r = 1 no row reads the state, the
+        kernels coincide, and the rows are keyed by their symbol keys.
         """
         probs, targets, u = (a[:n] for a in orbit.kernel_arrays())
         d, r, D = orbit.model.d, orbit.model.r, orbit.model.space_dim
+        keys = orbit.keys[:n] if r == 1 else None
         if r > 1:
             w = np.arange(D)[:, None]
             w_next = (w * d + np.arange(d)[None, :]) % D
@@ -90,7 +92,8 @@ class SymbolicSystem:
             probs = fk / row[..., None]
             u = u[:, w_next, a]
             targets = np.broadcast_to(w_next, probs.shape)
-        return StepTable(n, orbit.pot.lattice_h, orbit.mu[0], np.zeros(D), probs, targets, u)
+        return StepTable(n, orbit.pot.lattice_h, orbit.mu[0], np.zeros(D), probs, targets, u,
+                         keys)
 
     def cycle_table(self) -> StepTable:
         """One period of the periodic base orbit as raw transfer rows, from

@@ -52,9 +52,11 @@ def window_for(chain, rng_seed, back, fwd):
     return sample_base_path(chain, -back, fwd, rng_seed)
 
 
-def random_doeblin(rng, q, n_symbols, h=1.0, initial=False):
-    K = rng.uniform(0.2, 1.0, size=(n_symbols, q, q))
-    K /= K.sum(axis=2, keepdims=True)
+def random_doeblin(rng, q, n_symbols, h=1.0, initial=False, rank_one=False):
+    """A Doeblin system on random kernels; with rank_one, every kernel's rows
+    are equal, so no step reads the state."""
+    K = rng.uniform(0.2, 1.0, size=(n_symbols, 1 if rank_one else q, q))
+    K = np.broadcast_to(K / K.sum(axis=2, keepdims=True), (n_symbols, q, q))
     u = h * rng.integers(-2, 3, size=(n_symbols, q)).astype(float)
     fam = build_doeblin_family(K, u, alpha=float(K.min()), lattice_h=h)
     Q = rng.uniform(0.2, 1.0, size=(n_symbols, n_symbols))

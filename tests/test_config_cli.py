@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 import skewprod
-from skewprod.config import build_doeblin_system, config_hash, parse_config
+from skewprod.config import GRIDS, build_doeblin_system, config_hash, parse_config
 from skewprod.errors import ConfigError
 from skewprod.presets import PRESETS, preset_config
 from skewprod.runner import record_bytes_from_file, run_experiment, write_results
@@ -84,6 +84,42 @@ def test_bad_grids():
     cfg = preset_config("scalar-iid")
     cfg["grids"] = {"n_list": [1], "n_grid": [50], "a_list": [-20, 0, 40],
                     "t_grid": [0.1, 1], "t_small": [-0.5], "t_large": [2.4]}
+    parse_config(cfg)
+
+
+def test_repeated_grid_entries_are_refused(tmp_path):
+    # llt on n_list [200, 200, 400] exited 1 with a LinAlgError traceback, and
+    # clt on [200, 200] reported the second draw's KS as the one at n = 200
+    for key in GRIDS:
+        cfg = preset_config("scalar-iid")
+        cfg["grids"] = {key: [50, 60, 50]}
+        with pytest.raises(ConfigError, match=rf"grids\.{key}: expected .* distinct"):
+            parse_config(cfg)
+    for preset, experiment, n_list in [("scalar-iid", "llt", [200, 200, 400]),
+                                       ("two-state-base-lattice", "clt", [200, 200])]:
+        cfg = preset_config(preset)
+        cfg["experiment"], cfg["grids"]["n_list"] = experiment, n_list
+        path = tmp_path / f"{experiment}.json"
+        path.write_text(json.dumps(cfg))
+        proc = run_cli(["run", str(path)], cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "config error: grids.n_list" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+def test_renewal_limit_window_without_a_point_exit_2(tmp_path):
+    # a window past every a ran with rel_err_window null and exit 0, its
+    # limit never checked; the default window holds max(a_list)
+    cfg = preset_config("renewal-gamma-3-2")
+    cfg["renewal"]["limit_window"] = [100, 120]
+    with pytest.raises(ConfigError, match=r"renewal\.limit_window: \[100, 120\] holds no point"):
+        parse_config(cfg)
+    path = tmp_path / "window.json"
+    path.write_text(json.dumps(cfg))
+    proc = run_cli(["run", str(path)], cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "config error: renewal.limit_window" in proc.stderr
+    del cfg["renewal"]["limit_window"]
     parse_config(cfg)
 
 

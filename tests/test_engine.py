@@ -1,23 +1,27 @@
 """The shared step-table engine on both fiber models: oracles and invariants."""
 
+import copy
 import dataclasses
+import importlib.util
 import itertools
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from _instances import random_doeblin
+from _instances import random_doeblin, random_instance, scalar_instance
 from _oracles import per_shift_level, prob_at
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skewprod import gibbs
 from skewprod.base_env import build_markov_base, sample_base_path
-from skewprod.config import build_symbolic_system, parse_config
+from skewprod.config import build_doeblin_system, build_symbolic_system, parse_config
 from skewprod.doeblin import DoeblinSystem, build_doeblin_family
 from skewprod.errors import LatticeTooLarge
 from skewprod.fiber import FiberModel, PotentialTable
-from skewprod.gibbs import BLOCK_ROWS, CHUNK, StepTable, group_rows
-from skewprod.presets import preset_config
+from skewprod.gibbs import BLOCK_ROWS, CHUNK, StepTable
+from skewprod.presets import PRESETS, preset_config
 from skewprod.seeding import generator
 from skewprod.symbolic import SymbolicSystem
 
@@ -515,7 +519,7 @@ def test_long_stateless_law_matches_row_by_row():
     table = StepTable(n, 1.0, np.array([0.25, 0.75]), np.array([0.0, 3.0]),
                       np.repeat(laws[pick][:, None], 2, axis=1),
                       np.zeros((n, 2, 2), dtype=np.int64),
-                      np.repeat(shifts[pick][:, None], 2, axis=1))
+                      np.repeat(shifts[pick][:, None], 2, axis=1), pick)
     assert table.stateless()
     reference = row_by_row_sweep(table, ns)
     for m, law in zip(ns, table.laws(ns)):
@@ -523,25 +527,44 @@ def test_long_stateless_law_matches_row_by_row():
         assert abs(law.probs.sum() - 1.0) <= 1e-12
 
 
+def unique_groups(table):
+    """The rows grouped as `StepTable._step_groups` groups them, by np.unique
+    over every row's step law (state 0's probabilities and increments): each
+    group's last row and size, latest law first, and each row's group."""
+    rows = np.concatenate([table.probs[::-1, 0], table.u[::-1, 0]], axis=1)
+    _, first, labels, counts = np.unique(rows, axis=0, return_index=True,
+                                         return_inverse=True, return_counts=True)
+    order = np.argsort(first)
+    return len(rows) - 1 - first[order], counts[order], np.argsort(order)[labels.ravel()][::-1]
+
+
+def reads_state(table):
+    """Whether some row's probabilities or increments differ between states."""
+    return not (np.all(table.probs == table.probs[:, :1]) and np.all(table.u == table.u[:, :1]))
+
+
+def assert_groups_match_unique(table):
+    for got, want in zip(table._step_groups, unique_groups(table)):
+        assert got.tolist() == want.tolist()
+
+
 def reference_sample(table, rng, replicates=1):
-    """The sampler as it was before `group_rows`: rows grouped by np.unique."""
-    steps, D, _ = table.probs.shape
+    """The sampler on the groups of `unique_groups`."""
+    D = table.probs.shape[1]
     states = np.zeros(replicates, dtype=np.int64) if D == 1 else \
         rng.choice(D, size=replicates, p=table.start)
     totals = table.start_u[states]
-    laws = np.concatenate([table.probs[::-1, 0], table.u[::-1, 0]], axis=1)
-    _, first, counts = np.unique(laws, axis=0, return_index=True, return_counts=True)
-    for g in np.argsort(first):
-        i = steps - 1 - first[g]
-        draws = rng.multinomial(counts[g], table.probs[i, 0], size=replicates)
+    for i, count in zip(*unique_groups(table)[:2]):
+        draws = rng.multinomial(count, table.probs[i, 0], size=replicates)
         totals += draws @ table.u[i, 0]
     return totals
 
 
 @st.composite
 def stateless_tables(draw):
-    """Stateless tables whose rows repeat a few step laws, among them laws that
-    differ from another only in u, or by one ulp in one probability."""
+    """Keyed tables whose rows repeat a few step laws, among them laws that
+    differ from another only in u, or by one ulp in one probability; every
+    law has two keys, so that the grouping merges keys."""
     seed = draw(st.integers(0, 2**31 - 1))
     rng = generator(seed)
     D, B = draw(st.integers(1, 3)), draw(st.integers(2, 3))
@@ -556,7 +579,8 @@ def stateless_tables(draw):
     table = StepTable(steps, 1.0, start, rng.integers(-1, 2, size=D).astype(float),
                       np.repeat(probs[pick][:, None], D, axis=1),
                       rng.integers(0, D, size=(steps, D, B)),
-                      np.repeat(u[pick][:, None], D, axis=1))
+                      np.repeat(u[pick][:, None], D, axis=1),
+                      2 * pick + rng.integers(0, 2, size=steps))
     return table, seed
 
 
@@ -565,20 +589,91 @@ def stateless_tables(draw):
 def test_row_groups_match_unique(instance, replicates):
     table, seed = instance
     assert table.stateless()
-    rows = np.concatenate([table.probs[::-1, 0], table.u[::-1, 0]], axis=1)
-    first, counts, labels = group_rows(rows)
-    _, want_first, want_labels, want_counts = np.unique(
-        rows, axis=0, return_index=True, return_counts=True, return_inverse=True)
-    order = np.argsort(want_first)
-    assert first.tolist() == want_first[order].tolist()
-    assert counts.tolist() == want_counts[order].tolist()
-    assert labels.tolist() == np.argsort(order)[want_labels.ravel()].tolist()
+    assert_groups_match_unique(table)
     got = table.sample(generator(seed, 2), replicates)
     want = reference_sample(table, generator(seed, 2), replicates)
     assert got.tobytes() == want.tobytes()
     # the cached groups serve a second draw the same way
     assert table.sample(generator(seed, 3), replicates).tobytes() == \
         reference_sample(table, generator(seed, 3), replicates).tobytes()
+
+
+@st.composite
+def built_tables(draw):
+    """The step and forward tables of a system from `_instances`: r = 1 fibers
+    (one table on every symbol, or pair keys) and rank-one Doeblin families,
+    which their builders key, beside r = 2 fibers and full-rank families."""
+    seed = draw(st.integers(0, 2**31 - 1))
+    rng = generator(seed)
+    n_symbols, n = draw(st.integers(2, 3)), draw(st.integers(1, 80))
+    kind = draw(st.sampled_from(["r1", "same-tables", "pair", "r2", "doeblin", "rank-one"]))
+    if kind in ("doeblin", "rank-one"):
+        system = random_doeblin(rng, draw(st.integers(2, 3)), n_symbols,
+                                rank_one=kind == "rank-one")
+        if draw(st.booleans()):  # one u on every symbol: keys (s, t) and (s, t') share a law
+            system.family.u[:] = system.family.u[:1]
+    elif kind == "same-tables":
+        u_values = rng.integers(-2, 3, size=draw(st.integers(2, 3)))
+        system = SymbolicSystem(*scalar_instance(u_values, n_states=n_symbols, lattice_h=1.0))
+    else:
+        chain, model, pot = random_instance(rng, d=draw(st.integers(2, 3)),
+                                            r=2 if kind == "r2" else 1, n_states=n_symbols)
+        if kind == "pair":
+            pot = PotentialTable(pot.phi, rng.standard_normal((n_symbols, n_symbols, model.d)),
+                                 model, u_next_symbol=True)
+        system = SymbolicSystem(chain, model, pot)
+    orbit = system.orbit(sample_base_path(system.chain, -300, 300, seed), n)
+    return kind, system.step_table(orbit, n), system.forward_table(orbit, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(built_tables())
+def test_builders_key_exactly_the_state_free_tables(instance):
+    kind, *tables = instance
+    for table in tables:
+        assert (table.keys is None) == (kind in ("r2", "doeblin"))
+        if table.keys is None:
+            assert reads_state(table)
+        else:
+            assert len(table.keys) == len(table.probs)
+            assert_groups_match_unique(table)
+
+
+def test_zero_row_keyed_table_groups_to_nothing():
+    # a Doeblin table of n = 1 carries its one summand in the start
+    system = random_doeblin(generator(86), q=3, n_symbols=2, rank_one=True)
+    table = system.step_table(system.orbit(sample_base_path(system.chain, -80, 20, 86), 1), 1)
+    assert table.probs.shape[0] == 0 and table.keys.shape == (0,)
+    assert [len(a) for a in table._step_groups] == [0, 0, 0]
+    law = table.law()
+    assert law.probs.sum() == pytest.approx(1.0, abs=1e-15)
+    assert np.isin(table.sample(generator(86, 1), 20), table.start_u).all()
+
+
+def _benchmark_configs() -> dict:
+    """The benchmark workloads' configs at the benchmark seed."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return {name: w.config_for(workloads.DEFAULT_SEED) for name, w in workloads.WORKLOADS.items()}
+
+
+SHIPPED_CONFIGS = {**{name: preset_config(name) for name in PRESETS}, **_benchmark_configs()}
+
+
+@pytest.mark.parametrize("name", list(SHIPPED_CONFIGS))
+def test_shipped_configs_key_every_state_free_table(name):
+    # a table that reads no state but comes without keys would silently leave
+    # the grouped laws and the grouped sampler for the sweep and the row loop
+    cfg = parse_config(copy.deepcopy(SHIPPED_CONFIGS[name]))
+    system = (build_symbolic_system if cfg.kind == "symbolic" else build_doeblin_system)(cfg)
+    orbit = system.orbit(sample_base_path(system.chain, -300, 300, 87), 200)
+    for table in (system.step_table(orbit, 200), system.forward_table(orbit, 200)):
+        if table.keys is None:
+            assert reads_state(table)
+        else:
+            assert_groups_match_unique(table)
 
 
 @settings(max_examples=100, deadline=None)

@@ -347,11 +347,24 @@ def test_renewal_counts_a_repeated_point_once():
     assert twice.U == [once.U[0], once.U[1], once.U[1], once.U[2]]
 
 
+def test_renewal_refuses_a_limit_window_without_a_point(ensemble_calls):
+    # a window that held no a passed with rel_err_window None: no limit was checked
+    sysr = system_renewal()
+    with pytest.raises(ValueError, match=r"limit window \[42, 50\] holds no point"):
+        renewal_curve(sysr, [20, 30, 40], truncation=60, omega_samples=4, seed=10,
+                      limit_window=(42, 50))
+    assert ensemble_calls == []  # refused before any work
+    rep = renewal_curve(sysr, [20, 30, 40], truncation=60, omega_samples=4, seed=10,
+                        limit_window=(40, 50))
+    assert isinstance(rep.rel_err_window, float)
+
+
 def system_renewal_span_2():
     # renewal-gamma-3-2 with steps {2, 4} on the lattice 2 Z
     cfg = preset_config("renewal-gamma-3-2")
     cfg["potentials"]["u"], cfg["potentials"]["lattice_h"] = [[2.0, 4.0]] * 2, 2.0
     cfg["grids"]["a_list"] = [-20, 82, 84, 86]
+    cfg["renewal"]["limit_window"] = [82, 86]
     return build_symbolic_system(parse_config(cfg))
 
 

@@ -210,7 +210,8 @@ def test_stateless_law_with_start_increments_matches_sweep():
     u = np.broadcast_to(rng.integers(-1, 3, size=q).astype(float), (steps, q, q))
     start = rng.uniform(0.1, 1.0, size=q)
     table = StepTable(steps + 1, 1.0, start / start.sum(), np.array([0.0, 2.0, 5.0]),
-                      probs, np.broadcast_to(np.arange(q), (steps, q, q)), u)
+                      probs, np.broadcast_to(np.arange(q), (steps, q, q)), u,
+                      np.zeros(steps, dtype=np.int64))
     assert table.stateless()
     for _, joint, k0 in table.sweep(at=range(1, table.n + 1)):
         pass
