@@ -5,6 +5,11 @@ matrix Q and its stationary law p; theta acts on windows as an index shift.
 Strict positivity is what makes every finite cylinder carry positive mass and
 the polynomial mixing bounds the limit theorems need hold automatically, so
 build_markov_base rejects matrices with zero entries.
+
+Windows are drawn by inverse-cdf sampling, many chains at once:
+sample_conditioned_paths stacks the chains of every conditioning prefix, so
+a stratified ensemble costs one forward and one backward `_walk`, each a
+blocked scan of per-step state maps.
 """
 
 from __future__ import annotations
@@ -147,24 +152,30 @@ def sample_base_path(chain: BaseSymbolChain, lo: int, hi: int, seed) -> OmegaWin
                        chain.n_states)
 
 
-def sample_conditioned_paths(chain: BaseSymbolChain, prefix: np.ndarray, lo: int, hi: int,
-                             count: int, rng: np.random.Generator) -> np.ndarray:
-    """Sample `count` windows over lo..hi with symbols at 0..len(prefix)-1 fixed.
+def sample_conditioned_paths(chain: BaseSymbolChain, prefixes, lo: int, hi: int,
+                             count: int, rngs) -> np.ndarray:
+    """Sample `count` windows over lo..hi for each row of the prefix stack
+    `prefixes` (shape (strata, k)), with symbols at 0..k-1 fixed to that row.
 
     Indices after the prefix extend forward with Q; indices before 0 extend
-    backward with the reversed kernel, so the marginal law is the stationary
-    chain conditioned on the prefix cylinder.  Returns an int array of shape
-    (count, hi - lo + 1).
+    backward with the reversed kernel, so the marginal law of stratum s is
+    the stationary chain conditioned on its prefix cylinder.  Stratum s
+    draws from rngs[s], its forward block of uniforms and then its backward
+    block; the blocks are stacked along the chain axis, so every stratum
+    walks in one forward and one backward `_walk`.  Returns an int array of
+    shape (strata * count, hi - lo + 1), stratum by stratum.
     """
-    k = len(prefix)
+    prefixes = np.asarray(prefixes, dtype=np.int64)
+    strata, k = prefixes.shape
     if lo > 0 or hi < k - 1:
         raise InsufficientWindow("conditioned windows must contain the prefix indices")
     n = hi - lo + 1
-    out = np.empty((count, n), dtype=np.int64)
-    out[:, -lo: -lo + k] = np.asarray(prefix, dtype=np.int64)[None, :]
-    # forward of the prefix, then backward of index 0, uniforms in that order
-    us_f = rng.random((n - (-lo + k), count))
-    us_b = rng.random((-lo, count))
+    draws = [(rng.random((n - (-lo + k), count)), rng.random((-lo, count))) for rng in rngs]
+    out = np.empty((strata, count, n), dtype=np.int64)
+    out[:, :, -lo: -lo + k] = prefixes[:, None, :]
+    out = out.reshape(strata * count, n)
+    us_f = np.concatenate([f for f, _ in draws], axis=1)
+    us_b = np.concatenate([b for _, b in draws], axis=1)
     out[:, -lo + k:] = _walk(_cum_rows(chain.transition), out[:, -lo + k - 1], us_f)
     out[:, :-lo] = _walk(_cum_rows(chain.reverse_kernel()), out[:, -lo], us_b)[:, ::-1]
     return out

@@ -66,27 +66,22 @@ def stratified_windows(chain: BaseSymbolChain, strata_depth: int, total: int,
     Every window carries weight p(stratum) / replicates, so weighted sums are
     unbiased annealed expectations regardless of the allocation.  Windows are
     derived from (master_seed, stream, stratum) and never depend on worker
-    chunking.
+    chunking; the strata's chains are drawn together, in one forward and one
+    backward walk.
     """
     m = chain.n_states
     if chain.deterministic or strata_depth == 0:
-        strata = [()]
+        per = max(1, total)
+        paths = _sample_paths_matrix(chain, hi - lo + 1, per, generator(master_seed, stream, 0))
+        weights = [1.0]
     else:
-        strata = [tuple(w) for w in word_table(m, strata_depth)]
-    per = max(1, math.ceil(total / len(strata)))
-    out = []
-    for si, prefix in enumerate(strata):
-        rng = generator(master_seed, stream, si)
-        if prefix:
-            p_s = cylinder_probability(chain, {i: v for i, v in enumerate(prefix)})
-            paths = sample_conditioned_paths(chain, np.array(prefix), lo, hi, per, rng)
-        else:
-            p_s = 1.0
-            paths = _sample_paths_matrix(chain, hi - lo + 1, per, rng)
-        for k in range(per):
-            win = OmegaWindow(lo, hi, paths[k], m)
-            out.append(WeightedWindow(p_s / per, win))
-    return out
+        strata = word_table(m, strata_depth)
+        per = max(1, math.ceil(total / len(strata)))
+        rngs = [generator(master_seed, stream, si) for si in range(len(strata))]
+        paths = sample_conditioned_paths(chain, strata, lo, hi, per, rngs)
+        weights = [cylinder_probability(chain, dict(enumerate(w))) for w in strata]
+    return [WeightedWindow(weights[i // per] / per, OmegaWindow(lo, hi, path, m))
+            for i, path in enumerate(paths)]
 
 
 def _ensemble(system, strata_depth: int, omega_samples: int, reach: int, seed: int,

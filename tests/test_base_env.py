@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from skewprod.base_env import (
+    _cum_rows,
+    _walk,
     build_markov_base,
     cylinder_probability,
     periodic_point,
@@ -15,6 +19,8 @@ from skewprod.errors import (
     ZeroStateSpace,
     ZeroTransition,
 )
+from skewprod.fiber import word_table
+from skewprod.limits import stratified_windows
 from skewprod.seeding import generator
 
 
@@ -126,11 +132,11 @@ def test_cylinder_probability_products():
 
 def test_conditioned_paths_fix_prefix():
     chain = build_markov_base([[0.9, 0.1], [0.2, 0.8]])
-    rng = generator(9)
-    paths = sample_conditioned_paths(chain, np.array([1, 0]), lo=-2, hi=4, count=32, rng=rng)
-    assert paths.shape == (32, 7)
-    assert np.all(paths[:, 2] == 1)
-    assert np.all(paths[:, 3] == 0)
+    rngs = [generator(9, si) for si in range(2)]
+    paths = sample_conditioned_paths(chain, [[1, 0], [0, 1]], lo=-2, hi=4, count=32, rngs=rngs)
+    assert paths.shape == (64, 7)
+    assert np.all(paths[:32, 2:4] == [1, 0])
+    assert np.all(paths[32:, 2:4] == [0, 1])
     assert paths.min() >= 0 and paths.max() <= 1
 
 
@@ -152,10 +158,47 @@ def per_position_conditioned_paths(chain, prefix, lo, hi, count, rng):
     return out
 
 
-@pytest.mark.parametrize("Q", [
+def per_position_stationary_paths(chain, length, count, rng):
+    """The per-position sampling loop from a stationary start."""
+    out = np.empty((count, length), dtype=np.int64)
+    out[:, 0] = rng.choice(chain.n_states, size=count, p=chain.stationary)
+    cum = np.cumsum(chain.transition, axis=1)
+    cum[:, -1] = 1.0
+    for i in range(1, length):
+        us = rng.random(count)
+        out[:, i] = (us[:, None] > cum[out[:, i - 1]]).sum(axis=1)
+    return out
+
+
+def per_stratum_windows(chain, strata_depth, total, lo, hi, master_seed, stream):
+    """The per-stratum loop: one conditioned draw per base cylinder, each
+    from its own generator, as (weight, symbols) pairs."""
+    m = chain.n_states
+    if chain.deterministic or strata_depth == 0:
+        strata = [()]
+    else:
+        strata = [tuple(w) for w in word_table(m, strata_depth)]
+    per = max(1, math.ceil(total / len(strata)))
+    out = []
+    for si, prefix in enumerate(strata):
+        rng = generator(master_seed, stream, si)
+        if prefix:
+            p_s = cylinder_probability(chain, {i: v for i, v in enumerate(prefix)})
+            paths = per_position_conditioned_paths(chain, prefix, lo, hi, per, rng)
+        else:
+            p_s = 1.0
+            paths = per_position_stationary_paths(chain, hi - lo + 1, per, rng)
+        out += [(p_s / per, path) for path in paths]
+    return out
+
+
+QS = [
     [[0.7, 0.3], [0.4, 0.6]],
     [[0.2, 0.5, 0.3], [0.1, 0.1, 0.8], [0.3, 0.3, 0.4]],
-])
+]
+
+
+@pytest.mark.parametrize("Q", QS)
 @pytest.mark.parametrize("seed", [0, 1, 7, 20260808])
 def test_conditioned_paths_match_per_position_loop(Q, seed):
     chain = build_markov_base(Q)
@@ -163,6 +206,66 @@ def test_conditioned_paths_match_per_position_loop(Q, seed):
     windows = [([1, 0], -300, 700, 8), ([0], 0, 0, 3), ([1], 0, 50, 5),
                ([0, 1], -40, 1, 4), ([1, 1, 0], -2, 2, 1), ([2 % m], -1, 3, 6)]
     for prefix, lo, hi, count in windows:
-        got = sample_conditioned_paths(chain, np.array(prefix), lo, hi, count, generator(seed))
+        got = sample_conditioned_paths(chain, [prefix], lo, hi, count, [generator(seed)])
         want = per_position_conditioned_paths(chain, prefix, lo, hi, count, generator(seed))
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("Q", QS + [[[1.0]]])
+@pytest.mark.parametrize("strata_depth", [0, 1, 2, 3])
+def test_stratified_windows_match_per_stratum_loop(Q, strata_depth):
+    # one forward and one backward walk for all strata draw exactly what one
+    # conditioned draw per stratum does, rounding and window edges included
+    chain = build_markov_base(Q, allow_deterministic=True)
+    k = 0 if chain.deterministic else strata_depth
+    spans = [(-300, 700), (0, 40), (-25, max(k - 1, 0)), (0, max(k - 1, 0))]
+    for total in (1, 7, 13, 30):
+        for lo, hi in spans:
+            got = stratified_windows(chain, strata_depth, total, lo, hi, 20260808, 101)
+            want = per_stratum_windows(chain, strata_depth, total, lo, hi, 20260808, 101)
+            assert [ww.weight for ww in got] == [w for w, _ in want]
+            assert all((ww.window.lo, ww.window.hi) == (lo, hi) for ww in got)
+            assert (np.array([ww.window.symbols(lo, hi) for ww in got]).tobytes()
+                    == np.array([path for _, path in want]).tobytes())
+
+
+def per_position_walk(cum, first, us):
+    """The per-position loop `_walk` replaces: one inverse-cdf step at a time."""
+    state = np.asarray(first)
+    out = np.empty((len(state), len(us)), dtype=np.int64)
+    for i, u in enumerate(us):
+        state = (u[:, None] > cum[state]).sum(axis=1)
+        out[:, i] = state
+    return out
+
+
+@pytest.mark.parametrize("Q", QS)
+@pytest.mark.parametrize("steps", [0, 1, 2, 3, 15, 16, 17, 99, 100, 101])
+@pytest.mark.parametrize("count", [1, 5])
+def test_walk_matches_per_position_loop(Q, steps, count):
+    # blocks of isqrt(steps) steps, with a padded last block off the squares
+    chain = build_markov_base(Q)
+    cum = _cum_rows(chain.transition)
+    rng = generator(steps, count)
+    first = rng.integers(0, chain.n_states, count)
+    us = rng.random((steps, count))
+    got = _walk(cum, first, us)
+    assert got.shape == (count, steps)
+    assert np.array_equal(got, per_position_walk(cum, first, us))
+
+
+def test_stratified_ensemble_makes_two_walks(monkeypatch):
+    from skewprod import base_env
+
+    calls = []
+    walk = base_env._walk
+
+    def counted(cum, first, us):
+        calls.append(us.shape)
+        return walk(cum, first, us)
+
+    monkeypatch.setattr(base_env, "_walk", counted)
+    chain = build_markov_base([[0.7, 0.3], [0.4, 0.6]])
+    ens = stratified_windows(chain, 2, 32, -10, 30, 5, 1)
+    assert len(ens) == 32
+    assert calls == [(30 - 2 + 1, 32), (10, 32)]  # forward of the prefix, then backward of 0
