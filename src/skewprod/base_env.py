@@ -49,7 +49,7 @@ class BaseSymbolChain:
 
 
 def build_markov_base(Q, tol: float = 1e-9, allow_deterministic: bool = False) -> BaseSymbolChain:
-    """Validate Q and compute its stationary vector by power iteration.
+    """Validate Q and solve for its stationary vector, checking the residual.
 
     Raises ZeroStateSpace for a 1-state base unless allow_deterministic is set
     (deterministic environments are only for oracle tests against classical,
@@ -79,19 +79,31 @@ def build_markov_base(Q, tol: float = 1e-9, allow_deterministic: bool = False) -
         raise ZeroTransition(f"Q[{i},{j}] = 0; strictly positive transitions required")
     # renormalize rows exactly so downstream cylinder probabilities are consistent
     Q = Q / Q.sum(axis=1, keepdims=True)
-    p = np.full(m, 1.0 / m)
-    for _ in range(10**6):
-        p_next = p @ Q
-        p_next /= p_next.sum()
-        if np.max(np.abs(p_next - p)) < 1e-12:
-            p = p_next
-            break
-        p = p_next
-    else:
-        raise NoConvergence("stationary vector power iteration did not converge")
+    p = _stationary(Q)
+    residual = float(np.max(np.abs(p @ Q - p)))
+    if residual > tol:
+        raise NoConvergence(f"stationary law residual ||pQ - p||_inf = {residual:.3g} "
+                            f"exceeds {tol}")
     if np.any(p <= 0):
         raise NoConvergence("stationary vector has non-positive entries")
     return BaseSymbolChain(Q, p)
+
+
+def _stationary(Q: np.ndarray) -> np.ndarray:
+    """The solution of p(Q - I) = 0 with sum(p) = 1, by Gaussian elimination
+    without subtraction (Grassmann-Taksar-Heyman): each eliminated state's
+    pivot is the sum of its off-diagonal rates, not 1 - Q[k, k], so a chain
+    with nearly absorbing states keeps every entry of p to full precision.
+    """
+    P = Q.copy()
+    m = len(P)
+    for k in range(m - 1, 0, -1):  # censor the chain to states 0..k-1
+        P[:k, k] /= P[k, :k].sum()
+        P[:k, :k] += np.outer(P[:k, k], P[k, :k])
+    p = np.ones(m)
+    for k in range(1, m):
+        p[k] = p[:k] @ P[:k, k]
+    return p / p.sum()
 
 
 class OmegaWindow:

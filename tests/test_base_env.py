@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from skewprod.base_env import (
 from skewprod.errors import (
     InsufficientWindow,
     InvalidSymbol,
+    NoConvergence,
     NonStochasticRow,
     ZeroStateSpace,
     ZeroTransition,
@@ -41,6 +43,28 @@ def test_stationary_vector_hand_solved():
     chain = build_markov_base([[0.9, 0.1], [0.2, 0.8]])
     assert np.allclose(chain.stationary, [2 / 3, 1 / 3], atol=1e-10)
     assert np.allclose(chain.stationary @ chain.transition, chain.stationary, atol=1e-10)
+
+
+def test_stationary_vector_of_a_slow_chain():
+    # power iteration stopped 3.3e-8 short here, after 3.3 s
+    eps = 1e-5
+    Q = [[1 - eps, eps], [2 * eps, 1 - 2 * eps]]
+    times = []
+    for _ in range(3):
+        t = time.perf_counter()
+        chain = build_markov_base(Q)
+        times.append(time.perf_counter() - t)
+    assert np.max(np.abs(chain.stationary - [2 / 3, 1 / 3])) <= 1e-14
+    assert min(times) < 0.01
+
+
+def test_stationary_residual_is_checked(monkeypatch):
+    from skewprod import base_env
+
+    monkeypatch.setattr(base_env, "_stationary", lambda Q: np.full(len(Q), 1 / len(Q)))
+    with pytest.raises(NoConvergence, match="residual"):
+        build_markov_base([[0.9, 0.1], [0.2, 0.8]])
+    assert build_markov_base([[0.5, 0.5], [0.5, 0.5]]).stationary.tolist() == [0.5, 0.5]
 
 
 def test_zero_transition_rejected():
