@@ -46,7 +46,8 @@ def test_stationary_vector_hand_solved():
 
 
 def test_stationary_vector_of_a_slow_chain():
-    # power iteration stopped 3.3e-8 short here, after 3.3 s
+    # nearly absorbing: 1 - Q[0, 0] keeps few digits, and a power iteration
+    # contracts by only 1 - 3 eps per step
     eps = 1e-5
     Q = [[1 - eps, eps], [2 * eps, 1 - 2 * eps]]
     times = []
@@ -254,7 +255,7 @@ def test_stratified_windows_match_per_stratum_loop(Q, strata_depth):
 
 
 def per_position_walk(cum, first, us):
-    """The per-position loop `_walk` replaces: one inverse-cdf step at a time."""
+    """One inverse-cdf step at a time: what `_walk`'s blocked scan computes."""
     state = np.asarray(first)
     out = np.empty((len(state), len(us)), dtype=np.int64)
     for i, u in enumerate(us):
