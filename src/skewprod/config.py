@@ -21,8 +21,7 @@ from .fiber import FiberModel, PotentialTable
 from .limits import lattice_indices
 from .symbolic import SymbolicSystem
 
-SYMBOLIC_EXPERIMENTS = ("rpf-audit", "variance", "clt", "llt", "renewal", "decay-survey",
-                        "char-fn")
+SYMBOLIC_EXPERIMENTS = ("rpf-audit", "clt", "llt", "renewal", "decay-survey", "char-fn")
 DOEBLIN_EXPERIMENTS = ("doeblin-clt", "doeblin-llt", "doeblin-renewal", "doeblin-char")
 # experiments that read exact laws on a lattice: they need a declared lattice_h
 LATTICE_EXPERIMENTS = ("llt", "renewal", "char-fn", "doeblin-llt", "doeblin-renewal",

@@ -110,6 +110,16 @@ def _weighted_mean(ens, values):
     return sum(ww.weight * v for ww, v in zip(ens, values)) / sum(ww.weight for ww in ens)
 
 
+def _slope(n_list, values) -> float:
+    """Least-squares slope of values[i] against n_list[i]; values[0] / n_list[0]
+    when there is one n."""
+    ns = np.asarray(n_list, dtype=float)
+    if len(ns) == 1:
+        return float(values[0] / ns[0])
+    A = np.stack([np.ones_like(ns), ns], axis=1)
+    return float(np.linalg.lstsq(A, values, rcond=None)[0][1])
+
+
 _SQRT_HALF = math.sqrt(0.5)
 _erfc = np.frompyfunc(math.erfc, 1, 1)
 
@@ -213,51 +223,43 @@ def classify(system) -> ClassificationReport:
     return ClassificationReport(ts, radii, residual, min_gap, passed, degenerate, offending)
 
 
+def _aperiodic(system) -> ClassificationReport:
+    """The system's passing `classify` report, the gate of the LLT and renewal
+    runs.  A radius pinned at 1 on the whole grid is the degenerate case
+    (DegenerateVariance); any other failing report raises ClassifierFailed
+    naming the t of the largest radius."""
+    cls = classify(system)
+    if cls.degenerate:
+        raise DegenerateVariance("aperiodicity classification is degenerate "
+                                 "(radius pinned at 1)")
+    if not cls.passed:
+        raise ClassifierFailed("aperiodicity classification failed: spectral radius "
+                               f"{1 - cls.min_gap:.6f} at t = {cls.offending_t:.4f}")
+    return cls
+
+
 # ---------------------------------------------------------------------------
-# annealed variance
+# CLT
 
 
-def _slope(n_list, values) -> float:
-    """Least-squares slope of values[i] against n_list[i]; values[0] / n_list[0]
-    when there is one n."""
-    ns = np.asarray(n_list, dtype=float)
-    if len(ns) == 1:
-        return float(values[0] / ns[0])
-    A = np.stack([np.ones_like(ns), ns], axis=1)
-    return float(np.linalg.lstsq(A, values, rcond=None)[0][1])
+CLT_SIGMA_N = [64, 128, 256]  # the n at which the CLT fits sigma^2
+CLT_DEGENERATE = 1e-10  # a fitted sigma^2 below this takes the degenerate branch
+CLT_COLLAPSE = 0.05  # largest max |S_n - E S_n| / sqrt(n) the degenerate branch passes
 
 
 def _variance_task(system, orbit, wi, ww, n_list):
     return system.forward_table(orbit, n_list[-1]).moments(n_list)[1]
 
 
-def annealed_variance(system, n_list, omega_samples: int, seed: int,
-                      strata_depth: int = 2, pmap=None):
-    """Mean exact V_n over the environment ensemble (stream 101) and its fitted slope.
-
-    Also audits the tail {V_n <= sigma^2 n / 2}, reporting its empirical
-    frequency per n (the mixing hypothesis behind the decay estimates).
-    """
-    n_list = sorted(int(n) for n in n_list)
-    ens = _ensemble(system, strata_depth, omega_samples, n_list[-1], seed, 101)
-    per_omega = _per_environment(pmap, _variance_task, system, ens, n_list[-1], n_list)
-    Vbar = _weighted_mean(ens, per_omega)
-    sigma_sq = _slope(n_list, Vbar)
-    arr = np.stack(per_omega)
-    tail = {int(n): float(np.mean(arr[:, i] <= 0.5 * sigma_sq * n))
-            for i, n in enumerate(n_list)} if sigma_sq > 0 else {}
-    # 95% interval for the slope from the per-environment estimates
-    if len(n_list) > 1 and len(per_omega) > 1:
-        slopes = np.array([_slope(n_list, v) for v in per_omega])
-        half = 1.96 * float(np.std(slopes, ddof=1)) / math.sqrt(len(slopes))
-        ci = (sigma_sq - half, sigma_sq + half)
-    else:
-        ci = (sigma_sq, sigma_sq)
-    return sigma_sq, list(Vbar), tail, ci
-
-
-# ---------------------------------------------------------------------------
-# CLT
+def _clt_sigma_sq(system, omega_samples: int, seed: int, strata_depth: int, pmap) -> float:
+    """The CLT's sigma^2: the slope over CLT_SIGMA_N of the weighted mean of
+    the exact V_n, on an ensemble of its own (stream 101) of
+    max(16, omega_samples // 4) environments."""
+    ens = _ensemble(system, strata_depth, max(16, omega_samples // 4), CLT_SIGMA_N[-1],
+                    seed, 101)
+    per_omega = _per_environment(pmap, _variance_task, system, ens, CLT_SIGMA_N[-1],
+                                 CLT_SIGMA_N)
+    return _slope(CLT_SIGMA_N, _weighted_mean(ens, per_omega))
 
 
 @dataclass
@@ -269,7 +271,7 @@ class CltReport:
     degenerate: bool
     pooled_samples: int
     passed: bool
-    degenerate_max_abs: float | None = None
+    degenerate_max_abs: float | None
 
 
 def _clt_task(system, orbit, wi, ww, n_list, seed, fiber_replicates):
@@ -283,54 +285,36 @@ def _clt_task(system, orbit, wi, ww, n_list, seed, fiber_replicates):
 
 def clt_test(system, n_list, omega_samples: int, fiber_replicates: int,
              seed: int, ks_threshold: float = 0.02, strata_depth: int = 2,
-             expect_degenerate: bool = False, pmap=None) -> CltReport:
+             pmap=None) -> CltReport:
     """Pooled annealed CLT check: weighted KS distance against N(0,1) per n.
 
-    Samples are centered per environment by the exact mean of S_n (the
-    forward table's `moments`) and
-    scaled by the asymptotic deviation fitted at n = 64, 128, 256; below a
-    variance of 1e-10 the degenerate branch asserts the scaled sums collapse
-    instead.
+    The run draws two ensembles: `_clt_sigma_sq` fits sigma^2 on stream 101,
+    and stream 102 gives each environment fiber_replicates samples of S_n per
+    n, centered by the exact mean of S_n (the forward table's `moments`).
+    The samples, scaled by sqrt(n sigma^2), are pooled with the environments'
+    weights.  A sigma^2 below CLT_DEGENERATE takes the degenerate branch on
+    the same samples: the report is degenerate, and it passes when max |S_n -
+    E S_n| / sqrt(n) at the largest n is below CLT_COLLAPSE.
     """
-    sigma_sq, _, _, _ = annealed_variance(system, [64, 128, 256],
-                                       max(16, omega_samples // 4), seed,
-                                       strata_depth, pmap=pmap)
-    if sigma_sq < 1e-10:
-        if not expect_degenerate:
-            raise DegenerateVariance(f"asymptotic variance {sigma_sq:.3e} below 1e-10")
-        return _clt_degenerate(system, n_list, omega_samples, fiber_replicates,
-                               seed, strata_depth, sigma_sq, pmap)
+    sigma_sq = _clt_sigma_sq(system, omega_samples, seed, strata_depth, pmap)
     n_list = sorted(int(n) for n in n_list)
     ens = _ensemble(system, strata_depth, omega_samples, n_list[-1], seed, 102)
     partials = _per_environment(pmap, _clt_task, system, ens, n_list[-1],
                                 n_list, seed, fiber_replicates)
+    pooled = sum(len(p[n_list[-1]]) for p in partials)
+    if sigma_sq < CLT_DEGENERATE:
+        worst = max(float(np.max(np.abs(p[n_list[-1]]))) for p in partials) \
+            / math.sqrt(n_list[-1])
+        return CltReport(n_list, [], sigma_sq, CLT_COLLAPSE, True, pooled,
+                         worst < CLT_COLLAPSE, worst)
     ks_per_n = []
-    pooled = 0
     for n in n_list:
         xs = np.concatenate([p[n] for p in partials]) / math.sqrt(n)
         ws = np.concatenate([np.full(len(p[n]), ww.weight / len(p[n]))
                              for ww, p in zip(ens, partials)])
-        pooled = len(xs)
         ks_per_n.append(weighted_ks(xs, ws, math.sqrt(sigma_sq)))
-    passed = ks_per_n[-1] < ks_threshold
-    return CltReport(list(n_list), ks_per_n, sigma_sq, ks_threshold, False, pooled, passed)
-
-
-def _clt_degenerate_task(system, orbit, wi, ww, n, seed, reps):
-    mean = system.forward_table(orbit, n).moments([n])[0][0]
-    vals = system.step_table(orbit, n).sample(generator(seed, 105, wi), reps) - mean
-    return float(np.max(np.abs(vals)) / math.sqrt(n))
-
-
-def _clt_degenerate(system, n_list, omega_samples, fiber_replicates, seed,
-                    strata_depth, sigma_sq, pmap=None) -> CltReport:
-    """Degenerate branch: scaled sums must collapse to 0 in probability."""
-    n = max(int(x) for x in n_list)
-    ens = _ensemble(system, strata_depth, min(omega_samples, 64), n, seed, 104)
-    worst = max(_per_environment(pmap, _clt_degenerate_task, system, ens, n,
-                                 n, seed, min(fiber_replicates, 64)))
-    return CltReport(list(n_list), [], sigma_sq, 0.0, True, 0,
-                     passed=worst < 0.05, degenerate_max_abs=worst)
+    return CltReport(n_list, ks_per_n, sigma_sq, ks_threshold, False, pooled,
+                     ks_per_n[-1] < ks_threshold, None)
 
 
 # ---------------------------------------------------------------------------
@@ -375,10 +359,10 @@ def llt_scan(system, n_list, omega_samples: int, seed: int, threshold: float = 0
 
     sup over lattice points a of |sigma sqrt(2 pi n) P(S_n = a) - h gaussian|
     with the gaussian centered at the mixture mean (the lattice carries h mass
-    per point).  The periodic-point classifier must pass first, otherwise
-    ClassifierFailed propagates (NotLattice with no declared lattice_h);
-    scans over a run within 4 standard deviations, where the statement is
-    sharp.
+    per point).  The periodic-point classifier must pass first (`_aperiodic`:
+    DegenerateVariance or ClassifierFailed, NotLattice with no declared
+    lattice_h); scans over a run within 4 standard deviations, where the
+    statement is sharp.
 
     The run draws one ensemble (stream 121).  sigma^2 is the least-squares
     slope over n_list of the mixture law's exact variance (Var(S_n) / n with
@@ -388,11 +372,7 @@ def llt_scan(system, n_list, omega_samples: int, seed: int, threshold: float = 0
     environments' exact variances, and `sigma_sq_means`, that of the weighted
     variance of their exact means.
     """
-    cls = classify(system)
-    if not cls.passed:
-        reason = "degenerate (radius pinned at 1)" if cls.degenerate else \
-            f"spectral radius {1 - cls.min_gap:.6f} at t = {cls.offending_t:.4f}"
-        raise ClassifierFailed(f"aperiodicity classification failed: {reason}")
+    cls = _aperiodic(system)
     n_list = sorted(int(n) for n in n_list)
     ens = _ensemble(system, strata_depth, omega_samples, n_list[-1], seed, 121)
     partials = _per_environment(pmap, _mixture_task, system, ens, n_list[-1], n_list)
@@ -498,15 +478,15 @@ def renewal_curve(system, a_list, truncation: int, omega_samples: int,
     forward tables' exact variances at N / 2 and N.  The reported
     `tail_bound` is a Gaussian estimate of the mass beyond N, not a bound
     (ROADMAP item 6).  Every a must lie on the lattice h Z (NotLattice), and
-    one in the limit window, by default [2 a_max // 3, a_max] (ValueError).
+    one in the limit window, by default [2 a_max // 3, a_max] (ValueError);
+    the classifier gates the run as it gates the LLT (`_aperiodic`).
     """
     a_max = max(a_list)
     lw = limit_window or (2 * a_max // 3, a_max)
     in_window = [a for a in a_list if lw[0] <= a <= lw[1]]
     if not in_window:
         raise ValueError(f"limit window {list(lw)} holds no point of a_list")
-    if not classify(system).passed:
-        raise ClassifierFailed("renewal needs the aperiodicity classification to pass")
+    _aperiodic(system)
     ka = lattice_indices(a_list, system.lattice_h)
     if f_weights is not None and np.any(np.asarray(f_weights, dtype=float) <= 0):
         raise NonPositiveMean("f must be strictly positive")
@@ -561,13 +541,15 @@ class CharIdentityReport:
 
 
 def _char_task(system, orbit, wi, ww, t_grid, n_list, seed, mc_replicates):
+    """Per (t, n): the spectral value, the exact law's value, the Monte Carlo
+    mean of exp(i t S_n) and its variance; every t reads the environment's one
+    Monte Carlo sample of S_n per n (stream 303)."""
     out = {}
     for n, dist in zip(n_list, system.forward_table(orbit, n_list[-1]).laws(n_list)):
         table = system.step_table(orbit, n)
         spec = table.char_function(t_grid)
+        draws = table.sample(generator(seed, 303, wi, n), mc_replicates)
         for t, spec_t in zip(t_grid, spec):
-            rng = generator(seed, 303, wi, int(round(t * 4096)), n)
-            draws = table.sample(rng, mc_replicates)
             phases = np.exp(1j * t * draws)
             out[(t, n)] = (complex(spec_t), dist.char_function(t), complex(phases.mean()),
                            float((np.abs(phases - phases.mean()) ** 2).mean() / len(draws)))
@@ -650,8 +632,8 @@ def decay_survey(system, t_small, t_large, n_grid, omega_samples: int,
     the ensemble: gaussian-in-t eigenvalue decay exp(-d2 n t^2) for small t,
     geometric norm decay 4 B0 2^(-u n) on a compact set away from 0.  The
     reported envelope rate is half the least-squares rate (the typical rate
-    tracks the full variance, the high-probability envelope its half, exactly
-    as in the variance-tail audit), with the constant calibrated at the
+    tracks the full variance, the high-probability envelope its half, which
+    holds wherever V_n >= sigma^2 n / 2), with the constant calibrated at the
     smallest n to the ensemble's 0.8 quantile; the fraction of environments
     violating the envelope must fall along the n grid.
     """

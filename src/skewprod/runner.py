@@ -31,7 +31,6 @@ from .errors import (
 )
 from .fiber import CylinderFunction
 from .limits import (
-    annealed_variance,
     char_identity,
     clt_test,
     decay_survey,
@@ -154,32 +153,17 @@ def _rpf_audit(cfg, system, seed, pmap):
     return stats, {"rpf_audit": rows}, _pass(ok), [], {"windows": len(rows)}
 
 
-def _variance(cfg, system, seed, pmap):
-    n_list = sorted(int(x) for x in cfg.grids.get("n_list", [50, 100, 200, 400]))
-    sigma_sq, Vbar, tail, ci = annealed_variance(
-        system, n_list, cfg.sample("omega_samples"), seed, cfg.sample("strata_depth"),
-        pmap=pmap)
-    degen = sigma_sq < 1e-10
-    stats = {"sigma_sq": sigma_sq, "sigma_sq_ci": list(ci),
-             "tail_fractions": tail, "degenerate": degen}
-    rows = [{"n": n, "V_n": v} for n, v in zip(n_list, Vbar)]
-    return stats, {"variance": rows}, "degenerate" if degen else "pass", [], _omega(cfg)
-
-
 def _clt(cfg, system, seed, pmap):
     rep = clt_test(system, cfg.grids.get("n_list", [1000, 4000]),
                    cfg.sample("omega_samples"), cfg.sample("fiber_replicates"), seed,
                    ks_threshold=cfg.tol("ks"), strata_depth=cfg.sample("strata_depth"),
-                   expect_degenerate=(cfg.expect == "degenerate"), pmap=pmap)
+                   pmap=pmap)
     curves = {"clt": [{"n": n, "ks": k, "threshold": rep.threshold}
                       for n, k in zip(rep.n_list, rep.ks)]}
     stats = {"sigma_sq": rep.sigma_sq, "ks": rep.ks,
              "pooled_samples": rep.pooled_samples,
              "degenerate_max_abs": rep.degenerate_max_abs}
-    if rep.degenerate:
-        verdict = "degenerate" if rep.passed else "fail"
-    else:
-        verdict = _pass(rep.passed)
+    verdict = ("degenerate" if rep.degenerate else "pass") if rep.passed else "fail"
     return stats, curves, verdict, [], _omega(cfg)
 
 
@@ -252,7 +236,6 @@ def _char(cfg, system, seed, pmap):
 # a DoeblinSystem
 EXPERIMENTS = {
     "rpf-audit": _rpf_audit,
-    "variance": _variance,
     "clt": _clt,
     "llt": _llt,
     "renewal": _renewal,

@@ -27,8 +27,8 @@ def pytest_configure(config):
 
 @pytest.fixture
 def ensemble_calls(monkeypatch):
-    """The list of limits._ensemble calls made while the test runs; any
-    limits.annealed_variance call fails the test."""
+    """The list of limits._ensemble calls made while the test runs; any call
+    of the CLT's sigma^2 stage, limits._clt_sigma_sq, fails the test."""
     from skewprod import limits
 
     calls = []
@@ -39,8 +39,8 @@ def ensemble_calls(monkeypatch):
         return ensemble(*args, **kwargs)
 
     def refused(*args, **kwargs):
-        raise AssertionError("annealed_variance was called")
+        raise AssertionError("_clt_sigma_sq was called")
 
     monkeypatch.setattr(limits, "_ensemble", counted)
-    monkeypatch.setattr(limits, "annealed_variance", refused)
+    monkeypatch.setattr(limits, "_clt_sigma_sq", refused)
     return calls

@@ -23,7 +23,6 @@ from skewprod.doeblin import DoeblinSystem, build_doeblin_family
 from skewprod.errors import (
     ClassifierFailed,
     DegenerateVariance,
-    NonPositiveMean,
 )
 from skewprod.fiber import CylinderFunction, FiberModel, PotentialTable
 from skewprod.limits import (
@@ -262,29 +261,29 @@ def test_criterion_09_decay_surveys():
 
 
 def test_criterion_10_degenerate_branch():
+    # sigma^2 and the collapse come from one CLT run; the LLT and renewal
+    # runners find the classifier's radius pinned at 1, its degenerate case
     cfg = preset_config("coboundary-degenerate")
-    cfg["experiment"] = "variance"
-    cfg["grids"] = {"n_list": [20, 50]}
-    cfg["samples"] = {"omega_samples": 16}
-    var_run = run_experiment(parse_config(cfg))
-    sigma_sq = var_run.record["stats"]["sigma_sq"]
-    system = build_symbolic_system(parse_config(preset_config("coboundary-degenerate")))
-    clt_rep = clt_test(system, [400], omega_samples=16, fiber_replicates=32, seed=9,
-                       expect_degenerate=True)
+    cfg["grids"] = {"n_list": [400]}
+    cfg["samples"] = {"omega_samples": 16, "fiber_replicates": 32}
+    cfg["seed"] = 9
+    clt_run = run_experiment(parse_config(cfg))
+    stats = clt_run.record["stats"]
+    system = build_symbolic_system(parse_config(cfg))
     llt_refused = renewal_refused = False
     try:
         llt_scan(system, [200], omega_samples=8, seed=10)
-    except (ClassifierFailed, DegenerateVariance):
+    except DegenerateVariance:
         llt_refused = True
     try:
         renewal_curve(system, [10, 20], truncation=60, omega_samples=8, seed=11)
-    except (ClassifierFailed, DegenerateVariance, NonPositiveMean):
+    except DegenerateVariance:
         renewal_refused = True
-    ok = (abs(sigma_sq) < 1e-10 and var_run.record["verdicts"]["outcome"] == "degenerate"
-          and clt_rep.degenerate and clt_rep.passed and llt_refused and renewal_refused)
-    report(10, ok, f"coboundary preset: sigma^2 estimate {sigma_sq:.2e} (< 1e-10); "
+    ok = (abs(stats["sigma_sq"]) < 1e-10 and clt_run.record["verdicts"]["outcome"] == "degenerate"
+          and stats["degenerate_max_abs"] < 0.05 and llt_refused and renewal_refused)
+    report(10, ok, f"coboundary preset: sigma^2 estimate {stats['sigma_sq']:.2e} (< 1e-10); "
                    f"CLT took the degenerate branch (max |S_n|/sqrt(n) = "
-                   f"{clt_rep.degenerate_max_abs:.3f}); LLT refused: {llt_refused}; "
+                   f"{stats['degenerate_max_abs']:.3f}); LLT refused: {llt_refused}; "
                    f"renewal refused: {renewal_refused}")
 
 
@@ -349,9 +348,8 @@ def test_criterion_12_determinism():
     rerun_equal = canonical_record_bytes(r1.record) == canonical_record_bytes(r2.record)
     # worker count must not change an environment-sensitive record
     two = preset_config("two-state-base-lattice")
-    two["experiment"] = "variance"
-    two["grids"] = {"n_list": [32, 64]}
-    two["samples"] = {"omega_samples": 16}
+    two["grids"] = {"n_list": [200]}
+    two["samples"] = {"omega_samples": 16, "fiber_replicates": 64}
     parsed = parse_config(two)
     w1 = run_experiment(parsed, workers=1)
     w8 = run_experiment(parsed, workers=8)

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import os
 import subprocess
 import sys
@@ -158,7 +159,6 @@ def _small_renewal():
 # one small passing config per experiment name the runner knows
 SMALL_RUNS = {
     "rpf-audit": small_variant("matrix-llt", "rpf-audit", {}),
-    "variance": small_variant("two-state-base-lattice", "variance", {"n_list": [32, 64]}),
     "clt": _small_clt(),
     "llt": small_variant("scalar-iid", "llt", {"n_list": [200, 400]}),
     "renewal": _small_renewal(),
@@ -245,13 +245,9 @@ def test_seed_override_recorded_and_omega_sensitive(tmp_path):
     cfg = parse_config(small_renewal_config(tmp_path))
     r2 = run_experiment(cfg, seed_override=12345)
     assert r2.record["seed"] == 12345
-    # on an environment-modulated instance, different seeds draw different
-    # ensembles and the statistics move
-    two = preset_config("two-state-base-lattice")
-    two["experiment"] = "variance"
-    two["grids"] = {"n_list": [32, 64]}
-    two["samples"] = {"omega_samples": 8, "strata_depth": 1}
-    parsed = parse_config(two)
+    # on an environment-modulated instance (the two-state base), different
+    # seeds draw different ensembles and the statistics move
+    parsed = parse_config(copy.deepcopy(SMALL_RUNS["clt"]))
     v1 = run_experiment(parsed)
     v2 = run_experiment(parsed, seed_override=999)
     assert v1.record["stats"]["sigma_sq"] != v2.record["stats"]["sigma_sq"]
@@ -263,6 +259,34 @@ def test_expect_degenerate_path(tmp_path):
     cfg["samples"] = {"omega_samples": 8, "fiber_replicates": 16}
     parsed = parse_config(cfg)
     result = run_experiment(parsed)
+    assert result.record["verdicts"]["outcome"] == "degenerate"
+    assert result.exit_code == 0
+
+
+def test_degenerate_stats_do_not_depend_on_expect():
+    # the CLT ran a degenerate branch of its own only under expect
+    # "degenerate"; under "pass" the record held a bare error
+    cfg = preset_config("coboundary-degenerate")
+    cfg["grids"]["n_list"] = [200, 400]
+    cfg["samples"] = {"omega_samples": 8, "fiber_replicates": 16}
+    runs = {}
+    for expect in ("pass", "degenerate"):
+        cfg["expect"] = expect
+        runs[expect] = run_experiment(parse_config(copy.deepcopy(cfg)))
+        assert runs[expect].record["verdicts"]["outcome"] == "degenerate"
+    assert runs["pass"].record["stats"] == runs["degenerate"].record["stats"]
+    assert runs["pass"].exit_code == 1 and runs["degenerate"].exit_code == 0
+
+
+@pytest.mark.parametrize("experiment,grids", [
+    ("llt", {"n_list": [200]}), ("renewal", {"a_list": [10, 20]})])
+def test_degenerate_preset_is_degenerate_for_every_runner(experiment, grids):
+    # the classifier finds the radius pinned at 1: this was a classifier
+    # failure, so the preset run as llt or renewal exited 1
+    cfg = preset_config("coboundary-degenerate")
+    cfg["experiment"], cfg["grids"] = experiment, grids
+    cfg["samples"] = {"omega_samples": 8}
+    result = run_experiment(parse_config(cfg))
     assert result.record["verdicts"]["outcome"] == "degenerate"
     assert result.exit_code == 0
 
@@ -355,6 +379,121 @@ def test_renewal_run_draws_one_ensemble(name, ensemble_calls):
     assert len(ensemble_calls) == 1
 
 
+def tightened(name, **tolerances):
+    """SMALL_RUNS[name] with the given tolerances."""
+    cfg = copy.deepcopy(SMALL_RUNS[name])
+    cfg["tolerances"] = {**cfg.get("tolerances", {}), **tolerances}
+    return cfg
+
+
+# one small config per experiment name whose outcome is "fail": a tolerance
+# below the figure any finite ensemble gives, or an input the statement
+# excludes
+FAILING_RUNS = {
+    "rpf-audit": copy.deepcopy(SMALL_RUNS["rpf-audit"]),
+    "clt": tightened("clt", ks=1e-6),  # KS >= 1 / (2 samples)
+    "llt": tightened("llt", llt_sup=1e-6),
+    "renewal": tightened("renewal", renewal_rel=1e-12),
+    "decay-survey": small_variant("two-state-base-lattice", "decay-survey",
+                                  {"n_grid": [50, 100]}),
+    "char-fn": tightened("char-fn", char_exact=1e-18),
+    "doeblin-clt": tightened("doeblin-clt", ks=1e-6),
+    "doeblin-llt": tightened("doeblin-llt", llt_sup=1e-6),
+    "doeblin-renewal": tightened("doeblin-renewal", renewal_rel=1e-12),
+    "doeblin-char": tightened("doeblin-char", char_exact=1e-18),
+}
+# the fiber chain W = [[0.98, 0.02], [0.02, 0.98]] in matrix-llt's r = 2
+# layout: its transfer operator converges at rate 0.96, above the audit's 0.9
+FAILING_RUNS["rpf-audit"]["potentials"]["phi"] = \
+    [[math.log([[0.98, 0.02], [0.02, 0.98]][i % 2][i // 2]) for i in range(4)]] * 2
+# u == 0 does not move: |lambda_n(it)| = 1 and the cocycle norms do not decay,
+# so both fitted rates are 0, exactly so on an r = 1 fiber
+FAILING_RUNS["decay-survey"]["potentials"]["u"] = [[0.0, 0.0], [0.0, 0.0]]
+
+
+@pytest.mark.parametrize("name", list(FAILING_RUNS))
+def test_every_experiment_can_fail(name):
+    from skewprod.runner import EXPERIMENTS
+
+    assert set(FAILING_RUNS) == set(EXPERIMENTS)
+    result = run_experiment(parse_config(copy.deepcopy(FAILING_RUNS[name])))
+    assert result.record["verdicts"]["outcome"] == "fail", result.record["stats"]
+    assert result.exit_code == 1
+
+
+# every stats field of each experiment's record, as ("verdict", how it
+# enters the verdict) or ("report", why it is reported only); the Doeblin
+# names share the symbolic runners
+STATS_REACH = {
+    "rpf-audit": {
+        "max_residual": ("verdict", "below tolerances.rpf_residual"),
+        "max_conv_rate": ("verdict", "below 0.9"),
+        "windows": ("report", "the number of windows audited, the run's size"),
+    },
+    "clt": {
+        "sigma_sq": ("verdict", "scales the KS distance; below 1e-10 it picks the "
+                                "degenerate branch"),
+        "ks": ("verdict", "the last n's distance below tolerances.ks"),
+        "degenerate_max_abs": ("verdict", "the degenerate branch's collapse, below 0.05"),
+        "pooled_samples": ("report", "the number of samples pooled, the run's size"),
+    },
+    "llt": {
+        "sigma_sq": ("verdict", "scales the gaussian"),
+        "sup_dev": ("verdict", "the last n's deviation below tolerances.llt_sup"),
+        "classifier_min_gap": ("verdict", "the classifier gates the run"),
+        "sigma_sq_quenched": ("report", "the quenched part of sigma_sq, which decides "
+                                        "through sigma_sq"),
+        "sigma_sq_means": ("report", "the part of sigma_sq from the spread of the quenched "
+                                     "means, which decides through sigma_sq"),
+    },
+    "renewal": {
+        "gamma": ("verdict", "the drift in the target mu(f) h / gamma"),
+        "mu_f": ("verdict", "the mass in the target mu(f) h / gamma"),
+        "target": ("verdict", "the limit rel_err_window is measured against"),
+        "rel_err_window": ("verdict", "below tolerances.renewal_rel"),
+        "negative_side_max": ("verdict", "below tolerances.renewal_negative"),
+        "tail_bound": ("report", "a Gaussian estimate of the mass beyond the truncation, "
+                                 "not a bound (ROADMAP item 6); it only raises a warning"),
+    },
+    "decay-survey": {
+        "d2_fit": ("verdict", "the small-t rate, positive"),
+        "u_fit": ("verdict", "the large-t rate, positive"),
+        "small_violation_frac": ("verdict", "non-increasing along n_grid"),
+        "large_violation_frac": ("verdict", "non-increasing along n_grid"),
+        "A_fit": ("report", "the small-t envelope's constant; the theory's constants "
+                            "are existential"),
+        "B0_fit": ("report", "the large-t envelope's constant; the theory's constants "
+                             "are existential"),
+    },
+    "char-fn": {
+        "max_exact_spectral_gap": ("verdict", "below tolerances.char_exact"),
+        "mc_within_band": ("verdict", "the Monte Carlo route within its 4 sigma band"),
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(SMALL_RUNS))
+def test_every_stats_field_is_listed(name):
+    runner_name = {"doeblin-char": "char-fn"}.get(name, name.removeprefix("doeblin-"))
+    reach = STATS_REACH[runner_name]
+    assert all(kind in ("verdict", "report") and why for kind, why in reach.values())
+    stats = run_experiment(parse_config(copy.deepcopy(SMALL_RUNS[name]))).record["stats"]
+    assert set(stats) == set(reach), f"unlisted: {set(stats) - set(reach)}, " \
+        f"listed but absent: {set(reach) - set(stats)}"
+
+
+def test_char_fn_takes_negative_t(tmp_path):
+    # a negative t made a negative Monte Carlo stream key: exit 1 with a
+    # ValueError traceback
+    cfg = copy.deepcopy(SMALL_RUNS["char-fn"])
+    cfg["grids"]["t_grid"] = [-0.3, 0.7]
+    path = tmp_path / "char.json"
+    path.write_text(json.dumps(cfg))
+    proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_import_and_one_worker_run_stay_light(tmp_path):
     # the runtime needs numpy alone: scipy is a test-only oracle, and the
     # process-pool machinery loads only for --workers > 1.  The runs cover
@@ -396,8 +535,9 @@ def test_cli_run_config_and_exit_codes(tmp_path):
     proc = run_cli(["run", str(cfg_path)], cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "PASS" in proc.stdout
-    # an unknown experiment exits 2, the deleted berry-esseen scan included
-    for experiment in ("bogus", "berry-esseen"):
+    # an unknown experiment exits 2, the deleted berry-esseen scan and
+    # variance experiment included
+    for experiment in ("bogus", "berry-esseen", "variance"):
         bad = dict(cfg)
         bad["experiment"] = experiment
         bad_path = tmp_path / "bad.json"

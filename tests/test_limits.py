@@ -15,8 +15,8 @@ from skewprod.errors import (
 )
 from skewprod.fiber import FiberModel, PotentialTable
 from skewprod.limits import (
+    _clt_sigma_sq,
     _quantile,
-    annealed_variance,
     classify,
     clt_test,
     decay_survey,
@@ -251,12 +251,10 @@ def test_two_state_lattice_classifier_needs_period2_cycle():
     assert classify(sys0).offending_t == pytest.approx(np.pi)
 
 
-def test_annealed_variance_two_state():
-    sys2 = system_two_state_lattice()
-    sigma_sq, Vbar, tail, ci = annealed_variance(sys2, [32, 64, 128], 24, seed=8)
+def test_clt_sigma_sq_two_state():
+    # 96 requested environments give the sigma^2 stage 24 of its own
+    sigma_sq = _clt_sigma_sq(system_two_state_lattice(), 96, seed=8, strata_depth=2, pmap=None)
     assert sigma_sq == pytest.approx(10 / 7, abs=0.1)
-    assert tail  # audit populated
-    assert ci[0] <= sigma_sq <= ci[1]
 
 
 def test_clt_scalar_small_scale():
@@ -271,13 +269,48 @@ def test_clt_scalar_small_scale():
 
 
 def test_clt_degenerate_branch():
-    sysc = system_coboundary()
-    with pytest.raises(DegenerateVariance):
-        clt_test(sysc, [100], omega_samples=8, fiber_replicates=16, seed=5)
-    rep = clt_test(sysc, [100], omega_samples=8, fiber_replicates=16, seed=5,
-                   expect_degenerate=True)
-    assert rep.degenerate and rep.passed
+    # a sigma^2 below 1e-10 gives a degenerate report on the sampled ensemble
+    rep = clt_test(system_coboundary(), [50, 100], omega_samples=8, fiber_replicates=16,
+                   seed=5)
+    assert rep.degenerate and rep.passed and rep.ks == []
+    assert abs(rep.sigma_sq) < 1e-10
     assert rep.degenerate_max_abs < 0.05
+    assert rep.pooled_samples == 8 * 16
+
+
+@pytest.mark.parametrize("build,degenerate", [(system_pm1, False), (system_coboundary, True)],
+                         ids=["sigma-positive", "degenerate"])
+def test_clt_draws_two_ensembles(build, degenerate, monkeypatch):
+    # the sigma^2 stage's ensemble (stream 101) and the sampled one (stream
+    # 102), in both branches; the degenerate branch drew a third (stream 104)
+    from skewprod import limits
+
+    streams = []
+    ensemble = limits._ensemble
+
+    def counted(*args):
+        streams.append(args[-1])
+        return ensemble(*args)
+
+    monkeypatch.setattr(limits, "_ensemble", counted)
+    rep = clt_test(build(), [100], omega_samples=8, fiber_replicates=16, seed=5)
+    assert rep.degenerate is degenerate
+    assert streams == [101, 102]
+
+
+def test_char_task_reads_every_t_from_one_sample():
+    # each t drew its own sample from a stream keyed by round(4096 t), which
+    # a negative t made a ValueError and two t closer than 1 / 4096 shared;
+    # one sample per (environment, n) makes the Monte Carlo means at -t and t
+    # conjugate
+    from skewprod import limits
+
+    system = system_two_state_lattice()
+    ww = limits._ensemble(system, 1, 2, 8, 3, 302)[0]
+    out = limits._char_task(system, system.orbit(ww.window, 8), 0, ww, [-0.3, 0.3], [4, 8],
+                            3, 500)
+    for n in (4, 8):
+        assert out[(-0.3, n)][2] == pytest.approx(np.conj(out[(0.3, n)][2]), abs=1e-15)
 
 
 def test_llt_binomial_preset():
@@ -381,8 +414,9 @@ def test_renewal_refuses_points_off_the_lattice():
 def test_renewal_deterministic_unit_steps_counting_measure():
     chain, model, pot = scalar_instance([1.0, 1.0], lattice_h=1.0)
     sysu = SymbolicSystem(chain, model, pot)
-    # u == 1: spectral radius of the twisted cycle operator is |e^{it}| = 1
-    with pytest.raises(ClassifierFailed):
+    # u == 1: spectral radius of the twisted cycle operator is |e^{it}| = 1 on
+    # the whole grid, the classifier's degenerate case (S_n = n has variance 0)
+    with pytest.raises(DegenerateVariance, match="radius pinned at 1"):
         renewal_curve(sysu, [5, 10], truncation=40, omega_samples=4, seed=11)
 
 
