@@ -27,6 +27,7 @@ from .gibbs import StepTable
 from .transfer import full_product
 
 WARMUP = 64  # kernels before the window origin that the uniform law is pushed through
+KERNEL_TOL = 1e-12  # rounding slack in the kernels' row sums and Doeblin bounds
 
 
 @dataclass
@@ -52,25 +53,25 @@ class DoeblinFamily:
         return self.kernels.shape[1]
 
 
-def build_doeblin_family(kernels, u, alpha: float, lattice_h: float | None = None,
-                         tol: float = 1e-12) -> DoeblinFamily:
+def build_doeblin_family(kernels, u, alpha: float,
+                         lattice_h: float | None = None) -> DoeblinFamily:
     kernels = np.asarray(kernels, dtype=float)
     u = np.asarray(u, dtype=float)
     if kernels.ndim != 3 or kernels.shape[1] != kernels.shape[2]:
         raise DoeblinViolated(f"kernels must be (symbols, q, q), got {kernels.shape}")
     q = kernels.shape[1]
-    if not 0 < alpha <= 1.0 / q + tol:
+    if not 0 < alpha <= 1.0 / q + KERNEL_TOL:
         raise DoeblinViolated(f"alpha must lie in (0, 1/q] = (0, {1.0/q:.4f}], got {alpha}")
     if u.shape != kernels.shape[:1] + (q,):
         raise DoeblinViolated(f"u must have shape {(kernels.shape[0], q)}, got {u.shape}")
     rows = kernels.sum(axis=2)
-    if np.max(np.abs(rows - 1.0)) > tol:
+    if np.max(np.abs(rows - 1.0)) > KERNEL_TOL:
         raise DoeblinViolated("kernel rows must sum to 1")
-    if np.min(kernels) < alpha - tol:
+    if np.min(kernels) < alpha - KERNEL_TOL:
         i = np.unravel_index(np.argmin(kernels), kernels.shape)
         raise DoeblinViolated(
             f"kernel entry {kernels[i]:.6f} at {i} below the Doeblin floor {alpha}")
-    if np.max(kernels) > 1.0 / alpha + tol:
+    if np.max(kernels) > 1.0 / alpha + KERNEL_TOL:
         raise DoeblinViolated("kernel entry above 1/alpha")
     return DoeblinFamily(kernels / rows[:, :, None], u, float(alpha), lattice_span(u, lattice_h))
 

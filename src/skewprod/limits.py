@@ -608,12 +608,19 @@ def _decay_task(system, orbit, wi, ww, *grids):
     return system.decay_rows(orbit, *grids)
 
 
+DECAY_ROUNDING_ULPS = 64  # margin of the decay fit's rounding floor, in ulps
+
+
 def _envelope_fit(s, n, y, n_grid):
     """(c, rate, violation fraction per n, ok) of the envelope y <= c' - rate s n.
 
     c and twice the rate are the least-squares fit; c' is c calibrated at the
-    smallest n to the ensemble's 0.8 quantile; ok asks for a positive rate and
-    violation fractions that do not grow along n_grid.
+    smallest n to the ensemble's 0.8 quantile; ok asks for a rate above the
+    fit's rounding floor and violation fractions that do not grow along
+    n_grid.  Each y sums the logs of up to max n rounded factors, so its
+    rounding grows with the larger of max |y| and max n; the floor is
+    DECAY_ROUNDING_ULPS ulps of that, spread over the largest s n.  Below
+    it, the sign of the rate is the sign of a rounding error.
     """
     coef, *_ = np.linalg.lstsq(np.stack([np.ones(len(y)), -s * n], axis=1), y, rcond=None)
     c, rate = float(coef[0]), float(coef[1]) / 2.0  # high-probability envelope rate
@@ -621,7 +628,9 @@ def _envelope_fit(s, n, y, n_grid):
     c_use = c + _quantile(y[first] - (c - rate * s[first] * n_grid[0]), 0.8)
     frac = {m: float(np.mean(y[n == m] > c_use - rate * s[n == m] * m + 1e-12)) for m in n_grid}
     fr = list(frac.values())
-    return c, rate, frac, rate > 0 and all(b <= a + 1e-12 for a, b in zip(fr, fr[1:]))
+    floor = DECAY_ROUNDING_ULPS * np.finfo(float).eps * max(float(np.max(np.abs(y))), n_grid[-1]) \
+        / float(np.max(s * n))
+    return c, rate, frac, rate > floor and all(b <= a + 1e-12 for a, b in zip(fr, fr[1:]))
 
 
 def decay_survey(system, t_small, t_large, n_grid, omega_samples: int,

@@ -1,15 +1,19 @@
 """Random RPF triplets along base orbits, pressure and its derivatives at 0.
 
 The raw triplet (lambda, h, nu) at parameter z is computed from truncated
-orbit products, each read from the blocked scan `transfer.prefix_products`:
-eigenfunction directions from the products of the factors from the past
-applied to the constant function, dual functionals from the reference
-functional pulled back through the factors from the future.  Truncation
-lengths double automatically until the eigen-relation residuals drop below
-tolerance; failure to converge signals z outside the admissible
-neighborhood and is surfaced, never hidden.  The pressure derivatives at 0
-come from the same scan over block Toeplitz factors that carry the Taylor
-coefficients of the matrix products.
+orbit products: eigenfunction directions from the products of the factors
+from the past applied to the constant function, dual functionals from the
+reference functional pulled back through the factors from the future.  The
+products are read from the blocked scan `transfer.prefix_products` when the
+factors vary with the base orbit.  When every key's matrix at z is the same
+(phi reads no base symbol, nor u at z != 0), the triplet is the Perron
+triple of that one matrix at every position, and the truncated products
+are its powers, formed by repeated squaring in O(log) products whatever the
+span.  Truncation lengths double automatically until the residuals and the
+truncation gap drop below tolerance; failure to converge signals z outside
+the admissible neighborhood and is surfaced, never hidden.  The pressure
+derivatives at 0 come from the same scan over block Toeplitz factors that
+carry the Taylor coefficients of the matrix products.
 
 Normalized quantities (the triplet of the operator family fixing constants at
 z = 0) are obtained from the raw ones by the gauge transform
@@ -171,6 +175,65 @@ def _solve_raw_once(mats: np.ndarray, keys: np.ndarray, z: complex, j_lo: int, j
                             float(np.max(dual, initial=0.0)), back, fwd, gap)
 
 
+def _rescaled(x: np.ndarray) -> np.ndarray:
+    """x divided by its largest entry's modulus; a zero x stays zero."""
+    peak = np.abs(x).max()
+    return x / peak if peak > 0 else x
+
+
+def _solve_raw_power(mats: np.ndarray, keys: np.ndarray, z: complex, j_lo: int, j_hi: int,
+                     model: FiberModel, back: int, fwd: int) -> RawOrbitTriplets:
+    """`_solve_raw_once` for a cocycle with one factor M: every key's matrix
+    at z is the same, so the truncated products are powers of M.
+
+    The scan's rows at j_lo are read from powers of M applied to 1, each
+    from one squaring ladder of M (M, M^2, M^4, ..., each rescaled), so the
+    cost is O(log(back + n + fwd)) D x D products: H from M^back 1, V from
+    1 M^(n+fwd), and lam = 1 M^(n+fwd) 1 / 1 M^(n+fwd-1) 1, which is what the
+    scan's lam at j_lo reduces to.  Every position gets that one triplet.
+    The truncation gap compares M^(back // 2) 1 with M^back 1 and
+    1 M^(fwd // 2) with 1 M^fwd, as the scan does.  Unlike the scan's, the
+    eigen and dual residuals |M h - lam h| and |nu M - lam nu| measure the
+    truncation: they vanish only at the Perron triple of M.  A power that
+    degenerates hands the solve to the scan, which names the position.
+    """
+    n = j_hi - j_lo
+    M = mats[0]
+    ladder = [_rescaled(M)]
+    for _ in range(1, max(back, n + fwd).bit_length()):
+        ladder.append(_rescaled(ladder[-1] @ ladder[-1]))
+
+    def power(k: int, right: bool) -> np.ndarray:
+        """M^k 1 (right) or 1 M^k, rescaled."""
+        x = np.ones(len(M), dtype=M.dtype)
+        for i in range(k.bit_length()):
+            if k >> i & 1:
+                x = _rescaled(ladder[i] @ x if right else x @ ladder[i])
+        return x
+
+    h, v_prev = power(back, True), power(n + fwd - 1, False)
+    v = v_prev @ M
+    total, total_prev = v.sum(), v_prev.sum()
+    degenerate = not (np.all(np.isfinite(h)) and np.any(h != 0) and all(
+        np.isfinite(t) and abs(t) >= 1e-280 for t in (total, total_prev)))
+    if not degenerate:
+        V = v / total
+        den = V @ h
+        degenerate = not abs(den) >= 1e-280
+    if degenerate:
+        return _solve_raw_once(mats, keys, z, j_lo, j_hi, model, back, fwd)
+    H = h / den
+    lam = total / total_prev
+    gap = max(_direction_change(h, power(back // 2, True)) if back >= 2 else 0.0,
+              _direction_change(power(fwd, False), power(fwd // 2, False)) if fwd >= 2 else 0.0)
+    d, depth, alpha = model.d, model.r - 1, model.alpha
+    eig = holder_norm_vector(M @ H - lam * H, d, depth, alpha) \
+        / max(holder_norm_vector(H, d, depth, alpha), 1e-300)
+    dual = float(np.max(np.abs(V @ M - lam * V))) / max(float(np.max(np.abs(V))), 1e-300)
+    return RawOrbitTriplets(z, j_lo, j_hi, np.tile(H, (n + 1, 1)), np.tile(V, (n + 1, 1)),
+                            np.full(n, lam), float(eig), dual, back, fwd, gap)
+
+
 def solve_raw_orbit(window: OmegaWindow, z: complex, j_lo: int, j_hi: int,
                     pot: PotentialTable, model: FiberModel,
                     back: int = DEFAULT_BACK, fwd: int = DEFAULT_FWD,
@@ -179,8 +242,12 @@ def solve_raw_orbit(window: OmegaWindow, z: complex, j_lo: int, j_hi: int,
     residuals and the truncation gap (`RawOrbitTriplets.max_residual`) are below tol.
 
     Doubling is capped by MAX_TRUNC and by the window itself; at both caps
-    NoConvergence names the largest residual and each side's cap (a window
-    too short for the decay stops a gap that is still falling).
+    NoConvergence names the first of the truncation gap, the eigen residual
+    and the dual residual that is not below tol, and each side's cap (a
+    window too short for the decay stops a gap that is still falling).  When every
+    key's matrix at z is the same, each truncation is solved from powers of
+    that one matrix (`_solve_raw_power`), otherwise by the blocked scan
+    (`_solve_raw_once`).
     """
     pair_pad = 1 if pot.u_next_symbol else 0
     window.require(j_lo - back, j_hi + fwd - 1 + pair_pad)
@@ -188,9 +255,10 @@ def solve_raw_orbit(window: OmegaWindow, z: complex, j_lo: int, j_hi: int,
     f_cap = min(MAX_TRUNC, window.hi - pair_pad - j_hi + 1)
     b, f = min(back, b_cap), min(fwd, f_cap)
     mats = key_matrices(z, pot, model)
+    solve_once = _solve_raw_power if np.all(mats == mats[:1]) else _solve_raw_once
     while True:
         keys = symbol_keys(window, pot, j_lo - b, j_hi + f)
-        last = _solve_raw_once(mats, keys, z, j_lo, j_hi, model, b, f)
+        last = solve_once(mats, keys, z, j_lo, j_hi, model, b, f)
         if last.max_residual < tol:
             if np.isrealobj(last.H) and np.any(last.H <= 0):
                 raise NonpositiveEigenfunction("real-parameter eigenfunction lost positivity")
@@ -199,12 +267,14 @@ def solve_raw_orbit(window: OmegaWindow, z: complex, j_lo: int, j_hi: int,
         if (nb, nf) == (b, f):
             break
         b, f = nb, nf
-    residuals = {"eigen residual": last.eigen_residual, "dual residual": last.dual_residual,
-                 "truncation gap": last.truncation_gap}
-    worst = max(residuals, key=residuals.get)
+    # the truncation gap first: it is the check both paths share, and along
+    # the scan the only one that can fail
+    checks = {"truncation gap": last.truncation_gap, "eigen residual": last.eigen_residual,
+              "dual residual": last.dual_residual}
+    failed = next(name for name, value in checks.items() if not value < tol)
     caps = ["MAX_TRUNC" if cap == MAX_TRUNC else "the window's edge" for cap in (b_cap, f_cap)]
     raise NoConvergence(
-        f"{worst} {residuals[worst]:.3e} stayed above tol {tol} at z={z} with truncation "
+        f"{failed} {checks[failed]:.3e} stayed above tol {tol} at z={z} with truncation "
         f"({b},{f}), capped by {caps[0]} (back) and {caps[1]} (forward)")
 
 
@@ -359,9 +429,9 @@ class DecayFit:
 
 
 def exp_convergence_probe(window: OmegaWindow, z: complex, q: CylinderFunction,
-                          n_list, pot: PotentialTable, model: FiberModel,
-                          back: int = DEFAULT_BACK, fwd: int = DEFAULT_FWD) -> DecayFit:
-    """Fit ||A_z^n q / lambda_n - nu(q) h_n|| ~ C c^n over n_list.
+                          n_list, pot: PotentialTable, model: FiberModel) -> DecayFit:
+    """Fit ||A_z^n q / lambda_n - nu(q) h_n|| ~ C c^n over n_list, from
+    orbits solved at the default truncations.
 
     Values below the noise floor 1e-10 are dropped before fitting (points
     under the solver's truncation error are numerical noise, not decay data);
@@ -369,8 +439,8 @@ def exp_convergence_probe(window: OmegaWindow, z: complex, q: CylinderFunction,
     converged-at-once.
     """
     n_max = max(n_list)
-    orbit0 = SystemOrbit(window, 0, n_max, pot, model, back=back, fwd=fwd)
-    raw_z = orbit0.raw0 if z == 0 else solve_raw_orbit(window, z, 0, n_max, pot, model, back, fwd)
+    orbit0 = SystemOrbit(window, 0, n_max, pot, model)
+    raw_z = orbit0.raw0 if z == 0 else solve_raw_orbit(window, z, 0, n_max, pot, model)
     d, depth, alpha = model.d, model.r - 1, model.alpha
     qv = q.extend(depth).values
     _, _, nu_n0 = norm_triplet_from_raw(raw_z, orbit0, 0)

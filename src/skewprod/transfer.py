@@ -5,8 +5,11 @@ At every symbol key the weighted pullback operator is an exact D x D matrix
 
 `prefix_products` is the package's one matrix-product code: every cocycle,
 orbit sweep, twisted product and affine moment recursion reads its products
-from that blocked scan.  Transfer cocycles compose right to left (the factor
-at the window origin acts first), so they scan the transposed factors.
+from that blocked scan.  The one exception is the orbit solve of a cocycle
+whose factors are all one matrix, which reads powers of it from a squaring
+ladder (`rpf._solve_raw_power`).  Transfer cocycles compose right to left
+(the factor at the window origin acts first), so they scan the transposed
+factors.
 """
 
 from __future__ import annotations

@@ -13,7 +13,15 @@ def random_chain(rng, n_states):
     return build_markov_base(Q)
 
 
-def random_tables(rng, model, n_states, phi_scale=0.6, u_scale=1.0, column_normalized=False):
+def random_tables(rng, model, n_states, phi_scale=0.6, u_scale=1.0, column_normalized=False,
+                  constant=False):
+    """phi and u tables, one row per base symbol; with constant, every
+    symbol's rows are those drawn for symbol 0, so the fiber cocycle does
+    not depend on the base orbit."""
+    if constant:
+        one = random_tables(rng, model, 1, phi_scale, u_scale, column_normalized)
+        return PotentialTable(np.repeat(one.phi, n_states, axis=0),
+                              np.repeat(one.u, n_states, axis=0), model)
     d, r = model.d, model.r
     nwords = d**r
     if column_normalized:
@@ -29,11 +37,12 @@ def random_tables(rng, model, n_states, phi_scale=0.6, u_scale=1.0, column_norma
     return PotentialTable(phi, u, model)
 
 
-def random_instance(rng, d=2, r=2, n_states=2, column_normalized=False, u_scale=1.0):
+def random_instance(rng, d=2, r=2, n_states=2, column_normalized=False, u_scale=1.0,
+                    constant=False):
     chain = random_chain(rng, n_states)
     model = FiberModel(d, r)
     pot = random_tables(rng, model, n_states, column_normalized=column_normalized,
-                        u_scale=u_scale)
+                        u_scale=u_scale, constant=constant)
     return chain, model, pot
 
 

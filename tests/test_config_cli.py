@@ -421,6 +421,18 @@ def test_every_experiment_can_fail(name):
     assert result.exit_code == 1
 
 
+def test_decay_survey_without_decay_fails_on_the_matrix_fiber():
+    # u == 0 on matrix-llt's r = 2 fiber: neither rate is above the fit's
+    # rounding floor, whatever sign the rounding gives it
+    cfg = copy.deepcopy(SMALL_RUNS["decay-survey"])
+    cfg["potentials"]["u"] = [[0.0] * 4] * 2
+    result = run_experiment(parse_config(cfg))
+    stats = result.record["stats"]
+    assert max(abs(stats["d2_fit"]), abs(stats["u_fit"])) < 1e-15, stats
+    assert result.record["verdicts"]["outcome"] == "fail"
+    assert result.exit_code == 1
+
+
 # every stats field of each experiment's record, as ("verdict", how it
 # enters the verdict) or ("report", why it is reported only); the Doeblin
 # names share the symbolic runners
@@ -456,8 +468,8 @@ STATS_REACH = {
                                  "not a bound (ROADMAP item 6); it only raises a warning"),
     },
     "decay-survey": {
-        "d2_fit": ("verdict", "the small-t rate, positive"),
-        "u_fit": ("verdict", "the large-t rate, positive"),
+        "d2_fit": ("verdict", "the small-t rate, above the fit's rounding floor"),
+        "u_fit": ("verdict", "the large-t rate, above the fit's rounding floor"),
         "small_violation_frac": ("verdict", "non-increasing along n_grid"),
         "large_violation_frac": ("verdict", "non-increasing along n_grid"),
         "A_fit": ("report", "the small-t envelope's constant; the theory's constants "

@@ -16,6 +16,7 @@ from skewprod.errors import (
 from skewprod.fiber import FiberModel, PotentialTable
 from skewprod.limits import (
     _clt_sigma_sq,
+    _envelope_fit,
     _quantile,
     classify,
     clt_test,
@@ -125,6 +126,18 @@ def test_quantile_matches_numpy():
                 x = np.round(x, 1)  # ties
             for q in [0.0, 0.8, 1.0, float(rng.random())]:
                 assert _quantile(x, q) == float(np.quantile(x, q))
+
+
+def test_envelope_fit_counts_no_rate_below_its_rounding():
+    # rows of 1 that sit 2^-46 (128 ulps) lower at the larger n fit a rate
+    # of about 1.4e-16 > 0, a rounding error's; a real rate of 1e-3 counts
+    n = np.repeat([50.0, 100.0], 4)
+    s = np.ones(len(n))
+    flat = np.where(n == 100.0, 1.0 - 2.0 ** -46, 1.0)
+    _, rate, _, ok = _envelope_fit(s, n, flat, [50, 100])
+    assert 1e-16 < rate < 1e-15 and not ok
+    _, rate, _, ok = _envelope_fit(s, n, 1.0 - 2e-3 * n, [50, 100])
+    assert rate == pytest.approx(1e-3) and ok
 
 
 def test_classifier_span2_counterexample_fails_at_pi():

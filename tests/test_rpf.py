@@ -1,10 +1,14 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from _instances import random_instance, scalar_instance
 from _oracles import two_scan_solve_raw_once
 
 from skewprod.base_env import build_markov_base, sample_base_path
-from skewprod.errors import BranchAmbiguity, NoConvergence
+from skewprod.errors import BranchAmbiguity, NoConvergence, NonpositiveEigenfunction
 from skewprod.fiber import CylinderFunction, FiberModel, PotentialTable
 from skewprod.rpf import (
     SystemOrbit,
@@ -316,6 +320,147 @@ def test_truncation_gap_equals_a_half_truncation_solve(z):
                _direction_change(full.V[-1], half.V[-1]))
     assert 0.0 < want < 1e-6
     assert abs(full.truncation_gap - want) <= 1e-15
+
+
+def test_window_edge_stops_a_falling_truncation_gap_of_a_varying_cocycle():
+    # the window-edge case over a two-symbol base, phi raised by 0.2 on one
+    # word of symbol 1: the factors vary with the base orbit, so the scan
+    # solves it, and its gap still stops at the window's edge above tol
+    rng = generator(9219)
+    rng.uniform(0.2, 1.0, size=(1, 1))
+    model = FiberModel(2, 3)
+    phi = 0.6 * rng.standard_normal((1, 8))
+    phi = np.concatenate([phi, phi + 0.2 * (np.arange(8) == 0)])
+    pot = PotentialTable(phi, np.zeros((2, 8)), model)
+    mats = key_matrices(0.0, pot, model)
+    assert not np.all(mats == mats[:1])
+    chain = build_markov_base([[0.5, 0.5], [0.5, 0.5]])
+    with pytest.raises(NoConvergence, match=r"^truncation gap \S+ stayed above tol 1e-11 "
+                       r"at z=0\.0 with truncation \(300,300\), capped by the window's edge "
+                       r"\(back\) and the window's edge \(forward\)$"):
+        SystemOrbit(sample_base_path(chain, -300, 300, 9219), 0, 1, pot, model, tol=1e-11)
+    orbit = SystemOrbit(sample_base_path(chain, -700, 700, 9219), 0, 1, pot, model, tol=1e-11)
+    assert (orbit.raw0.back_used, orbit.raw0.fwd_used) == (512, 512)
+    assert orbit.raw0.max_residual < 1e-11
+
+
+def test_truncation_gap_catches_a_short_truncation_of_a_varying_cocycle():
+    # the short-truncation case with e^phi(0.0) = 0.5 instead of 0.6 on
+    # symbol 1: the scan's eigen and dual residuals vanish at (64, 64) and
+    # only its truncation gap fails the solve at z = i pi
+    W = np.array([[0.6, 0.4], [0.3, 0.7]])
+    model = FiberModel(2, 2)
+    phi = [np.log(W[i % 2, i // 2]) for i in range(4)]
+    pot = PotentialTable([phi, [np.log(0.5)] + phi[1:]], [[0.0, 0.0, 1.0, 0.0]] * 2, model)
+    win = make_window(build_markov_base([[0.5, 0.5], [0.5, 0.5]]))
+    mats = key_matrices(1j * np.pi, pot, model)
+    assert not np.all(mats == mats[:1])
+    short = _solve_raw_once(mats, symbol_keys(win, pot, -64, 10 + 64), 1j * np.pi, 0, 10,
+                            model, 64, 64)
+    assert max(short.eigen_residual, short.dual_residual) < 1e-12 < 1e-9 < short.truncation_gap
+    with pytest.raises(NoConvergence, match=r"^truncation gap "):
+        solve_raw_orbit(win, 1j * np.pi, 0, 10, pot, model)
+    trip = solve_raw_orbit(win, 0.0, 0, 10, pot, model)
+    assert (trip.back_used, trip.fwd_used) == (64, 64)
+    assert trip.truncation_gap < 1e-9
+
+
+def _matrix_llt_fiber():
+    """matrix-llt's fiber: e^phi(a.w) = W[w, a] and u on symbols 0 and 1 alike."""
+    W = np.array([[0.6, 0.4], [0.3, 0.7]])
+    model = FiberModel(2, 2)
+    phi = [np.log(W[i % 2, i // 2]) for i in range(4)]
+    pot = PotentialTable([phi] * 2, [[0.0, 0.0, 1.0, 2.0]] * 2, model, lattice_h=1.0)
+    return build_markov_base([[0.7, 0.3], [0.4, 0.6]]), model, pot
+
+
+@pytest.mark.parametrize("n", [200, 2000])
+def test_constant_cocycle_solve_multiplies_no_lane_of_length_n(monkeypatch, n):
+    # every key's matrix is the same at every z, so the solves read powers of
+    # one matrix; the scan would multiply lanes of back + n factors
+    from skewprod import rpf, transfer
+
+    lengths = []
+    scan = transfer.prefix_products
+
+    def counted(factors):
+        lengths.append(len(factors))
+        return scan(factors)
+
+    monkeypatch.setattr(rpf, "prefix_products", counted)
+    monkeypatch.setattr(transfer, "prefix_products", counted)
+    chain, model, pot = _matrix_llt_fiber()
+    win = make_window(chain, back=300, fwd=n + 300)
+    orbit = SystemOrbit(win, 0, n, pot, model)
+    assert orbit.raw0.max_residual < 1e-9
+    for z in (0.0, 0.4j):
+        assert solve_raw_orbit(win, z, 0, n, pot, model).max_residual < 1e-9
+    assert max(lengths, default=0) < n
+
+
+def test_degenerate_power_hands_the_solve_to_the_scan():
+    # the constant factor of test_lambda_sequence_raises_where_the_solver_does
+    # squares to zero at z = i pi; the scan names where its functional dies
+    from skewprod import rpf
+
+    chain = build_markov_base([[0.5, 0.5], [0.5, 0.5]])
+    model = FiberModel(2, 2)
+    pot = PotentialTable(np.full((2, 4), -np.log(2.0)), [[0.0, 1.0, 0.0, 1.0]] * 2, model)
+    win = make_window(chain)
+    with pytest.raises(NoConvergence) as power:
+        solve_raw_orbit(win, 1j * np.pi, 0, 20, pot, model)
+    with pytest.MonkeyPatch.context() as patch, pytest.raises(NoConvergence) as scan:
+        patch.setattr(rpf, "_solve_raw_power", rpf._solve_raw_once)
+        solve_raw_orbit(win, 1j * np.pi, 0, 20, pot, model)
+    assert str(power.value) == str(scan.value) == "forward functional degenerated at position 82"
+
+
+def _solve_outcome(solve):
+    try:
+        return solve()
+    except (NoConvergence, NonpositiveEigenfunction) as err:
+        return type(err).__name__, str(err)
+
+
+def _assert_same_error(got, want):
+    """The same error and message; the message prints the failing residual
+    to four figures, which two solves agree on only up to rounding."""
+    number = r"\d\.\d{3}e[+-]\d+"
+    assert got[0] == want[0]
+    assert re.split(number, got[1]) == re.split(number, want[1]), (got, want)
+    for x, y in zip(re.findall(number, got[1]), re.findall(number, want[1])):
+        assert float(x) == pytest.approx(float(y), rel=1e-3), (got, want)
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2**31 - 1), st.sampled_from([(2, 1), (2, 2), (3, 2), (2, 3)]),
+       st.integers(0, 60), st.sampled_from([16, 64]), st.sampled_from([16, 64]),
+       st.integers(0, 500), st.integers(0, 500), st.sampled_from([1e-9, 1e-11]))
+@pytest.mark.parametrize("z", [0.0, 0.4j])
+def test_constant_cocycle_solve_matches_the_scan(z, seed, dr, n, back, fwd, more_back,
+                                                 more_fwd, tol):
+    # constant instances: every base symbol has the same phi and u, so every
+    # key's matrix is the same at any z and solve_raw_orbit reads powers of it
+    from skewprod import rpf
+
+    rng = generator(seed)
+    chain, model, pot = random_instance(rng, *dr, constant=True)
+    win = sample_base_path(chain, -back - more_back, n + fwd + more_fwd, rng)
+    solve = lambda: solve_raw_orbit(win, z, 0, n, pot, model, back, fwd, tol)  # noqa: E731
+    power = _solve_outcome(solve)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rpf, "_solve_raw_power", rpf._solve_raw_once)
+        scan = _solve_outcome(solve)
+    assert isinstance(power, tuple) == isinstance(scan, tuple)
+    if isinstance(scan, tuple):
+        _assert_same_error(power, scan)
+        return
+    assert (power.back_used, power.fwd_used) == (scan.back_used, scan.fwd_used)
+    for field in ("H", "V", "lam"):
+        x, y = getattr(power, field), getattr(scan, field)
+        scale = max(float(np.max(np.abs(y), initial=0.0)), 1.0)
+        assert np.max(np.abs(x[:1] - y[:1]), initial=0.0) <= 1e-12 * scale, field
+        assert np.max(np.abs(x - y), initial=0.0) <= tol * scale, field
 
 
 def test_raw_orbit_insufficient_window():
