@@ -7,6 +7,7 @@ import sys
 from collections import Counter
 
 import pytest
+from ledger import SMALL_RUNS, check_record, small_variant
 
 import skewprod
 from skewprod.config import GRIDS, build_doeblin_system, config_hash, parse_config
@@ -131,45 +132,6 @@ def test_config_hash_ignores_output_dir():
     assert config_hash(a) == config_hash(b)
     b["seed"] = 1
     assert config_hash(a) != config_hash(b)
-
-
-def small_variant(preset, experiment, grids, **samples):
-    """A preset run as another experiment on a small ensemble."""
-    cfg = preset_config(preset)
-    cfg["experiment"], cfg["grids"] = experiment, grids
-    cfg["samples"] = {"omega_samples": 8, "strata_depth": 1, **samples}
-    return cfg
-
-
-def _small_clt():
-    cfg = preset_config("two-state-base-lattice")
-    cfg["grids"]["n_list"] = [200]
-    cfg["samples"] = {"omega_samples": 32, "fiber_replicates": 128, "strata_depth": 1}
-    return cfg
-
-
-def _small_renewal():
-    cfg = small_variant("renewal-gamma-3-2", "renewal",
-                        {"a_list": [-15, -10] + list(range(24, 37, 2))})
-    cfg["renewal"] = {"truncation": 60, "limit_window": [26, 36]}
-    cfg["seed"] = 77
-    return cfg
-
-
-# one small passing config per experiment name the runner knows
-SMALL_RUNS = {
-    "rpf-audit": small_variant("matrix-llt", "rpf-audit", {}),
-    "clt": _small_clt(),
-    "llt": small_variant("scalar-iid", "llt", {"n_list": [200, 400]}),
-    "renewal": _small_renewal(),
-    "decay-survey": small_variant("matrix-llt", "decay-survey", {"n_grid": [50, 100]}),
-    "char-fn": small_variant("matrix-llt", "char-fn", {"n_list": [4, 8]}),
-    "doeblin-clt": small_variant("doeblin-iid", "doeblin-clt", {"n_list": [2000]},
-                                 omega_samples=16, fiber_replicates=1024),
-    "doeblin-llt": small_variant("doeblin-iid", "doeblin-llt", {"n_list": [200, 400]}),
-    "doeblin-renewal": small_variant("doeblin-iid", "doeblin-renewal", {}),
-    "doeblin-char": small_variant("doeblin-iid", "doeblin-char", {"n_list": [4, 8]}),
-}
 
 
 def small_renewal_config(tmp_path, seed=77):
@@ -343,6 +305,7 @@ def test_every_experiment_same_record_at_one_and_two_workers(name, monkeypatch):
     r2 = run_experiment(cfg, workers=2)
     assert r2.timing["workers"] == 2
     assert canonical_record_bytes(r1.record) == canonical_record_bytes(r2.record)
+    check_record(f"small/{name}", r1.record)
 
 
 @pytest.mark.parametrize("name", list(SMALL_RUNS))
@@ -371,6 +334,25 @@ def test_one_orbit_build_per_environment(name, monkeypatch):
     assert [sum(built[id(ww.window)] for ww in ens) for ens in ensembles] == expected
     assert set(built.values()) <= {1}
     assert sum(built.values()) == sum(expected)
+
+
+@pytest.mark.parametrize("name", list(SMALL_RUNS))
+def test_no_random_stream_is_drawn_twice(name, monkeypatch):
+    # every generator of a run comes from its own (master_seed, *path): two
+    # stages given one stream would draw the same numbers
+    from skewprod import seeding
+
+    drawn = Counter()
+    derive = seeding.seed_sequence
+
+    def recording(master_seed, *path):
+        drawn[(master_seed, *path)] += 1
+        return derive(master_seed, *path)
+
+    monkeypatch.setattr(seeding, "seed_sequence", recording)
+    run_experiment(parse_config(copy.deepcopy(SMALL_RUNS[name])))
+    assert drawn
+    assert [path for path, count in drawn.items() if count > 1] == []
 
 
 @pytest.mark.parametrize("name", ["renewal", "doeblin-renewal"])
@@ -809,6 +791,7 @@ def test_doeblin_renewal_config_reads_the_start_summand():
 
     result = run_experiment(load_config(RENEWAL_DOEBLIN))
     assert result.exit_code == 0
+    check_record("config/renewal-doeblin", result.record)
     U = {row["a"]: row["U"] for row in result.curves["renewal"]}
     assert result.record["stats"]["target"] == pytest.approx(4 / 3, rel=1e-15)
     assert [U[a] for a in (-20, -15, -10)] == [0.0, 0.0, 0.0]

@@ -2,10 +2,7 @@
 
 import copy
 import dataclasses
-import importlib.util
 import itertools
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +10,7 @@ from _instances import random_doeblin, random_instance, scalar_instance
 from _oracles import per_shift_level, prob_at
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from ledger import benchmark_configs
 
 from skewprod import gibbs
 from skewprod.base_env import build_markov_base, sample_base_path
@@ -650,16 +648,7 @@ def test_zero_row_keyed_table_groups_to_nothing():
     assert np.isin(table.sample(generator(86, 1), 20), table.start_u).all()
 
 
-def _benchmark_configs() -> dict:
-    """The benchmark workloads' configs at the benchmark seed."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return {name: w.config_for(workloads.DEFAULT_SEED) for name, w in workloads.WORKLOADS.items()}
-
-
-SHIPPED_CONFIGS = {**{name: preset_config(name) for name in PRESETS}, **_benchmark_configs()}
+SHIPPED_CONFIGS = {**{name: preset_config(name) for name in PRESETS}, **benchmark_configs()}
 
 
 @pytest.mark.parametrize("name", list(SHIPPED_CONFIGS))
