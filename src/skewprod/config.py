@@ -7,10 +7,11 @@ computation, and validation errors carry the offending field path.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,55 +22,80 @@ from .fiber import FiberModel, PotentialTable
 from .limits import lattice_indices
 from .symbolic import SymbolicSystem
 
-SYMBOLIC_EXPERIMENTS = ("rpf-audit", "clt", "llt", "renewal", "decay-survey", "char-fn")
-DOEBLIN_EXPERIMENTS = ("doeblin-clt", "doeblin-llt", "doeblin-renewal", "doeblin-char")
-# experiments that read exact laws on a lattice: they need a declared lattice_h
-LATTICE_EXPERIMENTS = ("llt", "renewal", "char-fn", "doeblin-llt", "doeblin-renewal",
-                       "doeblin-char")
 EXPECTATIONS = ("pass", "degenerate", "classifier-failure")
-DEFAULT_A_LIST = [-20, -15, -10] + list(range(40, 61))  # the renewal points without grids.a_list
 
-DEFAULT_TOLERANCES = {
-    "ks": 0.02,
-    "llt_sup": 0.05,
-    "renewal_rel": 0.05,
-    "renewal_negative": 0.01,
-    "rpf_residual": 1e-8,
-    "char_exact": 1e-9,
-}
 
-DEFAULT_SAMPLES = {
-    "omega_samples": 64,
-    "fiber_replicates": 200,
-    "mc_replicates": 4000,
-    "strata_depth": 2,
+@dataclass(frozen=True)
+class Experiment:
+    """One limit statement: its experiment name for each kind of system,
+    whether it reads exact laws on a lattice (and so needs a declared
+    lattice_h), and the keys of each config section it reads, each with its
+    default."""
+    names: dict
+    lattice: bool
+    reads: dict
+
+
+OMEGA = {"omega_samples": 64}  # the environments of a statement's ensemble
+ENSEMBLE = {**OMEGA, "strata_depth": 2}  # and the base symbols it stratifies on
+
+# the statements, by the key `runner.RUNNERS` runs them under
+EXPERIMENTS = {
+    "rpf-audit": Experiment(
+        {"symbolic": "rpf-audit"}, lattice=False,
+        reads={"samples": OMEGA, "tolerances": {"rpf_residual": 1e-8}}),
+    "clt": Experiment(
+        {"symbolic": "clt", "doeblin": "doeblin-clt"}, lattice=False,
+        reads={"grids": {"n_list": [1000, 4000]},
+               "samples": {**ENSEMBLE, "fiber_replicates": 200},
+               "tolerances": {"ks": 0.02}}),
+    "llt": Experiment(
+        {"symbolic": "llt", "doeblin": "doeblin-llt"}, lattice=True,
+        reads={"grids": {"n_list": [500, 1000, 2000]}, "samples": ENSEMBLE,
+               "tolerances": {"llt_sup": 0.05}}),
+    "renewal": Experiment(
+        {"symbolic": "renewal", "doeblin": "doeblin-renewal"}, lattice=True,
+        reads={"grids": {"a_list": [-20, -15, -10] + list(range(40, 61))},
+               "samples": ENSEMBLE,
+               "tolerances": {"renewal_rel": 0.05, "renewal_negative": 0.01},
+               # f null weighs every fiber state 1; limit_window null is
+               # [2 max(a_list) // 3, max(a_list)]
+               "renewal": {"truncation": 200, "f": None, "limit_window": None}}),
+    "decay-survey": Experiment(
+        {"symbolic": "decay-survey"}, lattice=False,
+        reads={"grids": {"t_small": [0.05, 0.1, 0.2], "t_large": [0.8, 1.6, 2.4],
+                         "n_grid": [50, 100, 200]},
+               "samples": ENSEMBLE}),
+    "char-fn": Experiment(
+        {"symbolic": "char-fn", "doeblin": "doeblin-char"}, lattice=True,
+        reads={"grids": {"t_grid": [0.1, 0.3, 0.7], "n_list": [4, 8, 16, 32]},
+               "samples": {**ENSEMBLE, "mc_replicates": 4000},
+               "tolerances": {"char_exact": 1e-9}}),
 }
 
 
 @dataclass
 class ExperimentConfig:
+    """A checked config: every key its statement reads resolved to a value,
+    and the system it runs on.  `parse_config` is its only constructor."""
     name: str
     kind: str
     experiment: str
+    statement: str
     seed: int
-    expect: str = "pass"
-    base: dict = field(default_factory=dict)
-    fiber: dict = field(default_factory=dict)
-    potentials: dict = field(default_factory=dict)
-    doeblin: dict = field(default_factory=dict)
-    periodic_cycle: list = field(default_factory=lambda: [0])
-    grids: dict = field(default_factory=dict)
-    samples: dict = field(default_factory=dict)
-    tolerances: dict = field(default_factory=dict)
-    renewal: dict = field(default_factory=dict)
-    output_dir: str = "out"
-    raw: dict = field(default_factory=dict)
-
-    def tol(self, key: str) -> float:
-        return float(self.tolerances.get(key, DEFAULT_TOLERANCES[key]))
-
-    def sample(self, key: str) -> int:
-        return int(self.samples.get(key, DEFAULT_SAMPLES[key]))
+    expect: str
+    base: dict
+    fiber: dict
+    potentials: dict
+    doeblin: dict
+    periodic_cycle: list
+    grids: dict
+    samples: dict
+    tolerances: dict
+    renewal: dict
+    output_dir: str
+    raw: dict
+    system: object
 
 
 def _need(d: dict, key: str, path: str):
@@ -132,7 +158,7 @@ def _is_length(value) -> bool:
     return _is_int(value) and value >= 1
 
 
-# the grids the runners read: what their entries must be, and the check
+# what the entries of each grid must be, and the check
 GRIDS = {"n_list": ("integers >= 1", _is_length), "n_grid": ("integers >= 1", _is_length),
          "a_list": ("integers", _is_int), "t_small": ("finite numbers", _is_finite),
          "t_large": ("finite numbers", _is_finite), "t_grid": ("finite numbers", _is_finite)}
@@ -143,9 +169,6 @@ def _grid(key: str, value) -> str | None:
     ok = isinstance(value, list) and len(value) > 0 and all(entry(v) for v in value) \
         and len(set(value)) == len(value)
     return None if ok else f"a non-empty list of distinct {want}"
-
-
-RENEWAL_KEYS = ("truncation", "f", "limit_window")
 
 
 def _renewal(key: str, value) -> str | None:
@@ -185,52 +208,82 @@ def _system_value(key: str, value) -> str | None:
     return None if check is None or check(value) else want
 
 
+# the checks of the sections that set a statement's values
+SETTINGS = {"grids": _grid, "samples": _sample_count, "tolerances": _tolerance,
+            "renewal": _renewal}
+# the top-level keys of every config, and the sections of each kind's system
+TOP_LEVEL = ("name", "kind", "experiment", "expect", "seed", "base", "periodic_cycle",
+             "grids", "samples", "tolerances", "output_dir")
+KIND_SECTIONS = {"symbolic": ("fiber", "potentials"), "doeblin": ("doeblin",)}
+
+
+def _resolved(data: dict, section: str, statement: str) -> dict:
+    """The config's `section`, checked against every key a statement reads
+    there, over the defaults of the keys that `statement` reads."""
+    known = {key for entry in EXPERIMENTS.values() for key in entry.reads.get(section, {})}
+    values = _settings(data, section, known, SETTINGS[section])
+    return {**copy.deepcopy(EXPERIMENTS[statement].reads.get(section, {})), **values}
+
+
 def parse_config(data: dict, name_hint: str = "config") -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError("top level: expected a JSON object")
     name = data.get("name", name_hint)
     kind = data.get("kind", "symbolic")
-    if kind not in ("symbolic", "doeblin"):
+    if kind not in KIND_SECTIONS:
         raise ConfigError(f"kind: must be 'symbolic' or 'doeblin', got {kind!r}")
     experiment = data.get("experiment")
     if experiment is None:
         raise ConfigError("experiment: required field missing")
-    valid = SYMBOLIC_EXPERIMENTS if kind == "symbolic" else DOEBLIN_EXPERIMENTS
-    if experiment not in valid:
+    statements = {entry.names[kind]: statement for statement, entry in EXPERIMENTS.items()
+                  if kind in entry.names}
+    if experiment not in statements:
         raise ConfigError(f"experiment: {experiment!r} not valid for kind {kind!r}; "
-                          f"choose one of {valid}")
+                          f"choose one of {tuple(statements)}")
+    statement = statements[experiment]
+    entry = EXPERIMENTS[statement]
     expect = data.get("expect", "pass")
     if expect not in EXPECTATIONS:
         raise ConfigError(f"expect: must be one of {EXPECTATIONS}, got {expect!r}")
     if "seed" not in data:
         raise ConfigError("seed: required field missing")
     seed = master_seed(data["seed"], "seed")
+    tolerances = _resolved(data, "tolerances", statement)
     cfg = ExperimentConfig(
-        name=name, kind=kind, experiment=experiment, seed=seed, expect=expect,
-        periodic_cycle=data.get("periodic_cycle", [0]),
-        grids=_settings(data, "grids", GRIDS, _grid),
-        samples=_settings(data, "samples", DEFAULT_SAMPLES, _sample_count),
-        tolerances=_settings(data, "tolerances", DEFAULT_TOLERANCES, _tolerance),
-        renewal=_settings(data, "renewal", RENEWAL_KEYS, _renewal),
-        output_dir=str(data.get("output_dir", "out")), raw=data,
+        name=name, kind=kind, experiment=experiment, statement=statement, seed=seed,
+        expect=expect, periodic_cycle=data.get("periodic_cycle", [0]),
+        grids=_resolved(data, "grids", statement),
+        samples=_resolved(data, "samples", statement),
+        tolerances={key: float(value) for key, value in tolerances.items()},
+        renewal=_resolved(data, "renewal", statement),
+        output_dir=str(data.get("output_dir", "out")), raw=data, system=None,
         **{section: _settings(data, section, keys, _system_value)
            for section, keys in SYSTEM_KEYS.items()},
     )
+    allowed = TOP_LEVEL + KIND_SECTIONS[kind] + (("renewal",) if "renewal" in entry.reads else ())
+    for key in data:
+        if key not in allowed:
+            raise ConfigError(f"{key}: not a key of a {kind} {experiment!r} config; "
+                              f"choose one of {sorted(allowed)}")
     section = "potentials" if kind == "symbolic" else "doeblin"
-    if experiment in LATTICE_EXPERIMENTS and getattr(cfg, section).get("lattice_h") is None:
+    if entry.lattice and getattr(cfg, section).get("lattice_h") is None:
         raise ConfigError(f"{section}.lattice_h: required by experiment {experiment!r}, "
                           "which runs on the lattice of the observable's values")
     # build the system eagerly so every cross-reference is checked up front
     system = (build_symbolic_system if kind == "symbolic" else build_doeblin_system)(cfg)
-    if experiment in ("renewal", "doeblin-renewal"):
-        a_list = cfg.grids.get("a_list", DEFAULT_A_LIST)
+    if statement == "renewal":
+        # f takes one weight per fiber state
+        states = system.model.space_dim if kind == "symbolic" else system.family.n_states
+        _check_states(cfg.renewal["f"], "renewal.f", states)
+        a_list = cfg.grids["a_list"]
         try:
             lattice_indices(a_list, system.lattice_h)
         except NotLattice as exc:
             raise ConfigError(f"grids.a_list: {exc}") from exc
-        lw = cfg.renewal.get("limit_window")  # the default one holds max(a_list)
+        lw = cfg.renewal["limit_window"]  # the default one holds max(a_list)
         if lw and not any(lw[0] <= a <= lw[1] for a in a_list):
             raise ConfigError(f"renewal.limit_window: {lw} holds no point of grids.a_list")
+    cfg.system = system
     return cfg
 
 
@@ -310,7 +363,6 @@ def build_symbolic_system(cfg: ExperimentConfig) -> SymbolicSystem:
         pot = PotentialTable(phi, u, model, lattice_h=lattice_h, u_next_symbol=pair)
     except SkewprodError as exc:
         raise ConfigError(f"potentials: {exc}") from exc
-    _check_states(cfg.renewal.get("f"), "renewal.f", model.space_dim)
     cycle = _cycle(cfg, chain)
     return SymbolicSystem(chain, model, pot, periodic_cycle=cycle)
 
@@ -328,7 +380,6 @@ def build_doeblin_system(cfg: ExperimentConfig) -> DoeblinSystem:
         fam = build_doeblin_family(kernels, u, alpha, lattice_h=lattice_h)
     except SkewprodError as exc:
         raise ConfigError(f"doeblin: {exc}") from exc
-    _check_states(cfg.renewal.get("f"), "renewal.f", fam.n_states)
     initial = cfg.doeblin.get("initial_measure")
     _check_states(initial, "doeblin.initial_measure", fam.n_states)
     cycle = _cycle(cfg, chain)

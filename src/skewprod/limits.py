@@ -284,8 +284,7 @@ def _clt_task(system, orbit, wi, ww, n_list, seed, fiber_replicates):
 
 
 def clt_test(system, n_list, omega_samples: int, fiber_replicates: int,
-             seed: int, ks_threshold: float = 0.02, strata_depth: int = 2,
-             pmap=None) -> CltReport:
+             seed: int, ks_threshold: float, strata_depth: int, pmap=None) -> CltReport:
     """Pooled annealed CLT check: weighted KS distance against N(0,1) per n.
 
     The run draws two ensembles: `_clt_sigma_sq` fits sigma^2 on stream 101,
@@ -353,8 +352,8 @@ class LltReport:
     sigma_sq_means: float      # slope of the weighted variance of the quenched means
 
 
-def llt_scan(system, n_list, omega_samples: int, seed: int, threshold: float = 0.05,
-             strata_depth: int = 2, pmap=None) -> LltReport:
+def llt_scan(system, n_list, omega_samples: int, seed: int, threshold: float,
+             strata_depth: int, pmap=None) -> LltReport:
     """Lattice local limit theorem scan on the exact annealed mixture law.
 
     sup over lattice points a of |sigma sqrt(2 pi n) P(S_n = a) - h gaussian|
@@ -463,10 +462,9 @@ def _renewal_task(system, orbit, wi, ww, truncation, ka, f_weights, var_at):
             table.moments(var_at)[1])
 
 
-def renewal_curve(system, a_list, truncation: int, omega_samples: int,
-                  seed: int, f_weights=None, strata_depth: int = 2,
-                  rel_tol: float = 0.05, limit_window: tuple | None = None,
-                  negative_tol: float = 0.01, pmap=None) -> RenewalReport:
+def renewal_curve(system, a_list, truncation: int, omega_samples: int, seed: int,
+                  f_weights, strata_depth: int, rel_tol: float, limit_window: tuple | None,
+                  negative_tol: float, pmap=None) -> RenewalReport:
     """Truncated renewal sums U(a) = sum_{n <= N} E[f 1(S_n = a)] on the lattice.
 
     The run draws one ensemble (stream 132).  Each environment's sums come
@@ -477,9 +475,10 @@ def renewal_curve(system, a_list, truncation: int, omega_samples: int,
     margin and the tail estimate, is the slope of the weighted mean of the
     forward tables' exact variances at N / 2 and N.  The reported
     `tail_bound` is a Gaussian estimate of the mass beyond N, not a bound
-    (ROADMAP item 6).  Every a must lie on the lattice h Z (NotLattice), and
-    one in the limit window, by default [2 a_max // 3, a_max] (ValueError);
-    the classifier gates the run as it gates the LLT (`_aperiodic`).
+    (ROADMAP item 6).  f_weights None weighs every fiber state 1.  Every a
+    must lie on the lattice h Z (NotLattice), and one in the limit window,
+    [2 a_max // 3, a_max] when it is None (ValueError); the classifier gates
+    the run as it gates the LLT (`_aperiodic`).
     """
     a_max = max(a_list)
     lw = limit_window or (2 * a_max // 3, a_max)
@@ -556,9 +555,9 @@ def _char_task(system, orbit, wi, ww, t_grid, n_list, seed, mc_replicates):
     return out
 
 
-def char_identity(system, t_grid, n_list, omega_samples: int,
-                  mc_replicates: int, seed: int, strata_depth: int = 2,
-                  exact_tol: float = 1e-9, pmap=None) -> CharIdentityReport:
+def char_identity(system, t_grid, n_list, omega_samples: int, mc_replicates: int,
+                  seed: int, strata_depth: int, exact_tol: float,
+                  pmap=None) -> CharIdentityReport:
     """Criterion-level identity check of the three characteristic-function routes.
 
     The spectral value (twisted cocycle against the Gibbs weights) must agree
@@ -634,7 +633,7 @@ def _envelope_fit(s, n, y, n_grid):
 
 
 def decay_survey(system, t_small, t_large, n_grid, omega_samples: int,
-                 seed: int, strata_depth: int = 2, pmap=None) -> DecaySurveyReport:
+                 seed: int, strata_depth: int, pmap=None) -> DecaySurveyReport:
     """Ensemble decay of |lambda_n(it)| (small t) and cocycle norm surrogates (large t).
 
     The theory's constants are existential, so the envelopes are fitted from

@@ -15,20 +15,8 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .base_env import sample_base_path
-from .config import (
-    DEFAULT_A_LIST,
-    ExperimentConfig,
-    build_doeblin_system,
-    build_symbolic_system,
-    canonical_record_bytes,
-    config_hash,
-    master_seed,
-)
-from .errors import (
-    ClassifierFailed,
-    ConfigError,
-    DegenerateVariance,
-)
+from .config import ExperimentConfig, canonical_record_bytes, config_hash, master_seed
+from .errors import ClassifierFailed, DegenerateVariance
 from .fiber import CylinderFunction
 from .limits import (
     char_identity,
@@ -112,12 +100,8 @@ def _dispatch(cfg: ExperimentConfig, seed: int, pmap):
 
     verdict is one of "pass", "fail", "degenerate", "classifier-failure".
     """
-    if cfg.experiment not in EXPERIMENTS:
-        raise ConfigError(f"experiment: unhandled experiment {cfg.experiment!r}")
-    build = build_symbolic_system if cfg.kind == "symbolic" else build_doeblin_system
-    system = build(cfg)
     try:
-        return EXPERIMENTS[cfg.experiment](cfg, system, seed, pmap)
+        return RUNNERS[cfg.statement](cfg, cfg.system, seed, pmap)
     except ClassifierFailed as exc:
         return {"classifier_error": str(exc)}, {}, "classifier-failure", [], {}
     except DegenerateVariance:
@@ -129,12 +113,12 @@ def _pass(ok: bool) -> str:
 
 
 def _omega(cfg) -> dict:
-    return {"omega_samples": cfg.sample("omega_samples")}
+    return {"omega_samples": cfg.samples["omega_samples"]}
 
 
 def _rpf_audit(cfg, system, seed, pmap):
     rows = []
-    for i in range(min(cfg.sample("omega_samples"), 24)):
+    for i in range(min(cfg.samples["omega_samples"], 24)):
         win = sample_base_path(system.chain, -300, 360, generator(seed, 400, i))
         trip = solve_rpf(win, 0.0, 64, 64, system.pot, system.model)
         q = CylinderFunction(system.model.r - 1,
@@ -148,16 +132,15 @@ def _rpf_audit(cfg, system, seed, pmap):
                      "conv_rate": 0.0 if fit.degenerate else fit.c})
     worst = max([0.0] + [row[k] for row in rows for k in ("eigen", "dual", "normalization")])
     fits = [row["conv_rate"] for row in rows]
-    ok = worst < cfg.tol("rpf_residual") and all(c < 0.9 for c in fits)
+    ok = worst < cfg.tolerances["rpf_residual"] and all(c < 0.9 for c in fits)
     stats = {"max_residual": worst, "max_conv_rate": max(fits), "windows": len(rows)}
     return stats, {"rpf_audit": rows}, _pass(ok), [], {"windows": len(rows)}
 
 
 def _clt(cfg, system, seed, pmap):
-    rep = clt_test(system, cfg.grids.get("n_list", [1000, 4000]),
-                   cfg.sample("omega_samples"), cfg.sample("fiber_replicates"), seed,
-                   ks_threshold=cfg.tol("ks"), strata_depth=cfg.sample("strata_depth"),
-                   pmap=pmap)
+    rep = clt_test(system, cfg.grids["n_list"], cfg.samples["omega_samples"],
+                   cfg.samples["fiber_replicates"], seed, ks_threshold=cfg.tolerances["ks"],
+                   strata_depth=cfg.samples["strata_depth"], pmap=pmap)
     curves = {"clt": [{"n": n, "ks": k, "threshold": rep.threshold}
                       for n, k in zip(rep.n_list, rep.ks)]}
     stats = {"sigma_sq": rep.sigma_sq, "ks": rep.ks,
@@ -168,9 +151,9 @@ def _clt(cfg, system, seed, pmap):
 
 
 def _llt(cfg, system, seed, pmap):
-    rep = llt_scan(system, cfg.grids.get("n_list", [500, 1000, 2000]),
-                   cfg.sample("omega_samples"), seed, threshold=cfg.tol("llt_sup"),
-                   strata_depth=cfg.sample("strata_depth"), pmap=pmap)
+    rep = llt_scan(system, cfg.grids["n_list"], cfg.samples["omega_samples"], seed,
+                   threshold=cfg.tolerances["llt_sup"],
+                   strata_depth=cfg.samples["strata_depth"], pmap=pmap)
     curves = {"llt": [{"n": n, "sup_dev": s, "threshold": rep.threshold}
                       for n, s in zip(rep.n_list, rep.sup_dev)]}
     stats = {"sigma_sq": rep.sigma_sq, "sigma_sq_quenched": rep.sigma_sq_quenched,
@@ -180,15 +163,13 @@ def _llt(cfg, system, seed, pmap):
 
 
 def _renewal(cfg, system, seed, pmap):
-    lw = cfg.renewal.get("limit_window")
-    rep = renewal_curve(system, cfg.grids.get("a_list", DEFAULT_A_LIST),
-                        cfg.renewal.get("truncation", 200),
-                        cfg.sample("omega_samples"), seed,
-                        f_weights=cfg.renewal.get("f"),
-                        strata_depth=cfg.sample("strata_depth"),
-                        rel_tol=cfg.tol("renewal_rel"),
+    lw = cfg.renewal["limit_window"]
+    rep = renewal_curve(system, cfg.grids["a_list"], cfg.renewal["truncation"],
+                        cfg.samples["omega_samples"], seed, f_weights=cfg.renewal["f"],
+                        strata_depth=cfg.samples["strata_depth"],
+                        rel_tol=cfg.tolerances["renewal_rel"],
                         limit_window=tuple(lw) if lw else None,
-                        negative_tol=cfg.tol("renewal_negative"), pmap=pmap)
+                        negative_tol=cfg.tolerances["renewal_negative"], pmap=pmap)
     curves = {"renewal": [{"a": a, "U": u, "target": rep.target}
                           for a, u in zip(rep.a_list, rep.U)]}
     stats = {"gamma": rep.gamma, "mu_f": rep.mu_f, "target": rep.target,
@@ -203,11 +184,9 @@ def _renewal(cfg, system, seed, pmap):
 
 
 def _decay(cfg, system, seed, pmap):
-    rep = decay_survey(system, cfg.grids.get("t_small", [0.05, 0.1, 0.2]),
-                       cfg.grids.get("t_large", [0.8, 1.6, 2.4]),
-                       cfg.grids.get("n_grid", [50, 100, 200]),
-                       cfg.sample("omega_samples"), seed,
-                       strata_depth=cfg.sample("strata_depth"), pmap=pmap)
+    rep = decay_survey(system, cfg.grids["t_small"], cfg.grids["t_large"],
+                       cfg.grids["n_grid"], cfg.samples["omega_samples"], seed,
+                       strata_depth=cfg.samples["strata_depth"], pmap=pmap)
     rows = [{"branch": "small_t", "n": n, "violation_frac": rep.small_violation_frac[n]}
             for n in rep.n_grid]
     rows += [{"branch": "large_t", "n": n, "violation_frac": rep.large_violation_frac[n]}
@@ -220,21 +199,20 @@ def _decay(cfg, system, seed, pmap):
 
 
 def _char(cfg, system, seed, pmap):
-    rep = char_identity(system, cfg.grids.get("t_grid", [0.1, 0.3, 0.7]),
-                        cfg.grids.get("n_list", [4, 8, 16, 32]),
-                        cfg.sample("omega_samples"), cfg.sample("mc_replicates"), seed,
-                        cfg.sample("strata_depth"), exact_tol=cfg.tol("char_exact"),
-                        pmap=pmap)
+    rep = char_identity(system, cfg.grids["t_grid"], cfg.grids["n_list"],
+                        cfg.samples["omega_samples"], cfg.samples["mc_replicates"], seed,
+                        strata_depth=cfg.samples["strata_depth"],
+                        exact_tol=cfg.tolerances["char_exact"], pmap=pmap)
     stats = {"max_exact_spectral_gap": rep.max_exact_spectral_gap,
              "mc_within_band": rep.mc_within_band}
     rows = [{"t": t, "n": n} for t, n in rep.grid]
     return stats, {"char_grid": rows}, _pass(rep.passed), [], {"grid_points": len(rep.grid)}
 
 
-# experiment name -> the function that runs it and returns (stats, curves,
-# verdict, warnings, task_counts); the Doeblin names run the same runners on
-# a DoeblinSystem
-EXPERIMENTS = {
+# the statement (a key of `config.EXPERIMENTS`) -> the function that runs it
+# on either kind of system and returns (stats, curves, verdict, warnings,
+# task_counts)
+RUNNERS = {
     "rpf-audit": _rpf_audit,
     "clt": _clt,
     "llt": _llt,
@@ -242,9 +220,6 @@ EXPERIMENTS = {
     "decay-survey": _decay,
     "char-fn": _char,
 }
-EXPERIMENTS.update({f"doeblin-{name}": EXPERIMENTS[name]
-                    for name in ("clt", "llt", "renewal")})
-EXPERIMENTS["doeblin-char"] = EXPERIMENTS["char-fn"]
 
 
 def write_results(out_dir: str, result: RunResult) -> str:

@@ -188,8 +188,8 @@ def two_state_system() -> SymbolicSystem:
 
 def test_criterion_05_characteristic_function_identity():
     system = two_state_system()
-    rep = char_identity(system, [0.1, 0.3, 0.7, 1.2], [4, 8, 16, 32],
-                        omega_samples=24, mc_replicates=4000, seed=32)
+    rep = char_identity(system, [0.1, 0.3, 0.7, 1.2], [4, 8, 16, 32], omega_samples=24,
+                        mc_replicates=4000, seed=32, strata_depth=2, exact_tol=1e-9)
     ok = rep.max_exact_spectral_gap < 1e-9 and rep.mc_within_band
     report(5, ok, f"(t, n) grid of {len(rep.grid)} points: spectral vs exact law "
                   f"{rep.max_exact_spectral_gap:.2e} (tol 1e-9), Monte Carlo within "
@@ -200,10 +200,10 @@ def test_criterion_06_annealed_clt():
     t0 = time.perf_counter()
     sys_pm = build_symbolic_system(parse_config(preset_config("span-2-counterexample")))
     rep_a = clt_test(sys_pm, [10000], omega_samples=500, fiber_replicates=200,
-                     seed=33, ks_threshold=0.02)
+                     seed=33, ks_threshold=0.02, strata_depth=2)
     system = two_state_system()
     rep_b = clt_test(system, [4000], omega_samples=200, fiber_replicates=250,
-                     seed=34, ks_threshold=0.04)
+                     seed=34, ks_threshold=0.04, strata_depth=2)
     elapsed = time.perf_counter() - t0
     ok = (rep_a.ks[-1] < 0.02 and rep_a.pooled_samples >= 10**5
           and rep_b.ks[-1] < 0.04 and elapsed < 300.0)
@@ -214,7 +214,7 @@ def test_criterion_06_annealed_clt():
 
 def test_criterion_07_lattice_llt_and_counterexample():
     sys01 = build_symbolic_system(parse_config(preset_config("scalar-iid")))
-    rep = llt_scan(sys01, [2000], omega_samples=512, seed=41, threshold=0.05)
+    rep = llt_scan(sys01, [2000], omega_samples=512, seed=41, threshold=0.05, strata_depth=2)
     # the span-2 instance must fail the classifier exactly at pi and the
     # runner must refuse it
     sys_pm = build_symbolic_system(parse_config(preset_config("span-2-counterexample")))
@@ -222,7 +222,7 @@ def test_criterion_07_lattice_llt_and_counterexample():
     radius_at_pi = 1.0 - cls.min_gap
     refused = False
     try:
-        llt_scan(sys_pm, [500], omega_samples=8, seed=42)
+        llt_scan(sys_pm, [500], omega_samples=8, seed=42, threshold=0.05, strata_depth=2)
     except ClassifierFailed:
         refused = True
     ok = (rep.sup_dev[-1] < 0.05 and rep.passed and not cls.passed
@@ -239,7 +239,8 @@ def test_criterion_08_renewal():
     sysr = build_symbolic_system(parse_config(preset_config("renewal-gamma-3-2")))
     a_list = [-20, -15, -10] + list(range(40, 61))
     rep = renewal_curve(sysr, a_list, truncation=200, omega_samples=128, seed=42,
-                        limit_window=(40, 60), rel_tol=0.05)
+                        limit_window=(40, 60), rel_tol=0.05, f_weights=None, strata_depth=2,
+                        negative_tol=0.01)
     elapsed = time.perf_counter() - t0
     ok = (rep.rel_err_window < 0.05 and rep.negative_side_max < 0.01
           and rep.target == pytest.approx(2.0 / 3.0, abs=1e-12) and elapsed < 300.0)
@@ -251,7 +252,7 @@ def test_criterion_08_renewal():
 def test_criterion_09_decay_surveys():
     system = two_state_system()
     rep = decay_survey(system, [0.05, 0.1, 0.2], [0.8, 1.6, 2.4], [50, 100, 200],
-                       omega_samples=64, seed=31)
+                       omega_samples=64, seed=31, strata_depth=2)
     fr_s = [rep.small_violation_frac[n] for n in (50, 100, 200)]
     fr_l = [rep.large_violation_frac[n] for n in (50, 100, 200)]
     ok = rep.d2_fit > 0 and rep.small_ok and rep.u_fit > 0 and rep.large_ok
@@ -272,11 +273,12 @@ def test_criterion_10_degenerate_branch():
     system = build_symbolic_system(parse_config(cfg))
     llt_refused = renewal_refused = False
     try:
-        llt_scan(system, [200], omega_samples=8, seed=10)
+        llt_scan(system, [200], omega_samples=8, seed=10, threshold=0.05, strata_depth=2)
     except DegenerateVariance:
         llt_refused = True
     try:
-        renewal_curve(system, [10, 20], truncation=60, omega_samples=8, seed=11)
+        renewal_curve(system, [10, 20], truncation=60, omega_samples=8, seed=11, f_weights=None,
+                      strata_depth=2, rel_tol=0.05, limit_window=None, negative_tol=0.01)
     except DegenerateVariance:
         renewal_refused = True
     ok = (abs(stats["sigma_sq"]) < 1e-10 and clt_run.record["verdicts"]["outcome"] == "degenerate"
@@ -291,27 +293,28 @@ def test_criterion_11_doeblin_pipeline():
     t0 = time.perf_counter()
     sysd = build_doeblin_system(parse_config(preset_config("doeblin-iid")))
     # criterion 5 analogue
-    rep_char = char_identity(sysd, [0.1, 0.3, 0.7, 1.2], [4, 8, 16, 32],
-                             omega_samples=24, mc_replicates=4000, seed=46)
+    rep_char = char_identity(sysd, [0.1, 0.3, 0.7, 1.2], [4, 8, 16, 32], omega_samples=24,
+                             mc_replicates=4000, seed=46, strata_depth=2, exact_tol=1e-9)
     # criterion 6 analogue
     rep_clt = clt_test(sysd, [10000], omega_samples=500, fiber_replicates=200,
-                       seed=43, ks_threshold=0.02)
+                       seed=43, ks_threshold=0.02, strata_depth=2)
     # criterion 7 analogue (and the span-2 refusal)
-    rep_llt = llt_scan(sysd, [2000], omega_samples=512, seed=44, threshold=0.05)
+    rep_llt = llt_scan(sysd, [2000], omega_samples=512, seed=44, threshold=0.05, strata_depth=2)
     fam_pm = build_doeblin_family(np.array([[[0.5, 0.5], [0.5, 0.5]]] * 2),
                                   np.array([[1.0, -1.0]] * 2), 0.5, lattice_h=1.0)
     refused = False
     try:
-        llt_scan(DoeblinSystem(sysd.chain, fam_pm), [200], omega_samples=4, seed=45)
+        llt_scan(DoeblinSystem(sysd.chain, fam_pm), [200], omega_samples=4, seed=45,
+                 threshold=0.05, strata_depth=2)
     except ClassifierFailed:
         refused = True
     # criterion 8 analogue
     fam_ren = build_doeblin_family(np.array([[[0.5, 0.5], [0.5, 0.5]]] * 2),
                                    np.array([[1.0, 2.0]] * 2), 0.5, lattice_h=1.0)
     rep_ren = renewal_curve(DoeblinSystem(sysd.chain, fam_ren),
-                            [-20, -15, -10] + list(range(40, 61)),
-                            truncation=200, omega_samples=128, seed=45,
-                            limit_window=(40, 60))
+                            [-20, -15, -10] + list(range(40, 61)), truncation=200,
+                            omega_samples=128, seed=45, limit_window=(40, 60), f_weights=None,
+                            strata_depth=2, rel_tol=0.05, negative_tol=0.01)
     # composition-order hand check at n = 2 with distinct kernels (seed 2 puts
     # symbols 0, 1, 0 at positions 0..2): the twisted product of the chain's
     # two step rows (S_3 = u_0 + u_1 + u_2)

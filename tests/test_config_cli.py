@@ -10,7 +10,7 @@ import pytest
 from ledger import SMALL_RUNS, check_record, small_variant
 
 import skewprod
-from skewprod.config import GRIDS, build_doeblin_system, config_hash, parse_config
+from skewprod.config import EXPERIMENTS, GRIDS, build_doeblin_system, config_hash, parse_config
 from skewprod.errors import ConfigError
 from skewprod.presets import PRESETS, preset_config
 from skewprod.runner import record_bytes_from_file, run_experiment, write_results
@@ -68,9 +68,35 @@ def test_bad_tolerances_and_unknown_keys():
     cfg["samples"] = {"omega_samples": 1, "strata_depth": 0}
     cfg["base"]["tol"] = 1e-9
     cfg["fiber"]["alpha"] = 0.5
-    # f takes one value per fiber state: scalar-iid has one
-    cfg["renewal"] = {"truncation": 60, "f": [1.0], "limit_window": [26, 36]}
+    # f takes one value per fiber state: scalar-iid has one; a renewal
+    # section belongs to a renewal config
+    cfg["experiment"] = "renewal"
+    cfg["renewal"] = {"truncation": 60, "f": [1.0], "limit_window": [40, 60]}
     parse_config(cfg)
+
+
+@pytest.mark.parametrize("preset,key,value", [
+    # each ran: a misspelled section or key with its defaults (64 windows,
+    # llt_sup 0.05, the cycle (0,)), a section of the other kind of system or
+    # of another statement unread
+    ("scalar-iid", "sampels", {"omega_samples": 8}),
+    ("scalar-iid", "tolerance", {"llt_sup": 1e-9}),
+    ("scalar-iid", "periodic_cylce", [1]),
+    ("scalar-iid", "doeblin", {"alpha": 0.5}),
+    ("doeblin-iid", "fiber", {"alphabet_size": 2, "depth": 1}),
+    ("scalar-iid", "renewal", {"truncation": 60}),
+])
+def test_top_level_key_of_no_such_config_exit_2(tmp_path, capsys, preset, key, value):
+    from skewprod.cli import main
+
+    cfg = preset_config(preset)
+    cfg[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    kind, experiment = cfg.get("kind", "symbolic"), cfg["experiment"]
+    assert f"config error: {key}: not a key of a {kind} {experiment!r} config" \
+        in capsys.readouterr().err
 
 
 def test_bad_grids():
@@ -285,12 +311,16 @@ def run_cli(args, cwd, env=None):
 
 
 def test_small_runs_cover_every_experiment_name():
-    from skewprod.config import DOEBLIN_EXPERIMENTS, SYMBOLIC_EXPERIMENTS
-    from skewprod.runner import EXPERIMENTS
+    # one small run per (kind, name) in the table, keyed by its name
+    assert {name: (cfg.get("kind", "symbolic"), cfg["experiment"])
+            for name, cfg in SMALL_RUNS.items()} == \
+        {name: (kind, name) for entry in EXPERIMENTS.values() for kind, name in entry.names.items()}
 
-    assert set(SMALL_RUNS) == set(EXPERIMENTS) == set(SYMBOLIC_EXPERIMENTS + DOEBLIN_EXPERIMENTS)
-    for name, cfg in SMALL_RUNS.items():
-        assert cfg["experiment"] == name
+
+def test_every_statement_has_one_runner():
+    from skewprod.runner import RUNNERS
+
+    assert set(RUNNERS) == set(EXPERIMENTS)
 
 
 @pytest.mark.parametrize("name", list(SMALL_RUNS))
@@ -395,9 +425,7 @@ FAILING_RUNS["decay-survey"]["potentials"]["u"] = [[0.0, 0.0], [0.0, 0.0]]
 
 @pytest.mark.parametrize("name", list(FAILING_RUNS))
 def test_every_experiment_can_fail(name):
-    from skewprod.runner import EXPERIMENTS
-
-    assert set(FAILING_RUNS) == set(EXPERIMENTS)
+    assert set(FAILING_RUNS) == set(SMALL_RUNS)
     result = run_experiment(parse_config(copy.deepcopy(FAILING_RUNS[name])))
     assert result.record["verdicts"]["outcome"] == "fail", result.record["stats"]
     assert result.exit_code == 1
@@ -415,9 +443,9 @@ def test_decay_survey_without_decay_fails_on_the_matrix_fiber():
     assert result.exit_code == 1
 
 
-# every stats field of each experiment's record, as ("verdict", how it
-# enters the verdict) or ("report", why it is reported only); the Doeblin
-# names share the symbolic runners
+# every stats field of each statement's record, as ("verdict", how it
+# enters the verdict) or ("report", why it is reported only); both kinds of
+# system run one runner per statement
 STATS_REACH = {
     "rpf-audit": {
         "max_residual": ("verdict", "below tolerances.rpf_residual"),
@@ -468,10 +496,10 @@ STATS_REACH = {
 
 @pytest.mark.parametrize("name", list(SMALL_RUNS))
 def test_every_stats_field_is_listed(name):
-    runner_name = {"doeblin-char": "char-fn"}.get(name, name.removeprefix("doeblin-"))
-    reach = STATS_REACH[runner_name]
+    cfg = parse_config(copy.deepcopy(SMALL_RUNS[name]))
+    reach = STATS_REACH[cfg.statement]
     assert all(kind in ("verdict", "report") and why for kind, why in reach.values())
-    stats = run_experiment(parse_config(copy.deepcopy(SMALL_RUNS[name]))).record["stats"]
+    stats = run_experiment(cfg).record["stats"]
     assert set(stats) == set(reach), f"unlisted: {set(stats) - set(reach)}, " \
         f"listed but absent: {set(reach) - set(stats)}"
 
@@ -730,6 +758,7 @@ def test_cli_lattice_experiment_without_lattice_exit_2(tmp_path, preset, experim
         parse_config(cfg)
     cfg["experiment"], cfg["expect"] = ("doeblin-clt", "pass") if section == "doeblin" \
         else ("clt", "pass")
+    cfg.pop("renewal", None)  # a clt config has no renewal section
     parse_config(cfg)
 
 

@@ -142,7 +142,7 @@ def test_char_three_routes_agree():
     chain = build_markov_base([[0.6, 0.4], [0.2, 0.8]])
     sysd = DoeblinSystem(chain, fam)
     rep = char_identity(sysd, [0.3, 1.1], [6, 12], omega_samples=6,
-                        mc_replicates=4000, seed=13)
+                        mc_replicates=4000, seed=13, strata_depth=2, exact_tol=1e-9)
     assert rep.max_exact_spectral_gap < 1e-9
     assert rep.mc_within_band
     assert rep.passed
@@ -179,7 +179,7 @@ def test_doeblin_clt_small():
     chain = uniform_chain()
     sysd = DoeblinSystem(chain, fam, periodic_cycle=(0,))
     rep = clt_test(sysd, [100, 400], omega_samples=12, fiber_replicates=1500,
-                   seed=18, ks_threshold=0.06)
+                   seed=18, ks_threshold=0.06, strata_depth=2)
     assert rep.sigma_sq == pytest.approx(1.0, abs=0.02)
     assert rep.passed
 
@@ -188,17 +188,17 @@ def test_doeblin_llt_small_and_span2_refusal():
     fam = iid_family((0.0, 1.0))
     chain = uniform_chain()
     sysd = DoeblinSystem(chain, fam)
-    rep = llt_scan(sysd, [150, 400], omega_samples=10, seed=19, threshold=0.06)
+    rep = llt_scan(sysd, [150, 400], omega_samples=10, seed=19, threshold=0.06, strata_depth=2)
     assert rep.passed
     fam2 = iid_family((1.0, -1.0))
     sysd2 = DoeblinSystem(chain, fam2)
     with pytest.raises(ClassifierFailed):
-        llt_scan(sysd2, [100], omega_samples=4, seed=20)
+        llt_scan(sysd2, [100], omega_samples=4, seed=20, threshold=0.05, strata_depth=2)
 
 
 def test_doeblin_llt_draws_one_ensemble(ensemble_calls):
     assert llt_scan(DoeblinSystem(uniform_chain(), iid_family()), [150, 400],
-                    omega_samples=8, seed=19).passed
+                    omega_samples=8, seed=19, threshold=0.05, strata_depth=2).passed
     assert len(ensemble_calls) == 1
 
 
@@ -207,8 +207,9 @@ def test_doeblin_renewal_small():
     chain = uniform_chain()
     sysd = DoeblinSystem(chain, fam)
     a_list = list(range(-12, 0, 4)) + list(range(20, 37, 2))
-    rep = renewal_curve(sysd, a_list, truncation=60, omega_samples=8,
-                        seed=21, limit_window=(26, 36))
+    rep = renewal_curve(sysd, a_list, truncation=60, omega_samples=8, seed=21,
+                        limit_window=(26, 36), f_weights=None, strata_depth=2, rel_tol=0.05,
+                        negative_tol=0.01)
     assert rep.gamma == pytest.approx(1.5, abs=1e-9)
     assert rep.target == pytest.approx(2 / 3, abs=1e-9)
     assert rep.rel_err_window < 0.05

@@ -273,7 +273,7 @@ def test_clt_sigma_sq_two_state():
 def test_clt_scalar_small_scale():
     sys_pm = system_pm1()
     rep = clt_test(sys_pm, [100, 400], omega_samples=16, fiber_replicates=1250,
-                   seed=4, ks_threshold=0.06)
+                   seed=4, ks_threshold=0.06, strata_depth=2)
     assert not rep.degenerate
     assert rep.sigma_sq == pytest.approx(1.0, abs=1e-6)
     assert rep.ks[-1] < 0.06
@@ -284,7 +284,7 @@ def test_clt_scalar_small_scale():
 def test_clt_degenerate_branch():
     # a sigma^2 below 1e-10 gives a degenerate report on the sampled ensemble
     rep = clt_test(system_coboundary(), [50, 100], omega_samples=8, fiber_replicates=16,
-                   seed=5)
+                   seed=5, ks_threshold=0.02, strata_depth=2)
     assert rep.degenerate and rep.passed and rep.ks == []
     assert abs(rep.sigma_sq) < 1e-10
     assert rep.degenerate_max_abs < 0.05
@@ -306,7 +306,8 @@ def test_clt_draws_two_ensembles(build, degenerate, monkeypatch):
         return ensemble(*args)
 
     monkeypatch.setattr(limits, "_ensemble", counted)
-    rep = clt_test(build(), [100], omega_samples=8, fiber_replicates=16, seed=5)
+    rep = clt_test(build(), [100], omega_samples=8, fiber_replicates=16, seed=5, ks_threshold=0.02,
+                   strata_depth=2)
     assert rep.degenerate is degenerate
     assert streams == [101, 102]
 
@@ -328,7 +329,7 @@ def test_char_task_reads_every_t_from_one_sample():
 
 def test_llt_binomial_preset():
     sys01 = system_01()
-    rep = llt_scan(sys01, [200, 500], omega_samples=12, seed=7, threshold=0.05)
+    rep = llt_scan(sys01, [200, 500], omega_samples=12, seed=7, threshold=0.05, strata_depth=2)
     assert rep.sup_dev[-1] < 0.05
     assert rep.sup_dev[-1] <= rep.sup_dev[0] + 1e-9
     assert rep.passed
@@ -337,18 +338,19 @@ def test_llt_binomial_preset():
 def test_llt_refuses_span2():
     sys_pm = system_pm1()
     with pytest.raises(ClassifierFailed):
-        llt_scan(sys_pm, [100], omega_samples=4, seed=8)
+        llt_scan(sys_pm, [100], omega_samples=4, seed=8, threshold=0.05, strata_depth=2)
 
 
 def test_llt_two_state_decreasing():
     sys2 = system_two_state_lattice()
-    rep = llt_scan(sys2, [150, 300, 600], omega_samples=24, seed=9, threshold=0.08)
+    rep = llt_scan(sys2, [150, 300, 600], omega_samples=24, seed=9, threshold=0.08, strata_depth=2)
     assert rep.sup_dev[-1] < 0.08
     assert rep.sup_dev[-1] <= rep.sup_dev[0] + 1e-9
 
 
 def test_llt_draws_one_ensemble(ensemble_calls):
-    assert llt_scan(system_01(), [200, 400], omega_samples=8, seed=7).passed
+    assert llt_scan(system_01(), [200, 400], omega_samples=8, seed=7, threshold=0.05,
+                    strata_depth=2).passed
     assert len(ensemble_calls) == 1
 
 
@@ -361,14 +363,16 @@ def system_environment_dependent_r2():
 
 
 def test_llt_sigma_sq_is_quenched_plus_means():
-    rep = llt_scan(system_environment_dependent_r2(), [200, 400], omega_samples=8, seed=3)
+    rep = llt_scan(system_environment_dependent_r2(), [200, 400], omega_samples=8, seed=3,
+                   threshold=0.05, strata_depth=2)
     assert rep.sigma_sq == pytest.approx(rep.sigma_sq_quenched + rep.sigma_sq_means,
                                          rel=1e-9)
     assert rep.sigma_sq_means > 0
 
 
 def test_llt_sigma_sq_binomial_is_exact():
-    rep = llt_scan(system_01(), [200, 500], omega_samples=12, seed=7)
+    rep = llt_scan(system_01(), [200, 500], omega_samples=12, seed=7, threshold=0.05,
+                   strata_depth=2)
     assert rep.sigma_sq == pytest.approx(0.25, abs=1e-12)
     assert abs(rep.sigma_sq_means) < 1e-12
 
@@ -377,7 +381,8 @@ def test_renewal_gamma_three_halves():
     sysr = system_renewal()
     a_list = list(range(-12, 0, 4)) + list(range(20, 41, 2))
     rep = renewal_curve(sysr, a_list, truncation=60, omega_samples=12, seed=10,
-                        limit_window=(28, 40), rel_tol=0.05)
+                        limit_window=(28, 40), rel_tol=0.05, f_weights=None, strata_depth=2,
+                        negative_tol=0.01)
     assert rep.gamma == pytest.approx(1.5, abs=1e-10)
     assert rep.target == pytest.approx(2 / 3, abs=1e-10)
     assert rep.negative_side_max == 0.0  # positive steps cannot reach a < 0
@@ -387,7 +392,8 @@ def test_renewal_gamma_three_halves():
 
 def test_renewal_counts_a_repeated_point_once():
     sysr = system_renewal()
-    kw = dict(truncation=60, omega_samples=12, seed=10, limit_window=(28, 40))
+    kw = dict(truncation=60, omega_samples=12, seed=10, f_weights=None, strata_depth=2,
+              rel_tol=0.05, limit_window=(28, 40), negative_tol=0.01)
     once = renewal_curve(sysr, [20, 30, 40], **kw)
     twice = renewal_curve(sysr, [20, 30, 30, 40], **kw)
     assert twice.U == [once.U[0], once.U[1], once.U[1], once.U[2]]
@@ -398,10 +404,12 @@ def test_renewal_refuses_a_limit_window_without_a_point(ensemble_calls):
     sysr = system_renewal()
     with pytest.raises(ValueError, match=r"limit window \[42, 50\] holds no point"):
         renewal_curve(sysr, [20, 30, 40], truncation=60, omega_samples=4, seed=10,
-                      limit_window=(42, 50))
+                      limit_window=(42, 50), f_weights=None, strata_depth=2, rel_tol=0.05,
+                      negative_tol=0.01)
     assert ensemble_calls == []  # refused before any work
     rep = renewal_curve(sysr, [20, 30, 40], truncation=60, omega_samples=4, seed=10,
-                        limit_window=(40, 50))
+                        limit_window=(40, 50), f_weights=None, strata_depth=2, rel_tol=0.05,
+                        negative_tol=0.01)
     assert isinstance(rep.rel_err_window, float)
 
 
@@ -419,8 +427,12 @@ def test_renewal_refuses_points_off_the_lattice():
     # read a neighbour's U (about 2/3 where the exact value is 0)
     system = system_renewal_span_2()
     with pytest.raises(NotLattice, match="a = 81 is off the lattice"):
-        renewal_curve(system, list(range(81, 87)), truncation=200, omega_samples=16, seed=1)
-    rep = renewal_curve(system, [82, 84, 86], truncation=200, omega_samples=16, seed=1)
+        renewal_curve(system, list(range(81, 87)), truncation=200, omega_samples=16, seed=1,
+                      f_weights=None, strata_depth=2, rel_tol=0.05, limit_window=None,
+                      negative_tol=0.01)
+    rep = renewal_curve(system, [82, 84, 86], truncation=200, omega_samples=16, seed=1,
+                        f_weights=None, strata_depth=2, rel_tol=0.05, limit_window=None,
+                        negative_tol=0.01)
     assert rep.target == pytest.approx(2 / 3, abs=1e-12) and rep.passed
 
 
@@ -430,20 +442,22 @@ def test_renewal_deterministic_unit_steps_counting_measure():
     # u == 1: spectral radius of the twisted cycle operator is |e^{it}| = 1 on
     # the whole grid, the classifier's degenerate case (S_n = n has variance 0)
     with pytest.raises(DegenerateVariance, match="radius pinned at 1"):
-        renewal_curve(sysu, [5, 10], truncation=40, omega_samples=4, seed=11)
+        renewal_curve(sysu, [5, 10], truncation=40, omega_samples=4, seed=11, f_weights=None,
+                      strata_depth=2, rel_tol=0.05, limit_window=None, negative_tol=0.01)
 
 
 def test_renewal_truncation_guard():
     sysr = system_renewal()
     with pytest.raises(TruncationInsufficient):
-        renewal_curve(sysr, [100], truncation=30, omega_samples=4, seed=12)
+        renewal_curve(sysr, [100], truncation=30, omega_samples=4, seed=12, f_weights=None,
+                      strata_depth=2, rel_tol=0.05, limit_window=None, negative_tol=0.01)
 
 
 def test_renewal_nonconstant_f_rejected():
     sysr = system_renewal()
     with pytest.raises(NonPositiveMean):
-        renewal_curve(sysr, [20], truncation=40, omega_samples=4, seed=13,
-                      f_weights=[-1.0])
+        renewal_curve(sysr, [20], truncation=40, omega_samples=4, seed=13, f_weights=[-1.0],
+                      strata_depth=2, rel_tol=0.05, limit_window=None, negative_tol=0.01)
 
 
 def test_renewal_nonconstant_step_mean_named():
@@ -453,14 +467,15 @@ def test_renewal_nonconstant_step_mean_named():
     pot = PotentialTable(np.full((2, 2), -np.log(2.0)), np.array([[1.0, 2.0], [1.0, 3.0]]),
                          model, lattice_h=1.0)
     with pytest.raises(NonConstantMean, match="step mean not constant"):
-        renewal_curve(SymbolicSystem(chain, model, pot), [20], truncation=60,
-                      omega_samples=4, seed=16)
+        renewal_curve(SymbolicSystem(chain, model, pot), [20], truncation=60, omega_samples=4,
+                      seed=16, f_weights=None, strata_depth=2, rel_tol=0.05, limit_window=None,
+                      negative_tol=0.01)
 
 
 def test_decay_survey_two_state():
     sys2 = system_two_state_lattice()
     rep = decay_survey(sys2, t_small=[0.1, 0.2], t_large=[1.2, 2.0],
-                       n_grid=[16, 32, 64], omega_samples=16, seed=14)
+                       n_grid=[16, 32, 64], omega_samples=16, seed=14, strata_depth=2)
     assert rep.d2_fit > 0
     assert rep.u_fit > 0
     fr = [rep.small_violation_frac[n] for n in sorted(rep.small_violation_frac)]
@@ -471,5 +486,5 @@ def test_decay_survey_zero_u_degenerate_rate():
     chain, model, pot = scalar_instance([0.0, 0.0], lattice_h=1.0)
     sysz = SymbolicSystem(chain, model, pot)
     rep = decay_survey(sysz, t_small=[0.1, 0.3], t_large=[1.0], n_grid=[8, 16],
-                       omega_samples=6, seed=15)
+                       omega_samples=6, seed=15, strata_depth=2)
     assert abs(rep.d2_fit) < 1e-10  # no decay at all

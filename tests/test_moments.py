@@ -195,7 +195,7 @@ def test_doeblin_clt_without_lattice():
                                alpha=0.5)
     system = DoeblinSystem(build_markov_base(np.full((2, 2), 0.5)), fam)
     rep = clt_test(system, [100, 400], omega_samples=12, fiber_replicates=1500, seed=3,
-                   ks_threshold=0.03)
+                   ks_threshold=0.03, strata_depth=2)
     assert rep.sigma_sq == pytest.approx(0.1225, rel=1e-12)
     assert rep.passed
 
