@@ -17,16 +17,14 @@ from .base_env import (
     periodic_point,
     sample_base_path,
 )
-from .fiber import CylinderFunction, FiberModel, PotentialTable, holder_norm
+from .fiber import CylinderFunction, FiberModel, PotentialTable
 from .rpf import (
     RpfTriplet,
     SystemOrbit,
     exp_convergence_probe,
-    pressure_curve,
-    pressure_derivatives,
     solve_rpf,
 )
-from .transfer import CocycleProduct, compose_cocycle, holder_operator_norm
+from .transfer import holder_operator_norm
 
 __version__ = "0.1.0"
 

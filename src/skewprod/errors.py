@@ -83,7 +83,3 @@ class TruncationInsufficient(SkewprodError):
 
 class DoeblinViolated(SkewprodError):
     """Kernel entry outside the two-sided bounds [alpha, 1/alpha]."""
-
-
-class BranchAmbiguity(SkewprodError):
-    """Pressure branch tracking needs a finer t-grid."""

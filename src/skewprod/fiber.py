@@ -124,19 +124,6 @@ class CylinderFunction:
         reps = self.d ** (k_new - self.depth)
         return CylinderFunction(k_new, np.repeat(self.values, reps), self.d)
 
-    def __add__(self, other):
-        k = max(self.depth, other.depth)
-        return CylinderFunction(k, self.extend(k).values + other.extend(k).values, self.d)
-
-    def __sub__(self, other):
-        k = max(self.depth, other.depth)
-        return CylinderFunction(k, self.extend(k).values - other.extend(k).values, self.d)
-
-    def __mul__(self, scalar):
-        return CylinderFunction(self.depth, self.values * scalar, self.d)
-
-    __rmul__ = __mul__
-
     def __repr__(self):
         return f"CylinderFunction(depth={self.depth}, d={self.d})"
 
@@ -165,15 +152,6 @@ def holder_seminorm_rows(values: np.ndarray, d: int, depth: int, alpha: float) -
         diff = np.abs(values[:, lo:hi, None] - values[:, None, :])
         best = np.maximum(best, np.max(diff * weights[lo:hi], axis=(1, 2)))
     return best
-
-
-def holder_norm(g: CylinderFunction, alpha: float = 1.0):
-    """(sup norm, seminorm, total) of g in the ||.||_{alpha,xi} norm, xi = 1/2."""
-    if not 0.0 < alpha <= 1.0:
-        raise UnsupportedXi("alpha must lie in (0, 1]")
-    sup = float(np.max(np.abs(g.values))) if len(g.values) else 0.0
-    semi = holder_seminorm_values(g.values, g.d, g.depth, alpha)
-    return sup, semi, sup + semi
 
 
 def holder_norm_vector(values: np.ndarray, d: int, depth: int, alpha: float = 1.0) -> float:

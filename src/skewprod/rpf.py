@@ -28,11 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base_env import OmegaWindow
-from .errors import (
-    BranchAmbiguity,
-    NoConvergence,
-    NonpositiveEigenfunction,
-)
+from .errors import NoConvergence, NonpositiveEigenfunction
 from .fiber import (
     CylinderFunction,
     FiberModel,
@@ -53,7 +49,6 @@ from .transfer import (
 DEFAULT_BACK = 64
 DEFAULT_FWD = 64
 MAX_TRUNC = 1024
-PRESSURE_BOX = np.log(2.0) + np.pi  # per-step bound on |Pi| inside U_1
 
 
 @dataclass
@@ -489,94 +484,3 @@ def lambda_sequence(window: OmegaWindow, z: complex, k: int, orbit0: SystemOrbit
     """
     return _normalized_lambdas(
         solve_raw_orbit(window, z, 0, k, orbit0.pot, orbit0.model, fwd=fwd), orbit0)
-
-
-@dataclass
-class PressureCurve:
-    k: int
-    t_grid: np.ndarray
-    values: np.ndarray          # Pi_{omega,k}(i t) along the grid
-    windings: np.ndarray        # accumulated winding numbers per factor at grid end
-    box_violations: list        # grid indices where |Pi| > k (ln 2 + pi)
-    d1: complex | None = None
-    d2: complex | None = None
-
-def pressure_curve(window: OmegaWindow, k: int, t_grid, pot: PotentialTable,
-                   model: FiberModel, fwd: int = DEFAULT_FWD,
-                   orbit0: SystemOrbit | None = None) -> PressureCurve:
-    """Pi_{omega,k}(it) on the grid with per-factor continuous branch tracking.
-
-    The grid is continued from t = 0 (prepended when missing), each factor's
-    log starting at 0 there; adjacent grid points with argument jumps above
-    pi/2 raise BranchAmbiguity and ask the caller to refine.
-    """
-    ts = np.asarray(list(t_grid), dtype=float)
-    prepended = len(ts) == 0 or ts[0] != 0.0
-    if prepended:
-        ts = np.concatenate([[0.0], ts])
-    if orbit0 is None:
-        orbit0 = SystemOrbit(window, 0, k, pot, model, fwd=fwd)
-    lam_grid = np.empty((len(ts), k), dtype=complex)
-    for i, t in enumerate(ts):
-        lam_grid[i] = lambda_sequence(window, 1j * t, k, orbit0, fwd=fwd)
-    logs = np.empty_like(lam_grid)
-    logs[0] = np.log(lam_grid[0])  # at t=0 the normalized factors are ~1, so log ~ 0
-    for i in range(1, len(ts)):
-        ratio_arg = np.angle(lam_grid[i] / lam_grid[i - 1])
-        if np.any(np.abs(ratio_arg) > np.pi / 2):
-            j_bad = int(np.argmax(np.abs(ratio_arg)))
-            raise BranchAmbiguity(
-                f"factor {j_bad}: |d arg| = {abs(ratio_arg[j_bad]):.3f} > pi/2 between "
-                f"t={ts[i-1]} and t={ts[i]}; refine the grid")
-        logs[i] = logs[i - 1] + np.log(np.abs(lam_grid[i] / lam_grid[i - 1])) + 1j * ratio_arg
-    values = logs.sum(axis=1)
-    windings = np.round((np.imag(logs[-1]) - np.angle(lam_grid[-1])) / (2 * np.pi))
-    box = [int(i) for i in range(len(ts)) if abs(values[i]) > k * PRESSURE_BOX]
-    if prepended:
-        ts, values = ts[1:], values[1:]
-        box = [i - 1 for i in box if i >= 1]
-    return PressureCurve(k, ts, values, windings, box)
-
-
-def _taylor_factors(pot: PotentialTable, model: FiberModel) -> np.ndarray:
-    """Second-order Taylor data of every symbol key's raw matrix at z = 0.
-
-    With M(z) = A0 + z A1 + z^2 A2 + ..., A1 = L(w u) and A2 = L(w u^2) / 2,
-    the key's factor is the block upper-triangular Toeplitz matrix
-    [[A0, A1, A2], [0, A0, A1], [0, 0, A0]]; products of such factors carry
-    the Taylor coefficients of the matrix product in their top block row.
-    Shape (keys, 3D, 3D), keys indexed as in `symbol_keys`.
-    """
-    w, u = np.exp(pot.key_phi), pot.key_u
-    tg = np.broadcast_to(pot.targets, w.shape)
-    A0, A1, A2 = (branch_matrices(c, tg, model.space_dim) for c in (w, w * u, w * u * u / 2.0))
-    Z = np.zeros_like(A0)
-    return np.block([[A0, A1, A2], [Z, A0, A1], [Z, Z, A0]])
-
-
-def pressure_derivatives(window: OmegaWindow, k: int, pot: PotentialTable,
-                         model: FiberModel, fwd: int = DEFAULT_FWD,
-                         orbit0: SystemOrbit | None = None):
-    """(Pi'(0), Pi''(0)) from one Toeplitz scan over the dual recursion.
-
-    The normalized eigenvalues telescope: with the forward functionals
-    l_p(z) = 1 M_{k+fwd-1}(z) ... M_p(z),
-        Pi_k(z) = log l_0(z) h0_0 - log l_k(z) h0_k - sum_j log lambda0_j,
-    so both derivatives are log-derivatives of two scalars, exact up to
-    the (geometrically small) truncation error.  Their Taylor coefficients
-    are read from one scan over the keys' Toeplitz factors (see
-    `_taylor_factors`), taken backwards from position k + fwd - 1.
-    """
-    if orbit0 is None:
-        orbit0 = SystemOrbit(window, 0, k, pot, model, fwd=fwd)
-    D = model.space_dim
-    keys = symbol_keys(window, pot, 0, k + fwd)
-    factors = _taylor_factors(pot, model)[keys[::-1]]
-    # a leading identity makes prods[fwd] the product down to position k
-    prods, _ = prefix_products(np.concatenate([np.eye(3 * D)[None], factors]))
-    derivs = []
-    for i, j in ((k + fwd, 0), (fwd, k)):
-        f0, f1, f2 = prods[i, :D].sum(axis=0).reshape(3, D) @ orbit0.h0(j)
-        derivs.append((f1 / f0, 2.0 * f2 / f0 - (f1 / f0) ** 2))
-    (a1, a2), (b1, b2) = derivs
-    return float(a1 - b1), float(a2 - b2)

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .base_env import OmegaWindow
-from .errors import InsufficientWindow
 from .fiber import FiberModel, PotentialTable, holder_norm_vector, word_count
 
 
@@ -128,34 +127,6 @@ def key_matrices(z, pot: PotentialTable, model: FiberModel) -> np.ndarray:
     weights = np.exp(phi.reshape(lead) + zs.reshape((1,) + zs.shape + (1, 1)) * u.reshape(lead))
     mats = branch_matrices(weights, np.broadcast_to(pot.targets, u.shape), D)
     return np.moveaxis(mats, 0, zs.ndim)
-
-
-@dataclass
-class CocycleProduct:
-    """Ordered product of transfer factors with its scale ledger.
-
-    `matrix * exp(log_scale)` is the true product; factors are composed
-    right-to-left, the factor at the window origin acting first.
-    """
-
-    matrix: np.ndarray
-    log_scale: float
-
-    def full(self) -> np.ndarray:
-        return self.matrix * np.exp(self.log_scale)
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        return self.full() @ values
-
-
-def compose_cocycle(window: OmegaWindow, n: int, z: complex, pot: PotentialTable,
-                    model: FiberModel) -> CocycleProduct:
-    """n-step raw cocycle product over window indices 0..n-1."""
-    if n < 0:
-        raise InsufficientWindow("cocycle length must be >= 0")
-    factors = key_matrices(z, pot, model)[symbol_keys(window, pot, 0, n)]
-    P, expo = full_product(factors.swapaxes(1, 2))
-    return CocycleProduct(P.T, float(expo) * math.log(2.0))
 
 
 # ---------------------------------------------------------------------------

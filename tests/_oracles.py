@@ -4,15 +4,28 @@ Each computes its quantity the slow, direct way: by enumerating preimage
 branches or applying one operator at a time, where the package scans stacked
 matrices or runs a lattice DP.  Two keep the package's earlier code for a
 kernel since rewritten for speed (a doubling level, an orbit solve), which
-the rewrite must reproduce.
+the rewrite must reproduce.  Two compute what no experiment reads: the raw
+cocycle product (`compose_cocycle`), which criterion 4 checks against branch
+enumeration, and the pressure derivatives (`pressure_derivatives`), which
+criterion 3 checks against the exact moments of S_k.
 """
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from skewprod.errors import DepthMismatch, NoConvergence
 from skewprod.fiber import holder_seminorm_rows
-from skewprod.rpf import RawOrbitTriplets, _direction_change
-from skewprod.transfer import full_product, prefix_products, unscale
+from skewprod.rpf import DEFAULT_FWD, RawOrbitTriplets, SystemOrbit, _direction_change
+from skewprod.transfer import (
+    branch_matrices,
+    full_product,
+    key_matrices,
+    prefix_products,
+    symbol_keys,
+    unscale,
+)
 
 
 def branch_enumeration_apply(window, n, z, pot, model, g):
@@ -171,3 +184,71 @@ def two_scan_solve_raw_once(mats, keys, z, j_lo, j_hi, model, back, fwd):
         / np.maximum(np.max(np.abs(V[:-1]), axis=1, initial=0.0), 1e-300)
     return RawOrbitTriplets(z, j_lo, j_hi, H, V, lam, float(np.max(eig, initial=0.0)),
                             float(np.max(dual, initial=0.0)), back, fwd, gap)
+
+
+@dataclass
+class CocycleProduct:
+    """Ordered product of transfer factors with its scale ledger.
+
+    `matrix * exp(log_scale)` is the true product; factors are composed
+    right-to-left, the factor at the window origin acting first.
+    """
+
+    matrix: np.ndarray
+    log_scale: float
+
+    def full(self) -> np.ndarray:
+        return self.matrix * np.exp(self.log_scale)
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        return self.full() @ values
+
+
+def compose_cocycle(window, n: int, z: complex, pot, model) -> CocycleProduct:
+    """n-step raw cocycle product over window indices 0..n-1."""
+    factors = key_matrices(z, pot, model)[symbol_keys(window, pot, 0, n)]
+    P, expo = full_product(factors.swapaxes(1, 2))
+    return CocycleProduct(P.T, float(expo) * math.log(2.0))
+
+
+def taylor_factors(pot, model) -> np.ndarray:
+    """Second-order Taylor data of every symbol key's raw matrix at z = 0.
+
+    With M(z) = A0 + z A1 + z^2 A2 + ..., A1 = L(w u) and A2 = L(w u^2) / 2,
+    the key's factor is the block upper-triangular Toeplitz matrix
+    [[A0, A1, A2], [0, A0, A1], [0, 0, A0]]; products of such factors carry
+    the Taylor coefficients of the matrix product in their top block row.
+    Shape (keys, 3D, 3D), keys indexed as in `symbol_keys`.
+    """
+    w, u = np.exp(pot.key_phi), pot.key_u
+    tg = np.broadcast_to(pot.targets, w.shape)
+    A0, A1, A2 = (branch_matrices(c, tg, model.space_dim) for c in (w, w * u, w * u * u / 2.0))
+    Z = np.zeros_like(A0)
+    return np.block([[A0, A1, A2], [Z, A0, A1], [Z, Z, A0]])
+
+
+def pressure_derivatives(window, k: int, pot, model, fwd: int = DEFAULT_FWD,
+                         orbit0: SystemOrbit | None = None):
+    """(Pi'(0), Pi''(0)) from one Toeplitz scan over the dual recursion.
+
+    The normalized eigenvalues telescope: with the forward functionals
+    l_p(z) = 1 M_{k+fwd-1}(z) ... M_p(z),
+        Pi_k(z) = log l_0(z) h0_0 - log l_k(z) h0_k - sum_j log lambda0_j,
+    so both derivatives are log-derivatives of two scalars, exact up to
+    the (geometrically small) truncation error.  Their Taylor coefficients
+    are read from one scan over the keys' Toeplitz factors (see
+    `taylor_factors`), taken backwards from position k + fwd - 1.
+    """
+    if orbit0 is None:
+        orbit0 = SystemOrbit(window, 0, k, pot, model, fwd=fwd)
+    D = model.space_dim
+    keys = symbol_keys(window, pot, 0, k + fwd)
+    factors = taylor_factors(pot, model)[keys[::-1]]
+    # a leading identity makes prods[fwd] the product down to position k
+    prods, _ = prefix_products(np.concatenate([np.eye(3 * D)[None], factors]))
+    derivs = []
+    for i, j in ((k + fwd, 0), (fwd, k)):
+        f0, f1, f2 = prods[i, :D].sum(axis=0).reshape(3, D) @ orbit0.h0(j)
+        derivs.append((f1 / f0, 2.0 * f2 / f0 - (f1 / f0) ** 2))
+    (a1, a2), (b1, b2) = derivs
+    return float(a1 - b1), float(a2 - b2)

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from _oracles import branch_enumeration_apply
+from _oracles import branch_enumeration_apply, compose_cocycle, pressure_derivatives
 
 from skewprod.base_env import build_markov_base, sample_base_path
 from skewprod.config import (
@@ -34,11 +34,10 @@ from skewprod.limits import (
     renewal_curve,
 )
 from skewprod.presets import preset_config
-from skewprod.rpf import SystemOrbit, exp_convergence_probe, pressure_derivatives, solve_rpf
+from skewprod.rpf import SystemOrbit, exp_convergence_probe, solve_rpf
 from skewprod.runner import run_experiment
 from skewprod.seeding import generator
 from skewprod.symbolic import SymbolicSystem
-from skewprod.transfer import compose_cocycle
 
 
 def report(num, ok, detail):

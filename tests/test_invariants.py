@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from _instances import random_instance, scalar_instance
+from _oracles import compose_cocycle
 
 from skewprod.base_env import periodic_point, sample_base_path
 from skewprod.fiber import holder_norm_vector
@@ -12,7 +13,7 @@ from skewprod.limits import classify, ndtr
 from skewprod.rpf import SystemOrbit, norm_triplet_from_raw, solve_raw_orbit
 from skewprod.seeding import generator
 from skewprod.symbolic import SymbolicSystem, char_function_spectral, exact_Sn_distribution
-from skewprod.transfer import compose_cocycle, holder_operator_norm
+from skewprod.transfer import holder_operator_norm
 
 
 def test_norm_comparison_bracket():

@@ -5,20 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from _instances import random_instance, scalar_instance
-from _oracles import two_scan_solve_raw_once
+from _oracles import pressure_derivatives, taylor_factors, two_scan_solve_raw_once
 
 from skewprod.base_env import build_markov_base, sample_base_path
-from skewprod.errors import BranchAmbiguity, NoConvergence, NonpositiveEigenfunction
+from skewprod.errors import NoConvergence, NonpositiveEigenfunction
 from skewprod.fiber import CylinderFunction, FiberModel, PotentialTable
 from skewprod.rpf import (
     SystemOrbit,
     exp_convergence_probe,
     lambda_sequence,
-    pressure_curve,
-    pressure_derivatives,
     _direction_change,
     _solve_raw_once,
-    _taylor_factors,
     solve_raw_orbit,
     solve_rpf,
 )
@@ -144,37 +141,6 @@ def test_exp_convergence_generic_rate():
     assert fit.degenerate or (fit.c < 0.9 and fit.r_squared > 0.99)
 
 
-def test_pressure_curve_scalar_closed_form():
-    chain, model, pot = scalar_instance([1.0, -1.0])
-    win = make_window(chain)
-    k = 6
-    ts = np.linspace(0.0, 1.2, 13)
-    curve = pressure_curve(win, k, ts, pot, model)
-    expected = k * np.log(np.cos(ts))
-    assert np.max(np.abs(curve.values - expected)) < 1e-9
-    assert curve.box_violations == []
-
-
-def test_pressure_box_flag_near_degeneracy():
-    chain, model, pot = scalar_instance([1.0, -1.0])
-    win = make_window(chain)
-    k = 4
-    ts = np.linspace(0.0, 1.56, 40)  # |log cos t| exceeds ln2 + pi near pi/2
-    curve = pressure_curve(win, k, ts, pot, model)
-    assert len(curve.box_violations) > 0
-    limit = k * (np.log(2.0) + np.pi)
-    for i in curve.box_violations:
-        assert abs(curve.values[i]) > limit
-
-
-def test_pressure_branch_ambiguity_on_coarse_grid():
-    chain, model, pot = scalar_instance([2.0, -2.0], lattice_h=2.0)
-    win = make_window(chain)
-    # lambda(it) = cos(2t): a grid jumping past the zero at t = pi/4 flips sign
-    with pytest.raises(BranchAmbiguity):
-        pressure_curve(win, 3, [0.0, 1.5], pot, model)
-
-
 @pytest.mark.parametrize("r,pair", [(1, False), (2, False), (2, True), (3, True)])
 def test_taylor_factors_match_key_matrices(r, pair):
     # block Toeplitz [[A0, A1, A2], [0, A0, A1], [0, 0, A0]] of M(z) = A0 + z A1 + z^2 A2 + ...
@@ -183,7 +149,7 @@ def test_taylor_factors_match_key_matrices(r, pair):
     u = rng.standard_normal((2, 2, 2**r) if pair else (2, 2**r))
     pot = PotentialTable(0.5 * rng.standard_normal((2, 2**r)), u, model, u_next_symbol=pair)
     D, eps = model.space_dim, 1e-3
-    blocks = _taylor_factors(pot, model).reshape(-1, 3, D, 3, D).swapaxes(2, 3)
+    blocks = taylor_factors(pot, model).reshape(-1, 3, D, 3, D).swapaxes(2, 3)
     M0, Mp, Mm = (key_matrices(z, pot, model) for z in (0.0, eps, -eps))
     A0, A1, A2 = blocks[:, 0, 0], blocks[:, 0, 1], blocks[:, 0, 2]
     assert np.array_equal(A0, M0)
@@ -233,9 +199,9 @@ def test_jet_first_derivative_matches_finite_differences():
     d1, d2 = pressure_derivatives(win, k, pot, model, orbit0=orbit)
     errs = []
     for delta in [0.02, 0.01]:
-        curve = pressure_curve(win, k, [0.0, delta], pot, model, orbit0=orbit)
+        pressure = np.log(lambda_sequence(win, 1j * delta, k, orbit)).sum()
         # Pi(it) ~ i t Pi'(0) - t^2/2 Pi''(0): imaginary part carries d1
-        fd = np.imag(curve.values[1]) / delta
+        fd = np.imag(pressure) / delta
         errs.append(abs(fd - d1))
     assert errs[1] < errs[0] * 0.3 + 1e-9  # O(delta^2) convergence
 
@@ -249,9 +215,9 @@ def test_second_derivative_matches_finite_differences():
     d1, d2 = pressure_derivatives(win, k, pot, model, orbit0=orbit)
     errs = []
     for delta in [0.02, 0.01]:
-        curve = pressure_curve(win, k, [0.0, delta], pot, model, orbit0=orbit)
+        pressure = np.log(lambda_sequence(win, 1j * delta, k, orbit)).sum()
         # Re Pi(it) = -t^2/2 Pi''(0) + O(t^4)
-        fd = -2.0 * np.real(curve.values[1]) / delta**2
+        fd = -2.0 * np.real(pressure) / delta**2
         errs.append(abs(fd - d2))
     assert errs[1] < errs[0] * 0.3 + 1e-7  # O(delta^2) convergence
     assert errs[1] < 1e-3 * max(1.0, abs(d2))

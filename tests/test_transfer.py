@@ -1,19 +1,14 @@
 import numpy as np
 import pytest
 from _instances import random_instance, scalar_instance
-from _oracles import branch_enumeration_apply
+from _oracles import branch_enumeration_apply, compose_cocycle
 
 from skewprod.base_env import OmegaWindow, build_markov_base, sample_base_path
 from skewprod.errors import InsufficientWindow, MissingSymbol
 from skewprod.fiber import CylinderFunction, FiberModel, PotentialTable
 from skewprod.rpf import SystemOrbit
 from skewprod.seeding import generator
-from skewprod.transfer import (
-    compose_cocycle,
-    holder_operator_norm,
-    key_matrices,
-    symbol_keys,
-)
+from skewprod.transfer import holder_operator_norm, key_matrices, symbol_keys
 
 
 def test_scalar_normalized_weights():
