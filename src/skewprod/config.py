@@ -95,7 +95,7 @@ class ExperimentConfig:
     renewal: dict
     output_dir: str
     raw: dict
-    system: object
+    system: SymbolicSystem | DoeblinSystem
 
 
 def _need(d: dict, key: str, path: str):
