@@ -230,14 +230,14 @@ def parse_config(data: dict, name_hint: str = "config") -> ExperimentConfig:
         raise ConfigError("top level: expected a JSON object")
     name = data.get("name", name_hint)
     kind = data.get("kind", "symbolic")
-    if kind not in KIND_SECTIONS:
+    if kind not in tuple(KIND_SECTIONS):
         raise ConfigError(f"kind: must be 'symbolic' or 'doeblin', got {kind!r}")
     experiment = data.get("experiment")
     if experiment is None:
         raise ConfigError("experiment: required field missing")
     statements = {entry.names[kind]: statement for statement, entry in EXPERIMENTS.items()
                   if kind in entry.names}
-    if experiment not in statements:
+    if experiment not in tuple(statements):  # a tuple: the name may be unhashable JSON
         raise ConfigError(f"experiment: {experiment!r} not valid for kind {kind!r}; "
                           f"choose one of {tuple(statements)}")
     statement = statements[experiment]

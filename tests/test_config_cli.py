@@ -36,10 +36,12 @@ def test_zero_transition_names_the_cell():
 
 
 def test_bad_experiment_and_missing_fields():
-    cfg = preset_config("scalar-iid")
-    cfg["experiment"] = "nonsense"
-    with pytest.raises(ConfigError, match="experiment"):
-        parse_config(cfg)
+    for key, value in [("experiment", "nonsense"), ("experiment", []), ("experiment", {}),
+                       ("kind", []), ("kind", "markov")]:
+        cfg = preset_config("scalar-iid")
+        cfg[key] = value
+        with pytest.raises(ConfigError, match=key):
+            parse_config(cfg)
     cfg = preset_config("scalar-iid")
     del cfg["seed"]
     with pytest.raises(ConfigError, match="seed"):
